@@ -61,8 +61,16 @@ def binom_poly(x: int, j: int) -> int:
     for t in range(j):
         num *= x - t
     q, r = divmod(num, factorial(j))
-    assert r == 0
+    if r:
+        raise ArithmeticError(f"C({x}, {j}) is not an integer")
     return q
+
+
+def _integral(out: TruncPoly, what: str) -> TruncPoly:
+    """`out`, after checking that its coefficients are integers."""
+    if not out.is_integral:
+        raise ArithmeticError(f"{what} {out.render()} is not integral")
+    return out
 
 
 def power_sum_range(l: int, lo: int, hi: int) -> int:
@@ -128,8 +136,9 @@ def chern_general(mf: Multifiltration) -> TruncPoly:
                 m_box += dim if sum(mu) % 2 == 0 else -dim
             if m_box:
                 out = out * TruncPoly(n, (1, -sum(coords))).int_pow(sign * m_box)
-    assert out[0] == 1 and out.is_integral
-    return out
+    if out[0] != 1:
+        raise ArithmeticError(f"total Chern class {out.render()} has constant term != 1")
+    return _integral(out, "total Chern class")
 
 
 def twist_chern(c: TruncPoly, rank: int, m: int) -> TruncPoly:
@@ -171,8 +180,7 @@ def ratio_saturated(k0: int, m_sigma: int, n: int) -> TruncPoly:
     for i in range(k0 + 1):
         e = comb(k0, i) if i % 2 == 0 else -comb(k0, i)
         out = out * TruncPoly(n, (1, -(m_sigma + i))).int_pow(e)
-    assert out.is_integral
-    return out
+    return _integral(out, "ratio")
 
 
 def ratio_run(k0: int, start: int, count: int, n: int) -> TruncPoly:
@@ -198,9 +206,7 @@ def ratio_run(k0: int, start: int, count: int, n: int) -> TruncPoly:
             out = out * TruncPoly(n, (1, -(x + i))).int_pow(e)
         return out
 
-    out = edge(start) * edge(start + count).inverse()
-    assert out.is_integral
-    return out
+    return _integral(edge(start) * edge(start + count).inverse(), "ratio run")
 
 
 def ratio_saturated_conewise(inj: ElementaryInjection) -> TruncPoly:
@@ -224,8 +230,7 @@ def ratio_saturated_conewise(inj: ElementaryInjection) -> TruncPoly:
         for i in range(k0 + 1):
             e = comb(k0, i) if (codim + i) % 2 == 0 else -comb(k0, i)
             out = out * TruncPoly(n, (1, -(m_s + i))).int_pow(e)
-    assert out.is_integral
-    return out
+    return _integral(out, "conewise ratio")
 
 
 def log_ratio_saturated(k0: int, m_sigma: int, n: int) -> TruncPoly:

@@ -8,21 +8,22 @@ Two sheaf encodings travel on the wire:
                    "jumps":[{"coords":[-1,0,0],
                              "subspace":{"kind":"line","line":[1,0]}}]}]}
 
-plus an optional "label".  Serialization is canonical (sorted keys,
-tight separators, trailing newline, integers only -- rationals ride as
-"p/q" strings, floats are rejected outright), so documents round-trip
-byte-identically and identical inputs give identical outputs.
+plus an optional "label".  A multifiltration has rank 1 or 2, and each
+jump subspace is {"kind":"zero"}, {"kind":"full"} or (rank 2 only)
+{"kind":"line","line":[p,q]}.  Serialization is canonical (sorted keys,
+tight separators, trailing newline, integers only -- floats are
+rejected outright), so documents round-trip byte-identically and
+identical inputs give identical outputs.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Any
 
 from .fan import Fan
-from .linalg import Subspace
+from .linalg import RANKS, Subspace
 from .multifilt import Multifiltration
 from .reflexive import R2Filtration, RayDatum, to_multifiltration
 
@@ -54,12 +55,7 @@ def subspace_to_doc(w: Subspace) -> dict:
         return {"kind": "zero"}
     if w.dim == w.r:
         return {"kind": "full"}
-    if w.r == 2 and w.dim == 1:
-        return {"kind": "line", "line": list(w.line_pair())}
-    return {
-        "kind": "basis",
-        "rows": [[str(x) for x in row] for row in w.rows],
-    }
+    return {"kind": "line", "line": list(w.line_pair())}
 
 
 def subspace_from_doc(doc: Any, rank: int) -> Subspace:
@@ -81,13 +77,6 @@ def subspace_from_doc(doc: Any, rank: int) -> Subspace:
         ):
             raise ValueError(f"'line' needs an integer pair, got {pair!r}")
         return Subspace.line(pair[0], pair[1])
-    if kind == "basis":
-        rows = doc.get("rows")
-        if not isinstance(rows, list):
-            raise ValueError("'basis' needs a list of rows")
-        return Subspace.span(
-            rank, [[Fraction(x) for x in row] for row in rows]
-        )
     raise ValueError(f"unknown subspace kind {kind!r}")
 
 
@@ -177,8 +166,8 @@ def multifilt_from_doc(doc: Any) -> Multifiltration:
     n, rank = doc.get("n"), doc.get("rank")
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"'n' must be a positive integer, got {n!r}")
-    if not isinstance(rank, int) or rank < 1:
-        raise ValueError(f"'rank' must be a positive integer, got {rank!r}")
+    if rank not in RANKS:
+        raise ValueError(f"'rank' must be 1 or 2, got {rank!r}")
     cones = doc.get("cones")
     if not isinstance(cones, list):
         raise ValueError("'cones' must be a list")

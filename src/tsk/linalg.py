@@ -1,56 +1,26 @@
-"""Exact linear algebra for subspaces of C^r with rational coordinates.
+"""The subspace lattice of C^r for r in {1, 2}.
 
-All subspace data in this library is defined over Q (lines with rational
-slope, spans of rational vectors), so a subspace is stored as a reduced
-row-echelon basis with Fraction entries.  Equality of subspaces is
-literal equality of the canonical RREF rows.
-
-Rank 2 is the hot case: there a subspace is Zero, a Line, or Full, and
-`line2` canonicalizes a line to a coprime integer pair with positive
-first nonzero entry, so meets/joins reduce to tuple comparisons.
+Every sheaf in this library has rank 1 or 2, and all its subspace data
+is defined over Q, so a subspace of C^r is one of three kinds of value:
+Zero(r), Full(r), or (in rank 2 only) a line C*(p, q) with (p, q) the
+coprime pair from `line2`.  Values are interned, so each subspace
+exists exactly once: equality is identity, and join, meet and
+containment are case analysis (two distinct lines join to Full and
+meet to Zero).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Iterable
 
-Scalar = int | Fraction
-
-Vector = tuple[Fraction, ...]
-
-
-def _rref(rows: Iterable[Sequence[Scalar]], width: int) -> tuple[Vector, ...]:
-    """Reduced row echelon form; returns the nonzero rows, canonical."""
-    mat = [[Fraction(x) for x in row] for row in rows]
-    for row in mat:
-        if len(row) != width:
-            raise ValueError(f"expected vectors of length {width}")
-    pivot_row = 0
-    for col in range(width):
-        pivot = next(
-            (r for r in range(pivot_row, len(mat)) if mat[r][col] != 0), None
-        )
-        if pivot is None:
-            continue
-        mat[pivot_row], mat[pivot] = mat[pivot], mat[pivot_row]
-        inv = mat[pivot_row][col]
-        mat[pivot_row] = [x / inv for x in mat[pivot_row]]
-        for r in range(len(mat)):
-            if r != pivot_row and mat[r][col] != 0:
-                factor = mat[r][col]
-                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[pivot_row])]
-        pivot_row += 1
-        if pivot_row == len(mat):
-            break
-    return tuple(tuple(row) for row in mat[:pivot_row] if any(x != 0 for x in row))
+RANKS = (1, 2)
 
 
 def line2(p: int, q: int) -> tuple[int, int]:
     """Canonical coprime representative of the line C*(p, q) in C^2."""
     if p == 0 and q == 0:
-        raise ValueError("the zero vector spans no line")
+        raise ValueError("the zero vector defines no line")
     g = gcd(p, q)
     p, q = p // g, q // g
     if p < 0 or (p == 0 and q < 0):
@@ -59,20 +29,20 @@ def line2(p: int, q: int) -> tuple[int, int]:
 
 
 class Subspace:
-    """A linear subspace of C^r with rational RREF basis.
+    """A linear subspace of C^r, r in {1, 2}: Zero, Full or a line.
 
-    Immutable and hashable.  `rows` is the canonical reduced
-    row-echelon basis (tuple of Fraction tuples), so two Subspace
-    instances are equal iff they are the same subspace.
+    Immutable and interned: build values with `zero`, `full` and
+    `line`, never by calling the class.  `pair` is the canonical
+    coprime (p, q) of a line and None otherwise.
     """
 
-    __slots__ = ("r", "rows")
+    __slots__ = ("r", "dim", "pair", "_hash")
 
-    def __init__(self, r: int, rows: Iterable[Sequence[Scalar]] = ()) -> None:
-        if r < 1:
-            raise ValueError("ambient rank must be >= 1")
+    def __init__(self, r: int, dim: int, pair: tuple[int, int] | None = None) -> None:
         object.__setattr__(self, "r", r)
-        object.__setattr__(self, "rows", _rref(rows, r))
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "pair", pair)
+        object.__setattr__(self, "_hash", hash((r, dim, pair)))
 
     def __setattr__(self, *_: object) -> None:
         raise AttributeError("Subspace is immutable")
@@ -81,15 +51,17 @@ class Subspace:
 
     @classmethod
     def zero(cls, r: int) -> "Subspace":
-        return _ZERO.setdefault(r, cls(r))
+        try:
+            return _ZERO[r]
+        except KeyError:
+            raise ValueError(f"ambient rank must be 1 or 2, got {r!r}") from None
 
     @classmethod
     def full(cls, r: int) -> "Subspace":
         try:
             return _FULL[r]
         except KeyError:
-            basis = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
-            return _FULL.setdefault(r, cls(r, basis))
+            raise ValueError(f"ambient rank must be 1 or 2, got {r!r}") from None
 
     @classmethod
     def line(cls, p: int, q: int) -> "Subspace":
@@ -98,44 +70,23 @@ class Subspace:
         try:
             return _LINE[key]
         except KeyError:
-            return _LINE.setdefault(key, cls(2, [key]))
-
-    @classmethod
-    def span(cls, r: int, vectors: Iterable[Sequence[Scalar]]) -> "Subspace":
-        return cls(r, vectors)
+            return _LINE.setdefault(key, cls(2, 1, key))
 
     # -- basic protocol -------------------------------------------------
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Subspace):
-            return NotImplemented
-        return self.r == other.r and self.rows == other.rows
-
     def __hash__(self) -> int:
-        return hash((self.r, self.rows))
+        return self._hash
 
     def __repr__(self) -> str:
-        if self.dim == 0:
-            return f"Subspace.zero({self.r})"
-        if self.dim == self.r:
-            return f"Subspace.full({self.r})"
-        if self.r == 2:
-            p, q = self.line_pair()
-            return f"Subspace.line({p}, {q})"
-        return f"Subspace({self.r}, {[list(row) for row in self.rows]!r})"
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
+        if self.pair is not None:
+            return f"Subspace.line({self.pair[0]}, {self.pair[1]})"
+        return f"Subspace.{'zero' if self.dim == 0 else 'full'}({self.r})"
 
     def line_pair(self) -> tuple[int, int]:
         """The canonical coprime (p, q) of a line in C^2."""
-        if self.r != 2 or self.dim != 1:
+        if self.pair is None:
             raise ValueError(f"{self!r} is not a line in C^2")
-        (a, b), = self.rows
-        return line2(
-            a.numerator * b.denominator, b.numerator * a.denominator
-        )
+        return self.pair
 
     # -- lattice operations ----------------------------------------------
 
@@ -148,90 +99,30 @@ class Subspace:
     def __le__(self, other: "Subspace") -> bool:
         """Containment self <= other."""
         self._match(other)
-        if self.dim > other.dim:
-            return False
-        if self.dim == 0 or self.rows == other.rows:
-            return True
-        if other.dim == other.r:
-            return True
-        return _rref(self.rows + other.rows, self.r) == other.rows
+        return self is other or self.dim == 0 or other.dim == other.r
 
     def join(self, other: "Subspace") -> "Subspace":
         """Sum of subspaces."""
         self._match(other)
-        if self.dim == 0 or other.rows == self.rows:
-            return other
-        if other.dim == 0:
+        if self is other or other.dim == 0:
             return self
-        if self.dim == self.r:
-            return self
-        if other.dim == other.r:
+        if self.dim == 0:
             return other
-        return Subspace(self.r, self.rows + other.rows)
+        return _FULL[self.r]
 
     def meet(self, other: "Subspace") -> "Subspace":
         """Intersection of subspaces."""
         self._match(other)
-        if self.dim == 0 or other.rows == self.rows:
+        if self is other or other.dim == other.r:
             return self
-        if other.dim == 0:
-            return other
         if self.dim == self.r:
             return other
-        if other.dim == other.r:
-            return self
-        if self.r == 2:
-            # Two distinct lines in C^2 meet in zero.
-            return Subspace.zero(2)
-        return _meet_general(self, other)
+        return _ZERO[self.r]
 
     def codim_in(self, other: "Subspace") -> int:
         if not self <= other:
             raise ValueError(f"{self!r} is not contained in {other!r}")
         return other.dim - self.dim
-
-
-def _meet_general(a: Subspace, b: Subspace) -> Subspace:
-    """Intersection via the kernel of the stacked coefficient system.
-
-    Solve x in row-space(a) and x in row-space(b) by parametrizing
-    x = s*A = t*B and solving s*A - t*B = 0 with Gaussian elimination
-    over Q on the stacked matrix [A; -B]^T kernel.
-    """
-    r = a.r
-    rows_a, rows_b = a.rows, b.rows
-    k, l = len(rows_a), len(rows_b)
-    # Kernel of the (k+l) x r matrix M with rows from A and -B, i.e.
-    # coefficient vectors (s, t) with s*A = t*B.
-    mat = [[rows_a[i][c] if i < k else -rows_b[i - k][c] for i in range(k + l)]
-           for c in range(r)]
-    kernel = _nullspace(mat, k + l)
-    vectors = []
-    for coeffs in kernel:
-        vec = [Fraction(0)] * r
-        for i in range(k):
-            if coeffs[i]:
-                for c in range(r):
-                    vec[c] += coeffs[i] * rows_a[i][c]
-        vectors.append(vec)
-    return Subspace(r, vectors)
-
-
-def _nullspace(mat: list[list[Fraction]], width: int) -> list[list[Fraction]]:
-    """Basis of the right kernel of `mat` (rows are equations)."""
-    reduced = list(_rref(mat, width))
-    pivots = []
-    for row in reduced:
-        pivots.append(next(i for i, x in enumerate(row) if x != 0))
-    free = [i for i in range(width) if i not in pivots]
-    basis = []
-    for f in free:
-        vec = [Fraction(0)] * width
-        vec[f] = Fraction(1)
-        for row, p in zip(reduced, pivots):
-            vec[p] = -row[f]
-        basis.append(vec)
-    return basis
 
 
 def join_all(r: int, spaces: Iterable[Subspace]) -> Subspace:
@@ -255,27 +146,18 @@ def meet_all(r: int, spaces: Iterable[Subspace]) -> Subspace:
 def echelon_hyperplane(big: Subspace, small: Subspace) -> Subspace:
     """The echelon-first hyperplane H with small <= H < big, codim 1.
 
-    Extends a basis of `small` by rows of big's RREF basis (in order)
-    until dimension dim(big) - 1 is reached.  Deterministic; in rank 2
-    this returns Zero below a line and the unique/echelon-first line
-    below the full space.
+    Below a line or C^1 this is Zero; below C^2 it is `small` when that
+    is a line, else the first coordinate axis Line(1, 0).
     """
     if not small <= big:
         raise ValueError("small subspace not contained in big subspace")
     if big.dim - small.dim < 1:
         raise ValueError("no room for a hyperplane between equal subspaces")
-    rows = list(small.rows)
-    current = small
-    for row in big.rows:
-        if len(rows) == big.dim - 1:
-            break
-        candidate = Subspace(big.r, rows + [row])
-        if candidate.dim > current.dim:
-            rows.append(row)
-            current = candidate
-    return current
+    if big.dim - small.dim == 1:
+        return small
+    return Subspace.line(1, 0)
 
 
-_ZERO: dict[int, Subspace] = {}
-_FULL: dict[int, Subspace] = {}
+_ZERO: dict[int, Subspace] = {r: Subspace(r, 0) for r in RANKS}
+_FULL: dict[int, Subspace] = {r: Subspace(r, r) for r in RANKS}
 _LINE: dict[tuple[int, int], Subspace] = {}

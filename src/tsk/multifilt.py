@@ -29,11 +29,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as iproduct
-from math import inf
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .fan import Cone, Fan, Weight, le_componentwise
-from .linalg import Subspace, echelon_hyperplane, join_all
+from .linalg import RANKS, Subspace, echelon_hyperplane, join_all
 
 Jump = tuple[Weight, Subspace]
 JumpList = tuple[Jump, ...]
@@ -151,8 +150,8 @@ class Multifiltration:
         jumps: Mapping[Cone, Iterable[Jump]],
         validate: bool = True,
     ) -> None:
-        if rank < 1:
-            raise ValueError("rank must be >= 1")
+        if rank not in RANKS:
+            raise ValueError(f"rank must be 1 or 2, got {rank!r}")
         canonical: dict[Cone, JumpList] = {}
         for cone in fan.all_cones(min_dim=1):
             raw = tuple(sorted(jumps.get(cone, ()), key=lambda jw: jw[0]))
@@ -291,6 +290,15 @@ class Multifiltration:
         return {ray: self.jumps[(ray,)] for ray in self.fan.rays}
 
 
+def join_below(f: Multifiltration, cone: Cone, m0: Weight) -> Subspace:
+    """The join of the values of F^cone one step below m0 along each axis."""
+    below = Subspace.zero(f.rank)
+    for i in range(len(cone)):
+        pred = m0[:i] + (m0[i] - 1,) + m0[i + 1 :]
+        below = below.join(f.evaluate(cone, pred))
+    return below
+
+
 def line_bundle(fan: Fan, d: Sequence[int]) -> Multifiltration:
     """The rank-1 multifiltration of O(sum d_rho D_rho)."""
     if len(d) != fan.n + 1:
@@ -313,22 +321,27 @@ def reflexive_hull(mf: Multifiltration) -> Multifiltration:
     Depends only on the ray filtrations; reflexive families are fixed
     points of this operation.
     """
-    rays = mf.restrict_rays()
-    ray_axes = {ray: sorted({c[0] for c, _ in rays[ray]}) for ray in mf.fan.rays}
-    jumps: dict[Cone, JumpList] = {}
+    full = Subspace.full(mf.rank)
+    levels = {
+        ray: [
+            (x, eval_jumps(mf.rank, jumps, (x,)))
+            for x in sorted({c[0] for c, _ in jumps})
+        ]
+        for ray, jumps in mf.restrict_rays().items()
+    }
+    hull: dict[Cone, JumpList] = {}
     for cone in mf.fan.all_cones(min_dim=1):
-        axes = [ray_axes[ray] for ray in cone]
         out: list[Jump] = []
-        for coords in iproduct(*axes):
-            v = Subspace.full(mf.rank)
-            for x, ray in zip(coords, cone):
-                v = v.meet(eval_jumps(mf.rank, rays[ray], (x,)))
+        for point in iproduct(*(levels[ray] for ray in cone)):
+            v = full
+            for _, w in point:
+                v = v.meet(w)
                 if v.dim == 0:
                     break
             if v.dim > 0:
-                out.append((coords, v))
-        jumps[cone] = tuple(out)
-    return Multifiltration(mf.fan, mf.rank, jumps, validate=False)
+                out.append((tuple(x for x, _ in point), v))
+        hull[cone] = tuple(out)
+    return Multifiltration(mf.fan, mf.rank, hull, validate=False)
 
 
 def is_reflexive(mf: Multifiltration) -> bool:
@@ -399,19 +412,37 @@ def _cone_delta(e: Multifiltration, f: Multifiltration, cone: Cone) -> int:
     return total
 
 
-def delta(e: Multifiltration, f: Multifiltration) -> tuple[float | int, ...]:
+class Infinity:
+    """Sentinel: delta_k when Sigma*(k) is empty (the invariant is
+    infinite there); exact, unlike the float math.inf."""
+
+    _instance: "Infinity | None" = None
+
+    def __new__(cls) -> "Infinity":
+        if cls._instance is None:
+            cls._instance = super().__new__(cls)
+        return cls._instance
+
+    def __repr__(self) -> str:
+        return "INFINITY"
+
+
+INFINITY = Infinity()
+
+
+def delta(e: Multifiltration, f: Multifiltration) -> tuple[int | Infinity, ...]:
     """The invariant (delta_1, ..., delta_n) of an injection E c F.
 
     delta_1 sums dim F - dim E over all ray classes; for k >= 2 the sum
     runs over Sigma*(k), the k-cones all of whose facets carry a
     defined and vanishing facet-level delta; when Sigma*(k) is empty,
-    delta_k = inf (and stays inf above).
+    delta_k = INFINITY (and stays INFINITY above).
     """
     if e.fan != f.fan or e.rank != f.rank:
         raise ValueError("families live on different fans or ranks")
     fan = e.fan
     per_cone: dict[Cone, int | None] = {}
-    out: list[float | int] = []
+    out: list[int | Infinity] = []
     for k in range(1, fan.n + 1):
         level_total = 0
         level_defined = False
@@ -427,7 +458,7 @@ def delta(e: Multifiltration, f: Multifiltration) -> tuple[float | int, ...]:
             per_cone[cone] = value
             level_defined = True
             level_total += value
-        out.append(level_total if level_defined else inf)
+        out.append(level_total if level_defined else INFINITY)
     return tuple(out)
 
 
@@ -685,10 +716,7 @@ def apply_elementary(
             f"target {target!r} is not a hyperplane of F^{sigma0!r}_{m0!r}"
             f" = {value!r}"
         )
-    below = Subspace.zero(f.rank)
-    for i in range(len(sigma0)):
-        pred = m0[:i] + (m0[i] - 1,) + m0[i + 1 :]
-        below = below.join(f.evaluate(sigma0, pred))
+    below = join_below(f, sigma0, m0)
     if not below <= target:
         raise ValueError(
             f"monotonicity violated: the join of values strictly below"

@@ -153,7 +153,7 @@ def tilde_c(c: TruncPoly) -> tuple[int, ...]:
     """(tilde_c_3, ..., tilde_c_n):
     tilde_c_q = -q [H^q](log c - log(1 + c1 H + c2 H^2)).
 
-    Integral for integral Chern data (asserted).
+    Integral for integral Chern data (checked).
     """
     n = c.n
     if c[0] != 1:
@@ -163,7 +163,8 @@ def tilde_c(c: TruncPoly) -> tuple[int, ...]:
     out = []
     for q in range(3, n + 1):
         v = -q * Fraction(defect[q])
-        assert v.denominator == 1, f"tilde_c_{q} = {v} is not an integer"
+        if v.denominator != 1:
+            raise ArithmeticError(f"tilde_c_{q} = {v} is not an integer")
         out.append(int(v))
     return tuple(out)
 
@@ -233,7 +234,8 @@ def solve_p(problem: PrescriptionProblem) -> PrescriptionSolution | Infeasible:
             for k in range(3, q + 1)
             for l in range(k, q + 1)
         )
-        assert back == tc[q - 3], f"stage {q} consistency: {back} != {tc[q - 3]}"
+        if back != tc[q - 3]:
+            raise ArithmeticError(f"stage {q} consistency: {back} != {tc[q - 3]}")
 
     target = problem.target_chern()
     delta = 4 * target[2] - target[1] ** 2
@@ -426,10 +428,11 @@ def build_sequence(
             continue
         first = weight_schedule(c0, p, k, 1)
         chern = chern * ratio_run(k, first, pk, n).inverse()
-    assert chern == solution.chern, (
-        f"schedule closure produced {chern.render()},"
-        f" target {solution.chern.render()}"
-    )
+    if chern != solution.chern:
+        raise ArithmeticError(
+            f"schedule closure produced {chern.render()},"
+            f" target {solution.chern.render()}"
+        )
 
     if cap == total:
         hull = reflexive_hull(current)

@@ -18,13 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import product as iproduct
 from math import comb
 from typing import Iterable, Mapping, Sequence
 
 from .fan import Fan
 from .linalg import Subspace, line2
-from .multifilt import Jump, Multifiltration, eval_jumps
+from .multifilt import Multifiltration, eval_jumps, reflexive_hull
 from .ring import TruncPoly, product
 
 
@@ -168,7 +167,8 @@ class R2Filtration:
         seen: list[tuple[int, int]] = []
         for i in self.active_rays():
             ln = self.rays[i].line
-            assert ln is not None
+            if ln is None:
+                raise ValueError(f"active ray {i} carries no line")
             if ln not in seen:
                 seen.append(ln)
         return seen
@@ -263,7 +263,10 @@ def chern_total(f: R2Filtration) -> TruncPoly:
         b = f.b_sum
         factors = [TruncPoly(n, (1, -(b - r.c))) for r in f.rays]
         out = product(factors, n) * TruncPoly(n, (1, -b)).int_pow(-(n - 1))
-    assert out[0] == 1 and out.is_integral
+    if out[0] != 1 or not out.is_integral:
+        raise ArithmeticError(
+            f"total Chern class {out.render()} is not integral with constant 1"
+        )
     return out
 
 
@@ -404,23 +407,15 @@ def prescribe_reflexive(target: TruncPoly) -> R2Filtration | NoSplit:
 
 def to_multifiltration(f: R2Filtration) -> Multifiltration:
     """The full family E^sigma_m = meet of E^rho(m_rho) over the cone's
-    rays, in jump-list encoding (this is the reflexive extension)."""
-    level_sets = {
-        i: sorted({r.a, r.b}) for i, r in enumerate(f.rays)
+    rays, in jump-list encoding: the reflexive hull of the ray
+    filtrations."""
+    rays = {
+        (i,): [((x,), r.value_at(x)) for x in sorted({r.a, r.b})]
+        for i, r in enumerate(f.rays)
     }
-    jumps: dict[tuple[int, ...], list[Jump]] = {}
-    for cone in f.fan.all_cones(min_dim=1):
-        out: list[Jump] = []
-        for coords in iproduct(*(level_sets[ray] for ray in cone)):
-            v = Subspace.full(2)
-            for x, ray in zip(coords, cone):
-                v = v.meet(f.rays[ray].value_at(x))
-                if v.dim == 0:
-                    break
-            if v.dim > 0:
-                out.append((coords, v))
-        jumps[cone] = out
-    return Multifiltration(f.fan, 2, jumps, validate=True)
+    mf = reflexive_hull(Multifiltration(f.fan, 2, rays, validate=False))
+    mf.validate()
+    return mf
 
 
 def from_multifiltration(mf: Multifiltration) -> R2Filtration:

@@ -13,7 +13,7 @@ from typing import Sequence
 
 from .fan import Cone, Fan, Weight
 from .linalg import Subspace, echelon_hyperplane
-from .multifilt import InvalidFamily, Multifiltration, apply_elementary
+from .multifilt import InvalidFamily, Multifiltration, apply_elementary, join_below
 from .reflexive import R2Filtration, RayDatum, Stability, stability
 
 
@@ -78,10 +78,7 @@ def random_drops(
         value = cur.evaluate(cone, m0)
         if value.dim == 0:
             continue
-        below = Subspace.zero(cur.rank)
-        for i in range(len(cone)):
-            pred = m0[:i] + (m0[i] - 1,) + m0[i + 1 :]
-            below = below.join(cur.evaluate(cone, pred))
+        below = join_below(cur, cone, m0)
         if not below.dim < value.dim:
             continue
         if value.dim - below.dim == 1 or rng.random() < 0.5:

@@ -276,6 +276,21 @@ def test_validate_bad_document(capsys, tmp_path):
     assert code == 1 and "cannot read" in err
 
 
+def test_validate_rejects_unsupported_subspaces(capsys, tmp_path, hull_doc):
+    doc = json.loads(hull_doc.read_text())
+    rank3 = tmp_path / "rank3.json"
+    rank3.write_text(json.dumps(dict(doc, rank=3)))
+    code, out, err = run(capsys, "validate", rank3)
+    assert code == 1 and out == ""
+    assert "'rank' must be 1 or 2" in err and "Traceback" not in err
+    doc["cones"][0]["jumps"][0]["subspace"] = {"kind": "basis", "rows": [["1", "0"]]}
+    basis = tmp_path / "basis.json"
+    basis.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "validate", basis)
+    assert code == 1 and out == ""
+    assert "unknown subspace kind 'basis'" in err and "Traceback" not in err
+
+
 def test_stdin_input(capsys, monkeypatch, start_doc):
     monkeypatch.setattr("sys.stdin", io.StringIO(start_doc.read_text()))
     code, out, _ = run(capsys, "validate", "-")

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 import pytest
 
@@ -56,13 +55,18 @@ def test_subspace_docs():
     for w, doc in cases:
         assert subspace_to_doc(w) == doc
         assert subspace_from_doc(doc, 2) == w
-    # higher rank falls back to an exact basis encoding
-    w = Subspace.span(3, [[1, 0, Fraction(1, 2)], [0, 1, 2]])
-    doc = subspace_to_doc(w)
-    assert doc["kind"] == "basis"
-    assert subspace_from_doc(doc, 3) == w
+    # rank 1 has only zero and full
+    for w, doc in [
+        (Subspace.zero(1), {"kind": "zero"}),
+        (Subspace.full(1), {"kind": "full"}),
+    ]:
+        assert subspace_to_doc(w) == doc
+        assert subspace_from_doc(doc, 1) is w
     with pytest.raises(ValueError):
-        subspace_from_doc({"kind": "line", "line": [1, 0]}, 3)
+        subspace_from_doc({"kind": "line", "line": [1, 0]}, 1)
+    # there is no general-rank basis encoding
+    with pytest.raises(ValueError, match="unknown subspace kind 'basis'"):
+        subspace_from_doc({"kind": "basis", "rows": [["1", "0"]]}, 2)
     with pytest.raises(ValueError):
         subspace_from_doc({"kind": "sphere"}, 2)
     with pytest.raises(ValueError):
@@ -117,8 +121,9 @@ def test_multifilt_roundtrip():
 
 def test_multifilt_doc_errors():
     doc = multifilt_to_doc(to_multifiltration(sample_reflexive()))
-    with pytest.raises(ValueError):
-        multifilt_from_doc(dict(doc, rank=0))
+    for rank in (0, 3):
+        with pytest.raises(ValueError, match="'rank' must be 1 or 2"):
+            multifilt_from_doc(dict(doc, rank=rank))
     with pytest.raises(ValueError):
         multifilt_from_doc(dict(doc, cones="nope"))
     dup = dict(doc, cones=doc["cones"] + [doc["cones"][0]])

@@ -9,6 +9,7 @@ import pytest
 from tsk.fan import Fan
 from tsk.linalg import Subspace
 from tsk.multifilt import (
+    INFINITY,
     InvalidFamily,
     Multifiltration,
     NotElementary,
@@ -186,6 +187,14 @@ def test_delta_invariant():
     assert d[0] == 0 and d[1] == 0
     assert d[2] == 1  # a single unit cell of dimension drop
     assert delta(mf, mf) == (0,) * 4
+
+
+def test_delta_infinite_when_no_cone_qualifies():
+    # O(-sum D_rho) c O differs on every ray, so Sigma*(2) is empty.
+    fan = Fan(2)
+    d = delta(line_bundle(fan, (-1, -1, -1)), line_bundle(fan, (0, 0, 0)))
+    assert d == (3, INFINITY)
+    assert d[1] is INFINITY and repr(d[1]) == "INFINITY"
 
 
 def test_factorize_roundtrip_simple():
