@@ -7,8 +7,10 @@ all output is canonical JSON (sorted keys, exact integers/rationals,
 no floats), so identical input bytes give identical output bytes.
 
 Exit codes: 0 success, 1 invalid input, 2 infeasible / search
-exhausted, 3 method disagreement, 4 recomposition mismatch (3 and 4
-are internal cross-check sentinels; their payloads go to stdout).
+exhausted, 3 method disagreement or internal error, 4 recomposition
+mismatch (3 and 4 are internal cross-check sentinels; a disagreement or
+mismatch payload goes to stdout, an internal error -- an ArithmeticError
+or RuntimeError escaping a command -- is one line on stderr).
 """
 
 from __future__ import annotations
@@ -467,6 +469,9 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as e:
         print(f"tsk: error: {e}", file=sys.stderr)
         return INVALID
+    except (ArithmeticError, RuntimeError) as e:
+        print(f"tsk: internal error: {e}", file=sys.stderr)
+        return DISAGREEMENT
 
 
 if __name__ == "__main__":

@@ -15,7 +15,9 @@ checks facet compatibility and that the deep value is all of C^r.
 Every such function has a unique minimal ("canonical") jump list: the
 classes where the value strictly exceeds the join of the values one
 step below in each axis.  Canonical lists make equality of families a
-list comparison.
+list comparison, and so facet compatibility too: stabilizing E^sigma
+along a ray deletes that coordinate from its jumps, and the result
+must canonicalize to the facet's list.
 
 The elementary-injection machinery (delta invariant, elementary_check,
 apply_elementary, factorize) follows the equal-rank factorization
@@ -29,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as iproduct
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .fan import Cone, Fan, Weight, le_componentwise
 from .linalg import RANKS, Subspace, echelon_hyperplane, join_all
@@ -226,10 +228,7 @@ class Multifiltration:
 
         Monotonicity and boundedness below hold by construction (join
         encoding); this checks that the deep value of every cone is all
-        of C^r and facet compatibility on the joint jump box (values
-        are cellwise constant, so grid agreement is agreement
-        everywhere; one step beyond the box every axis has stabilized
-        by join semantics).
+        of C^r and facet compatibility (see _check_facet).
         """
         fan = self.fan
         for cone, jumps in self.jumps.items():
@@ -244,27 +243,22 @@ class Multifiltration:
                 self._check_facet(cone, pos, facet)
 
     def _check_facet(self, cone: Cone, pos: int, facet: Cone) -> None:
-        """E^facet must equal E^cone stabilized along the dropped ray."""
-        jumps_sigma = self.jumps[cone]
-        jumps_tau = self.jumps[facet]
-        deep = 1 + max((c[pos] for c, _ in jumps_sigma), default=0)
-        # Joint per-axis coordinates on the facet's positions.
-        tau_axes = _axes(jumps_tau, len(facet))
-        sigma_axes = _axes(jumps_sigma, len(cone))
-        joint = [
-            sorted(set(a) | set(b))
-            for a, b in zip(tau_axes, sigma_axes[:pos] + sigma_axes[pos + 1 :])
-        ]
-        for mu in iproduct(*joint):
-            lifted = mu[:pos] + (deep,) + mu[pos:]
-            v_sigma = eval_jumps(self.rank, jumps_sigma, lifted)
-            v_tau = eval_jumps(self.rank, jumps_tau, mu)
-            if v_sigma != v_tau:
-                raise InvalidFamily(
-                    f"facet compatibility fails: cone {cone!r} stabilizes to"
-                    f" {v_sigma!r} at facet class {mu!r} of {facet!r},"
-                    f" but the facet stores {v_tau!r}"
-                )
+        """E^facet must equal E^cone stabilized along the dropped ray.
+
+        Stabilizing along the ray at `pos` ignores that coordinate, so
+        the stabilized family is generated by the jumps of E^cone with
+        coordinate `pos` deleted; canonical lists are unique, so the
+        check is one list comparison.  The undecorated canonicalizer
+        keeps these one-off lists out of the shared cache.
+        """
+        projected = tuple((c[:pos] + c[pos + 1 :], w) for c, w in self.jumps[cone])
+        stabilized = _canonical_jumps.__wrapped__(self.rank, projected)
+        if stabilized != self.jumps[facet]:
+            raise InvalidFamily(
+                f"facet compatibility fails: cone {cone!r} stabilized along"
+                f" ray {cone[pos]} has jumps {stabilized!r}, but its facet"
+                f" {facet!r} stores {self.jumps[facet]!r}"
+            )
 
     # -- derived constructions -------------------------------------------
 
@@ -358,17 +352,11 @@ def _joint_grid(
     cone: Cone,
     extra: Sequence[Iterable[int]] = (),
 ) -> tuple[list[list[int]], dict[tuple[int, ...], Subspace], dict[tuple[int, ...], Subspace]]:
+    """Axes holding the jumps of E and F on the cone (plus one extra
+    coordinate set per axis, or none) and both families' values there."""
     je, jf = e.jumps[cone], f.jumps[cone]
-    d = len(cone)
-    merged = [
-        sorted(set(a) | set(b) | set(c))
-        for a, b, c in zip(
-            _axes(je, d),
-            _axes(jf, d),
-            list(extra) + [()] * (d - len(list(extra))) if extra else [()] * d,
-        )
-    ]
-    return merged, _grid_values(e.rank, je, merged), _grid_values(f.rank, jf, merged)
+    axes = _axes(je + jf, len(cone), extra)
+    return axes, _grid_values(e.rank, je, axes), _grid_values(f.rank, jf, axes)
 
 
 def is_contained(e: Multifiltration, f: Multifiltration) -> bool:
@@ -500,15 +488,14 @@ class ElementaryInjection:
 
 
 def _region_cells(
-    axes: Sequence[Sequence[int]],
     grid_point: tuple[int, ...],
     positions: Sequence[int],
     bound: Weight,
 ) -> bool:
     """Is the grid cell at grid_point inside {mu : mu_positions <= bound}?
 
-    Sound only when every axes[pos] contains bound[pos]+1 so no cell
-    straddles the boundary.
+    Sound only when the grid's axis at every pos contains bound[pos]+1
+    so no cell straddles the boundary.
     """
     for pos, b in zip(positions, bound):
         if grid_point[pos] > b:
@@ -568,22 +555,25 @@ def elementary_check(e: Multifiltration, f: Multifiltration) -> ElementaryInject
             f" {vf[m0].dim - dropped.dim}, not 1"
         )
 
-    # Clause (iii) everywhere above sigma0, and W_sigma extraction.
-    positions_by_cone: dict[Cone, list[int]] = {}
-    w_regions: dict[Cone, list[tuple[int, ...]]] = {}
-    for cone in fan.cofaces(sigma0):
-        if cone == sigma0:
-            continue
+    # One pass over the proper cofaces in (dim, lex) order, so the
+    # facet-cofaces sigma0 + ray_j, which fix the thresholds a_j, come
+    # before every coface that needs them on its grid.
+    a_ray: dict[int, int] = {}
+    m_sigma: dict[Cone, Weight] = {sigma0: m0}
+    saturated = True
+    for cone in fan.cofaces(sigma0)[1:]:
         pos0 = [cone.index(r) for r in sigma0]
-        positions_by_cone[cone] = pos0
+        new = [(p, r) for p, r in enumerate(cone) if r not in sigma0]
         extra: list[set[int]] = [set() for _ in cone]
         for p, b in zip(pos0, m0):
             extra[p].update((b, b + 1))
+        for p, r in new:
+            if r in a_ray:
+                extra[p].add(a_ray[r])
         axes_c, ve_c, vf_c = _joint_grid(e, f, cone, extra)
-        w_regions[cone] = []
         for g, val_e in ve_c.items():
             val_f = vf_c[g]
-            if _region_cells(axes_c, g, pos0, m0):
+            if _region_cells(g, pos0, m0):
                 expect = val_f.meet(dropped)
                 if val_e != expect:
                     raise NotElementary(
@@ -595,81 +585,41 @@ def elementary_check(e: Multifiltration, f: Multifiltration) -> ElementaryInject
                     f"clause (iii): families differ at {cone!r}, {g!r}"
                     f" outside the region below {m0!r}"
                 )
-            if val_f.dim - val_e.dim == 1:
-                w_regions[cone].append(g)
 
-    # Thresholds a_j along the facet-cofaces sigma0 + ray.
-    a_ray: dict[int, int] = {}
-    for ray in fan.rays:
-        if ray in sigma0:
-            continue
-        tau = tuple(sorted(sigma0 + (ray,)))
-        if len(tau) > fan.n:
-            continue
-        pos_new = tau.index(ray)
-        col = sorted(
-            {c[pos_new] for c, _ in e.jumps[tau]}
-            | {c[pos_new] for c, _ in f.jumps[tau]}
-        )
-        scan = col + [col[-1] + 1] if col else [0]
-        threshold = None
-        for x in scan:
-            lifted = m0[:pos_new] + (x,) + m0[pos_new:]
-            d_e = eval_jumps(e.rank, e.jumps[tau], lifted).dim
-            d_f = eval_jumps(f.rank, f.jumps[tau], lifted).dim
-            if d_f - d_e == 1:
-                threshold = x
-                break
-            if d_f != d_e:
+        if len(new) == 1:
+            # Threshold a_j: the first class on the m0 slice of the
+            # facet-coface where the difference appears.  The grid holds
+            # every jump coordinate of the new axis, and the values are
+            # constant between grid points.
+            p_new, ray = new[0]
+            for x in axes_c[p_new]:
+                lifted = m0[:p_new] + (x,) + m0[p_new:]
+                gap = vf_c[lifted].dim - ve_c[lifted].dim
+                if gap == 1:
+                    a_ray[ray] = x
+                    break
+                if gap != 0:
+                    raise NotElementary(
+                        f"dimension gap {gap} along {cone!r} at {lifted!r}"
+                    )
+            else:
                 raise NotElementary(
-                    f"dimension gap {d_f - d_e} along {tau!r} at {lifted!r}"
+                    f"no threshold along {cone!r}:"
+                    " the facet difference never appears"
                 )
-        if threshold is None:
-            raise NotElementary(
-                f"no threshold along {tau!r}: the facet difference never appears"
-            )
-        # The true threshold is the first integer with a difference; it can
-        # sit below the first grid coordinate that shows one only if the
-        # value is constant in between, which join semantics rules out.
-        a_ray[ray] = threshold
-
-    m_sigma: dict[Cone, Weight] = {sigma0: m0}
-    for cone in fan.cofaces(sigma0):
-        if cone == sigma0:
-            continue
-        coords = tuple(
+        m_sigma[cone] = tuple(
             m0[sigma0.index(r)] if r in sigma0 else a_ray[r] for r in cone
         )
-        m_sigma[cone] = coords
 
-    # Saturation: W_sigma == {sigma0-coords == m0, new coords >= a_j}.
-    saturated = True
-    for cone, found in w_regions.items():
-        pos0 = positions_by_cone[cone]
-        expected_cells = set()
-        extra = [set() for _ in cone]
-        for p, b in zip(pos0, m0):
-            extra[p].update((b, b + 1))
-        for p, r in enumerate(cone):
-            if r not in sigma0:
-                extra[p].add(a_ray[r])
-        axes_c, ve_c, vf_c = _joint_grid(e, f, cone, extra)
-        for g in ve_c:
-            in_w = vf_c[g].dim - ve_c[g].dim == 1
-            exact = all(g[p] == b for p, b in zip(pos0, m0))
-            above = all(
-                g[p] >= a_ray[r]
-                for p, r in enumerate(cone)
-                if r not in sigma0
-            )
-            if in_w != (exact and above):
-                saturated = False
-                break
-        if not saturated:
-            break
-    if len(sigma0) == fan.n:
-        # No proper cofaces: W_{sigma0} = {m0} always.
-        saturated = True
+        # Saturation: W_cone == {sigma0-coords == m0, new coords >= a_j}.
+        if saturated:
+            for g in ve_c:
+                in_w = vf_c[g].dim - ve_c[g].dim == 1
+                exact = all(g[p] == b for p, b in zip(pos0, m0))
+                above = all(g[p] >= a_ray[r] for p, r in new)
+                if in_w != (exact and above):
+                    saturated = False
+                    break
 
     m_rho: dict[int, int] = {}
     for pos, r in enumerate(sigma0):
@@ -730,14 +680,14 @@ def apply_elementary(
         extra: list[set[int]] = [set() for _ in cone]
         for p, b in zip(pos0, m0):
             extra[p].update((b, b + 1))
-        axes_c, values = f.grid(cone, extra)
+        _, values = f.grid(cone, extra)
         out: list[Jump] = []
         if cone == sigma0:
             for g, v in values.items():
                 out.append((g, target if g == m0 else v))
         else:
             for g, v in values.items():
-                if _region_cells(axes_c, g, pos0, m0):
+                if _region_cells(g, pos0, m0):
                     out.append((g, v.meet(target)))
                 else:
                     out.append((g, v))
@@ -801,9 +751,7 @@ def factorize(
         smaller = apply_elementary(current, sigma0, m0, hyper)
         steps.append(elementary_check(smaller, current))
         if not is_contained(e, smaller):
-            raise AssertionError(
-                "internal error: peeled family no longer contains E"
-            )
+            raise RuntimeError("peeled family no longer contains E")
         current = smaller
 
 

@@ -48,7 +48,13 @@ from .multifilt import (
     factorize,
     reflexive_hull,
 )
-from .reflexive import R2Filtration, Stability, from_multifiltration, stability
+from .reflexive import (
+    R2Filtration,
+    Stability,
+    from_multifiltration,
+    normalize,
+    stability,
+)
 from .ring import TruncPoly
 
 
@@ -131,17 +137,23 @@ def _tally(steps: tuple[ElementaryInjection, ...]) -> TorsionProfile:
     return TorsionProfile(q=pairs[0][0], p=pairs)
 
 
-def torsion_profile(E: Multifiltration) -> TorsionProfile:
-    """Factorize E inside its reflexive hull and tally the k0 values.
-
-    Errors on reflexive E (zero quotient, profile undefined).
-    """
+def _proper_hull(E: Multifiltration) -> Multifiltration:
+    """The reflexive hull of E; errors on reflexive E (zero quotient,
+    torsion profile undefined)."""
     hull = reflexive_hull(E)
     if hull == E:
         raise ValueError(
             "degenerate input: E is reflexive, the torsion profile is undefined"
         )
-    return _tally(factorize(E, hull))
+    return hull
+
+
+def torsion_profile(E: Multifiltration) -> TorsionProfile:
+    """Factorize E inside its reflexive hull and tally the k0 values.
+
+    Errors on reflexive E (zero quotient, profile undefined).
+    """
+    return _tally(factorize(E, _proper_hull(E)))
 
 
 def leading_log_check(E: Multifiltration) -> bool:
@@ -153,8 +165,8 @@ def leading_log_check(E: Multifiltration) -> bool:
     only the q-elementary steps reach H^q, each with the universal
     leading coefficient (-1)^(q-1) (q-1)! independent of its weight.
     """
-    prof = torsion_profile(E)
-    hull = reflexive_hull(E)
+    hull = _proper_hull(E)
+    prof = _tally(factorize(E, hull))
     ratio = chern_general(hull) * chern_general(E).inverse()
     lhs = ratio.log()[prof.q]
     rhs = Fraction((-1) ** (prof.q - 1) * factorial(prof.q - 1) * prof.count(prof.q))
@@ -184,15 +196,11 @@ def obstruction_verdict(E: Multifiltration) -> NotSmoothable | Inconclusive:
     """
     if E.rank != 2:
         raise ValueError(f"unsupported: obstructions need rank 2, got {E.rank}")
-    hull = reflexive_hull(E)
-    if hull == E:
-        raise ValueError(
-            "degenerate input: E is reflexive, the torsion profile is undefined"
-        )
+    hull = _proper_hull(E)
     hull_f = from_multifiltration(hull)
     b = hull_f.b_vec
-    E_n = E.twist(b) if any(b) else E
-    hull_n = reflexive_hull(E_n)
+    # The hull commutes with twisting, so the normalized hull is a shift.
+    E_n, hull_n = (E.twist(b), hull.twist(b)) if any(b) else (E, hull)
     steps = factorize(E_n, hull_n)
     prof = _tally(steps)
     q, n = prof.q, E.fan.n
@@ -209,7 +217,7 @@ def obstruction_verdict(E: Multifiltration) -> NotSmoothable | Inconclusive:
         )
 
     if n >= 3 and q == 2 and prof.count(3) == 0:
-        hull_nf = from_multifiltration(hull_n)
+        hull_nf = normalize(hull_f, "b_zero")
         if stability(hull_nf) is not Stability.UNSTABLE:
             bound = -s_max(hull_nf)
             weights = [s.m_Sigma for s in steps if s.k0 == 2]

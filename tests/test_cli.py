@@ -259,6 +259,18 @@ def test_obstruct_reflexive_invalid(capsys, hull_doc):
     assert "degenerate" in err
 
 
+@pytest.mark.parametrize("error", [RuntimeError, ArithmeticError])
+def test_internal_error_exits_3(capsys, dropped_doc, monkeypatch, error):
+    def falsified(_mf):
+        raise error("obstruction argument falsified")
+
+    monkeypatch.setattr(cli, "obstruction_verdict", falsified)
+    code, out, err = run(capsys, "obstruct", dropped_doc)
+    assert code == 3
+    assert out == ""
+    assert err == "tsk: internal error: obstruction argument falsified\n"
+
+
 def test_validate(capsys, start_doc, dropped_doc):
     code, out, _ = run(capsys, "validate", start_doc)
     assert code == 0

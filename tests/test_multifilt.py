@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import random
+from itertools import product
 
 import pytest
 
+from tsk.chern import chern_general, ratio_saturated_conewise
 from tsk.fan import Fan
 from tsk.linalg import Subspace
 from tsk.multifilt import (
@@ -16,6 +18,7 @@ from tsk.multifilt import (
     apply_elementary,
     delta,
     elementary_check,
+    eval_jumps,
     factorize,
     is_contained,
     is_reflexive,
@@ -24,7 +27,7 @@ from tsk.multifilt import (
     reflexive_hull,
 )
 from tsk.reflexive import R2Filtration, to_multifiltration
-from tsk.sampling import random_b_zero, random_drops
+from tsk.sampling import random_b_zero, random_drops, random_reflexive
 
 
 def start_family(n=4, c=(1, 6, 6, 0, 0)):
@@ -103,6 +106,75 @@ def test_validate_catches_broken_families():
         )
 
 
+def pointwise_axioms_hold(mf):
+    """The axioms by their definition: the deep value of every cone is
+    C^r, and every facet agrees pointwise with the cone stabilized one
+    step past its deepest coordinate on the dropped ray."""
+    rank = mf.rank
+    for cone, jumps in mf.jumps.items():
+        beyond = tuple(
+            1 + max((c[i] for c, _ in jumps), default=0) for i in range(len(cone))
+        )
+        if eval_jumps(rank, jumps, beyond).dim != rank:
+            return False
+        if len(cone) == 1:
+            continue  # the facet is the zero cone: the deep value above
+        for pos in range(len(cone)):
+            facet = cone[:pos] + cone[pos + 1 :]
+            jumps_tau = mf.jumps[facet]
+            joint = [
+                sorted(
+                    {c[i] for c, _ in jumps_tau}
+                    | {c[i + (i >= pos)] for c, _ in jumps}
+                )
+                for i in range(len(facet))
+            ]
+            for mu in product(*joint):
+                lifted = mu[:pos] + (beyond[pos],) + mu[pos:]
+                if eval_jumps(rank, jumps, lifted) != eval_jumps(rank, jumps_tau, mu):
+                    return False
+    return True
+
+
+def perturbed(rng, mf):
+    """mf with one jump of one cone moved by one step or given another value."""
+    cone = rng.choice([c for c in mf.jumps if mf.jumps[c]])
+    jumps = list(mf.jumps[cone])
+    i = rng.randrange(len(jumps))
+    coords, w = jumps[i]
+    if rng.random() < 0.5:
+        axis = rng.randrange(len(coords))
+        moved = coords[axis] + rng.choice((-1, 1))
+        coords = coords[:axis] + (moved,) + coords[axis + 1 :]
+    else:
+        w = rng.choice([Subspace.full(2)] + [Subspace.line(1, k) for k in range(4)])
+    jumps[i] = (coords, w)
+    return Multifiltration(mf.fan, mf.rank, {**mf.jumps, cone: jumps}, validate=False)
+
+
+def test_validate_matches_pointwise_facet_axiom():
+    rng = random.Random(2024)
+    outcomes = {True: 0, False: 0}
+    for _ in range(30):
+        n = rng.choice((2, 3))
+        start = to_multifiltration(random_reflexive(rng, n, max_c=3))
+        dims = tuple(range(1, n + 1))
+        family, _ = random_drops(rng, start, rng.randint(0, 3), dims)
+        assert pointwise_axioms_hold(family)
+        family.validate()
+        for _ in range(4):
+            candidate = perturbed(rng, family)
+            expected = pointwise_axioms_hold(candidate)
+            try:
+                candidate.validate()
+                accepted = True
+            except InvalidFamily:
+                accepted = False
+            assert accepted == expected
+            outcomes[accepted] += 1
+    assert outcomes[True] > 0 and outcomes[False] > 0
+
+
 def test_twist_roundtrip():
     mf = start_family()
     d = (1, -2, 0, 3, 0)
@@ -177,6 +249,54 @@ def test_elementary_check_invariants():
         # two drops are not elementary
         e2 = apply_elementary(e, (0, 1, 3), (-1, 0, 0), Subspace.zero(2))
         elementary_check(e2, mf)
+
+
+def test_elementary_check_not_saturated():
+    # Dropping ray 2's value C^2 at 0 to its own line: on the 3-cone
+    # (0, 1, 2) the difference misses the class (-2, -2, 0), where the
+    # lines of rays 0 and 1 meet in zero, so W is not the full region.
+    mf = start_family(n=3, c=(2, 2, 2, 0))
+    e = apply_elementary(mf, (2,), (0,), Subspace.line(1, 2))
+    inj = elementary_check(e, mf)
+    assert inj.saturated is False
+    assert inj.k0 == 1
+    assert inj.m_rho == {2: 0, 0: -2, 1: -2, 3: 0}
+    assert inj.m_Sigma == -4
+    assert factorize(e, mf) == [inj]
+
+
+def test_elementary_check_top_dimensional_cone():
+    # k0 == n: sigma0 has no proper cofaces, so the quotient is a point
+    # and its line bundle sees only sigma0's rays.
+    mf = start_family(n=3, c=(1, 6, 6, 0))
+    e = apply_elementary(mf, (0, 1, 2), (-1, 0, 0), Subspace.zero(2))
+    inj = elementary_check(e, mf)
+    assert inj.k0 == 3 == mf.fan.n
+    assert inj.saturated
+    assert inj.m_sigma == {(0, 1, 2): (-1, 0, 0)}
+    assert inj.m_rho == {0: -1, 1: 0, 2: 0}
+    assert inj.m_Sigma == -1
+
+
+def test_saturated_steps_match_chern_ratio():
+    # The criterion-8 chains: every saturated step's m_sigma must give
+    # the conewise ratio that the independent Chern engine computes.
+    rng = random.Random(88)
+    chains = saturated = 0
+    while chains < 20:
+        n = 3 if chains % 2 == 0 else 4
+        start = to_multifiltration(random_reflexive(rng, n, max_c=4))
+        dims = tuple(range(2, n + 1))
+        final, applied = random_drops(rng, start, rng.randint(1, 6), dims)
+        if not applied:
+            continue
+        chains += 1
+        for inj in factorize(final, start):
+            if inj.saturated:
+                saturated += 1
+                ratio = chern_general(inj.f) * chern_general(inj.e).inverse()
+                assert ratio_saturated_conewise(inj) == ratio
+    assert saturated > 0
 
 
 def test_delta_invariant():
