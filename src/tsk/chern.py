@@ -110,10 +110,12 @@ def chern_general(mf: Multifiltration) -> TruncPoly:
     vanishes off the jump grid, and on the grid the integer-step
     predecessor value equals the grid-step predecessor value (the
     family is constant between consecutive jump coordinates), so the
-    product is evaluated on the finite grid only.
+    product is evaluated on the finite grid only.  Exponents are summed
+    per weight <u_sigma, m> first, so each distinct weight costs one
+    power.
     """
     n = mf.fan.n
-    out = TruncPoly.one(n)
+    exps: dict[int, int] = {}
     for cone in sorted(mf.jumps):
         d = len(cone)
         sign = -1 if (n - d) % 2 else 1
@@ -135,7 +137,12 @@ def chern_general(mf: Multifiltration) -> TruncPoly:
                 dim = 0 if pt is None else values[tuple(pt)].dim
                 m_box += dim if sum(mu) % 2 == 0 else -dim
             if m_box:
-                out = out * TruncPoly(n, (1, -sum(coords))).int_pow(sign * m_box)
+                w = sum(coords)
+                exps[w] = exps.get(w, 0) + sign * m_box
+    out = TruncPoly.one(n)
+    for w, x in sorted(exps.items()):
+        if x:
+            out = out * TruncPoly(n, (1, -w)).int_pow(x)
     if out[0] != 1:
         raise ArithmeticError(f"total Chern class {out.render()} has constant term != 1")
     return _integral(out, "total Chern class")

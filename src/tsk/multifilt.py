@@ -63,36 +63,46 @@ def _axes(jumps: JumpList, d: int, extra: Sequence[Iterable[int]] = ()) -> list[
     return [sorted(c) for c in cols]
 
 
-def _grid_values(
+def _grid_flat(
     rank: int, jumps: JumpList, axes: Sequence[Sequence[int]]
-) -> dict[tuple[int, ...], Subspace]:
-    """Evaluate the family at every point of the axes grid.
+) -> tuple[list[Subspace], list[int]]:
+    """Evaluate the family at every point of the axes grid, flattened.
 
-    Dynamic programming over grid indices: the value at a grid point is
-    the join of the values at its index predecessors and of the jump
-    subspaces sitting exactly at that point.  Correct because every
+    `flat` holds the values in row-major order over the axes (the order
+    of `iproduct(*axes)`), and `strides` are the row-major strides, so
+    the predecessor of flat index k one grid step down axis i is
+    k - strides[i].  Each jump is seeded at its own grid point; then one
+    dynamic-programming pass in row-major order joins every point with
+    its axis predecessors, which come earlier.  Correct because every
     jump lies on the grid (axes contain all jump coordinates) and any
     jump strictly below a point is below one of its predecessors.
     """
-    zero = Subspace.zero(rank)
-    at_point: dict[tuple[int, ...], list[Subspace]] = {}
+    strides = [1] * len(axes)
+    for i in range(len(axes) - 1, 0, -1):
+        strides[i - 1] = strides[i] * len(axes[i])
+    size = strides[0] * len(axes[0]) if axes else 1
+    flat = [Subspace.zero(rank)] * size
+    index_of = [{x: j for j, x in enumerate(a)} for a in axes]
     for coords, w in jumps:
-        at_point.setdefault(coords, []).append(w)
-    values: dict[tuple[int, ...], Subspace] = {}
-    index_ranges = [range(len(a)) for a in axes]
-    for idx in iproduct(*index_ranges):
-        coords = tuple(axes[i][j] for i, j in enumerate(idx))
-        v = zero
+        k = sum(index_of[i][x] * strides[i] for i, x in enumerate(coords))
+        flat[k] = flat[k].join(w)
+    for k, idx in enumerate(iproduct(*(range(len(a)) for a in axes))):
+        v = flat[k]
         for i, j in enumerate(idx):
-            if j > 0:
-                pred = idx[:i] + (j - 1,) + idx[i + 1 :]
-                v = v.join(values[tuple(axes[t][s] for t, s in enumerate(pred))])
-                if v.dim == rank:
-                    break
-        for w in at_point.get(coords, ()):
-            v = v.join(w)
-        values[coords] = v
-    return values
+            if v.dim == rank:
+                break
+            if j:
+                v = v.join(flat[k - strides[i]])
+        flat[k] = v
+    return flat, strides
+
+
+def _grid_values(
+    rank: int, jumps: JumpList, axes: Sequence[Sequence[int]]
+) -> dict[tuple[int, ...], Subspace]:
+    """The values of `_grid_flat`, keyed by grid point in row-major order."""
+    flat, _ = _grid_flat(rank, jumps, axes)
+    return dict(zip(iproduct(*axes), flat))
 
 
 def eval_jumps(rank: int, jumps: JumpList, mu: Weight) -> Subspace:
@@ -105,28 +115,25 @@ def _canonical_jumps(rank: int, jumps: JumpList) -> JumpList:
     """The unique minimal jump list generating the same family.
 
     Keeps exactly the grid points whose value strictly exceeds the join
-    of the values one grid step below along each axis (Zero off-grid).
+    of the values one grid step below along each axis (Zero off-grid),
+    in row-major order over the sorted axes, which is lexicographic.
     """
     if not jumps:
         return ()
-    d = len(jumps[0][0])
-    axes = _axes(jumps, d)
-    values = _grid_values(rank, jumps, axes)
+    axes = _axes(jumps, len(jumps[0][0]))
+    flat, strides = _grid_flat(rank, jumps, axes)
     zero = Subspace.zero(rank)
-    index_of = [{x: j for j, x in enumerate(a)} for a in axes]
     out: list[Jump] = []
-    for coords, v in values.items():
+    points = zip(iproduct(*(range(len(a)) for a in axes)), iproduct(*axes), flat)
+    for k, (idx, coords, v) in enumerate(points):
         if v.dim == 0:
             continue
         below = zero
-        for i, x in enumerate(coords):
-            j = index_of[i][x]
-            if j > 0:
-                pred = coords[:i] + (axes[i][j - 1],) + coords[i + 1 :]
-                below = below.join(values[pred])
+        for i, j in enumerate(idx):
+            if j:
+                below = below.join(flat[k - strides[i]])
         if not v <= below:
             out.append((coords, v))
-    out.sort(key=lambda jw: jw[0])
     return tuple(out)
 
 
@@ -363,10 +370,15 @@ def is_contained(e: Multifiltration, f: Multifiltration) -> bool:
     """Pointwise containment E^sigma_m <= F^sigma_m for all sigma, m."""
     if e.fan != f.fan or e.rank != f.rank:
         return False
-    for cone in e.fan.all_cones(min_dim=1):
-        axes, ve, vf = _joint_grid(e, f, cone)
-        for g in ve:
-            if not ve[g] <= vf[g]:
+    return _contained_on(e, f, e.fan.all_cones(min_dim=1))
+
+
+def _contained_on(e: Multifiltration, f: Multifiltration, cones: Iterable[Cone]) -> bool:
+    """Pointwise containment E^sigma_m <= F^sigma_m on the given cones."""
+    for cone in cones:
+        _, ve, vf = _joint_grid(e, f, cone)
+        for g, v in ve.items():
+            if not v <= vf[g]:
                 return False
     return True
 
@@ -749,9 +761,18 @@ def factorize(
         target_floor = ve[m0]
         hyper = echelon_hyperplane(vf[m0], target_floor)
         smaller = apply_elementary(current, sigma0, m0, hyper)
-        steps.append(elementary_check(smaller, current))
-        if not is_contained(e, smaller):
+        # A drop rewrites only the cofaces of sigma0: check that it left
+        # every other cone alone, so E stays contained there, and
+        # re-check containment on the cofaces.
+        cofaces = fan.cofaces(sigma0)
+        for cone, jumps in smaller.jumps.items():
+            if jumps != current.jumps[cone] and cone not in cofaces:
+                raise RuntimeError(
+                    f"drop at {sigma0!r} rewrote {cone!r}, not a coface"
+                )
+        if not _contained_on(e, smaller, cofaces):
             raise RuntimeError("peeled family no longer contains E")
+        steps.append(elementary_check(smaller, current))
         current = smaller
 
 

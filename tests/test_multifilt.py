@@ -15,6 +15,9 @@ from tsk.multifilt import (
     InvalidFamily,
     Multifiltration,
     NotElementary,
+    _axes,
+    _canonical_jumps,
+    _grid_values,
     apply_elementary,
     delta,
     elementary_check,
@@ -71,6 +74,49 @@ def test_evaluate():
         mf.evaluate((0, 1), (0,))
     with pytest.raises(ValueError):
         mf.evaluate((9,), (0,))
+
+
+def random_jump_list(rng, d, rank):
+    """Up to six jumps on a small box, so coordinates and points repeat."""
+    values = [Subspace.zero(rank), Subspace.full(rank)]
+    if rank == 2:
+        values += [Subspace.line(1, k) for k in range(3)]
+    return tuple(
+        (tuple(rng.randint(-2, 2) for _ in range(d)), rng.choice(values))
+        for _ in range(rng.randint(0, 6))
+    )
+
+
+def test_grid_kernel_matches_pointwise_evaluation():
+    rng = random.Random(404)
+    seen_empty = False
+    for case in range(160):
+        d, rank = rng.randint(1, 4), rng.choice((1, 2))
+        jumps = () if case == 0 else random_jump_list(rng, d, rank)
+        seen_empty = seen_empty or not jumps
+        extra = [
+            {rng.randint(-4, 4) for _ in range(rng.randint(0, 2))} for _ in range(d)
+        ]
+        axes = _axes(jumps, d, extra)
+        values = _grid_values(rank, jumps, axes)
+        assert list(values) == list(product(*axes))
+        for g, v in values.items():
+            assert v is eval_jumps(rank, jumps, g)
+
+        # Canonical jumps by their definition: the points whose value is
+        # not inside the join of the values one step below on each axis.
+        expected = []
+        for g in product(*_axes(jumps, d)):
+            v = eval_jumps(rank, jumps, g)
+            below = Subspace.zero(rank)
+            for i in range(d):
+                below = below.join(eval_jumps(rank, jumps, g[:i] + (g[i] - 1,) + g[i + 1 :]))
+            if v.dim > 0 and not v <= below:
+                expected.append((g, v))
+        assert _canonical_jumps.__wrapped__(rank, jumps) == tuple(sorted(expected))
+    assert seen_empty
+    with pytest.raises(ValueError):
+        _grid_values(2, (((0,), Subspace.full(1)),), [[0]])
 
 
 def test_validate_catches_broken_families():
@@ -347,3 +393,46 @@ def test_factorize_rejects_non_containment():
         factorize(mf, e)  # wrong order
     with pytest.raises(ValueError):
         factorize(start_family(c=(2, 6, 6, 0, 0)), mf)
+
+
+def shifted(family, cone, by):
+    """family with every jump of `cone` moved by `by` on every axis."""
+    moved = tuple(
+        (tuple(x + by for x in coords), w) for coords, w in family.jumps[cone]
+    )
+    return Multifiltration(
+        family.fan, family.rank, {**family.jumps, cone: moved}, validate=False
+    )
+
+
+def test_factorize_rechecks_the_cofaces_of_each_drop(monkeypatch):
+    # A drop that also sinks a proper coface of sigma0 below E must be
+    # caught by the coface-only containment check.
+    mf = start_family()
+    e = apply_elementary(mf, (0, 1, 2), (-1, 0, 0), Subspace.zero(2))
+    real = apply_elementary
+
+    def sinks_a_coface(f, sigma0, m0, target):
+        coface = f.fan.cofaces(sigma0)[-1]
+        assert len(coface) > len(sigma0)
+        return shifted(real(f, sigma0, m0, target), coface, 100)
+
+    monkeypatch.setattr("tsk.multifilt.apply_elementary", sinks_a_coface)
+    with pytest.raises(RuntimeError, match="no longer contains E"):
+        factorize(e, mf)
+
+
+def test_factorize_rejects_drops_outside_the_cofaces(monkeypatch):
+    # Raising a cone that is not a coface of sigma0 keeps E contained, so
+    # only the guard that such cones are left alone can catch it.
+    mf = start_family()
+    e = apply_elementary(mf, (0, 1, 2), (-1, 0, 0), Subspace.zero(2))
+    real = apply_elementary
+
+    def raises_a_ray(f, sigma0, m0, target):
+        ray = next(c for c in f.fan.cones(1) if c not in f.fan.cofaces(sigma0))
+        return shifted(real(f, sigma0, m0, target), ray, -1)
+
+    monkeypatch.setattr("tsk.multifilt.apply_elementary", raises_a_ray)
+    with pytest.raises(RuntimeError, match="not a coface"):
+        factorize(e, mf)
