@@ -16,7 +16,7 @@ from math import comb, factorial
 from typing import Sequence
 
 from .fan import Cone, Fan
-from .multifilt import ElementaryInjection, Multifiltration
+from .multifilt import ElementaryInjection, Multifiltration, _axes, _grid_flat
 from .ring import TruncPoly
 
 # ---------------------------------------------------------------------------
@@ -110,35 +110,31 @@ def chern_general(mf: Multifiltration) -> TruncPoly:
     vanishes off the jump grid, and on the grid the integer-step
     predecessor value equals the grid-step predecessor value (the
     family is constant between consecutive jump coordinates), so the
-    product is evaluated on the finite grid only.  Exponents are summed
-    per weight <u_sigma, m> first, so each distinct weight costs one
-    power.
+    product is evaluated on the finite grid only.
+
+    The mixed difference is the composition of the first differences
+    along the d axes, so it is d passes over the flat grid of
+    `_grid_flat`, each subtracting the predecessor k - strides[i] (Zero,
+    so nothing, off the grid).  Exponents are summed per weight
+    <u_sigma, m> first, so each distinct weight costs one power.
     """
     n = mf.fan.n
     exps: dict[int, int] = {}
-    for cone in sorted(mf.jumps):
-        d = len(cone)
-        sign = -1 if (n - d) % 2 else 1
-        axes, values = mf.grid(cone)
-        index_of = [{x: j for j, x in enumerate(a)} for a in axes]
-        for coords, _ in values.items():
-            m_box = 0
-            for mu in iproduct((0, 1), repeat=d):
-                pt = []
-                for i, (x, step) in enumerate(zip(coords, mu)):
-                    if step == 0:
-                        pt.append(x)
-                        continue
-                    j = index_of[i][x]
-                    if j == 0:
-                        pt = None  # off-grid: value is Zero
-                        break
-                    pt.append(axes[i][j - 1])
-                dim = 0 if pt is None else values[tuple(pt)].dim
-                m_box += dim if sum(mu) % 2 == 0 else -dim
-            if m_box:
+    for cone, jumps in sorted(mf.jumps.items()):
+        sign = -1 if (n - len(cone)) % 2 else 1
+        axes = _axes(jumps, len(cone))
+        flat, strides = _grid_flat(mf.rank, jumps, axes)
+        box = [v.dim for v in flat]
+        for s, axis in zip(strides, axes):
+            block = s * len(axis)
+            # descending, so box[k - s] still holds its value before this pass
+            for k in range(len(box) - 1, -1, -1):
+                if k % block >= s:
+                    box[k] -= box[k - s]
+        for coords, x in zip(iproduct(*axes), box):
+            if x:
                 w = sum(coords)
-                exps[w] = exps.get(w, 0) + sign * m_box
+                exps[w] = exps.get(w, 0) + sign * x
     out = TruncPoly.one(n)
     for w, x in sorted(exps.items()):
         if x:

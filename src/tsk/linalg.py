@@ -98,13 +98,17 @@ class Subspace:
 
     def __le__(self, other: "Subspace") -> bool:
         """Containment self <= other."""
+        if self is other:
+            return True
         self._match(other)
-        return self is other or self.dim == 0 or other.dim == other.r
+        return self.dim == 0 or other.dim == other.r
 
     def join(self, other: "Subspace") -> "Subspace":
         """Sum of subspaces."""
+        if self is other:
+            return self
         self._match(other)
-        if self is other or other.dim == 0:
+        if other.dim == 0:
             return self
         if self.dim == 0:
             return other
@@ -112,8 +116,10 @@ class Subspace:
 
     def meet(self, other: "Subspace") -> "Subspace":
         """Intersection of subspaces."""
+        if self is other:
+            return self
         self._match(other)
-        if self is other or other.dim == other.r:
+        if other.dim == other.r:
             return self
         if self.dim == self.r:
             return other

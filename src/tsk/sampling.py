@@ -13,7 +13,7 @@ from typing import Sequence
 
 from .fan import Cone, Fan, Weight
 from .linalg import Subspace, echelon_hyperplane
-from .multifilt import InvalidFamily, Multifiltration, apply_elementary, join_below
+from .multifilt import InvalidFamily, Multifiltration, _axes, apply_elementary, join_below
 from .reflexive import R2Filtration, RayDatum, Stability, stability
 
 
@@ -73,7 +73,7 @@ def random_drops(
     while len(applied) < count and budget > 0:
         budget -= 1
         cone = rng.choice(pool[rng.choice(list(dims))])
-        axes, _ = cur.grid(cone)
+        axes = _axes(cur.jumps[cone], len(cone))
         m0 = tuple(rng.choice(ax) + rng.choice((-1, 0, 0, 1)) for ax in axes)
         value = cur.evaluate(cone, m0)
         if value.dim == 0:

@@ -86,6 +86,9 @@ def test_chern_general_line_bundle():
     assert chern_general(lb) == TruncPoly(3, (1, 2))
     lb2 = line_bundle(Fan(3), (1, -1, 3, 0))
     assert chern_general(lb2) == TruncPoly(3, (1, 3))
+    # on P^5 the 5-cones take all five differencing passes
+    lb5 = line_bundle(Fan(5), (2, -1, 0, 3, 0, 1))
+    assert chern_general(lb5) == TruncPoly(5, (1, 5))
 
 
 def chern_general_per_point(mf):
@@ -119,6 +122,15 @@ def test_chern_general_matches_per_point_product():
         dropped += len(applied)
         assert chern_general(family) == chern_general_per_point(family)
     assert dropped > 0
+    # P^5 drop families with drops on cones of every dimension 1-5.
+    rng = random.Random(5)
+    drop_dims = set()
+    for dims in (range(1, 6), (4, 5), (5,), range(1, 6), (5,), (3, 4, 5)):
+        start = to_multifiltration(random_reflexive(rng, 5, max_c=2))
+        family, applied = random_drops(rng, start, 3, dims)
+        drop_dims.update(len(cone) for cone, _ in applied)
+        assert chern_general(family) == chern_general_per_point(family)
+    assert drop_dims == {1, 2, 3, 4, 5}
     # The first 20 reflexive instances of acceptance criterion 1.
     rng = random.Random(20260819)
     for i in range(20):

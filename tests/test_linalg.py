@@ -109,11 +109,21 @@ def test_lattice_laws():
     assert Subspace.line(2, 4) is Subspace.line(1, 2)
     assert Subspace.zero(2) is Subspace.zero(2)
     assert Subspace.full(1) is Subspace.full(1)
+    # an element combined with itself is returned as is
+    for x in RANK2 + RANK1:
+        assert x.join(x) is x
+        assert x.meet(x) is x
+        assert x <= x
     # mixed ambient spaces do not combine
     with pytest.raises(ValueError):
         Subspace.full(1).join(Subspace.zero(2))
     with pytest.raises(ValueError):
         Subspace.full(2).meet(Subspace.full(1))
+    # and nothing but subspaces combines at all
+    with pytest.raises(TypeError):
+        Subspace.full(2).join((1, 0))
+    with pytest.raises(TypeError):
+        Subspace.line(1, 0).meet(None)
 
 
 def test_join_all_meet_all():
