@@ -183,6 +183,15 @@ class Multifiltration:
         if validate:
             self.validate()
 
+    @classmethod
+    def _canonical(cls, fan: Fan, rank: int, jumps: dict[Cone, JumpList]) -> Multifiltration:
+        """Wrap jump lists as they are, with no sort, canonicalization or
+        validation: callers pass the canonical lists of a valid family."""
+        mf = object.__new__(cls)
+        for name, value in (("fan", fan), ("rank", rank), ("jumps", jumps)):
+            object.__setattr__(mf, name, value)
+        return mf
+
     def __setattr__(self, *_: object) -> None:
         raise AttributeError("Multifiltration is immutable")
 
@@ -235,7 +244,9 @@ class Multifiltration:
 
         Monotonicity and boundedness below hold by construction (join
         encoding); this checks that the deep value of every cone is all
-        of C^r and facet compatibility (see _check_facet).
+        of C^r and facet compatibility.  It runs on parsed documents
+        (hence `tsk validate`) and in the tests; the families tsk builds
+        are valid by construction and are not re-checked.
         """
         fan = self.fan
         for cone, jumps in self.jumps.items():
@@ -244,28 +255,21 @@ class Multifiltration:
                 raise InvalidFamily(
                     f"deep value at cone {cone!r} is {deep!r}, not C^{self.rank}"
                 )
+        # Stabilizing E^cone along the ray at `pos` deletes that coordinate
+        # from its jumps; canonical lists are unique, so facet compatibility
+        # is one list comparison (uncached: the lists are one-off).
         for cone in fan.all_cones(min_dim=2):
-            for pos, ray in enumerate(cone):
+            jumps = self.jumps[cone]
+            for pos in range(len(cone)):
                 facet = cone[:pos] + cone[pos + 1 :]
-                self._check_facet(cone, pos, facet)
-
-    def _check_facet(self, cone: Cone, pos: int, facet: Cone) -> None:
-        """E^facet must equal E^cone stabilized along the dropped ray.
-
-        Stabilizing along the ray at `pos` ignores that coordinate, so
-        the stabilized family is generated by the jumps of E^cone with
-        coordinate `pos` deleted; canonical lists are unique, so the
-        check is one list comparison.  The undecorated canonicalizer
-        keeps these one-off lists out of the shared cache.
-        """
-        projected = tuple((c[:pos] + c[pos + 1 :], w) for c, w in self.jumps[cone])
-        stabilized = _canonical_jumps.__wrapped__(self.rank, projected)
-        if stabilized != self.jumps[facet]:
-            raise InvalidFamily(
-                f"facet compatibility fails: cone {cone!r} stabilized along"
-                f" ray {cone[pos]} has jumps {stabilized!r}, but its facet"
-                f" {facet!r} stores {self.jumps[facet]!r}"
-            )
+                projected = tuple((c[:pos] + c[pos + 1 :], w) for c, w in jumps)
+                stabilized = _canonical_jumps.__wrapped__(self.rank, projected)
+                if stabilized != self.jumps[facet]:
+                    raise InvalidFamily(
+                        f"facet compatibility fails: cone {cone!r} stabilized"
+                        f" along ray {cone[pos]} has jumps {stabilized!r}, but"
+                        f" its facet {facet!r} stores {self.jumps[facet]!r}"
+                    )
 
     # -- derived constructions -------------------------------------------
 
@@ -273,7 +277,7 @@ class Multifiltration:
         """Tensor by the line bundle O(sum d_rho D_rho).
 
         Ray filtrations shift to E'^rho(i) = E^rho(i + d_rho): every
-        jump coordinate moves by -d_rho on its ray's axis.
+        jump coordinate moves by -d_rho on its ray's axis; lists stay canonical.
         """
         if len(d) != self.fan.n + 1:
             raise ValueError("need one twist integer per ray")
@@ -284,7 +288,7 @@ class Multifiltration:
             )
             for cone, jumps in self.jumps.items()
         }
-        return Multifiltration(self.fan, self.rank, moved, validate=False)
+        return Multifiltration._canonical(self.fan, self.rank, moved)
 
     def restrict_rays(self) -> dict[int, JumpList]:
         """The ray filtrations (jump lists on the 1-cones)."""
@@ -309,7 +313,7 @@ def line_bundle(fan: Fan, d: Sequence[int]) -> Multifiltration:
         cone: ((tuple(-d[ray] for ray in cone), full),)
         for cone in fan.all_cones(min_dim=1)
     }
-    return Multifiltration(fan, 1, jumps, validate=False)
+    return Multifiltration._canonical(fan, 1, jumps)
 
 
 # ---------------------------------------------------------------------------
@@ -659,14 +663,22 @@ def apply_elementary(
 ) -> Multifiltration:
     """Drop F^sigma0_m0 to the hyperplane `target`, intersecting above.
 
-    The result E has E^sigma0_m0 = target, E^sigma_m = F^sigma_m & target
-    for cofaces sigma > sigma0 on classes m <= m0 over sigma0, and
-    agrees with F elsewhere; this is the canonical elementary
-    sub-family dropping one dimension at (sigma0, m0).
+    The result E has E^sigma_m = F^sigma_m & target on the cofaces
+    sigma >= sigma0 for classes m <= m0 over sigma0 (on sigma0: target
+    at m0, and F below it by the preconditions), and agrees with F
+    elsewhere; this is the canonical elementary sub-family dropping one
+    dimension at (sigma0, m0).
 
     Preconditions: target has codimension 1 in F^sigma0_m0 and contains
     every value strictly below m0 (otherwise monotonicity would break);
     violations raise ValueError.
+
+    Only the cofaces of sigma0 change, each read off F's grid in
+    row-major order over sorted axes, so canonicalized without a sort.
+    E needs no facet check: stabilizing along a ray of sigma0 leaves the
+    region m <= m0, so the values are F's; stabilizing along a new ray
+    commutes with `& target`, because the union is increasing and
+    stabilizes.
     """
     sigma0 = tuple(sigma0)
     m0 = tuple(m0)
@@ -686,7 +698,7 @@ def apply_elementary(
             f" m0 is not minimal for this drop"
         )
 
-    new_jumps: dict[Cone, Iterable[Jump]] = dict(f.jumps)
+    new_jumps: dict[Cone, JumpList] = dict(f.jumps)
     for cone in f.fan.cofaces(sigma0):
         pos0 = [cone.index(r) for r in sigma0]
         extra: list[set[int]] = [set() for _ in cone]
@@ -694,25 +706,13 @@ def apply_elementary(
             extra[p].update((b, b + 1))
         _, values = f.grid(cone, extra)
         out: list[Jump] = []
-        if cone == sigma0:
-            for g, v in values.items():
-                out.append((g, target if g == m0 else v))
-        else:
-            for g, v in values.items():
-                if _region_cells(g, pos0, m0):
-                    out.append((g, v.meet(target)))
-                else:
-                    out.append((g, v))
-        new_jumps[cone] = tuple(jw for jw in out if jw[1].dim > 0)
-    result = Multifiltration(f.fan, f.rank, new_jumps, validate=False)
-    # Facet compatibility can only move where we rewrote; check those pairs.
-    for cone in f.fan.cofaces(sigma0):
-        if len(cone) < 2:
-            continue
-        for pos, _ray in enumerate(cone):
-            facet = cone[:pos] + cone[pos + 1 :]
-            result._check_facet(cone, pos, facet)
-    return result
+        for g, v in values.items():
+            if _region_cells(g, pos0, m0):
+                v = v.meet(target)
+            if v.dim > 0:
+                out.append((g, v))
+        new_jumps[cone] = _canonical_jumps(f.rank, tuple(out))
+    return Multifiltration._canonical(f.fan, f.rank, new_jumps)
 
 
 # ---------------------------------------------------------------------------

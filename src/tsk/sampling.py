@@ -3,7 +3,7 @@
 Everything is driven by an explicit random.Random so sweeps are
 reproducible from a seed.  Drop sampling is rejection-based: candidate
 (sigma0, m0, target) triples that violate the elementary-injection
-preconditions or family compatibility are simply discarded.
+preconditions are simply discarded.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from typing import Sequence
 
 from .fan import Cone, Fan, Weight
 from .linalg import Subspace, echelon_hyperplane
-from .multifilt import InvalidFamily, Multifiltration, _axes, apply_elementary, join_below
+from .multifilt import Multifiltration, _axes, apply_elementary, join_below
 from .reflexive import R2Filtration, RayDatum, Stability, stability
 
 
@@ -89,7 +89,7 @@ def random_drops(
                 continue
         try:
             cur = apply_elementary(cur, cone, m0, target)
-        except (ValueError, InvalidFamily):
+        except ValueError:
             continue
         applied.append((cone, m0))
     return cur, tuple(applied)

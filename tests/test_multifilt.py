@@ -37,6 +37,16 @@ def start_family(n=4, c=(1, 6, 6, 0, 0)):
     return to_multifiltration(R2Filtration.b_zero_data(Fan(n), c))
 
 
+def assert_valid_and_canonical(mf):
+    """Families tsk builds without checking must pass the check and
+    carry canonical lists, so that == stays a list comparison."""
+    mf.validate()
+    assert set(mf.jumps) == set(mf.fan.all_cones(min_dim=1))
+    for jumps in mf.jumps.values():
+        assert _canonical_jumps.__wrapped__(mf.rank, jumps) == jumps
+    assert Multifiltration(mf.fan, mf.rank, mf.jumps).jumps == mf.jumps
+
+
 def test_construction_and_canonical_jumps():
     mf = start_family()
     # all cones of dim >= 1 carry a jump list
@@ -240,6 +250,10 @@ def test_line_bundle():
     assert lb.evaluate((0,), (-3,)) == Subspace.zero(1)
     assert lb.evaluate((2,), (0,)) == Subspace.zero(1)
     assert lb.evaluate((2,), (1,)) == Subspace.full(1)
+    rng = random.Random(64)
+    for n in (2, 3, 4, 5):
+        d = tuple(rng.randint(-3, 3) for _ in range(n + 1))
+        assert_valid_and_canonical(line_bundle(Fan(n), d))
 
 
 def test_reflexive_hull_fixes_reflexive_families():
@@ -383,7 +397,11 @@ def test_factorize_k0_monotone_random():
         k0s = [s.k0 for s in steps]
         assert k0s == sorted(k0s)
         assert len(steps) >= len(applied) > 0 or final == start
-        assert recompose(start, steps) == final
+        for step in steps:
+            assert_valid_and_canonical(step.e)
+        rebuilt = recompose(start, steps)
+        assert_valid_and_canonical(rebuilt)
+        assert rebuilt == final
 
 
 def test_factorize_rejects_non_containment():
@@ -436,3 +454,50 @@ def test_factorize_rejects_drops_outside_the_cofaces(monkeypatch):
     monkeypatch.setattr("tsk.multifilt.apply_elementary", raises_a_ray)
     with pytest.raises(RuntimeError, match="not a coface"):
         factorize(e, mf)
+
+
+# ---------------------------------------------------------------------------
+# families built without re-checking: valid and canonical by construction
+
+
+def test_to_multifiltration_is_valid_and_canonical():
+    rng = random.Random(61)
+    for n in (2, 3, 4, 5):
+        for _ in range(4):
+            assert_valid_and_canonical(to_multifiltration(random_reflexive(rng, n)))
+
+
+def test_each_drop_is_valid_and_canonical():
+    rng = random.Random(62)
+    targets = {0: 0, 1: 0}
+    for n in (3, 4, 5):
+        drop_dims = set()
+        for _ in range(3):
+            family = to_multifiltration(random_reflexive(rng, n, max_c=3))
+            for dims in [range(1, n + 1), *((k,) for k in range(1, n + 1))] * 2:
+                before = family
+                family, applied = random_drops(rng, family, 1, dims)
+                for cone, m0 in applied:
+                    assert family != before
+                    drop_dims.add(len(cone))
+                    targets[family.evaluate(cone, m0).dim] += 1
+                assert_valid_and_canonical(family)
+        assert drop_dims == set(range(1, n + 1))
+    assert targets[0] > 0 and targets[1] > 0
+
+
+def test_twist_is_valid_canonical_and_shifts():
+    rng = random.Random(63)
+    for n in (2, 3, 4):
+        start = to_multifiltration(random_reflexive(rng, n, max_c=3))
+        family, _ = random_drops(rng, start, 3, range(1, n + 1))
+        d = tuple(rng.randint(-3, 3) for _ in range(n + 1))
+        tw = family.twist(d)
+        assert_valid_and_canonical(tw)
+        # E'^sigma_mu = E^sigma_{mu + d}, checked around every jump.
+        for cone, jumps in family.jumps.items():
+            for coords, _ in jumps:
+                for step in product((-1, 0), repeat=len(cone)):
+                    mu = tuple(x + s for x, s in zip(coords, step))
+                    shifted_mu = tuple(x - d[r] for x, r in zip(mu, cone))
+                    assert tw.evaluate(cone, shifted_mu) == family.evaluate(cone, mu)

@@ -38,3 +38,28 @@ def test_no_raise_assertion_error():
         in {n.id for n in ast.walk(node.exc) if isinstance(n, ast.Name)}
     ]
     assert found == []
+
+
+def _calls_by_scope(node, scope=()):
+    """Every call under node, with the names of its enclosing defs."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _calls_by_scope(child, scope + (child.name,))
+            continue
+        if isinstance(child, ast.Call):
+            yield scope, child
+        yield from _calls_by_scope(child, scope)
+
+
+def test_validate_only_in_the_constructor():
+    # What tsk builds is valid by construction; only the constructor's
+    # validate=True, which parsed documents take, re-checks a family.
+    found = [
+        f"{path.name}:{call.lineno}"
+        for path in sorted(SRC.rglob("*.py"))
+        for scope, call in _calls_by_scope(ast.parse(path.read_text("utf-8")))
+        if isinstance(call.func, ast.Attribute)
+        and call.func.attr == "validate"
+        and (path.name, scope) != ("multifilt.py", ("Multifiltration", "__init__"))
+    ]
+    assert found == []
