@@ -34,6 +34,7 @@ from .multifilt import (
     Multifiltration,
     NotElementary,
     apply_elementary,
+    drop,
     elementary_check,
     factorize,
     recompose,
@@ -104,6 +105,7 @@ __all__ = [
     "chern_general",
     "chern_total",
     "discriminant",
+    "drop",
     "dump_document",
     "elementary_check",
     "factorize",

@@ -19,11 +19,12 @@ list comparison, and so facet compatibility too: stabilizing E^sigma
 along a ray deletes that coordinate from its jumps, and the result
 must canonicalize to the facet's list.
 
-The elementary-injection machinery (delta invariant, elementary_check,
-apply_elementary, factorize) follows the equal-rank factorization
+The elementary-injection machinery (delta invariant, drop,
+elementary_check, factorize) follows the equal-rank factorization
 theory: an elementary injection E c F drops exactly one jump value by
 one dimension at a single class m0 of a single cone sigma0 and
-intersects everything above with the dropped hyperplane.
+intersects everything above with the dropped hyperplane.  `drop` writes
+E and reads the injection's invariants off the same grids of F.
 """
 
 from __future__ import annotations
@@ -358,15 +359,12 @@ def is_reflexive(mf: Multifiltration) -> bool:
 
 
 def _joint_grid(
-    e: Multifiltration,
-    f: Multifiltration,
-    cone: Cone,
-    extra: Sequence[Iterable[int]] = (),
+    e: Multifiltration, f: Multifiltration, cone: Cone
 ) -> tuple[list[list[int]], dict[tuple[int, ...], Subspace], dict[tuple[int, ...], Subspace]]:
-    """Axes holding the jumps of E and F on the cone (plus one extra
-    coordinate set per axis, or none) and both families' values there."""
+    """Axes holding the jumps of E and F on the cone and both families'
+    values there."""
     je, jf = e.jumps[cone], f.jumps[cone]
-    axes = _axes(je + jf, len(cone), extra)
+    axes = _axes(je + jf, len(cone))
     return axes, _grid_values(e.rank, je, axes), _grid_values(f.rank, jf, axes)
 
 
@@ -519,10 +517,125 @@ def _region_cells(
     return True
 
 
+def _drop_cells(
+    f: Multifiltration,
+    cone: Cone,
+    sigma0: Cone,
+    m0: Weight,
+    target: Subspace,
+    extra: Sequence[Iterable[int]] = (),
+) -> tuple[list[list[int]], list[tuple[Weight, Subspace, Subspace, bool]]]:
+    """The drop on one coface of sigma0, cell by cell.
+
+    F's grid on the cone, widened by m0 and m0 + 1 on sigma0's axes (so
+    no cell straddles the region) and by `extra`: its axes, and per point
+    in row-major order (g, F value, E value, inside), where E = F & target
+    inside the region {mu : mu <= m0 over sigma0} and F outside it.
+    """
+    pos0 = [cone.index(r) for r in sigma0]
+    cols: list[set[int]] = [set(xs) for xs in extra] or [set() for _ in cone]
+    for p, b in zip(pos0, m0):
+        cols[p].update((b, b + 1))
+    axes, values = f.grid(cone, cols)
+    cells = []
+    for g, v in values.items():
+        inside = _region_cells(g, pos0, m0)
+        cells.append((g, v, v.meet(target) if inside else v, inside))
+    return axes, cells
+
+
+def drop(
+    f: Multifiltration, sigma0: Cone, m0: Weight, target: Subspace
+) -> ElementaryInjection:
+    """Drop F^sigma0_m0 to the hyperplane `target`, intersecting above:
+    the elementary injection E c F with its invariants.
+
+    E^sigma_m = F^sigma_m & target on the cofaces sigma >= sigma0 for
+    classes m <= m0 over sigma0 (on sigma0: target at m0, and F below it
+    by the preconditions), and F elsewhere.  Preconditions: target has
+    codimension 1 in F^sigma0_m0 and contains every value strictly below
+    m0 (otherwise monotonicity would break); violations raise ValueError.
+
+    One pass over F's grid per coface, in (dim, lex) order, writes E's
+    list (row-major, so canonical without a sort) and finds the gaps,
+    the cells where dim F - dim E = 1.  The threshold a_j is the first
+    gap along the new axis of the facet-coface sigma0 + ray_j, which
+    precedes every coface that needs it.  Gaps lie only in the box
+    {sigma0 coords == m0, new coords >= a_j} (below m0, F is inside the
+    target; below a_j, so is the facet-coface value, which bounds the
+    coface's), so E c F is saturated when every coface has as many gaps
+    as the box has cells.
+
+    E needs no facet check: stabilizing along a ray of sigma0 leaves the
+    region m <= m0, so the values are F's; stabilizing along a new ray
+    commutes with `& target`, because the union is increasing and
+    stabilizes.
+    """
+    sigma0 = tuple(sigma0)
+    m0 = tuple(m0)
+    if sigma0 not in f.jumps:
+        raise ValueError(f"{sigma0!r} is not a cone of dimension >= 1")
+    value = f.evaluate(sigma0, m0)
+    if not target <= value or value.dim - target.dim != 1:
+        raise ValueError(
+            f"target {target!r} is not a hyperplane of F^{sigma0!r}_{m0!r}"
+            f" = {value!r}"
+        )
+    below = join_below(f, sigma0, m0)
+    if not below <= target:
+        raise ValueError(
+            f"monotonicity violated: the join of values strictly below"
+            f" {m0!r} is {below!r}, not inside the target {target!r};"
+            f" m0 is not minimal for this drop"
+        )
+
+    new_jumps: dict[Cone, JumpList] = dict(f.jumps)
+    a_ray: dict[int, int] = {}
+    m_sigma: dict[Cone, Weight] = {}
+    saturated = True
+    for cone in f.fan.cofaces(sigma0):
+        axes, cells = _drop_cells(f, cone, sigma0, m0, target)
+        new_jumps[cone] = _canonical_jumps(
+            f.rank, tuple((g, w) for g, _, w, _ in cells if w.dim > 0)
+        )
+        gaps = [g for g, v, w, _ in cells if v.dim != w.dim]
+        new = [(p, r) for p, r in enumerate(cone) if r not in sigma0]
+        if len(new) == 1:
+            p, ray = new[0]
+            a_ray[ray] = min(g[p] for g in gaps)
+        m_sigma[cone] = tuple(
+            m0[sigma0.index(r)] if r in sigma0 else a_ray[r] for r in cone
+        )
+        box = 1
+        for p, r in new:
+            box *= sum(1 for x in axes[p] if x >= a_ray[r])
+        saturated = saturated and len(gaps) == box
+
+    m_rho = dict(zip(sigma0, m0))
+    m_rho.update(a_ray)
+    return ElementaryInjection(
+        e=Multifiltration._canonical(f.fan, f.rank, new_jumps),
+        f=f,
+        k0=len(sigma0),
+        sigma0=sigma0,
+        m0=m0,
+        dropped=target,
+        m_sigma=m_sigma,
+        m_rho=m_rho,
+        m_Sigma=sum(m_rho.values()),
+        saturated=saturated,
+    )
+
+
 def elementary_check(e: Multifiltration, f: Multifiltration) -> ElementaryInjection:
     """Verify that E c F is elementary and derive its invariants.
 
-    Raises NotElementary with the violated clause otherwise.
+    Locates sigma0 and m0 from the differences (clause (ii)), redoes the
+    drop of F there to E's value with `drop`, which derives the
+    invariants, and compares E's lists with the drop's (clause (iii)).
+    Raises NotElementary with the violated clause, naming the first
+    differing class, otherwise.  This is the explicit check for given
+    pairs; the drops tsk takes are elementary by construction.
     """
     if e.fan != f.fan or e.rank != f.rank:
         raise NotElementary("families live on different fans or ranks")
@@ -571,148 +684,35 @@ def elementary_check(e: Multifiltration, f: Multifiltration) -> ElementaryInject
             f" {vf[m0].dim - dropped.dim}, not 1"
         )
 
-    # One pass over the proper cofaces in (dim, lex) order, so the
-    # facet-cofaces sigma0 + ray_j, which fix the thresholds a_j, come
-    # before every coface that needs them on its grid.
-    a_ray: dict[int, int] = {}
-    m_sigma: dict[Cone, Weight] = {sigma0: m0}
-    saturated = True
+    # E is monotone and equals F on sigma0 off m0, so `dropped` holds
+    # every value below m0: the drop's preconditions hold.
+    inj = drop(f, sigma0, m0, dropped)
     for cone in fan.cofaces(sigma0)[1:]:
-        pos0 = [cone.index(r) for r in sigma0]
-        new = [(p, r) for p, r in enumerate(cone) if r not in sigma0]
-        extra: list[set[int]] = [set() for _ in cone]
-        for p, b in zip(pos0, m0):
-            extra[p].update((b, b + 1))
-        for p, r in new:
-            if r in a_ray:
-                extra[p].add(a_ray[r])
-        axes_c, ve_c, vf_c = _joint_grid(e, f, cone, extra)
-        for g, val_e in ve_c.items():
-            val_f = vf_c[g]
-            if _region_cells(g, pos0, m0):
-                expect = val_f.meet(dropped)
-                if val_e != expect:
-                    raise NotElementary(
-                        f"clause (iii): at {cone!r}, {g!r} expected"
-                        f" F^sigma & E0 = {expect!r}, found {val_e!r}"
-                    )
-            elif val_e != val_f:
+        jumps = e.jumps[cone]
+        if jumps == inj.e.jumps[cone]:
+            continue
+        _, cells = _drop_cells(f, cone, sigma0, m0, dropped, _axes(jumps, len(cone)))
+        for g, _, expect, inside in cells:
+            found = eval_jumps(e.rank, jumps, g)
+            if found == expect:
+                continue
+            if inside:
                 raise NotElementary(
-                    f"clause (iii): families differ at {cone!r}, {g!r}"
-                    f" outside the region below {m0!r}"
+                    f"clause (iii): at {cone!r}, {g!r} expected"
+                    f" F^sigma & E0 = {expect!r}, found {found!r}"
                 )
-
-        if len(new) == 1:
-            # Threshold a_j: the first class on the m0 slice of the
-            # facet-coface where the difference appears.  The grid holds
-            # every jump coordinate of the new axis, and the values are
-            # constant between grid points.
-            p_new, ray = new[0]
-            for x in axes_c[p_new]:
-                lifted = m0[:p_new] + (x,) + m0[p_new:]
-                gap = vf_c[lifted].dim - ve_c[lifted].dim
-                if gap == 1:
-                    a_ray[ray] = x
-                    break
-                if gap != 0:
-                    raise NotElementary(
-                        f"dimension gap {gap} along {cone!r} at {lifted!r}"
-                    )
-            else:
-                raise NotElementary(
-                    f"no threshold along {cone!r}:"
-                    " the facet difference never appears"
-                )
-        m_sigma[cone] = tuple(
-            m0[sigma0.index(r)] if r in sigma0 else a_ray[r] for r in cone
-        )
-
-        # Saturation: W_cone == {sigma0-coords == m0, new coords >= a_j}.
-        if saturated:
-            for g in ve_c:
-                in_w = vf_c[g].dim - ve_c[g].dim == 1
-                exact = all(g[p] == b for p, b in zip(pos0, m0))
-                above = all(g[p] >= a_ray[r] for p, r in new)
-                if in_w != (exact and above):
-                    saturated = False
-                    break
-
-    m_rho: dict[int, int] = {}
-    for pos, r in enumerate(sigma0):
-        m_rho[r] = m0[pos]
-    for r, a in a_ray.items():
-        m_rho[r] = a
-    m_Sigma = sum(m_rho.values())
-
-    return ElementaryInjection(
-        e=e,
-        f=f,
-        k0=k0,
-        sigma0=sigma0,
-        m0=m0,
-        dropped=dropped,
-        m_sigma=m_sigma,
-        m_rho=m_rho,
-        m_Sigma=m_Sigma,
-        saturated=saturated,
-    )
+            raise NotElementary(
+                f"clause (iii): families differ at {cone!r}, {g!r}"
+                f" outside the region below {m0!r}"
+            )
+    return inj
 
 
 def apply_elementary(
     f: Multifiltration, sigma0: Cone, m0: Weight, target: Subspace
 ) -> Multifiltration:
-    """Drop F^sigma0_m0 to the hyperplane `target`, intersecting above.
-
-    The result E has E^sigma_m = F^sigma_m & target on the cofaces
-    sigma >= sigma0 for classes m <= m0 over sigma0 (on sigma0: target
-    at m0, and F below it by the preconditions), and agrees with F
-    elsewhere; this is the canonical elementary sub-family dropping one
-    dimension at (sigma0, m0).
-
-    Preconditions: target has codimension 1 in F^sigma0_m0 and contains
-    every value strictly below m0 (otherwise monotonicity would break);
-    violations raise ValueError.
-
-    Only the cofaces of sigma0 change, each read off F's grid in
-    row-major order over sorted axes, so canonicalized without a sort.
-    E needs no facet check: stabilizing along a ray of sigma0 leaves the
-    region m <= m0, so the values are F's; stabilizing along a new ray
-    commutes with `& target`, because the union is increasing and
-    stabilizes.
-    """
-    sigma0 = tuple(sigma0)
-    m0 = tuple(m0)
-    if sigma0 not in f.jumps:
-        raise ValueError(f"{sigma0!r} is not a cone of dimension >= 1")
-    value = f.evaluate(sigma0, m0)
-    if not target <= value or value.dim - target.dim != 1:
-        raise ValueError(
-            f"target {target!r} is not a hyperplane of F^{sigma0!r}_{m0!r}"
-            f" = {value!r}"
-        )
-    below = join_below(f, sigma0, m0)
-    if not below <= target:
-        raise ValueError(
-            f"monotonicity violated: the join of values strictly below"
-            f" {m0!r} is {below!r}, not inside the target {target!r};"
-            f" m0 is not minimal for this drop"
-        )
-
-    new_jumps: dict[Cone, JumpList] = dict(f.jumps)
-    for cone in f.fan.cofaces(sigma0):
-        pos0 = [cone.index(r) for r in sigma0]
-        extra: list[set[int]] = [set() for _ in cone]
-        for p, b in zip(pos0, m0):
-            extra[p].update((b, b + 1))
-        _, values = f.grid(cone, extra)
-        out: list[Jump] = []
-        for g, v in values.items():
-            if _region_cells(g, pos0, m0):
-                v = v.meet(target)
-            if v.dim > 0:
-                out.append((g, v))
-        new_jumps[cone] = _canonical_jumps(f.rank, tuple(out))
-    return Multifiltration._canonical(f.fan, f.rank, new_jumps)
+    """The family E of `drop(f, sigma0, m0, target)`."""
+    return drop(f, sigma0, m0, target).e
 
 
 # ---------------------------------------------------------------------------
@@ -727,7 +727,10 @@ def factorize(
     Returns the chain peeled off F outward-in: the first entry is the
     elementary injection into F itself, and the k0 sequence is
     non-decreasing along the list (the minimal differing dimension can
-    only grow as drops are consumed).  Re-applying the drops to F in
+    only grow as drops are consumed).  Each step locates the minimal
+    differing class, takes its drop with `drop`, which derives the
+    step's invariants, and checks that the drop touched only the
+    cofaces and still contains E there.  Re-applying the drops to F in
     list order reproduces E; `recompose` checks that.
     """
     if e.fan != f.fan or e.rank != f.rank:
@@ -745,35 +748,25 @@ def factorize(
             return steps
         k0 = min(len(c) for c in differing)
         sigma0 = min(c for c in differing if len(c) == k0)
-        axes, ve, vf = _joint_grid(e, current, sigma0)
-        diff_classes = []
-        for g in ve:
-            if ve[g] != vf[g]:
-                diff_classes.append(g)
-        minimal = [
-            g
-            for g in diff_classes
-            if not any(
-                h != g and le_componentwise(h, g) for h in diff_classes
-            )
-        ]
-        m0 = min(minimal)
-        target_floor = ve[m0]
-        hyper = echelon_hyperplane(vf[m0], target_floor)
-        smaller = apply_elementary(current, sigma0, m0, hyper)
+        # The grid runs in lexicographic order, so the first differing
+        # class is minimal: every class below it comes earlier.
+        _, ve, vf = _joint_grid(e, current, sigma0)
+        m0 = next(g for g in ve if ve[g] != vf[g])
+        hyper = echelon_hyperplane(vf[m0], ve[m0])
+        step = drop(current, sigma0, m0, hyper)
         # A drop rewrites only the cofaces of sigma0: check that it left
         # every other cone alone, so E stays contained there, and
         # re-check containment on the cofaces.
         cofaces = fan.cofaces(sigma0)
-        for cone, jumps in smaller.jumps.items():
+        for cone, jumps in step.e.jumps.items():
             if jumps != current.jumps[cone] and cone not in cofaces:
                 raise RuntimeError(
                     f"drop at {sigma0!r} rewrote {cone!r}, not a coface"
                 )
-        if not _contained_on(e, smaller, cofaces):
+        if not _contained_on(e, step.e, cofaces):
             raise RuntimeError("peeled family no longer contains E")
-        steps.append(elementary_check(smaller, current))
-        current = smaller
+        steps.append(step)
+        current = step.e
 
 
 def recompose(

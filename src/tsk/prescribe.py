@@ -28,8 +28,7 @@ from .linalg import Subspace
 from .multifilt import (
     ElementaryInjection,
     Multifiltration,
-    apply_elementary,
-    elementary_check,
+    drop,
     reflexive_hull,
 )
 from .reflexive import (
@@ -379,13 +378,15 @@ def build_sequence(
 ) -> BuildResult:
     """Apply the drop schedule to the start sheaf.
 
-    Every built step is independently re-verified with elementary_check
-    and must come back saturated with the scheduled (k0, m_Sigma); a
-    mismatch is an internal consistency error (impossible for valid
-    solutions).  With limit=None the whole schedule is built and the
-    final sheaf's reflexive hull is checked to be the start; otherwise
-    at most `limit` steps are materialized and the remaining Chern
-    ratios are closed in telescoped form.
+    Every step is taken with `drop`, which derives its invariants from
+    the grids that write it.  They are compared with the schedule: each
+    step must come back saturated with the scheduled (k0, sigma0, m0,
+    m_Sigma), and a mismatch is an internal consistency error
+    (impossible for valid solutions).  The tests re-check the steps
+    with elementary_check.  With limit=None the whole schedule is built
+    and the final sheaf's reflexive hull is checked to be the start;
+    otherwise at most `limit` steps are materialized and the remaining
+    Chern ratios are closed in telescoped form.
     """
     if isinstance(solution, Infeasible):
         raise ValueError(f"cannot build an infeasible solution: {solution}")
@@ -401,8 +402,7 @@ def build_sequence(
     for k, j, sigma, m0 in solution.injection_params():
         if len(injections) == cap:
             break
-        smaller = apply_elementary(current, sigma, m0, Subspace.zero(2))
-        inj = elementary_check(smaller, current)
+        inj = drop(current, sigma, m0, Subspace.zero(2))
         scheduled = weight_schedule(c0, p, k, j)
         if not (
             inj.saturated
@@ -417,7 +417,7 @@ def build_sequence(
                 f" saturated={inj.saturated}; scheduled m_Sigma={scheduled}"
             )
         injections.append(inj)
-        current = smaller
+        current = inj.e
 
     # Exact Chern of the full schedule: telescoped stage products.
     chern = problem.start_chern()

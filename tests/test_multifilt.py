@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import fields, replace
 from itertools import product
 
 import pytest
@@ -12,6 +13,7 @@ from tsk.fan import Fan
 from tsk.linalg import Subspace
 from tsk.multifilt import (
     INFINITY,
+    ElementaryInjection,
     InvalidFamily,
     Multifiltration,
     NotElementary,
@@ -20,15 +22,18 @@ from tsk.multifilt import (
     _grid_values,
     apply_elementary,
     delta,
+    drop,
     elementary_check,
     eval_jumps,
     factorize,
     is_contained,
     is_reflexive,
+    join_below,
     line_bundle,
     recompose,
     reflexive_hull,
 )
+from tsk.prescribe import build_sequence, family_p4_odd
 from tsk.reflexive import R2Filtration, to_multifiltration
 from tsk.sampling import random_b_zero, random_drops, random_reflexive
 
@@ -311,6 +316,131 @@ def test_elementary_check_invariants():
         elementary_check(e2, mf)
 
 
+def reference_invariants(inj):
+    """(m_sigma, m_rho, m_Sigma, saturated) of a drop, read off the joint
+    E/F grids of every proper coface straight from their definitions,
+    independently of how `drop` derives them."""
+    e, f, sigma0, m0 = inj.e, inj.f, inj.sigma0, inj.m0
+    a_ray, m_sigma, saturated = {}, {sigma0: m0}, True
+    for cone in f.fan.cofaces(sigma0)[1:]:
+        pos0 = [cone.index(r) for r in sigma0]
+        new = [(p, r) for p, r in enumerate(cone) if r not in sigma0]
+        extra = [set() for _ in cone]
+        for p, b in zip(pos0, m0):
+            extra[p].update((b, b + 1))
+        for p, r in new:
+            extra[p].update([a_ray[r]] if r in a_ray else [])
+        axes = _axes(e.jumps[cone] + f.jumps[cone], len(cone), extra)
+        ve = _grid_values(e.rank, e.jumps[cone], axes)
+        vf = _grid_values(f.rank, f.jumps[cone], axes)
+        assert all(ve[g] <= vf[g] and vf[g].dim - ve[g].dim <= 1 for g in ve)
+        gaps = {g for g in ve if ve[g] != vf[g]}
+        if len(new) == 1:
+            # a_j: the first class on the m0 slice where the gap appears
+            p, ray = new[0]
+            a_ray[ray] = next(x for x in axes[p] if m0[:p] + (x,) + m0[p:] in gaps)
+        m_sigma[cone] = tuple(m0[sigma0.index(r)] if r in sigma0 else a_ray[r] for r in cone)
+        box = {
+            g
+            for g in ve
+            if all(g[p] == b for p, b in zip(pos0, m0))
+            and all(g[p] >= a_ray[r] for p, r in new)
+        }
+        saturated = saturated and gaps == box
+    m_rho = {**dict(zip(sigma0, m0)), **a_ray}
+    return m_sigma, m_rho, sum(m_rho.values()), saturated
+
+
+def assert_drop_is_elementary(inj):
+    """`drop` trusts its own bookkeeping; the explicit check and the
+    reference must agree with it field by field."""
+    checked = elementary_check(inj.e, inj.f)
+    for field in fields(ElementaryInjection):
+        assert getattr(inj, field.name) == getattr(checked, field.name), field.name
+    assert reference_invariants(inj) == (inj.m_sigma, inj.m_rho, inj.m_Sigma, inj.saturated)
+
+
+def seeded_drops(rng):
+    """Single random drops along seeded chains on n = 3-5, forced onto
+    every cone dimension 1..n: yields (F, E, sigma0, m0) per drop."""
+    for n in (3, 4, 5):
+        for _ in range(3):
+            family = to_multifiltration(random_reflexive(rng, n, max_c=3))
+            for dims in [range(1, n + 1), *((k,) for k in range(1, n + 1))] * 2:
+                before = family
+                family, applied = random_drops(rng, family, 1, dims)
+                for cone, m0 in applied:
+                    yield before, family, cone, m0
+
+
+def test_drop_equals_elementary_check():
+    seen = set()
+    for f, e, sigma0, m0 in seeded_drops(random.Random(64)):
+        inj = drop(f, sigma0, m0, e.evaluate(sigma0, m0))
+        assert inj.e == e
+        assert_drop_is_elementary(inj)
+        seen.add((f.fan.n, inj.k0, inj.dropped.dim, inj.saturated))
+    for n in (3, 4, 5):
+        assert {k0 for m, k0, _, _ in seen if m == n} == set(range(1, n + 1))
+    assert {t for _, _, t, _ in seen} == {0, 1}
+    assert {s for _, _, _, s in seen} == {True, False}
+    # the pinned non-saturated drop and a k0 == n drop
+    pinned = [
+        drop(start_family(n=3, c=(2, 2, 2, 0)), (2,), (0,), Subspace.line(1, 2)),
+        drop(start_family(n=3, c=(1, 6, 6, 0)), (0, 1, 2), (-1, 0, 0), Subspace.zero(2)),
+    ]
+    for inj in pinned:
+        assert_drop_is_elementary(inj)
+    assert [(inj.saturated, inj.k0) for inj in pinned] == [(False, 1), (True, 3)]
+
+
+def test_p4_odd_build_steps_pass_elementary_check():
+    # build_sequence trusts drop's invariants; re-check all 258 steps.
+    sol = family_p4_odd(1)
+    res = build_sequence(sol.problem, sol)
+    assert res.full and len(res.injections) == 258
+    for inj in res.injections:
+        assert_drop_is_elementary(inj)
+
+
+def with_jump(family, cone, coords, w):
+    """family with one more jump (coords, w) on `cone`, unchecked."""
+    jumps = {**family.jumps, cone: family.jumps[cone] + ((coords, w),)}
+    return Multifiltration(family.fan, family.rank, jumps, validate=False)
+
+
+def test_elementary_check_names_the_broken_clause():
+    mf = start_family()
+    sigma0, m0 = (0, 1, 2), (-1, 0, 0)
+    e = drop(mf, sigma0, m0, Subspace.zero(2)).e
+    line = Subspace.line(1, 7)
+    # one class inside the region on a proper coface, below every jump
+    inside = with_jump(e, (0, 1, 2, 3), (-1, 0, 0, -50), line)
+    with pytest.raises(NotElementary, match=r"clause \(iii\): at \(0, 1, 2, 3\),"
+                       r" \(-1, 0, 0, -50\) expected F\^sigma & E0 ="):
+        elementary_check(inside, mf)
+    # one class outside the region: its first coordinate is above m0's
+    outside = with_jump(e, (0, 1, 2, 3), (0, -50, -50, -50), line)
+    with pytest.raises(NotElementary, match=r"clause \(iii\): families differ at"
+                       r" \(0, 1, 2, 3\), \(0, -50, -50, -50\) outside the region"):
+        elementary_check(outside, mf)
+    # a second class of sigma0
+    second = with_jump(e, sigma0, (-50, -50, -50), line)
+    with pytest.raises(NotElementary, match=r"clause \(ii\)"):
+        elementary_check(second, mf)
+    # two composed drops, the second on a coface, and swapped E and F
+    tau = (0, 1, 2, 3)
+    m1 = next(
+        m
+        for m in product(*_axes(e.jumps[tau], len(tau)))
+        if e.evaluate(tau, m).dim == 1 and join_below(e, tau, m).dim == 0
+    )
+    e2 = drop(e, tau, m1, Subspace.zero(2)).e
+    for bigger, smaller in ((mf, e2), (e2, mf), (e, mf)):
+        with pytest.raises(NotElementary):
+            elementary_check(smaller, bigger)
+
+
 def test_elementary_check_not_saturated():
     # Dropping ray 2's value C^2 at 0 to its own line: on the 3-cone
     # (0, 1, 2) the difference misses the class (-2, -2, 0), where the
@@ -428,14 +558,15 @@ def test_factorize_rechecks_the_cofaces_of_each_drop(monkeypatch):
     # caught by the coface-only containment check.
     mf = start_family()
     e = apply_elementary(mf, (0, 1, 2), (-1, 0, 0), Subspace.zero(2))
-    real = apply_elementary
+    real = drop
 
     def sinks_a_coface(f, sigma0, m0, target):
         coface = f.fan.cofaces(sigma0)[-1]
         assert len(coface) > len(sigma0)
-        return shifted(real(f, sigma0, m0, target), coface, 100)
+        inj = real(f, sigma0, m0, target)
+        return replace(inj, e=shifted(inj.e, coface, 100))
 
-    monkeypatch.setattr("tsk.multifilt.apply_elementary", sinks_a_coface)
+    monkeypatch.setattr("tsk.multifilt.drop", sinks_a_coface)
     with pytest.raises(RuntimeError, match="no longer contains E"):
         factorize(e, mf)
 
@@ -445,13 +576,14 @@ def test_factorize_rejects_drops_outside_the_cofaces(monkeypatch):
     # only the guard that such cones are left alone can catch it.
     mf = start_family()
     e = apply_elementary(mf, (0, 1, 2), (-1, 0, 0), Subspace.zero(2))
-    real = apply_elementary
+    real = drop
 
     def raises_a_ray(f, sigma0, m0, target):
         ray = next(c for c in f.fan.cones(1) if c not in f.fan.cofaces(sigma0))
-        return shifted(real(f, sigma0, m0, target), ray, -1)
+        inj = real(f, sigma0, m0, target)
+        return replace(inj, e=shifted(inj.e, ray, -1))
 
-    monkeypatch.setattr("tsk.multifilt.apply_elementary", raises_a_ray)
+    monkeypatch.setattr("tsk.multifilt.drop", raises_a_ray)
     with pytest.raises(RuntimeError, match="not a coface"):
         factorize(e, mf)
 
@@ -468,21 +600,13 @@ def test_to_multifiltration_is_valid_and_canonical():
 
 
 def test_each_drop_is_valid_and_canonical():
-    rng = random.Random(62)
-    targets = {0: 0, 1: 0}
-    for n in (3, 4, 5):
-        drop_dims = set()
-        for _ in range(3):
-            family = to_multifiltration(random_reflexive(rng, n, max_c=3))
-            for dims in [range(1, n + 1), *((k,) for k in range(1, n + 1))] * 2:
-                before = family
-                family, applied = random_drops(rng, family, 1, dims)
-                for cone, m0 in applied:
-                    assert family != before
-                    drop_dims.add(len(cone))
-                    targets[family.evaluate(cone, m0).dim] += 1
-                assert_valid_and_canonical(family)
-        assert drop_dims == set(range(1, n + 1))
+    drop_dims, targets = set(), {0: 0, 1: 0}
+    for f, e, cone, m0 in seeded_drops(random.Random(62)):
+        assert e != f
+        drop_dims.add((f.fan.n, len(cone)))
+        targets[e.evaluate(cone, m0).dim] += 1
+        assert_valid_and_canonical(e)
+    assert drop_dims == {(n, k) for n in (3, 4, 5) for k in range(1, n + 1)}
     assert targets[0] > 0 and targets[1] > 0
 
 

@@ -63,3 +63,16 @@ def test_validate_only_in_the_constructor():
         and (path.name, scope) != ("multifilt.py", ("Multifiltration", "__init__"))
     ]
     assert found == []
+
+
+def test_elementary_check_only_for_given_pairs():
+    # The drops tsk takes derive their invariants in `drop`; elementary_check
+    # is the explicit check for given pairs and for the tests.
+    found = [
+        f"{path.name}:{call.lineno}"
+        for path in sorted(SRC.rglob("*.py"))
+        for scope, call in _calls_by_scope(ast.parse(path.read_text("utf-8")))
+        if getattr(call.func, "id", getattr(call.func, "attr", None)) == "elementary_check"
+        and (path.name, scope) != ("multifilt.py", ("elementary_check",))
+    ]
+    assert found == []
