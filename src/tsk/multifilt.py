@@ -19,12 +19,19 @@ list comparison, and so facet compatibility too: stabilizing E^sigma
 along a ray deletes that coordinate from its jumps, and the result
 must canonicalize to the facet's list.
 
+Grids are flat lists in row-major order (`_grid_flat`), and the
+canonical list is read off such a grid (`_canonical_flat`).  The
+constructor canonicalizes raw lists through the cached
+`_canonical_jumps`; the constructions (`reflexive_hull`, `drop`) read
+their lists off the grids they have already computed.
+
 The elementary-injection machinery (delta invariant, drop,
 elementary_check, factorize) follows the equal-rank factorization
 theory: an elementary injection E c F drops exactly one jump value by
 one dimension at a single class m0 of a single cone sigma0 and
 intersects everything above with the dropped hyperplane.  `drop` writes
-E and reads the injection's invariants off the same grids of F.
+E and reads the injection's invariants off one grid of F per coface;
+`factorize` trusts its drops.
 """
 
 from __future__ import annotations
@@ -64,6 +71,14 @@ def _axes(jumps: JumpList, d: int, extra: Sequence[Iterable[int]] = ()) -> list[
     return [sorted(c) for c in cols]
 
 
+def _strides(axes: Sequence[Sequence[int]]) -> list[int]:
+    """Row-major strides of the grid over the axes."""
+    strides = [1] * len(axes)
+    for i in range(len(axes) - 1, 0, -1):
+        strides[i - 1] = strides[i] * len(axes[i])
+    return strides
+
+
 def _grid_flat(
     rank: int, jumps: JumpList, axes: Sequence[Sequence[int]]
 ) -> tuple[list[Subspace], list[int]]:
@@ -72,17 +87,19 @@ def _grid_flat(
     `flat` holds the values in row-major order over the axes (the order
     of `iproduct(*axes)`), and `strides` are the row-major strides, so
     the predecessor of flat index k one grid step down axis i is
-    k - strides[i].  Each jump is seeded at its own grid point; then one
-    dynamic-programming pass in row-major order joins every point with
-    its axis predecessors, which come earlier.  Correct because every
-    jump lies on the grid (axes contain all jump coordinates) and any
-    jump strictly below a point is below one of its predecessors.
+    k - strides[i].  Each jump is seeded at its own grid point with a
+    checked `Subspace.join`, so a value of the wrong rank raises; then
+    one dynamic-programming pass in row-major order joins every point
+    with its axis predecessors, which come earlier.  Correct because
+    every jump lies on the grid (axes contain all jump coordinates) and
+    any jump strictly below a point is below one of its predecessors.
+    The pass joins by rank-2 case analysis (two distinct nonzero values
+    join to Full), since every operand is an already checked value.
     """
-    strides = [1] * len(axes)
-    for i in range(len(axes) - 1, 0, -1):
-        strides[i - 1] = strides[i] * len(axes[i])
+    strides = _strides(axes)
     size = strides[0] * len(axes[0]) if axes else 1
     flat = [Subspace.zero(rank)] * size
+    full = Subspace.full(rank)
     index_of = [{x: j for j, x in enumerate(a)} for a in axes]
     for coords, w in jumps:
         k = sum(index_of[i][x] * strides[i] for i, x in enumerate(coords))
@@ -90,12 +107,44 @@ def _grid_flat(
     for k, idx in enumerate(iproduct(*(range(len(a)) for a in axes))):
         v = flat[k]
         for i, j in enumerate(idx):
-            if v.dim == rank:
+            if v is full:
                 break
             if j:
-                v = v.join(flat[k - strides[i]])
+                u = flat[k - strides[i]]
+                if u.dim and u is not v:
+                    v = u if v.dim == 0 else full
         flat[k] = v
     return flat, strides
+
+
+def _canonical_flat(
+    rank: int, axes: Sequence[Sequence[int]], flat: Sequence[Subspace], strides: Sequence[int]
+) -> JumpList:
+    """The canonical jump list of a monotone family given on a flat grid.
+
+    Keeps exactly the grid points whose value strictly exceeds the join
+    of the values one grid step below along each axis (Zero off-grid),
+    in row-major order over the sorted axes, which is lexicographic.
+    On any grid that holds every jump coordinate of the family this is
+    its unique minimal list.  Joins as in `_grid_flat`'s pass.
+    """
+    zero, full = Subspace.zero(rank), Subspace.full(rank)
+    out: list[Jump] = []
+    points = zip(iproduct(*(range(len(a)) for a in axes)), iproduct(*axes), flat)
+    for k, (idx, coords, v) in enumerate(points):
+        if v.dim == 0:
+            continue
+        below = zero
+        for i, j in enumerate(idx):
+            if j:
+                u = flat[k - strides[i]]
+                if u.dim and u is not below:
+                    below = u if below.dim == 0 else full
+                    if below is v or below is full:
+                        break
+        else:
+            out.append((coords, v))
+    return tuple(out)
 
 
 def _grid_values(
@@ -113,29 +162,13 @@ def eval_jumps(rank: int, jumps: JumpList, mu: Weight) -> Subspace:
 
 @lru_cache(maxsize=65536)
 def _canonical_jumps(rank: int, jumps: JumpList) -> JumpList:
-    """The unique minimal jump list generating the same family.
-
-    Keeps exactly the grid points whose value strictly exceeds the join
-    of the values one grid step below along each axis (Zero off-grid),
-    in row-major order over the sorted axes, which is lexicographic.
-    """
+    """The unique minimal jump list generating the same family: the
+    `_canonical_flat` of its grid over its own jump coordinates."""
     if not jumps:
         return ()
     axes = _axes(jumps, len(jumps[0][0]))
     flat, strides = _grid_flat(rank, jumps, axes)
-    zero = Subspace.zero(rank)
-    out: list[Jump] = []
-    points = zip(iproduct(*(range(len(a)) for a in axes)), iproduct(*axes), flat)
-    for k, (idx, coords, v) in enumerate(points):
-        if v.dim == 0:
-            continue
-        below = zero
-        for i, j in enumerate(idx):
-            if j:
-                below = below.join(flat[k - strides[i]])
-        if not v <= below:
-            out.append((coords, v))
-    return tuple(out)
+    return _canonical_flat(rank, axes, flat, strides)
 
 
 # ---------------------------------------------------------------------------
@@ -230,14 +263,6 @@ class Multifiltration:
             raise ValueError(f"class {mu!r} has wrong arity for cone {cone!r}")
         return eval_jumps(self.rank, self.jumps[cone], tuple(mu))
 
-    def grid(
-        self, cone: Cone, extra: Sequence[Iterable[int]] = ()
-    ) -> tuple[list[list[int]], dict[tuple[int, ...], Subspace]]:
-        """Axes and values of this family on its jump grid (plus extras)."""
-        jumps = self.jumps[cone]
-        axes = _axes(jumps, len(cone), extra)
-        return axes, _grid_values(self.rank, jumps, axes)
-
     # -- validation -----------------------------------------------------
 
     def validate(self) -> None:
@@ -325,29 +350,23 @@ def reflexive_hull(mf: Multifiltration) -> Multifiltration:
     """The hull E^sigma_m = intersection of the ray values E^rho(m_rho).
 
     Depends only on the ray filtrations; reflexive families are fixed
-    points of this operation.
+    points of this operation.  The hull is constant on the cells of the
+    product of the ray levels (each ray's canonical jump coordinates), so
+    each cone's list is the `_canonical_flat` of its meet grid there.
+    A cone's meet grid is that of its facet cone[:-1], which comes
+    earlier in (dim, lex) order, met with its last ray's levels.  The
+    result is valid by construction: every ray value reaches C^r, and
+    stabilizing a meet along a ray drops that ray's term.
     """
-    full = Subspace.full(mf.rank)
-    levels = {
-        ray: [
-            (x, eval_jumps(mf.rank, jumps, (x,)))
-            for x in sorted({c[0] for c, _ in jumps})
-        ]
-        for ray, jumps in mf.restrict_rays().items()
-    }
+    rays = mf.restrict_rays()
+    flats: dict[Cone, list[Subspace]] = {(): [Subspace.full(mf.rank)]}
     hull: dict[Cone, JumpList] = {}
     for cone in mf.fan.all_cones(min_dim=1):
-        out: list[Jump] = []
-        for point in iproduct(*(levels[ray] for ray in cone)):
-            v = full
-            for _, w in point:
-                v = v.meet(w)
-                if v.dim == 0:
-                    break
-            if v.dim > 0:
-                out.append((tuple(x for x, _ in point), v))
-        hull[cone] = tuple(out)
-    return Multifiltration(mf.fan, mf.rank, hull, validate=False)
+        flat = [v.meet(w) for v in flats[cone[:-1]] for _, w in rays[cone[-1]]]
+        flats[cone] = flat
+        axes = [[c[0] for c, _ in rays[ray]] for ray in cone]
+        hull[cone] = _canonical_flat(mf.rank, axes, flat, _strides(axes))
+    return Multifiltration._canonical(mf.fan, mf.rank, hull)
 
 
 def is_reflexive(mf: Multifiltration) -> bool:
@@ -372,12 +391,7 @@ def is_contained(e: Multifiltration, f: Multifiltration) -> bool:
     """Pointwise containment E^sigma_m <= F^sigma_m for all sigma, m."""
     if e.fan != f.fan or e.rank != f.rank:
         return False
-    return _contained_on(e, f, e.fan.all_cones(min_dim=1))
-
-
-def _contained_on(e: Multifiltration, f: Multifiltration, cones: Iterable[Cone]) -> bool:
-    """Pointwise containment E^sigma_m <= F^sigma_m on the given cones."""
-    for cone in cones:
+    for cone in e.fan.all_cones(min_dim=1):
         _, ve, vf = _joint_grid(e, f, cone)
         for g, v in ve.items():
             if not v <= vf[g]:
@@ -501,47 +515,41 @@ class ElementaryInjection:
         return (self.k0, self.m_Sigma)
 
 
-def _region_cells(
-    grid_point: tuple[int, ...],
-    positions: Sequence[int],
-    bound: Weight,
-) -> bool:
-    """Is the grid cell at grid_point inside {mu : mu_positions <= bound}?
-
-    Sound only when the grid's axis at every pos contains bound[pos]+1
-    so no cell straddles the boundary.
-    """
-    for pos, b in zip(positions, bound):
-        if grid_point[pos] > b:
-            return False
-    return True
-
-
-def _drop_cells(
+def _drop_flat(
     f: Multifiltration,
     cone: Cone,
     sigma0: Cone,
     m0: Weight,
     target: Subspace,
     extra: Sequence[Iterable[int]] = (),
-) -> tuple[list[list[int]], list[tuple[Weight, Subspace, Subspace, bool]]]:
-    """The drop on one coface of sigma0, cell by cell.
+) -> tuple[list[list[int]], list[int], list[Subspace], list[int], list[int]]:
+    """The drop on one coface of sigma0, on F's flat grid.
 
     F's grid on the cone, widened by m0 and m0 + 1 on sigma0's axes (so
-    no cell straddles the region) and by `extra`: its axes, and per point
-    in row-major order (g, F value, E value, inside), where E = F & target
-    inside the region {mu : mu <= m0 over sigma0} and F outside it.
+    no cell straddles the region) and by `extra`: its axes and strides,
+    E's values (F & target inside the region {mu : mu <= m0 over sigma0},
+    F outside it), the region's flat indices and the gaps, the indices
+    where E differs from F, both in row-major order.
     """
-    pos0 = [cone.index(r) for r in sigma0]
+    bound = {cone.index(r): b for r, b in zip(sigma0, m0)}
     cols: list[set[int]] = [set(xs) for xs in extra] or [set() for _ in cone]
-    for p, b in zip(pos0, m0):
+    for p, b in bound.items():
         cols[p].update((b, b + 1))
-    axes, values = f.grid(cone, cols)
-    cells = []
-    for g, v in values.items():
-        inside = _region_cells(g, pos0, m0)
-        cells.append((g, v, v.meet(target) if inside else v, inside))
-    return axes, cells
+    jumps = f.jumps[cone]
+    axes = _axes(jumps, len(cone), cols)
+    values, strides = _grid_flat(f.rank, jumps, axes)
+    region = [0]
+    for p, (axis, s) in enumerate(zip(axes, strides)):
+        top = axis.index(bound[p]) + 1 if p in bound else len(axis)
+        region = [k + j * s for k in region for j in range(top)]
+    gaps = []
+    for k in region:
+        v = values[k]
+        w = v.meet(target)
+        if w is not v:
+            values[k] = w
+            gaps.append(k)
+    return axes, strides, values, region, gaps
 
 
 def drop(
@@ -556,15 +564,17 @@ def drop(
     codimension 1 in F^sigma0_m0 and contains every value strictly below
     m0 (otherwise monotonicity would break); violations raise ValueError.
 
-    One pass over F's grid per coface, in (dim, lex) order, writes E's
-    list (row-major, so canonical without a sort) and finds the gaps,
-    the cells where dim F - dim E = 1.  The threshold a_j is the first
-    gap along the new axis of the facet-coface sigma0 + ray_j, which
-    precedes every coface that needs it.  Gaps lie only in the box
-    {sigma0 coords == m0, new coords >= a_j} (below m0, F is inside the
-    target; below a_j, so is the facet-coface value, which bounds the
-    coface's), so E c F is saturated when every coface has as many gaps
-    as the box has cells.
+    Every cone that is not a coface keeps F's list object.  Per coface,
+    in (dim, lex) order, `_drop_flat` evaluates F's grid once; E's values
+    are that grid met with the target on the region, and E's list is
+    their `_canonical_flat` (E is constant on the grid's cells, as the
+    region's boundary lies on it).  The gaps are the cells where
+    dim F - dim E = 1.  The threshold a_j is the first gap along the new
+    axis of the facet-coface sigma0 + ray_j, which precedes every coface
+    that needs it.  Gaps lie only in the box {sigma0 coords == m0, new
+    coords >= a_j} (below m0, F is inside the target; below a_j, so is
+    the facet-coface value, which bounds the coface's), so E c F is
+    saturated when every coface has as many gaps as the box has cells.
 
     E needs no facet check: stabilizing along a ray of sigma0 leaves the
     region m <= m0, so the values are F's; stabilizing along a new ray
@@ -594,15 +604,12 @@ def drop(
     m_sigma: dict[Cone, Weight] = {}
     saturated = True
     for cone in f.fan.cofaces(sigma0):
-        axes, cells = _drop_cells(f, cone, sigma0, m0, target)
-        new_jumps[cone] = _canonical_jumps(
-            f.rank, tuple((g, w) for g, _, w, _ in cells if w.dim > 0)
-        )
-        gaps = [g for g, v, w, _ in cells if v.dim != w.dim]
+        axes, strides, values, _, gaps = _drop_flat(f, cone, sigma0, m0, target)
+        new_jumps[cone] = _canonical_flat(f.rank, axes, values, strides)
         new = [(p, r) for p, r in enumerate(cone) if r not in sigma0]
         if len(new) == 1:
             p, ray = new[0]
-            a_ray[ray] = min(g[p] for g in gaps)
+            a_ray[ray] = axes[p][min(k // strides[p] % len(axes[p]) for k in gaps)]
         m_sigma[cone] = tuple(
             m0[sigma0.index(r)] if r in sigma0 else a_ray[r] for r in cone
         )
@@ -691,15 +698,17 @@ def elementary_check(e: Multifiltration, f: Multifiltration) -> ElementaryInject
         jumps = e.jumps[cone]
         if jumps == inj.e.jumps[cone]:
             continue
-        _, cells = _drop_cells(f, cone, sigma0, m0, dropped, _axes(jumps, len(cone)))
-        for g, _, expect, inside in cells:
-            found = eval_jumps(e.rank, jumps, g)
-            if found == expect:
+        axes, _, expected, region, _ = _drop_flat(
+            f, cone, sigma0, m0, dropped, _axes(jumps, len(cone))
+        )
+        found, _ = _grid_flat(e.rank, jumps, axes)
+        for k, g in enumerate(iproduct(*axes)):
+            if found[k] is expected[k]:
                 continue
-            if inside:
+            if k in region:
                 raise NotElementary(
                     f"clause (iii): at {cone!r}, {g!r} expected"
-                    f" F^sigma & E0 = {expect!r}, found {found!r}"
+                    f" F^sigma & E0 = {expected[k]!r}, found {found[k]!r}"
                 )
             raise NotElementary(
                 f"clause (iii): families differ at {cone!r}, {g!r}"
@@ -728,10 +737,19 @@ def factorize(
     elementary injection into F itself, and the k0 sequence is
     non-decreasing along the list (the minimal differing dimension can
     only grow as drops are consumed).  Each step locates the minimal
-    differing class, takes its drop with `drop`, which derives the
-    step's invariants, and checks that the drop touched only the
-    cofaces and still contains E there.  Re-applying the drops to F in
-    list order reproduces E; `recompose` checks that.
+    differing class m0 of the minimal differing cone sigma0 and takes
+    the drop of the current family G there to the echelon hyperplane
+    H >= E^sigma0_m0, with `drop`, which derives the step's invariants.
+    Re-applying the drops to F in list order reproduces E; `recompose`
+    checks that.
+
+    Only the entry containment E c F is checked (it is caller input);
+    each drop keeps E c G by construction.  Off the cofaces of sigma0 the
+    drop keeps G's lists.  On a coface tau, let g be a class in the region
+    {g <= m0 over sigma0} and g' its coordinates on sigma0's rays; then
+    E^tau_g <= E^sigma0_g' (stabilization) <= E^sigma0_m0 (monotonicity)
+    <= H, so E^tau_g <= G^tau_g & H, the dropped value.  Off the region
+    the drop keeps G's values.
     """
     if e.fan != f.fan or e.rank != f.rank:
         raise ValueError("families live on different fans or ranks")
@@ -752,19 +770,7 @@ def factorize(
         # class is minimal: every class below it comes earlier.
         _, ve, vf = _joint_grid(e, current, sigma0)
         m0 = next(g for g in ve if ve[g] != vf[g])
-        hyper = echelon_hyperplane(vf[m0], ve[m0])
-        step = drop(current, sigma0, m0, hyper)
-        # A drop rewrites only the cofaces of sigma0: check that it left
-        # every other cone alone, so E stays contained there, and
-        # re-check containment on the cofaces.
-        cofaces = fan.cofaces(sigma0)
-        for cone, jumps in step.e.jumps.items():
-            if jumps != current.jumps[cone] and cone not in cofaces:
-                raise RuntimeError(
-                    f"drop at {sigma0!r} rewrote {cone!r}, not a coface"
-                )
-        if not _contained_on(e, step.e, cofaces):
-            raise RuntimeError("peeled family no longer contains E")
+        step = drop(current, sigma0, m0, echelon_hyperplane(vf[m0], ve[m0]))
         steps.append(step)
         current = step.e
 

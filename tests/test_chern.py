@@ -26,7 +26,7 @@ from tsk.chern import (
 )
 from tsk.fan import Fan
 from tsk.linalg import Subspace
-from tsk.multifilt import apply_elementary, elementary_check
+from tsk.multifilt import _axes, apply_elementary, elementary_check
 from tsk.reflexive import R2Filtration, chern_total, to_multifiltration
 from tsk.ring import TruncPoly
 from tsk.sampling import random_drops, random_reflexive
@@ -99,8 +99,7 @@ def chern_general_per_point(mf):
     for cone in sorted(mf.jumps):
         d = len(cone)
         sign = -1 if (n - d) % 2 else 1
-        _, values = mf.grid(cone)
-        for coords in values:
+        for coords in product(*_axes(mf.jumps[cone], d)):
             m_box = sum(
                 (-1) ** sum(mu)
                 * mf.evaluate(cone, tuple(x - s for x, s in zip(coords, mu))).dim

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from dataclasses import fields, replace
+from dataclasses import fields
 from itertools import product
 
 import pytest
@@ -18,7 +18,9 @@ from tsk.multifilt import (
     Multifiltration,
     NotElementary,
     _axes,
+    _canonical_flat,
     _canonical_jumps,
+    _grid_flat,
     _grid_values,
     apply_elementary,
     delta,
@@ -129,6 +131,9 @@ def test_grid_kernel_matches_pointwise_evaluation():
             if v.dim > 0 and not v <= below:
                 expected.append((g, v))
         assert _canonical_jumps.__wrapped__(rank, jumps) == tuple(sorted(expected))
+        # ... and on the grid widened by the extra coordinates.
+        flat, strides = _grid_flat(rank, jumps, axes)
+        assert _canonical_flat(rank, axes, flat, strides) == tuple(sorted(expected))
     assert seen_empty
     with pytest.raises(ValueError):
         _grid_values(2, (((0,), Subspace.full(1)),), [[0]])
@@ -265,6 +270,37 @@ def test_reflexive_hull_fixes_reflexive_families():
     mf = start_family()
     assert is_reflexive(mf)
     assert reflexive_hull(mf) == mf
+
+
+def product_point_hull(mf):
+    """The hull by its definition: the meet of the ray values at every
+    point of the product of the ray levels, canonicalized by the
+    constructor."""
+    rays = mf.restrict_rays()
+    hull = {}
+    for cone in mf.fan.all_cones(min_dim=1):
+        hull[cone] = []
+        for point in product(*(rays[ray] for ray in cone)):
+            v = Subspace.full(mf.rank)
+            for _, w in point:
+                v = v.meet(w)
+            hull[cone].append((tuple(c[0] for c, _ in point), v))
+    return Multifiltration(mf.fan, mf.rank, hull)
+
+
+def test_reflexive_hull_matches_the_product_points():
+    rng = random.Random(67)
+    families = [line_bundle(Fan(3), (1, -2, 0, 3))]
+    for n in (2, 3, 4, 5):
+        start = to_multifiltration(random_reflexive(rng, n, max_c=3))
+        families += [start, random_drops(rng, start, 6, range(1, n + 1))[0]]
+    for _, e, _, _ in seeded_drops(random.Random(68)):
+        families.append(e)
+    for mf in families:
+        hull = reflexive_hull(mf)
+        assert hull == product_point_hull(mf)
+        assert_valid_and_canonical(hull)
+    assert sum(reflexive_hull(mf) != mf for mf in families) > len(families) // 2
 
 
 def test_apply_elementary_basic():
@@ -543,49 +579,38 @@ def test_factorize_rejects_non_containment():
         factorize(start_family(c=(2, 6, 6, 0, 0)), mf)
 
 
-def shifted(family, cone, by):
-    """family with every jump of `cone` moved by `by` on every axis."""
-    moved = tuple(
-        (tuple(x + by for x in coords), w) for coords, w in family.jumps[cone]
-    )
-    return Multifiltration(
-        family.fan, family.rank, {**family.jumps, cone: moved}, validate=False
-    )
+def assert_factorize_trusts_its_drops(e, f):
+    """factorize trusts its drops: each step must contain E and keep
+    the previous family's list objects off the cofaces of sigma0."""
+    steps = factorize(e, f)
+    previous = f
+    for step in steps:
+        assert step.f is previous
+        assert is_contained(e, step.e)
+        cofaces = set(f.fan.cofaces(step.sigma0))
+        for cone, jumps in step.e.jumps.items():
+            if cone not in cofaces:
+                assert jumps is previous.jumps[cone]
+        previous = step.e
+    assert previous == e
+    return steps
 
 
-def test_factorize_rechecks_the_cofaces_of_each_drop(monkeypatch):
-    # A drop that also sinks a proper coface of sigma0 below E must be
-    # caught by the coface-only containment check.
-    mf = start_family()
-    e = apply_elementary(mf, (0, 1, 2), (-1, 0, 0), Subspace.zero(2))
-    real = drop
-
-    def sinks_a_coface(f, sigma0, m0, target):
-        coface = f.fan.cofaces(sigma0)[-1]
-        assert len(coface) > len(sigma0)
-        inj = real(f, sigma0, m0, target)
-        return replace(inj, e=shifted(inj.e, coface, 100))
-
-    monkeypatch.setattr("tsk.multifilt.drop", sinks_a_coface)
-    with pytest.raises(RuntimeError, match="no longer contains E"):
-        factorize(e, mf)
-
-
-def test_factorize_rejects_drops_outside_the_cofaces(monkeypatch):
-    # Raising a cone that is not a coface of sigma0 keeps E contained, so
-    # only the guard that such cones are left alone can catch it.
-    mf = start_family()
-    e = apply_elementary(mf, (0, 1, 2), (-1, 0, 0), Subspace.zero(2))
-    real = drop
-
-    def raises_a_ray(f, sigma0, m0, target):
-        ray = next(c for c in f.fan.cones(1) if c not in f.fan.cofaces(sigma0))
-        inj = real(f, sigma0, m0, target)
-        return replace(inj, e=shifted(inj.e, ray, -1))
-
-    monkeypatch.setattr("tsk.multifilt.drop", raises_a_ray)
-    with pytest.raises(RuntimeError, match="not a coface"):
-        factorize(e, mf)
+def test_factorize_steps_contain_e_and_keep_the_other_cones():
+    # Whole seeded_drops chains, and obstruct's pairs (E, hull of E).
+    chains = []
+    for f, e, _, _ in seeded_drops(random.Random(66)):
+        if chains and chains[-1][1] is f:
+            chains[-1][1] = e
+        else:
+            chains.append([f, e])
+    lengths = []
+    for start, final in chains:
+        lengths.append(len(assert_factorize_trusts_its_drops(final, start)))
+        hull = reflexive_hull(final)
+        if hull != final:
+            lengths.append(len(assert_factorize_trusts_its_drops(final, hull)))
+    assert len(lengths) > len(chains) and max(lengths) >= 10
 
 
 # ---------------------------------------------------------------------------

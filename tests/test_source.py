@@ -76,3 +76,19 @@ def test_elementary_check_only_for_given_pairs():
         and (path.name, scope) != ("multifilt.py", ("elementary_check",))
     ]
     assert found == []
+
+
+def test_canonical_jumps_only_in_the_constructor():
+    # Constructions canonicalize the grids they have already computed
+    # with `_canonical_flat`; the cached `_canonical_jumps` re-evaluates
+    # a raw list and is only for the constructor and validate().
+    allowed = {("Multifiltration", "__init__"), ("Multifiltration", "validate")}
+    found = [
+        f"{path.name}:{call.lineno}"
+        for path in sorted(SRC.rglob("*.py"))
+        for scope, call in _calls_by_scope(ast.parse(path.read_text("utf-8")))
+        if "_canonical_jumps"
+        in {n.id for n in ast.walk(call.func) if isinstance(n, ast.Name)}
+        and not (path.name == "multifilt.py" and scope in allowed)
+    ]
+    assert found == []
