@@ -64,12 +64,13 @@ class CliError(Exception):
 def _read_document(path: str) -> SheafDocument:
     try:
         text = sys.stdin.read() if path == "-" else Path(path).read_text("utf-8")
+        return load_document(text)
     except OSError as e:
         raise CliError(f"cannot read {path!r}: {e}") from e
-    try:
-        return load_document(text)
-    except (ValueError, InvalidFamily) as e:
+    except (ValueError, InvalidFamily) as e:  # UnicodeDecodeError is a ValueError
         raise CliError(f"invalid document {path!r}: {e}") from e
+    except RecursionError as e:
+        raise CliError(f"invalid document {path!r}: nested too deeply") from e
 
 
 def _emit(payload: dict) -> None:

@@ -31,7 +31,9 @@ theory: an elementary injection E c F drops exactly one jump value by
 one dimension at a single class m0 of a single cone sigma0 and
 intersects everything above with the dropped hyperplane.  `drop` writes
 E and reads the injection's invariants off one grid of F per coface;
-`factorize` trusts its drops.
+`factorize` trusts its drops.  Canonical jumps hold the family's values,
+so containment and `factorize`'s m0 read the lists; only `delta` and
+`elementary_check`'s locating step take a joint grid (`_joint_grid`).
 """
 
 from __future__ import annotations
@@ -145,14 +147,6 @@ def _canonical_flat(
         else:
             out.append((coords, v))
     return tuple(out)
-
-
-def _grid_values(
-    rank: int, jumps: JumpList, axes: Sequence[Sequence[int]]
-) -> dict[tuple[int, ...], Subspace]:
-    """The values of `_grid_flat`, keyed by grid point in row-major order."""
-    flat, _ = _grid_flat(rank, jumps, axes)
-    return dict(zip(iproduct(*axes), flat))
 
 
 def eval_jumps(rank: int, jumps: JumpList, mu: Weight) -> Subspace:
@@ -379,24 +373,25 @@ def is_reflexive(mf: Multifiltration) -> bool:
 
 def _joint_grid(
     e: Multifiltration, f: Multifiltration, cone: Cone
-) -> tuple[list[list[int]], dict[tuple[int, ...], Subspace], dict[tuple[int, ...], Subspace]]:
+) -> tuple[list[list[int]], list[Subspace], list[Subspace]]:
     """Axes holding the jumps of E and F on the cone and both families'
-    values there."""
+    flat grids over them (row-major, the order of `iproduct(*axes)`)."""
     je, jf = e.jumps[cone], f.jumps[cone]
     axes = _axes(je + jf, len(cone))
-    return axes, _grid_values(e.rank, je, axes), _grid_values(f.rank, jf, axes)
+    return axes, _grid_flat(e.rank, je, axes)[0], _grid_flat(f.rank, jf, axes)[0]
 
 
 def is_contained(e: Multifiltration, f: Multifiltration) -> bool:
-    """Pointwise containment E^sigma_m <= F^sigma_m for all sigma, m."""
+    """Pointwise containment E^sigma_m <= F^sigma_m for all sigma, m:
+    W <= F^sigma_lambda at every jump (lambda, W) of E, as E^sigma_mu is
+    the join of the W at its jumps lambda <= mu and F is monotone."""
     if e.fan != f.fan or e.rank != f.rank:
         return False
-    for cone in e.fan.all_cones(min_dim=1):
-        _, ve, vf = _joint_grid(e, f, cone)
-        for g, v in ve.items():
-            if not v <= vf[g]:
-                return False
-    return True
+    return all(
+        w <= eval_jumps(f.rank, f.jumps[cone], coords)
+        for cone, jumps in e.jumps.items()
+        for coords, w in jumps
+    )
 
 
 def _cone_delta(e: Multifiltration, f: Multifiltration, cone: Cone) -> int:
@@ -408,8 +403,8 @@ def _cone_delta(e: Multifiltration, f: Multifiltration, cone: Cone) -> int:
     """
     axes, ve, vf = _joint_grid(e, f, cone)
     total = 0
-    for g, val_e in ve.items():
-        diff = vf[g].dim - val_e.dim
+    for g, val_e, val_f in zip(iproduct(*axes), ve, vf):
+        diff = val_f.dim - val_e.dim
         if diff == 0:
             continue
         if diff < 0:
@@ -666,12 +661,12 @@ def elementary_check(e: Multifiltration, f: Multifiltration) -> ElementaryInject
 
     # The distinguished class: exactly one unit cell of difference.
     axes, ve, vf = _joint_grid(e, f, sigma0)
-    diff_points = [g for g in ve if ve[g] != vf[g]]
+    diff_points = [(g, u, v) for g, u, v in zip(iproduct(*axes), ve, vf) if u is not v]
     if len(diff_points) != 1:
         raise NotElementary(
             f"clause (ii): {len(diff_points)} classes of {sigma0!r} differ"
         )
-    m0 = diff_points[0]
+    m0, dropped, value = diff_points[0]
     for i, x in enumerate(m0):
         col = axes[i]
         j = col.index(x)
@@ -684,11 +679,10 @@ def elementary_check(e: Multifiltration, f: Multifiltration) -> ElementaryInject
                 f"clause (ii): more than one class of {sigma0!r} differs"
                 f" (cell of width {col[j + 1] - x} at {m0!r})"
             )
-    dropped = ve[m0]
-    if not dropped <= vf[m0] or vf[m0].dim - dropped.dim != 1:
+    if not dropped <= value or value.dim - dropped.dim != 1:
         raise NotElementary(
             f"clause (ii): at {sigma0!r}, {m0!r} the dimensions drop by"
-            f" {vf[m0].dim - dropped.dim}, not 1"
+            f" {value.dim - dropped.dim}, not 1"
         )
 
     # E is monotone and equals F on sigma0 off m0, so `dropped` holds
@@ -741,7 +735,10 @@ def factorize(
     the drop of the current family G there to the echelon hyperplane
     H >= E^sigma0_m0, with `drop`, which derives the step's invariants.
     Re-applying the drops to F in list order reproduces E; `recompose`
-    checks that.
+    checks that.  m0 is the first jump (lambda, W) of G's list on sigma0
+    with E^sigma0_lambda != W: the lex-first differing class mu is
+    componentwise minimal, so G and E agree one step below it and
+    G^sigma0_mu > E^sigma0_mu >= their join there: mu is a jump of G.
 
     Only the entry containment E c F is checked (it is caller input);
     each drop keeps E c G by construction.  Off the cofaces of sigma0 the
@@ -766,11 +763,11 @@ def factorize(
             return steps
         k0 = min(len(c) for c in differing)
         sigma0 = min(c for c in differing if len(c) == k0)
-        # The grid runs in lexicographic order, so the first differing
-        # class is minimal: every class below it comes earlier.
-        _, ve, vf = _joint_grid(e, current, sigma0)
-        m0 = next(g for g in ve if ve[g] != vf[g])
-        step = drop(current, sigma0, m0, echelon_hyperplane(vf[m0], ve[m0]))
+        for m0, value in current.jumps[sigma0]:
+            inner = eval_jumps(e.rank, e.jumps[sigma0], m0)
+            if inner is not value:
+                break
+        step = drop(current, sigma0, m0, echelon_hyperplane(value, inner))
         steps.append(step)
         current = step.e
 

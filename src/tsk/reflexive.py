@@ -23,7 +23,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .fan import Fan
 from .linalg import Subspace, line2
-from .multifilt import Multifiltration, eval_jumps, reflexive_hull
+from .multifilt import Multifiltration, reflexive_hull
 from .ring import TruncPoly, product
 
 
@@ -420,28 +420,22 @@ def to_multifiltration(f: R2Filtration) -> Multifiltration:
 
 def from_multifiltration(mf: Multifiltration) -> R2Filtration:
     """Recover the rank-2 ray data (a, b, L) from a reflexive family's
-    ray filtrations.  Raises if some ray filtration is not of the
-    three-step shape 0 -> line -> C^2 (rank must be 2)."""
+    ray filtrations (rank must be 2).  A canonical ray list holds strictly
+    growing values, so [(a, C^2)] is (a, a), [(a, L), (b, C^2)] is
+    (a, b, L), a list that is empty or ends below C^2 never reaches C^2,
+    and any other shape is not of the form 0 -> line -> C^2."""
     if mf.rank != 2:
         raise ValueError("rank-2 data required")
     data: list[RayDatum] = []
     for ray in mf.fan.rays:
         jumps = mf.jumps[(ray,)]
-        coords = sorted({c[0] for c, _ in jumps})
-        a = coords[0]
-        first = eval_jumps(2, jumps, (a,))
-        full_at = [x for x in coords if eval_jumps(2, jumps, (x,)).dim == 2]
-        if not full_at:
+        if not jumps or jumps[-1][1].dim != 2:
             raise ValueError(f"ray {ray} never reaches C^2")
-        b = min(full_at)
-        if first.dim == 2:
-            datum = RayDatum(a, a, None)
-        elif first.dim == 1 and b > a:
-            datum = RayDatum(a, b, first.line_pair())
-        else:
-            raise ValueError(f"ray {ray} filtration is not reflexive rank-2 data")
-        for x in coords:
-            if eval_jumps(2, jumps, (x,)) != datum.value_at(x):
+        match jumps:
+            case [((a,), _)]:
+                data.append(RayDatum(a, a))
+            case [((a,), line), ((b,), _)]:
+                data.append(RayDatum(a, b, line.line_pair()))
+            case _:
                 raise ValueError(f"ray {ray} filtration is not reflexive rank-2 data")
-        data.append(datum)
     return R2Filtration(mf.fan, data)

@@ -288,6 +288,28 @@ def test_validate_bad_document(capsys, tmp_path):
     assert code == 1 and "cannot read" in err
 
 
+def test_undecodable_document_exits_1(capsys, monkeypatch, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"n": 4, "label": "\xff"}')
+    code, out, err = run(capsys, "validate", bad)
+    assert code == 1 and out == ""
+    assert err.startswith(f"tsk: error: invalid document {str(bad)!r}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"\xff"), encoding="utf-8"))
+    code, out, err = run(capsys, "validate", "-")
+    assert code == 1 and out == ""
+    assert err.startswith("tsk: error: invalid document '-': ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_deeply_nested_document_exits_1(capsys, tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 5000 + "]" * 5000)
+    code, out, err = run(capsys, "validate", deep)
+    assert code == 1 and out == ""
+    assert err == f"tsk: error: invalid document {str(deep)!r}: nested too deeply\n"
+
+
 def test_validate_rejects_unsupported_subspaces(capsys, tmp_path, hull_doc):
     doc = json.loads(hull_doc.read_text())
     rank3 = tmp_path / "rank3.json"

@@ -21,7 +21,6 @@ from tsk.multifilt import (
     _canonical_flat,
     _canonical_jumps,
     _grid_flat,
-    _grid_values,
     apply_elementary,
     delta,
     drop,
@@ -104,6 +103,11 @@ def random_jump_list(rng, d, rank):
     )
 
 
+def grid_values(rank, jumps, axes):
+    """The values of `_grid_flat`, keyed by grid point in row-major order."""
+    return dict(zip(product(*axes), _grid_flat(rank, jumps, axes)[0]))
+
+
 def test_grid_kernel_matches_pointwise_evaluation():
     rng = random.Random(404)
     seen_empty = False
@@ -115,7 +119,7 @@ def test_grid_kernel_matches_pointwise_evaluation():
             {rng.randint(-4, 4) for _ in range(rng.randint(0, 2))} for _ in range(d)
         ]
         axes = _axes(jumps, d, extra)
-        values = _grid_values(rank, jumps, axes)
+        values = grid_values(rank, jumps, axes)
         assert list(values) == list(product(*axes))
         for g, v in values.items():
             assert v is eval_jumps(rank, jumps, g)
@@ -136,7 +140,7 @@ def test_grid_kernel_matches_pointwise_evaluation():
         assert _canonical_flat(rank, axes, flat, strides) == tuple(sorted(expected))
     assert seen_empty
     with pytest.raises(ValueError):
-        _grid_values(2, (((0,), Subspace.full(1)),), [[0]])
+        grid_values(2, (((0,), Subspace.full(1)),), [[0]])
 
 
 def test_validate_catches_broken_families():
@@ -367,8 +371,8 @@ def reference_invariants(inj):
         for p, r in new:
             extra[p].update([a_ray[r]] if r in a_ray else [])
         axes = _axes(e.jumps[cone] + f.jumps[cone], len(cone), extra)
-        ve = _grid_values(e.rank, e.jumps[cone], axes)
-        vf = _grid_values(f.rank, f.jumps[cone], axes)
+        ve = grid_values(e.rank, e.jumps[cone], axes)
+        vf = grid_values(f.rank, f.jumps[cone], axes)
         assert all(ve[g] <= vf[g] and vf[g].dim - ve[g].dim <= 1 for g in ve)
         gaps = {g for g in ve if ve[g] != vf[g]}
         if len(new) == 1:
@@ -570,6 +574,35 @@ def test_factorize_k0_monotone_random():
         assert rebuilt == final
 
 
+def contained_pointwise(e, f):
+    """E c F by its definition, at every point of each cone's joint grid
+    (both families are constant on its cells, and E is Zero below it)."""
+    for cone in e.fan.all_cones(min_dim=1):
+        je, jf = e.jumps[cone], f.jumps[cone]
+        for g in product(*_axes(je + jf, len(cone))):
+            if not eval_jumps(e.rank, je, g) <= eval_jumps(f.rank, jf, g):
+                return False
+    return True
+
+
+def test_is_contained_matches_pointwise_oracle():
+    # Drop chains in both orders, two unrelated chains from one start,
+    # and a family with itself.
+    rng = random.Random(90)
+    outcomes = {True: 0, False: 0}
+    for _ in range(24):
+        n = rng.choice((2, 3, 4))
+        start = to_multifiltration(random_reflexive(rng, n, max_c=3))
+        dims = tuple(range(1, n + 1))
+        one, _ = random_drops(rng, start, rng.randint(1, 4), dims)
+        other, _ = random_drops(rng, start, rng.randint(1, 4), dims)
+        for e, f in ((one, start), (start, one), (one, other), (other, one), (one, one)):
+            expected = contained_pointwise(e, f)
+            assert is_contained(e, f) is expected
+            outcomes[expected] += 1
+    assert outcomes[True] > 0 and outcomes[False] > 0
+
+
 def test_factorize_rejects_non_containment():
     mf = start_family()
     e = apply_elementary(mf, (0, 1, 2), (-1, 0, 0), Subspace.zero(2))
@@ -581,11 +614,19 @@ def test_factorize_rejects_non_containment():
 
 def assert_factorize_trusts_its_drops(e, f):
     """factorize trusts its drops: each step must contain E and keep
-    the previous family's list objects off the cofaces of sigma0."""
+    the previous family's list objects off the cofaces of sigma0, and
+    its m0 is the lex-first class of the joint grid of E and the
+    previous family G on sigma0 where they differ."""
     steps = factorize(e, f)
     previous = f
     for step in steps:
         assert step.f is previous
+        je, jg = e.jumps[step.sigma0], previous.jumps[step.sigma0]
+        assert step.m0 == next(
+            g
+            for g in product(*_axes(je + jg, len(step.sigma0)))
+            if eval_jumps(e.rank, je, g) != eval_jumps(e.rank, jg, g)
+        )
         assert is_contained(e, step.e)
         cofaces = set(f.fan.cofaces(step.sigma0))
         for cone, jumps in step.e.jumps.items():

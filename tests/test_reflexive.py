@@ -8,6 +8,7 @@ import pytest
 
 from tsk.fan import Fan
 from tsk.linalg import Subspace
+from tsk.multifilt import Multifiltration
 from tsk.reflexive import (
     NO_SPLIT,
     R2Filtration,
@@ -226,3 +227,11 @@ def test_multifiltration_roundtrip():
         ),
     )
     assert from_multifiltration(to_multifiltration(g)) == g
+
+
+@pytest.mark.parametrize("ray_jumps", [(), (((0,), Subspace.line(1, 0)),)])
+def test_from_multifiltration_ray_never_reaching_c2(ray_jumps):
+    mf = to_multifiltration(b_zero(2, (1, 0, 0)))
+    broken = Multifiltration(mf.fan, 2, {**mf.jumps, (0,): ray_jumps}, validate=False)
+    with pytest.raises(ValueError, match=r"^ray 0 never reaches C\^2$"):
+        from_multifiltration(broken)

@@ -92,3 +92,18 @@ def test_canonical_jumps_only_in_the_constructor():
         and not (path.name == "multifilt.py" and scope in allowed)
     ]
     assert found == []
+
+
+def test_joint_grid_only_in_delta_and_elementary_check():
+    # The canonical lists hold their values, so containment and
+    # factorize's m0 read the lists; a joint grid of two families is for
+    # the delta invariant and for locating an elementary injection.
+    allowed = {("_cone_delta",), ("elementary_check",)}
+    found = [
+        f"{path.name}:{call.lineno}"
+        for path in sorted(SRC.rglob("*.py"))
+        for scope, call in _calls_by_scope(ast.parse(path.read_text("utf-8")))
+        if getattr(call.func, "id", getattr(call.func, "attr", None)) == "_joint_grid"
+        and not (path.name == "multifilt.py" and scope in allowed)
+    ]
+    assert found == []
