@@ -4,7 +4,10 @@ their log expansions, Chern-character twists, and the combinatorial
 identities (Stirling-type coefficients, telescoping products, signed
 cone sums) that the closed forms rest on.
 
-All arithmetic is exact (big integers / Fractions).
+The product formulas are products of linear factors (1 - wH)^e; each
+collects its (-w, e) pairs and multiplies them in one
+`ring.linear_product` call, which is integral with constant term 1 by
+construction.  All arithmetic is exact (big integers / Fractions).
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from typing import Sequence
 
 from .fan import Cone, Fan
 from .multifilt import ElementaryInjection, Multifiltration, _axes, _grid_flat
-from .ring import TruncPoly
+from .ring import TruncPoly, linear_product
 
 # ---------------------------------------------------------------------------
 # combinatorial tables
@@ -66,13 +69,6 @@ def binom_poly(x: int, j: int) -> int:
     return q
 
 
-def _integral(out: TruncPoly, what: str) -> TruncPoly:
-    """`out`, after checking that its coefficients are integers."""
-    if not out.is_integral:
-        raise ArithmeticError(f"{what} {out.render()} is not integral")
-    return out
-
-
 def power_sum_range(l: int, lo: int, hi: int) -> int:
     """sum_{k=lo}^{hi} k^l exactly, in O(l^2) arithmetic operations.
 
@@ -116,7 +112,7 @@ def chern_general(mf: Multifiltration) -> TruncPoly:
     along the d axes, so it is d passes over the flat grid of
     `_grid_flat`, each subtracting the predecessor k - strides[i] (Zero,
     so nothing, off the grid).  Exponents are summed per weight
-    <u_sigma, m> first, so each distinct weight costs one power.
+    <u_sigma, m> first, so each distinct weight is one linear factor.
     """
     n = mf.fan.n
     exps: dict[int, int] = {}
@@ -135,13 +131,7 @@ def chern_general(mf: Multifiltration) -> TruncPoly:
             if x:
                 w = sum(coords)
                 exps[w] = exps.get(w, 0) + sign * x
-    out = TruncPoly.one(n)
-    for w, x in sorted(exps.items()):
-        if x:
-            out = out * TruncPoly(n, (1, -w)).int_pow(x)
-    if out[0] != 1:
-        raise ArithmeticError(f"total Chern class {out.render()} has constant term != 1")
-    return _integral(out, "total Chern class")
+    return linear_product(n, [(-w, x) for w, x in exps.items()])
 
 
 def twist_chern(c: TruncPoly, rank: int, m: int) -> TruncPoly:
@@ -179,11 +169,9 @@ def ratio_saturated(k0: int, m_sigma: int, n: int) -> TruncPoly:
     (k0, m_Sigma):  prod_{i=0}^{k0} (1-(m_Sigma+i)H)^{(-1)^i C(k0,i)}."""
     if not 1 <= k0 <= n:
         raise ValueError(f"need 1 <= k0 <= n, got k0={k0}, n={n}")
-    out = TruncPoly.one(n)
-    for i in range(k0 + 1):
-        e = comb(k0, i) if i % 2 == 0 else -comb(k0, i)
-        out = out * TruncPoly(n, (1, -(m_sigma + i))).int_pow(e)
-    return _integral(out, "ratio")
+    return linear_product(
+        n, [(-(m_sigma + i), (-1) ** i * comb(k0, i)) for i in range(k0 + 1)]
+    )
 
 
 def ratio_run(k0: int, start: int, count: int, n: int) -> TruncPoly:
@@ -193,23 +181,21 @@ def ratio_run(k0: int, start: int, count: int, n: int) -> TruncPoly:
     edge(x) = prod_{i=0}^{k0-1} (1-(x+i)H)^{(-1)^i C(k0-1,i)}
     (Pascal: C(k0-1,i) + C(k0-1,i-1) = C(k0,i)), so the run collapses
     to edge(start)/edge(start+count) -- O(1) in count, which is what
-    makes astronomically long drop schedules tractable.
+    makes astronomically long drop schedules tractable.  Dividing by an
+    edge is multiplying by its factors with negated exponents.
     """
     if not 1 <= k0 <= n:
         raise ValueError(f"need 1 <= k0 <= n, got k0={k0}, n={n}")
     if count < 0:
         raise ValueError("count must be >= 0")
-    if count == 0:
-        return TruncPoly.one(n)
-
-    def edge(x: int) -> TruncPoly:
-        out = TruncPoly.one(n)
-        for i in range(k0):
-            e = comb(k0 - 1, i) if i % 2 == 0 else -comb(k0 - 1, i)
-            out = out * TruncPoly(n, (1, -(x + i))).int_pow(e)
-        return out
-
-    return _integral(edge(start) * edge(start + count).inverse(), "ratio run")
+    return linear_product(
+        n,
+        [
+            (-(x + i), sign * (-1) ** i * comb(k0 - 1, i))
+            for x, sign in ((start, 1), (start + count, -1))
+            for i in range(k0)
+        ],
+    )
 
 
 def ratio_saturated_conewise(inj: ElementaryInjection) -> TruncPoly:
@@ -224,16 +210,15 @@ def ratio_saturated_conewise(inj: ElementaryInjection) -> TruncPoly:
     if not inj.saturated:
         raise ValueError("conewise ratio formula requires a saturated injection")
     fan = inj.f.fan
-    n = fan.n
     k0 = inj.k0
-    out = TruncPoly.one(n)
-    for sigma in fan.cofaces(inj.sigma0):
-        m_s = inj.weight_sum(sigma)
-        codim = fan.codim(sigma)
-        for i in range(k0 + 1):
-            e = comb(k0, i) if (codim + i) % 2 == 0 else -comb(k0, i)
-            out = out * TruncPoly(n, (1, -(m_s + i))).int_pow(e)
-    return _integral(out, "conewise ratio")
+    return linear_product(
+        fan.n,
+        [
+            (-(inj.weight_sum(sigma) + i), (-1) ** (fan.codim(sigma) + i) * comb(k0, i))
+            for sigma in fan.cofaces(inj.sigma0)
+            for i in range(k0 + 1)
+        ],
+    )
 
 
 def log_ratio_saturated(k0: int, m_sigma: int, n: int) -> TruncPoly:
@@ -303,13 +288,10 @@ def identity_product(a: int, m: int, d: int, n: int) -> bool:
         raise ArithmeticError(
             f"exponent stabilization failed at offsets {bad} (d={d}, n={n})"
         )
-    lhs = TruncPoly.one(n)
-    for j in range(d):
-        lhs = lhs * TruncPoly(n, (1, -(m + a + j))).int_pow(alpha[j])
-    rhs = TruncPoly.one(n)
-    for i in range(d):
-        e = comb(d - 1, i) if (n - d + i) % 2 == 0 else -comb(d - 1, i)
-        rhs = rhs * TruncPoly(n, (1, -(m + a + i))).int_pow(e)
+    lhs = linear_product(n, [(-(m + a + j), alpha[j]) for j in range(d)])
+    rhs = linear_product(
+        n, [(-(m + a + i), (-1) ** (n - d + i) * comb(d - 1, i)) for i in range(d)]
+    )
     return lhs == rhs
 
 

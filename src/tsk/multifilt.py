@@ -747,6 +747,17 @@ def factorize(
     E^tau_g <= E^sigma0_g' (stabilization) <= E^sigma0_m0 (monotonicity)
     <= H, so E^tau_g <= G^tau_g & H, the dropped value.  Off the region
     the drop keeps G's values.
+
+    E is caller input and may be built with validate=False, so each
+    step checks what a valid E guarantees: G has a jump m0 where E
+    differs, E^sigma0_m0 <= G^sigma0_m0, and m0_i < t_i, the largest
+    axis-i coordinate in E's and F's lists on sigma0.  For a valid E,
+    from t_i on along axis i both E and G <= F have stabilized to their
+    values on the facet without ray i, where they agree (sigma0 is
+    minimal), so the checks never fire.  G <= F is non-zero at m0, so m0
+    also lies above a jump of F: the steps stay in a finite box per
+    cone, each lowers the sum of dim G there by 1 and none raises it, so
+    the loop terminates.  A failed check is a ValueError.
     """
     if e.fan != f.fan or e.rank != f.rank:
         raise ValueError("families live on different fans or ranks")
@@ -767,6 +778,16 @@ def factorize(
             inner = eval_jumps(e.rank, e.jumps[sigma0], m0)
             if inner is not value:
                 break
+        else:
+            raise ValueError(
+                f"E is not a valid family: no jump of G on {sigma0!r} differs from E"
+            )
+        top = [ax[-1] for ax in _axes(e.jumps[sigma0] + f.jumps[sigma0], k0)]
+        if not inner <= value or any(x >= t for x, t in zip(m0, top)):
+            raise ValueError(
+                f"E is not a valid family: a valid E cannot differ from G"
+                f" at class {m0!r} on {sigma0!r}"
+            )
         step = drop(current, sigma0, m0, echelon_hyperplane(value, inner))
         steps.append(step)
         current = step.e

@@ -24,7 +24,7 @@ from typing import Iterable, Mapping, Sequence
 from .fan import Fan
 from .linalg import Subspace, line2
 from .multifilt import Multifiltration, reflexive_hull
-from .ring import TruncPoly, product
+from .ring import TruncPoly, linear_product
 
 
 class Stability(str, Enum):
@@ -255,19 +255,13 @@ def chern_total(f: R2Filtration) -> TruncPoly:
     which assumes the active lines are in general position (pairwise
     distinct); the two pipelines agree on their common boundary.
     """
-    n = f.n
     if is_locally_free(f):
         d1, d2 = _split_degrees(f)
-        out = TruncPoly(n, (1, d1)) * TruncPoly(n, (1, d2))
-    else:
-        b = f.b_sum
-        factors = [TruncPoly(n, (1, -(b - r.c))) for r in f.rays]
-        out = product(factors, n) * TruncPoly(n, (1, -b)).int_pow(-(n - 1))
-    if out[0] != 1 or not out.is_integral:
-        raise ArithmeticError(
-            f"total Chern class {out.render()} is not integral with constant 1"
-        )
-    return out
+        return linear_product(f.n, [(d1, 1), (d2, 1)])
+    b = f.b_sum
+    return linear_product(
+        f.n, [(-(b - r.c), 1) for r in f.rays] + [(-b, -(f.n - 1))]
+    )
 
 
 def chern_k_general(f: R2Filtration, k: int) -> int:

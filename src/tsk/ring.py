@@ -13,6 +13,10 @@ The formal log/exp pair used throughout:
 
 Both are polynomials mod H^(n+1), are mutually inverse there, and turn
 products into sums (log(P1 P2) = log P1 + log P2).
+
+Chern classes are products of linear factors (1 + aH)^e with integer a
+and e of either sign; `linear_product` expands and multiplies them as
+plain ints, and builds one TruncPoly at the end.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ class TruncPoly:
     def __init__(self, n: int, coeffs: Iterable[Scalar] = ()) -> None:
         if n < 0:
             raise ValueError("truncation order n must be >= 0")
-        cs = [_exact(c) for c in coeffs]
+        cs = [c if type(c) is int else _exact(c) for c in coeffs]
         if len(cs) > n + 1:
             raise ValueError(f"too many coefficients for truncation at H^{n}")
         cs.extend([0] * (n + 1 - len(cs)))
@@ -276,3 +280,30 @@ def product(polys: Iterable[TruncPoly], n: int) -> TruncPoly:
     for p in polys:
         out = out * p
     return out
+
+
+def linear_product(n: int, factors: Iterable[tuple[int, int]]) -> TruncPoly:
+    """prod (1 + a*H)^e over integer pairs (a, e), e of either sign, in
+    Z[H]/<H^(n+1)>.
+
+    Each factor is the binomial series sum_k C(e, k) a^k H^k, with C(e, k)
+    the integer polynomial e(e-1)...(e-k+1)/k!, so one rule covers
+    positive and negative e.  The term C(e, k) a^k is the previous one
+    times a(e-k+1)/k, and that division is exact (C(e, k) is an integer
+    for every integer e).  The product is a convolution cut at H^n.
+    """
+    out = [1] + [0] * n
+    for a, e in factors:
+        if not a or not e:
+            continue
+        series = []
+        term = 1
+        for k in range(1, n + 1):
+            term = term * a * (e - k + 1) // k
+            if not term:
+                break
+            series.append(term)
+        # descending, so out[i - k] still holds its value before this factor
+        for i in range(n, 0, -1):
+            out[i] += sum(t * out[i - k] for k, t in enumerate(series[:i], 1))
+    return TruncPoly(n, out)

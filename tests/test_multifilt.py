@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import random
+import signal
+import time
+from contextlib import contextmanager
 from dataclasses import fields
 from itertools import product
 
@@ -610,6 +613,53 @@ def test_factorize_rejects_non_containment():
         factorize(mf, e)  # wrong order
     with pytest.raises(ValueError):
         factorize(start_family(c=(2, 6, 6, 0, 0)), mf)
+
+
+@contextmanager
+def deadline(seconds):
+    """Fail, instead of hanging, when the body runs past `seconds`."""
+
+    def expire(*_):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_factorize_rejects_invalid_e_at_once():
+    # E built with validate=False: a drop chain on P^2 with one ray-(0,)
+    # jump shifted by +-1, contained in the chain or in its start.  Without
+    # factorize's validity checks some such E sends m0 along an axis
+    # without end.
+    rng = random.Random(7)
+    messages = {"no jump of G": 0, "cannot differ": 0}
+    t0 = time.perf_counter()
+    for _ in range(8):
+        start = to_multifiltration(random_reflexive(rng, 2, max_c=3))
+        chain, _ = random_drops(rng, start, rng.randint(1, 4), (1, 2))
+        ray = chain.jumps[(0,)]
+        for i, ((c,), w) in enumerate(ray):
+            for shift in (-1, 1):
+                jumps = dict(chain.jumps)
+                jumps[(0,)] = ray[:i] + (((c + shift,), w),) + ray[i + 1 :]
+                e = Multifiltration(chain.fan, chain.rank, jumps, validate=False)
+                with pytest.raises(InvalidFamily):
+                    e.validate()
+                for f in (chain, start):
+                    if not is_contained(e, f):
+                        continue
+                    with deadline(2.0), pytest.raises(
+                        ValueError, match="E is not a valid family"
+                    ) as err:
+                        factorize(e, f)
+                    messages[next(k for k in messages if k in str(err.value))] += 1
+    assert time.perf_counter() - t0 < 1.0
+    assert all(messages.values()), messages
 
 
 def assert_factorize_trusts_its_drops(e, f):

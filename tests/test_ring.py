@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from tsk.ring import TruncPoly, parse_poly, product
+from tsk.ring import TruncPoly, linear_product, parse_poly, product
 
 
 def test_constructors_and_padding():
@@ -31,9 +32,12 @@ def test_immutability_and_equality():
 
 
 def test_exactness():
-    # float contamination is rejected at construction
+    # float contamination is rejected at construction, and so is bool,
+    # although it subclasses int
     with pytest.raises(TypeError):
         TruncPoly(2, (1.0, 2))
+    with pytest.raises(TypeError):
+        TruncPoly(2, (True, 2))
     # Fractions that are integers normalize to int
     p = TruncPoly(2, (Fraction(4, 2), Fraction(1, 3)))
     assert p.coeffs == (2, Fraction(1, 3), 0)
@@ -140,3 +144,36 @@ def test_product():
     polys = [TruncPoly(n, (1, c)) for c in (1, 2, 3)]
     assert product(polys, n) == TruncPoly(n, (1, 6, 11, 6))
     assert product([], n) == TruncPoly.one(n)
+
+
+def int_pow_product(n, factors):
+    """The reference: each factor raised with int_pow, then multiplied."""
+    return product((TruncPoly.linear(n, 1, a).int_pow(e) for a, e in factors), n)
+
+
+def test_linear_product_matches_int_pow():
+    rng = random.Random(10)
+    exponents = list(range(-8, 9)) + [s * 10**k for k in range(1, 7) for s in (1, -1)]
+    for _ in range(1500):
+        n = rng.randint(0, 8)
+        factors = [
+            (rng.randint(-12, 12), rng.choice(exponents))
+            for _ in range(rng.randint(0, 6))
+        ]
+        if factors and rng.random() < 0.3:
+            factors.append((factors[0][0], rng.choice(exponents)))  # a repeated
+        out = linear_product(n, factors)
+        assert out == int_pow_product(n, factors), (n, factors)
+        assert all(type(c) is int for c in out.coeffs)
+
+
+def test_linear_product_edge_cases():
+    assert linear_product(3, []) == TruncPoly.one(3)
+    assert linear_product(0, [(5, -3), (2, 7)]) == TruncPoly.one(0)
+    assert linear_product(3, [(0, 5), (4, 0)]) == TruncPoly.one(3)
+    # (1 + H)^5 cut at H^4, and (1 - 2H)^-1 = sum (2H)^k
+    assert linear_product(4, [(1, 5)]) == TruncPoly(4, (1, 5, 10, 10, 5))
+    assert linear_product(3, [(-2, -1)]) == TruncPoly(3, (1, 2, 4, 8))
+    # a factor and its inverse cancel, also as repeated a
+    assert linear_product(5, [(3, 4), (-1, 2), (3, -4), (-1, -2)]) == TruncPoly.one(5)
+    assert linear_product(4, [(3, 2), (3, 3)]) == linear_product(4, [(3, 5)])

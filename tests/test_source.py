@@ -107,3 +107,16 @@ def test_joint_grid_only_in_delta_and_elementary_check():
         and not (path.name == "multifilt.py" and scope in allowed)
     ]
     assert found == []
+
+
+def test_int_pow_only_in_ring():
+    # Products of linear factors go through ring.linear_product; int_pow
+    # stays a public ring operation, the tests' independent reference.
+    found = [
+        f"{path.name}:{call.lineno}"
+        for path in sorted(SRC.rglob("*.py"))
+        for _, call in _calls_by_scope(ast.parse(path.read_text("utf-8")))
+        if getattr(call.func, "id", getattr(call.func, "attr", None)) == "int_pow"
+        and path.name != "ring.py"
+    ]
+    assert found == []
