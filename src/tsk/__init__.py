@@ -35,6 +35,7 @@ from .multifilt import (
     NotElementary,
     apply_elementary,
     drop,
+    drop_counts,
     elementary_check,
     factorize,
     recompose,
@@ -106,6 +107,7 @@ __all__ = [
     "chern_total",
     "discriminant",
     "drop",
+    "drop_counts",
     "dump_document",
     "elementary_check",
     "factorize",

@@ -188,14 +188,17 @@ def ratio_run(k0: int, start: int, count: int, n: int) -> TruncPoly:
         raise ValueError(f"need 1 <= k0 <= n, got k0={k0}, n={n}")
     if count < 0:
         raise ValueError("count must be >= 0")
-    return linear_product(
-        n,
-        [
-            (-(x + i), sign * (-1) ** i * comb(k0 - 1, i))
-            for x, sign in ((start, 1), (start + count, -1))
-            for i in range(k0)
-        ],
-    )
+    return linear_product(n, run_factors(k0, start, count))
+
+
+def run_factors(k0: int, start: int, count: int) -> list[tuple[int, int]]:
+    """The linear factors (a, e), (1 + aH)^e, of `ratio_run`: both edges,
+    the second with negated exponents."""
+    return [
+        (-(x + i), sign * (-1) ** i * comb(k0 - 1, i))
+        for x, sign in ((start, 1), (start + count, -1))
+        for i in range(k0)
+    ]
 
 
 def ratio_saturated_conewise(inj: ElementaryInjection) -> TruncPoly:

@@ -125,8 +125,3 @@ def le_componentwise(a: Weight, b: Weight) -> bool:
     if len(a) != len(b):
         raise ValueError("cannot compare coordinate tuples of different length")
     return all(x <= y for x, y in zip(a, b))
-
-
-def lt_componentwise(a: Weight, b: Weight) -> bool:
-    """Strictly below: componentwise <= and not equal."""
-    return le_componentwise(a, b) and a != b

@@ -125,26 +125,12 @@ class Subspace:
             return other
         return _ZERO[self.r]
 
-    def codim_in(self, other: "Subspace") -> int:
-        if not self <= other:
-            raise ValueError(f"{self!r} is not contained in {other!r}")
-        return other.dim - self.dim
-
 
 def join_all(r: int, spaces: Iterable[Subspace]) -> Subspace:
     out = Subspace.zero(r)
     for s in spaces:
         out = out.join(s)
         if out.dim == r:
-            break
-    return out
-
-
-def meet_all(r: int, spaces: Iterable[Subspace]) -> Subspace:
-    out = Subspace.full(r)
-    for s in spaces:
-        out = out.meet(s)
-        if out.dim == 0:
             break
     return out
 

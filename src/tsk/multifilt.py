@@ -31,9 +31,12 @@ theory: an elementary injection E c F drops exactly one jump value by
 one dimension at a single class m0 of a single cone sigma0 and
 intersects everything above with the dropped hyperplane.  `drop` writes
 E and reads the injection's invariants off one grid of F per coface;
-`factorize` trusts its drops.  Canonical jumps hold the family's values,
-so containment and `factorize`'s m0 read the lists; only `delta` and
-`elementary_check`'s locating step take a joint grid (`_joint_grid`).
+`factorize` trusts its drops.  `drop_counts` counts the factorization's
+drops per cone without taking them, one rewrite per differing cone.
+Canonical jumps hold the family's values, so containment and
+`factorize`'s m0 read the lists; only `delta` (and with it
+`drop_counts`) and `elementary_check`'s locating step take a joint grid
+(`_joint_grid`).
 """
 
 from __future__ import annotations
@@ -41,9 +44,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as iproduct
+from operator import sub
 from typing import Iterable, Mapping, Sequence
 
-from .fan import Cone, Fan, Weight, le_componentwise
+from .fan import Cone, Fan, Weight
 from .linalg import RANKS, Subspace, echelon_hyperplane, join_all
 
 Jump = tuple[Weight, Subspace]
@@ -64,10 +68,9 @@ class NotElementary(ValueError):
 
 def _axes(jumps: JumpList, d: int, extra: Sequence[Iterable[int]] = ()) -> list[list[int]]:
     """Sorted per-axis coordinate sets of a jump list (plus extras)."""
-    cols: list[set[int]] = [set() for _ in range(d)]
-    for coords, _ in jumps:
-        for i, x in enumerate(coords):
-            cols[i].add(x)
+    cols = [set(xs) for xs in zip(*(coords for coords, _ in jumps))] or [
+        set() for _ in range(d)
+    ]
     for i, xs in enumerate(extra):
         cols[i].update(xs)
     return [sorted(c) for c in cols]
@@ -90,13 +93,15 @@ def _grid_flat(
     of `iproduct(*axes)`), and `strides` are the row-major strides, so
     the predecessor of flat index k one grid step down axis i is
     k - strides[i].  Each jump is seeded at its own grid point with a
-    checked `Subspace.join`, so a value of the wrong rank raises; then
-    one dynamic-programming pass in row-major order joins every point
-    with its axis predecessors, which come earlier.  Correct because
-    every jump lies on the grid (axes contain all jump coordinates) and
-    any jump strictly below a point is below one of its predecessors.
-    The pass joins by rank-2 case analysis (two distinct nonzero values
-    join to Full), since every operand is an already checked value.
+    checked `Subspace.join`, so a value of the wrong rank raises.  The
+    value at a point is the join of the seeds componentwise below it,
+    a prefix join along every axis, so it is d passes, one per axis:
+    with stride s, the grid splits into contiguous blocks of s * len(axis)
+    points, and in each block every point past the first s joins its
+    predecessor k - s, in ascending order so that the join runs along
+    the whole axis.  The passes join by rank-2 case analysis (two
+    distinct nonzero values join to Full), since every operand is an
+    already checked value.
     """
     strides = _strides(axes)
     size = strides[0] * len(axes[0]) if axes else 1
@@ -104,18 +109,17 @@ def _grid_flat(
     full = Subspace.full(rank)
     index_of = [{x: j for j, x in enumerate(a)} for a in axes]
     for coords, w in jumps:
-        k = sum(index_of[i][x] * strides[i] for i, x in enumerate(coords))
+        k = sum([ix[x] * s for ix, x, s in zip(index_of, coords, strides)])
         flat[k] = flat[k].join(w)
-    for k, idx in enumerate(iproduct(*(range(len(a)) for a in axes))):
-        v = flat[k]
-        for i, j in enumerate(idx):
-            if v is full:
-                break
-            if j:
-                u = flat[k - strides[i]]
-                if u.dim and u is not v:
-                    v = u if v.dim == 0 else full
-        flat[k] = v
+    for s, axis in zip(strides, axes):
+        block = s * len(axis)
+        for start in range(0, size, block or 1):  # block is 0 only on an empty grid
+            for k in range(start + s, start + block):
+                u = flat[k - s]
+                if u.dim:
+                    v = flat[k]
+                    if u is not v:
+                        flat[k] = u if v.dim == 0 else full
     return flat, strides
 
 
@@ -150,8 +154,18 @@ def _canonical_flat(
 
 
 def eval_jumps(rank: int, jumps: JumpList, mu: Weight) -> Subspace:
-    """E^sigma at the class with coordinates mu (join semantics)."""
-    return join_all(rank, (w for coords, w in jumps if le_componentwise(coords, mu)))
+    """E^sigma at the class with coordinates mu (join semantics).
+
+    Any list of jumps, in any order: the join of the values at the jumps
+    componentwise <= mu, stopping at Full.
+    """
+    out = Subspace.zero(rank)
+    for coords, w in jumps:
+        if all(x <= y for x, y in zip(coords, mu)):
+            out = out.join(w)
+            if out.dim == rank:
+                break
+    return out
 
 
 @lru_cache(maxsize=65536)
@@ -301,13 +315,10 @@ class Multifiltration:
         """
         if len(d) != self.fan.n + 1:
             raise ValueError("need one twist integer per ray")
-        moved = {
-            cone: tuple(
-                (tuple(x - d[ray] for x, ray in zip(coords, cone)), w)
-                for coords, w in jumps
-            )
-            for cone, jumps in self.jumps.items()
-        }
+        moved = {}
+        for cone, jumps in self.jumps.items():
+            shift = [d[ray] for ray in cone]
+            moved[cone] = tuple((tuple(map(sub, coords, shift)), w) for coords, w in jumps)
         return Multifiltration._canonical(self.fan, self.rank, moved)
 
     def restrict_rays(self) -> dict[int, JumpList]:
@@ -353,10 +364,16 @@ def reflexive_hull(mf: Multifiltration) -> Multifiltration:
     stabilizing a meet along a ray drops that ray's term.
     """
     rays = mf.restrict_rays()
-    flats: dict[Cone, list[Subspace]] = {(): [Subspace.full(mf.rank)]}
+    zero, full = Subspace.zero(mf.rank), Subspace.full(mf.rank)
+    flats: dict[Cone, list[Subspace]] = {(): [full]}
     hull: dict[Cone, JumpList] = {}
     for cone in mf.fan.all_cones(min_dim=1):
-        flat = [v.meet(w) for v in flats[cone[:-1]] for _, w in rays[cone[-1]]]
+        # the meets by rank-2 case analysis (two distinct lines meet in Zero)
+        flat = [
+            v if v is w or w is full else w if v is full else zero
+            for v in flats[cone[:-1]]
+            for _, w in rays[cone[-1]]
+        ]
         flats[cone] = flat
         axes = [[c[0] for c, _ in rays[ray]] for ray in cone]
         hull[cone] = _canonical_flat(mf.rank, axes, flat, _strides(axes))
@@ -504,10 +521,6 @@ class ElementaryInjection:
     def weight_sum(self, cone: Cone) -> int:
         """m_sigma as an integer: <u_sigma, m_sigma> = sum of coordinates."""
         return sum(self.m_sigma[cone])
-
-    def quotient_dims(self) -> tuple[int, int]:
-        """(codim of the quotient support, m_Sigma)."""
-        return (self.k0, self.m_Sigma)
 
 
 def _drop_flat(
@@ -730,39 +743,49 @@ def factorize(
     Returns the chain peeled off F outward-in: the first entry is the
     elementary injection into F itself, and the k0 sequence is
     non-decreasing along the list (the minimal differing dimension can
-    only grow as drops are consumed).  Each step locates the minimal
-    differing class m0 of the minimal differing cone sigma0 and takes
-    the drop of the current family G there to the echelon hyperplane
-    H >= E^sigma0_m0, with `drop`, which derives the step's invariants.
-    Re-applying the drops to F in list order reproduces E; `recompose`
-    checks that.  m0 is the first jump (lambda, W) of G's list on sigma0
-    with E^sigma0_lambda != W: the lex-first differing class mu is
-    componentwise minimal, so G and E agree one step below it and
-    G^sigma0_mu > E^sigma0_mu >= their join there: mu is a jump of G.
+    only grow as drops are consumed).  Re-applying the drops to F in
+    list order reproduces E; `recompose` checks that.
 
-    Only the entry containment E c F is checked (it is caller input);
-    each drop keeps E c G by construction.  Off the cofaces of sigma0 the
-    drop keeps G's lists.  On a coface tau, let g be a class in the region
-    {g <= m0 over sigma0} and g' its coordinates on sigma0's rays; then
-    E^tau_g <= E^sigma0_g' (stabilization) <= E^sigma0_m0 (monotonicity)
-    <= H, so E^tau_g <= G^tau_g & H, the dropped value.  Off the region
-    the drop keeps G's values.
-
-    E is caller input and may be built with validate=False, so each
-    step checks what a valid E guarantees: G has a jump m0 where E
-    differs, E^sigma0_m0 <= G^sigma0_m0, and m0_i < t_i, the largest
-    axis-i coordinate in E's and F's lists on sigma0.  For a valid E,
-    from t_i on along axis i both E and G <= F have stabilized to their
-    values on the facet without ray i, where they agree (sigma0 is
-    minimal), so the checks never fire.  G <= F is non-zero at m0, so m0
-    also lies above a jump of F: the steps stay in a finite box per
-    cone, each lowers the sum of dim G there by 1 and none raises it, so
-    the loop terminates.  A failed check is a ValueError.
+    The pair is caller input, so this entry checks E c F; `_factorize`
+    is the loop, for callers that have proved it (`drop_counts` does).
     """
     if e.fan != f.fan or e.rank != f.rank:
         raise ValueError("families live on different fans or ranks")
     if not is_contained(e, f):
         raise ValueError("E is not pointwise contained in F")
+    return _factorize(e, f)
+
+
+def _factorize(e: Multifiltration, f: Multifiltration) -> list[ElementaryInjection]:
+    """`factorize`'s loop, for a pair on one fan and rank with E c F.
+
+    Each step locates the minimal differing class m0 of the minimal
+    differing cone sigma0 and takes the drop of the current family G
+    there to the echelon hyperplane H >= E^sigma0_m0, with `drop`, which
+    derives the step's invariants.  m0 is the first jump (lambda, W) of
+    G's list on sigma0 with E^sigma0_lambda != W: the lex-first
+    differing class mu is componentwise minimal, so G and E agree one
+    step below it and G^sigma0_mu > E^sigma0_mu >= their join there: mu
+    is a jump of G.
+
+    Each drop keeps E c G by construction.  Off the cofaces of sigma0
+    the drop keeps G's lists.  On a coface tau, let g be a class in the
+    region {g <= m0 over sigma0} and g' its coordinates on sigma0's
+    rays; then E^tau_g <= E^sigma0_g' (stabilization) <= E^sigma0_m0
+    (monotonicity) <= H, so E^tau_g <= G^tau_g & H, the dropped value.
+    Off the region the drop keeps G's values.
+
+    E may be built with validate=False, so each step checks what a
+    valid E guarantees: G has a jump m0 where E differs, E^sigma0_m0 <=
+    G^sigma0_m0, and m0_i < t_i, the largest axis-i coordinate in E's
+    and F's lists on sigma0.  For a valid E, from t_i on along axis i
+    both E and G <= F have stabilized to their values on the facet
+    without ray i, where they agree (sigma0 is minimal), so the checks
+    never fire.  G <= F is non-zero at m0, so m0 also lies above a jump
+    of F: the steps stay in a finite box per cone, each lowers the sum
+    of dim G there by 1 and none raises it, so the loop terminates.  A
+    failed check is a ValueError.
+    """
     fan = e.fan
     steps: list[ElementaryInjection] = []
     current = f
@@ -791,6 +814,72 @@ def factorize(
         step = drop(current, sigma0, m0, echelon_hyperplane(value, inner))
         steps.append(step)
         current = step.e
+
+
+def drop_counts(e: Multifiltration, f: Multifiltration) -> dict[int, int]:
+    """The torsion profile of E c F: {k: p_k} for every k with p_k > 0,
+    p_k the number of k-elementary injections in `factorize(e, f)`, with
+    work bounded by the cones, not by the drops.  E must be a valid
+    family; a pair with E not contained in F raises ValueError.
+
+    Visits the cones in (dim, lex) order with G = F.  `factorize` picks
+    sigma0 as the (dim, lex)-minimal differing cone, and a drop at sigma0
+    changes only sigma0's cofaces, all later in that order; so it
+    finishes sigma0 before it moves on and never comes back.  Each of
+    its drops at sigma0 lowers the dimension at one class of sigma0 by
+    one, so their number is `_cone_delta(E, G, sigma0)`.  Together they
+    compose to one rewrite: G^tau_g & E^sigma0_g' on every coface tau,
+    with g' the coordinates of the class g on sigma0's rays.  Each drop
+    meets G^tau_g with a hyperplane H >= E^sigma0_m0 >= E^sigma0_g' on
+    the region g' <= m0, so G never falls below the rewrite; and when
+    G^sigma0 = E^sigma0, stabilization gives G^tau_g <= G^sigma0_g' =
+    E^sigma0_g', so G is at most the rewrite.  On sigma0 itself the
+    rewrite is E^sigma0, as E^sigma0 <= G^sigma0 (checked at E's jumps).
+    Each proper coface is rewritten on one grid of G widened by
+    E^sigma0's coordinates on sigma0's axes (E^sigma0 is constant on its
+    cells there), then `_canonical_flat`.
+
+    Containment needs no separate check: a cone is never rewritten after
+    its visit, so G ends equal to E, and G only ever falls below F, so
+    E = G <= F.
+    """
+    if e.fan != f.fan or e.rank != f.rank:
+        raise ValueError("families live on different fans or ranks")
+    fan, rank = f.fan, f.rank
+    zero, full = Subspace.zero(rank), Subspace.full(rank)
+    jumps = dict(f.jumps)
+    g = Multifiltration._canonical(fan, rank, jumps)  # G, rewritten in place
+    counts: dict[int, int] = {}
+    for sigma0 in fan.all_cones(min_dim=1):
+        target = e.jumps[sigma0]
+        if target == jumps[sigma0]:
+            continue
+        k0 = len(sigma0)
+        counts[k0] = counts.get(k0, 0) + _cone_delta(e, g, sigma0)
+        if not all(w <= eval_jumps(rank, jumps[sigma0], c) for c, w in target):
+            raise ValueError(f"E is not pointwise contained in F on {sigma0!r}")
+        jumps[sigma0] = target
+        coords = _axes(target, k0)
+        for tau in fan.cofaces(sigma0)[1:]:
+            pos = [tau.index(r) for r in sigma0]
+            extra: list[list[int]] = [[] for _ in tau]
+            for p, xs in zip(pos, coords):
+                extra[p] = xs
+            axes = _axes(jumps[tau], len(tau), extra)
+            values, strides = _grid_flat(rank, jumps[tau], axes)
+            inner, inner_strides = _grid_flat(rank, target, [axes[p] for p in pos])
+            # the flat index into E^sigma0's grid of every point of tau's grid
+            at = [0]
+            for p, axis in enumerate(axes):
+                s = inner_strides[pos.index(p)] if p in pos else 0
+                at = [k + j * s for k in at for j in range(len(axis))]
+            # the meet by rank-2 case analysis, as in `_grid_flat`'s passes
+            values = [
+                v if u is v or u is full else u if v is full else zero
+                for v, u in zip(values, [inner[k] for k in at])
+            ]
+            jumps[tau] = _canonical_flat(rank, axes, values, strides)
+    return counts
 
 
 def recompose(

@@ -1,12 +1,15 @@
 """Smoothability obstructions for rank-2 equivariant torsion-free
-sheaves, computed from the factorization profile of E inside its
-reflexive hull F.
+sheaves, computed from the torsion profile of E inside its reflexive
+hull F.
 
 The torsion filtration of Q = F/E is read off the elementary
 factorization of E -> F: the codimension-k graded pieces correspond to
 the k-elementary injections, so the profile (q, p_k) with
-q = min{k : p_k > 0} is intrinsic.  Two obstruction regimes are
-machine-checkable:
+q = min{k : p_k > 0} is intrinsic.  The profile is counted per cone
+(`multifilt.drop_counts`), so its cost is bounded by the cones, not by
+the number of drops, which reaches 10^76 in the paper's families; only
+the Q2 regime below, which needs each 2-elementary weight, factorizes.
+Two obstruction regimes are machine-checkable:
 
   Q4: q >= 4 on P^n with n >= 4 forces c_3 or c_q of the normalized
       sheaf to be nonzero, yet a smoothing would have to keep both
@@ -42,12 +45,7 @@ from fractions import Fraction
 from math import factorial
 
 from .chern import chern_general
-from .multifilt import (
-    ElementaryInjection,
-    Multifiltration,
-    factorize,
-    reflexive_hull,
-)
+from .multifilt import Multifiltration, _factorize, drop_counts, reflexive_hull
 from .reflexive import (
     R2Filtration,
     Stability,
@@ -81,9 +79,6 @@ class TorsionProfile:
     @property
     def total(self) -> int:
         return sum(cnt for _, cnt in self.p)
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.p)
 
 
 @dataclass(frozen=True)
@@ -129,14 +124,6 @@ class Inconclusive:
         return out
 
 
-def _tally(steps: tuple[ElementaryInjection, ...]) -> TorsionProfile:
-    tally: dict[int, int] = {}
-    for inj in steps:
-        tally[inj.k0] = tally.get(inj.k0, 0) + 1
-    pairs = tuple(sorted(tally.items()))
-    return TorsionProfile(q=pairs[0][0], p=pairs)
-
-
 def _proper_hull(E: Multifiltration) -> Multifiltration:
     """The reflexive hull of E; errors on reflexive E (zero quotient,
     torsion profile undefined)."""
@@ -148,12 +135,18 @@ def _proper_hull(E: Multifiltration) -> Multifiltration:
     return hull
 
 
+def _profile(E: Multifiltration, hull: Multifiltration) -> TorsionProfile:
+    pairs = tuple(sorted(drop_counts(E, hull).items()))
+    return TorsionProfile(q=pairs[0][0], p=pairs)
+
+
 def torsion_profile(E: Multifiltration) -> TorsionProfile:
-    """Factorize E inside its reflexive hull and tally the k0 values.
+    """Count the k-elementary injections of E inside its reflexive hull,
+    per cone.
 
     Errors on reflexive E (zero quotient, profile undefined).
     """
-    return _tally(factorize(E, _proper_hull(E)))
+    return _profile(E, _proper_hull(E))
 
 
 def leading_log_check(E: Multifiltration) -> bool:
@@ -166,7 +159,7 @@ def leading_log_check(E: Multifiltration) -> bool:
     leading coefficient (-1)^(q-1) (q-1)! independent of its weight.
     """
     hull = _proper_hull(E)
-    prof = _tally(factorize(E, hull))
+    prof = _profile(E, hull)
     ratio = chern_general(hull) * chern_general(E).inverse()
     lhs = ratio.log()[prof.q]
     rhs = Fraction((-1) ** (prof.q - 1) * factorial(prof.q - 1) * prof.count(prof.q))
@@ -197,15 +190,16 @@ def obstruction_verdict(E: Multifiltration) -> NotSmoothable | Inconclusive:
     if E.rank != 2:
         raise ValueError(f"unsupported: obstructions need rank 2, got {E.rank}")
     hull = _proper_hull(E)
+    prof = _profile(E, hull)
+    q, n = prof.q, E.fan.n
+    q4 = n >= 4 and q >= 4
+    if not (q4 or (n >= 3 and q == 2 and prof.count(3) == 0)):
+        return Inconclusive(q, prof)
     hull_f = from_multifiltration(hull)
     b = hull_f.b_vec
-    # The hull commutes with twisting, so the normalized hull is a shift.
-    E_n, hull_n = (E.twist(b), hull.twist(b)) if any(b) else (E, hull)
-    steps = factorize(E_n, hull_n)
-    prof = _tally(steps)
-    q, n = prof.q, E.fan.n
+    E_n = E.twist(b) if any(b) else E
 
-    if n >= 4 and q >= 4:
+    if q4:
         c_norm = chern_general(E_n)
         if c_norm[3] != 0:
             return NotSmoothable("Q4", 3, q, prof)
@@ -216,28 +210,29 @@ def obstruction_verdict(E: Multifiltration) -> NotSmoothable | Inconclusive:
             " of the normalized sheaf both vanish"
         )
 
-    if n >= 3 and q == 2 and prof.count(3) == 0:
-        hull_nf = normalize(hull_f, "b_zero")
-        if stability(hull_nf) is not Stability.UNSTABLE:
-            bound = -s_max(hull_nf)
-            weights = [s.m_Sigma for s in steps if s.k0 == 2]
-            if all(w >= bound for w in weights):
-                c_norm = chern_general(E_n)
-                if c_norm[3] == 0:
-                    raise RuntimeError(
-                        "obstruction argument falsified: q=2, p_3=0,"
-                        " semistable hull, weights within bound, but c_3"
-                        " of the normalized sheaf vanishes"
-                    )
-                return NotSmoothable("Q2", 3, q, prof)
-            return Inconclusive(
-                q,
-                prof,
-                reason=(
-                    "2-elementary weight below -S_max"
-                    f" (min {min(weights)} < {bound}); the c_3 != 0"
-                    " guarantee does not apply to such degenerate hulls"
-                ),
+    hull_nf = normalize(hull_f, "b_zero")
+    if stability(hull_nf) is Stability.UNSTABLE:
+        return Inconclusive(q, prof)
+    # The hull commutes with twisting, so the normalized hull is a shift;
+    # drop_counts has proved E c hull, so the loop runs without the check.
+    steps = _factorize(E_n, hull.twist(b) if any(b) else hull)
+    bound = -s_max(hull_nf)
+    weights = [s.m_Sigma for s in steps if s.k0 == 2]
+    if all(w >= bound for w in weights):
+        c_norm = chern_general(E_n)
+        if c_norm[3] == 0:
+            raise RuntimeError(
+                "obstruction argument falsified: q=2, p_3=0,"
+                " semistable hull, weights within bound, but c_3"
+                " of the normalized sheaf vanishes"
             )
-
-    return Inconclusive(q, prof)
+        return NotSmoothable("Q2", 3, q, prof)
+    return Inconclusive(
+        q,
+        prof,
+        reason=(
+            "2-elementary weight below -S_max"
+            f" (min {min(weights)} < {bound}); the c_3 != 0"
+            " guarantee does not apply to such degenerate hulls"
+        ),
+    )

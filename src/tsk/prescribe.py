@@ -12,7 +12,7 @@ saturated elementary injections on the schedule
 
 whose weights m_Sigma^{k,j} = -c_0 + p_3 + ... + p_{k-1} + (j-1) form
 consecutive runs, so the Chern bookkeeping of astronomically long
-schedules telescopes through ratio_run.
+schedules telescopes: each stage is one run of `run_factors`.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import comb, factorial, lcm
 from typing import Iterator, Sequence
 
-from .chern import power_sum_range, ratio_run, stirling_A
+from .chern import power_sum_range, run_factors, stirling_A
 from .fan import Cone, Fan, Weight
 from .linalg import Subspace
 from .multifilt import (
@@ -38,7 +38,7 @@ from .reflexive import (
     stability,
     to_multifiltration,
 )
-from .ring import TruncPoly
+from .ring import TruncPoly, linear_product
 
 
 @dataclass(frozen=True)
@@ -419,15 +419,16 @@ def build_sequence(
         injections.append(inj)
         current = inj.e
 
-    # Exact Chern of the full schedule: telescoped stage products.
-    chern = problem.start_chern()
+    # Exact Chern of the full schedule: the start divided by every
+    # stage's telescoped run, one product with negated exponents.
     n = problem.n
-    for k in range(3, n + 1):
-        pk = p[k - 3]
-        if pk == 0:
-            continue
-        first = weight_schedule(c0, p, k, 1)
-        chern = chern * ratio_run(k, first, pk, n).inverse()
+    closure = [
+        (a, -e)
+        for k in range(3, n + 1)
+        if p[k - 3]
+        for a, e in run_factors(k, weight_schedule(c0, p, k, 1), p[k - 3])
+    ]
+    chern = problem.start_chern() * linear_product(n, closure)
     if chern != solution.chern:
         raise ArithmeticError(
             f"schedule closure produced {chern.render()},"

@@ -4,14 +4,16 @@ from __future__ import annotations
 
 import io
 import json
+import time
 
 import pytest
 
 from tsk import cli
-from tsk.documents import SheafDocument, dump_document
+from tsk.documents import SheafDocument, canonical_dumps, dump_document, multifilt_to_doc
 from tsk.fan import Fan
 from tsk.linalg import Subspace
 from tsk.multifilt import apply_elementary
+from tsk.prescribe import build_sequence, family_pn
 from tsk.reflexive import R2Filtration, to_multifiltration
 from tsk.ring import TruncPoly
 
@@ -41,6 +43,15 @@ def hull_doc(tmp_path):
     path.write_text(
         dump_document(SheafDocument("multifiltration", to_multifiltration(f)))
     )
+    return path
+
+
+@pytest.fixture(scope="module")
+def p5_built_doc(tmp_path_factory):
+    """The family_pn(5) sheaf built drop by drop (2060 drops)."""
+    sol = family_pn(5)
+    path = tmp_path_factory.mktemp("p5") / "p5-built.json"
+    path.write_text(canonical_dumps(multifilt_to_doc(build_sequence(sol.problem, sol).final)))
     return path
 
 
@@ -251,6 +262,17 @@ def test_obstruct(capsys, dropped_doc):
     data = payload(out)
     assert data["verdict"] == "Inconclusive"
     assert data["q"] == 3
+
+
+def test_obstruct_on_the_full_p5_build(capsys, p5_built_doc):
+    # The profile is counted per cone, so 2060 drops cost a few cones:
+    # milliseconds, where factorizing them takes most of a second.
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "obstruct", p5_built_doc)
+    elapsed = time.perf_counter() - t0
+    assert code == 0 and err == ""
+    assert out == '{"profile":{"3":8,"4":56,"5":1996},"q":3,"verdict":"Inconclusive"}\n'
+    assert elapsed < 0.25
 
 
 def test_obstruct_reflexive_invalid(capsys, hull_doc):

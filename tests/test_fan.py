@@ -7,7 +7,7 @@ from math import comb
 
 import pytest
 
-from tsk.fan import Fan, le_componentwise, lt_componentwise
+from tsk.fan import Fan, le_componentwise
 
 
 def test_rays_and_generators():
@@ -110,7 +110,5 @@ def test_cofaces_order_and_membership():
 def test_componentwise_order():
     assert le_componentwise((1, 2), (1, 3))
     assert not le_componentwise((1, 4), (1, 3))
-    assert lt_componentwise((0, 0), (1, 1))
-    assert not lt_componentwise((1, 3), (1, 3))
     with pytest.raises(ValueError):
         le_componentwise((1,), (1, 2))

@@ -11,7 +11,6 @@ from tsk.linalg import (
     echelon_hyperplane,
     join_all,
     line2,
-    meet_all,
 )
 
 LINES = [Subspace.line(p, q) for p, q in [(1, 0), (0, 1), (1, 1), (1, -1), (2, 3)]]
@@ -126,21 +125,10 @@ def test_lattice_laws():
         Subspace.line(1, 0).meet(None)
 
 
-def test_join_all_meet_all():
+def test_join_all():
     lines = [Subspace.line(1, i) for i in range(3)]
     assert join_all(2, lines) == Subspace.full(2)
-    assert meet_all(2, lines) == Subspace.zero(2)
     assert join_all(2, []) == Subspace.zero(2)
-    assert meet_all(2, []) == Subspace.full(2)
-
-
-def test_codim_in():
-    l1 = Subspace.line(1, 1)
-    assert l1.codim_in(Subspace.full(2)) == 1
-    assert Subspace.zero(2).codim_in(l1) == 1
-    assert Subspace.zero(2).codim_in(Subspace.full(2)) == 2
-    with pytest.raises(ValueError):
-        Subspace.full(2).codim_in(l1)
 
 
 def test_echelon_hyperplane():

@@ -27,6 +27,7 @@ from tsk.multifilt import (
     apply_elementary,
     delta,
     drop,
+    drop_counts,
     elementary_check,
     eval_jumps,
     factorize,
@@ -39,7 +40,7 @@ from tsk.multifilt import (
 )
 from tsk.prescribe import build_sequence, family_p4_odd
 from tsk.reflexive import R2Filtration, to_multifiltration
-from tsk.sampling import random_b_zero, random_drops, random_reflexive
+from tsk.sampling import random_b_zero, random_drops, random_reflexive, random_semistable
 
 
 def start_family(n=4, c=(1, 6, 6, 0, 0)):
@@ -350,7 +351,6 @@ def test_elementary_check_invariants():
     # ray weights: <m0, u_rho> on sigma0's rays, thresholds elsewhere
     assert inj.m_rho[0] == -1 and inj.m_rho[1] == 0 and inj.m_rho[2] == 0
     assert inj.m_Sigma == sum(inj.m_rho.values())
-    assert inj.quotient_dims() == (3, inj.m_Sigma)
     with pytest.raises(NotElementary):
         elementary_check(mf, mf)
     with pytest.raises(NotElementary):
@@ -577,6 +577,13 @@ def test_factorize_k0_monotone_random():
         assert rebuilt == final
 
 
+def factorize_tally(e, f):
+    tally = {}
+    for step in factorize(e, f):
+        tally[step.k0] = tally.get(step.k0, 0) + 1
+    return tally
+
+
 def contained_pointwise(e, f):
     """E c F by its definition, at every point of each cone's joint grid
     (both families are constant on its cells, and E is Zero below it)."""
@@ -603,6 +610,12 @@ def test_is_contained_matches_pointwise_oracle():
             expected = contained_pointwise(e, f)
             assert is_contained(e, f) is expected
             outcomes[expected] += 1
+            # drop_counts proves containment as it counts
+            if expected:
+                assert drop_counts(e, f) == factorize_tally(e, f)
+            else:
+                with pytest.raises(ValueError):
+                    drop_counts(e, f)
     assert outcomes[True] > 0 and outcomes[False] > 0
 
 
@@ -741,3 +754,75 @@ def test_twist_is_valid_canonical_and_shifts():
                     mu = tuple(x + s for x, s in zip(coords, step))
                     shifted_mu = tuple(x - d[r] for x, r in zip(mu, cone))
                     assert tw.evaluate(cone, shifted_mu) == family.evaluate(cone, mu)
+
+
+# ---------------------------------------------------------------------------
+# the torsion profile per cone
+
+
+def assert_profile(e, f):
+    """drop_counts is the factorization's tally, and p_q is delta_q."""
+    counts = drop_counts(e, f)
+    assert counts == factorize_tally(e, f)
+    q = min(counts)
+    d = delta(e, f)
+    assert d[q - 1] == counts[q] and all(x == 0 for x in d[: q - 1])
+    return counts
+
+
+def test_drop_counts_equals_the_factorize_tally():
+    # Seeded drop chains on P^3..P^5 over random sets of cone dimensions,
+    # counted inside the start and inside E's reflexive hull.
+    rng = random.Random(2024)
+    seen, cases = set(), 0
+    while cases < 200:
+        n = rng.choice((3, 4, 5))
+        start = to_multifiltration(random_reflexive(rng, n, max_c=3))
+        dims = tuple(sorted(rng.sample(range(1, n + 1), rng.randint(1, n))))
+        final, applied = random_drops(rng, start, rng.randint(1, 4), dims)
+        if not applied:
+            continue
+        seen |= set(assert_profile(final, start))
+        hull = reflexive_hull(final)
+        if hull != final:
+            seen |= set(assert_profile(final, hull))
+        cases += 1
+    assert seen == {1, 2, 3, 4, 5}
+
+
+def test_drop_counts_on_the_criterion_10_draws():
+    # The draws of acceptance criterion 10 (its generators and
+    # parameters, in turn), counted inside the reflexive hull.
+    rng = random.Random(1010)
+    for draw in range(90):
+        if draw % 3 == 0:
+            start = to_multifiltration(random_reflexive(rng, 4, max_c=4))
+            final, applied = random_drops(rng, start, rng.randint(1, 3), (4,))
+        elif draw % 3 == 1:
+            start = to_multifiltration(random_reflexive(rng, 5, max_c=3))
+            final, applied = random_drops(rng, start, rng.randint(1, 2), (4, 5))
+        else:
+            start = to_multifiltration(random_semistable(rng, 3, max_c=4))
+            final, applied = random_drops(rng, start, rng.randint(1, 3), (2,))
+        if applied:
+            assert_profile(final, reflexive_hull(final))
+
+
+def test_drop_counts_rejects_non_containment():
+    mf = start_family()
+    e = apply_elementary(mf, (0, 1, 2), (-1, 0, 0), Subspace.zero(2))
+    assert drop_counts(e, mf) == {3: 1} and drop_counts(mf, mf) == {}
+    with pytest.raises(ValueError):
+        drop_counts(mf, e)  # wrong order: dim E > dim F somewhere
+    with pytest.raises(ValueError):
+        drop_counts(start_family(c=(2, 6, 6, 0, 0)), mf)
+    with pytest.raises(ValueError):
+        drop_counts(start_family(n=3, c=(1, 1, 1, 0)), mf)
+    # Two lines in one Full value: equal dimensions everywhere, neither
+    # contains the other; on a ray and on a top-dimensional cone.
+    top = start_family(n=2, c=(1, 0, 0))
+    for f, cone, m0 in ((mf, (3,), (0,)), (top, (1, 2), (0, 0))):
+        one, other = (apply_elementary(f, cone, m0, Subspace.line(1, k)) for k in (0, 1))
+        assert not is_contained(one, other)
+        with pytest.raises(ValueError):
+            drop_counts(one, other)

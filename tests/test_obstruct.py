@@ -7,7 +7,7 @@ import pytest
 from tsk.chern import chern_general
 from tsk.fan import Fan
 from tsk.linalg import Subspace
-from tsk.multifilt import apply_elementary, line_bundle
+from tsk.multifilt import apply_elementary, drop_counts, line_bundle
 from tsk.obstruct import (
     Inconclusive,
     NotSmoothable,
@@ -17,6 +17,7 @@ from tsk.obstruct import (
     s_max,
     torsion_profile,
 )
+from tsk.prescribe import build_sequence, family_p4_odd, family_pn
 from tsk.reflexive import R2Filtration, Stability, stability, to_multifiltration
 from tsk.ring import TruncPoly
 
@@ -36,7 +37,7 @@ def test_torsion_profile_basics():
     assert prof.q == 2
     assert prof.count(2) == 1 and prof.count(3) == 0 and prof.count(4) == 3
     assert prof.total == 4
-    assert prof.as_dict() == {2: 1, 4: 3}
+    assert dict(prof.p) == {2: 1, 4: 3}
     with pytest.raises(ValueError):
         TorsionProfile(3, ())
     with pytest.raises(ValueError):
@@ -49,12 +50,24 @@ def test_torsion_profile_of_drops():
     F = hull(4, (1, 6, 6, 0, 0))
     E = drop(F, (0, 1, 2), (-1, 0, 0))
     prof = torsion_profile(E)
-    assert prof.q == 3 and prof.as_dict() == {3: 1}
+    assert prof.q == 3 and dict(prof.p) == {3: 1}
     E2 = drop(E, (0, 1, 2, 3), (-1, 0, 1, 0))
     prof2 = torsion_profile(E2)
-    assert prof2.q == 3 and prof2.as_dict() == {3: 1, 4: 1}
+    assert prof2.q == 3 and dict(prof2.p) == {3: 1, 4: 1}
     with pytest.raises(ValueError):
         torsion_profile(F)  # reflexive input has no torsion profile
+
+
+def test_profile_of_the_built_families():
+    # The paper's families built drop by drop: 258, 64 and 2060 drops.
+    for sol, total in ((family_p4_odd(1), 258), (family_pn(4), 64), (family_pn(5), 2060)):
+        res = build_sequence(sol.problem, sol)
+        assert res.built == total
+        solved = {k: pk for k, pk in enumerate(sol.p, 3) if pk}
+        assert drop_counts(res.final, res.start) == solved
+        prof = torsion_profile(res.final)
+        assert dict(prof.p) == solved and prof.total == total
+        assert leading_log_check(res.final)
 
 
 def test_leading_log():

@@ -120,3 +120,18 @@ def test_int_pow_only_in_ring():
         and path.name != "ring.py"
     ]
     assert found == []
+
+
+def test_containment_checked_only_at_factorize_entry():
+    # drop_counts proves E c F as it counts, so obstruct, whose pairs are
+    # E and its hull, never calls the checked entry; is_contained is the
+    # check of caller-supplied pairs at factorize's public entry.
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        for scope, call in _calls_by_scope(ast.parse(path.read_text("utf-8"))):
+            name = getattr(call.func, "id", getattr(call.func, "attr", None))
+            if name == "is_contained" and (path.name, scope) != ("multifilt.py", ("factorize",)):
+                found.append(f"{path.name}:{call.lineno}")
+            if name == "factorize" and path.name == "obstruct.py":
+                found.append(f"{path.name}:{call.lineno}")
+    assert found == []
