@@ -29,14 +29,17 @@ The elementary-injection machinery (delta invariant, drop,
 elementary_check, factorize) follows the equal-rank factorization
 theory: an elementary injection E c F drops exactly one jump value by
 one dimension at a single class m0 of a single cone sigma0 and
-intersects everything above with the dropped hyperplane.  `drop` writes
-E and reads the injection's invariants off one grid of F per coface;
-`factorize` trusts its drops.  `drop_counts` counts the factorization's
-drops per cone without taking them, one rewrite per differing cone.
+intersects everything above with the dropped hyperplane.  A drop, and
+the per-cone count of the torsion profile, are one rewrite of sigma0's
+cofaces: G^tau_g & E^sigma0_g', g' the coordinates of g on sigma0's
+rays, applied only on the cells of sigma0 where the values differ
+(`_meet_cells`).  `drop` writes E and reads the injection's invariants
+off the rewritten grids; `factorize` trusts its drops.  `drop_counts`
+counts the factorization's drops per cone without taking them.
 Canonical jumps hold the family's values, so containment and
-`factorize`'s m0 read the lists; only `delta` (and with it
-`drop_counts`) and `elementary_check`'s locating step take a joint grid
-(`_joint_grid`).
+`factorize`'s m0 read the lists; the cells where two families differ
+are read off their joint grid by `_cells` alone, for `delta`,
+`drop_counts` and `elementary_check`.
 """
 
 from __future__ import annotations
@@ -411,31 +414,51 @@ def is_contained(e: Multifiltration, f: Multifiltration) -> bool:
     )
 
 
-def _cone_delta(e: Multifiltration, f: Multifiltration, cone: Cone) -> int:
-    """Sum over all classes of the cone of dim F - dim E.
+Cell = tuple[Weight, Weight | None, Subspace, Subspace]
 
-    Classes form cells on the joint grid; a cell's contribution is the
-    dim difference times its (integer) volume.  Cells unbounded above
-    must have difference 0 or the sum diverges — InvalidFamily then.
+
+def _cells(e: Multifiltration, f: Multifiltration, cone: Cone) -> list[Cell]:
+    """The cells of the cone where E and F differ, with both values.
+
+    Both families are constant on the cells lo <= g < hi of their joint
+    grid, one per grid point lo, with hi the next grid point along each
+    axis.  Returns (lo, hi, E's value, F's value) for each cell where the
+    values differ, in row-major order; hi is None for a cell unbounded
+    above (lo is the last grid point along some axis).
     """
     axes, ve, vf = _joint_grid(e, f, cone)
+    following = [dict(zip(axis, axis[1:])) for axis in axes]
+    cells: list[Cell] = []
+    for lo, u, v in zip(iproduct(*axes), ve, vf):
+        if u is not v:
+            hi = tuple(map(dict.get, following, lo))
+            cells.append((lo, None if None in hi else hi, u, v))
+    return cells
+
+
+def _cone_delta(cone: Cone, cells: Sequence[Cell]) -> int:
+    """Sum over all classes of the cone of dim F - dim E, from the
+    `_cells(e, f, cone)` where they differ.
+
+    A cell's contribution is the dim difference times its (integer)
+    volume.  Cells unbounded above must have difference 0 or the sum
+    diverges — InvalidFamily then.
+    """
     total = 0
-    for g, val_e, val_f in zip(iproduct(*axes), ve, vf):
-        diff = val_f.dim - val_e.dim
+    for lo, hi, u, v in cells:
+        diff = v.dim - u.dim
         if diff == 0:
             continue
         if diff < 0:
-            raise InvalidFamily(f"E not contained in F at {cone!r}, class {g!r}")
+            raise InvalidFamily(f"E not contained in F at {cone!r}, class {lo!r}")
+        if hi is None:
+            raise InvalidFamily(
+                f"divergent difference at cone {cone!r}: families differ"
+                f" on the unbounded cell at {lo!r}"
+            )
         volume = 1
-        for i, x in enumerate(g):
-            col = axes[i]
-            j = col.index(x)
-            if j + 1 == len(col):
-                raise InvalidFamily(
-                    f"divergent difference at cone {cone!r}: families differ"
-                    f" on the unbounded cell at {g!r}"
-                )
-            volume *= col[j + 1] - x
+        for x, y in zip(lo, hi):
+            volume *= y - x
         total += diff * volume
     return total
 
@@ -482,7 +505,7 @@ def delta(e: Multifiltration, f: Multifiltration) -> tuple[int | Infinity, ...]:
             if not ok:
                 per_cone[cone] = None
                 continue
-            value = _cone_delta(e, f, cone)
+            value = _cone_delta(cone, _cells(e, f, cone))
             per_cone[cone] = value
             level_defined = True
             level_total += value
@@ -523,41 +546,43 @@ class ElementaryInjection:
         return sum(self.m_sigma[cone])
 
 
-def _drop_flat(
-    f: Multifiltration,
-    cone: Cone,
-    sigma0: Cone,
-    m0: Weight,
-    target: Subspace,
-    extra: Sequence[Iterable[int]] = (),
-) -> tuple[list[list[int]], list[int], list[Subspace], list[int], list[int]]:
-    """The drop on one coface of sigma0, on F's flat grid.
+def _meet_cells(
+    rank: int, jumps: JumpList, tau: Cone, sigma0: Cone, cells: Sequence[Cell]
+) -> tuple[list[list[int]], list[int], list[Subspace], list[int]]:
+    """Meet G^tau with the cells' values over the given cells of sigma0.
 
-    F's grid on the cone, widened by m0 and m0 + 1 on sigma0's axes (so
-    no cell straddles the region) and by `extra`: its axes and strides,
-    E's values (F & target inside the region {mu : mu <= m0 over sigma0},
-    F outside it), the region's flat indices and the gaps, the indices
-    where E differs from F, both in row-major order.
+    `jumps` is G's list on tau, a coface of sigma0, and `cells` are
+    disjoint bounded cells (lo, hi, w, ...) of sigma0's classes.  G's
+    grid on tau is widened by the cells' corners on sigma0's axes, so
+    each grid cell lies over one cell or over none.  Returns its axes and
+    strides, the values G^tau_g & w for every class g whose coordinates
+    g' on sigma0's rays lie in a cell lo <= g' < hi of value w (G^tau_g
+    elsewhere), and the gaps, the flat indices where a value fell.
     """
-    bound = {cone.index(r): b for r, b in zip(sigma0, m0)}
-    cols: list[set[int]] = [set(xs) for xs in extra] or [set() for _ in cone]
-    for p, b in bound.items():
-        cols[p].update((b, b + 1))
-    jumps = f.jumps[cone]
-    axes = _axes(jumps, len(cone), cols)
-    values, strides = _grid_flat(f.rank, jumps, axes)
-    region = [0]
-    for p, (axis, s) in enumerate(zip(axes, strides)):
-        top = axis.index(bound[p]) + 1 if p in bound else len(axis)
-        region = [k + j * s for k in region for j in range(top)]
+    pos = [tau.index(r) for r in sigma0]
+    corners: list[set[int]] = [set() for _ in tau]
+    for lo, hi, *_ in cells:
+        for p, x, y in zip(pos, lo, hi):
+            corners[p].update((x, y))
+    axes = _axes(jumps, len(tau), corners)
+    values, strides = _grid_flat(rank, jumps, axes)
+    bounds = [(0, len(axis)) for axis in axes]
+    zero, full = Subspace.zero(rank), Subspace.full(rank)
     gaps = []
-    for k in region:
-        v = values[k]
-        w = v.meet(target)
-        if w is not v:
-            values[k] = w
-            gaps.append(k)
-    return axes, strides, values, region, gaps
+    for lo, hi, w, *_ in cells:
+        for p, x, y in zip(pos, lo, hi):
+            bounds[p] = axes[p].index(x), axes[p].index(y)
+        block = [0]
+        for (start, stop), s in zip(bounds, strides):
+            block = [k + j * s for k in block for j in range(start, stop)]
+        for k in block:
+            v = values[k]
+            # the meet by rank-2 case analysis (two distinct lines meet in Zero)
+            u = v if w is v or w is full else w if v is full else zero
+            if u is not v:
+                values[k] = u
+                gaps.append(k)
+    return axes, strides, values, gaps
 
 
 def drop(
@@ -573,16 +598,20 @@ def drop(
     m0 (otherwise monotonicity would break); violations raise ValueError.
 
     Every cone that is not a coface keeps F's list object.  Per coface,
-    in (dim, lex) order, `_drop_flat` evaluates F's grid once; E's values
-    are that grid met with the target on the region, and E's list is
-    their `_canonical_flat` (E is constant on the grid's cells, as the
-    region's boundary lies on it).  The gaps are the cells where
-    dim F - dim E = 1.  The threshold a_j is the first gap along the new
-    axis of the facet-coface sigma0 + ray_j, which precedes every coface
-    that needs it.  Gaps lie only in the box {sigma0 coords == m0, new
-    coords >= a_j} (below m0, F is inside the target; below a_j, so is
-    the facet-coface value, which bounds the coface's), so E c F is
-    saturated when every coface has as many gaps as the box has cells.
+    sigma0 included, in (dim, lex) order, `_meet_cells` meets F's grid
+    with the target on the one cell [m0, m0 + 1) of sigma0, and E's list
+    is the `_canonical_flat` of the result (E is constant on the grid's
+    cells, as the cell's corners lie on it).  That is the whole region:
+    with g' the coordinates of g on sigma0's rays, g' <= m0 and g' != m0,
+    F^sigma_g <= F^sigma0_g' (stabilization) lies in the join below m0,
+    so in the target by the preconditions; only the m0 slice can change.
+    The gaps are the cells where dim F - dim E = 1.  The threshold a_j
+    is the first gap along the new axis of the facet-coface sigma0 +
+    ray_j, which precedes every coface that needs it.  Gaps lie only in
+    the box {sigma0 coords == m0, new coords >= a_j} (below a_j, the
+    facet-coface value, which bounds the coface's, is inside the
+    target), so E c F is saturated when every coface has as many gaps as
+    the box has cells.
 
     E needs no facet check: stabilizing along a ray of sigma0 leaves the
     region m <= m0, so the values are F's; stabilizing along a new ray
@@ -611,8 +640,9 @@ def drop(
     a_ray: dict[int, int] = {}
     m_sigma: dict[Cone, Weight] = {}
     saturated = True
+    cell = [(m0, tuple(x + 1 for x in m0), target, value)]
     for cone in f.fan.cofaces(sigma0):
-        axes, strides, values, _, gaps = _drop_flat(f, cone, sigma0, m0, target)
+        axes, strides, values, gaps = _meet_cells(f.rank, f.jumps[cone], cone, sigma0, cell)
         new_jumps[cone] = _canonical_flat(f.rank, axes, values, strides)
         new = [(p, r) for p, r in enumerate(cone) if r not in sigma0]
         if len(new) == 1:
@@ -673,24 +703,17 @@ def elementary_check(e: Multifiltration, f: Multifiltration) -> ElementaryInject
             )
 
     # The distinguished class: exactly one unit cell of difference.
-    axes, ve, vf = _joint_grid(e, f, sigma0)
-    diff_points = [(g, u, v) for g, u, v in zip(iproduct(*axes), ve, vf) if u is not v]
-    if len(diff_points) != 1:
-        raise NotElementary(
-            f"clause (ii): {len(diff_points)} classes of {sigma0!r} differ"
-        )
-    m0, dropped, value = diff_points[0]
-    for i, x in enumerate(m0):
-        col = axes[i]
-        j = col.index(x)
-        if j + 1 == len(col):
-            raise NotElementary(
-                f"clause (ii): difference region of {sigma0!r} is unbounded"
-            )
-        if col[j + 1] != x + 1:
+    cells = _cells(e, f, sigma0)
+    if len(cells) != 1:
+        raise NotElementary(f"clause (ii): {len(cells)} classes of {sigma0!r} differ")
+    m0, hi, dropped, value = cells[0]
+    if hi is None:
+        raise NotElementary(f"clause (ii): difference region of {sigma0!r} is unbounded")
+    for x, y in zip(m0, hi):
+        if y != x + 1:
             raise NotElementary(
                 f"clause (ii): more than one class of {sigma0!r} differs"
-                f" (cell of width {col[j + 1] - x} at {m0!r})"
+                f" (cell of width {y - x} at {m0!r})"
             )
     if not dropped <= value or value.dim - dropped.dim != 1:
         raise NotElementary(
@@ -702,25 +725,18 @@ def elementary_check(e: Multifiltration, f: Multifiltration) -> ElementaryInject
     # every value below m0: the drop's preconditions hold.
     inj = drop(f, sigma0, m0, dropped)
     for cone in fan.cofaces(sigma0)[1:]:
-        jumps = e.jumps[cone]
-        if jumps == inj.e.jumps[cone]:
+        if e.jumps[cone] == inj.e.jumps[cone]:
             continue
-        axes, _, expected, region, _ = _drop_flat(
-            f, cone, sigma0, m0, dropped, _axes(jumps, len(cone))
-        )
-        found, _ = _grid_flat(e.rank, jumps, axes)
-        for k, g in enumerate(iproduct(*axes)):
-            if found[k] is expected[k]:
-                continue
-            if k in region:
-                raise NotElementary(
-                    f"clause (iii): at {cone!r}, {g!r} expected"
-                    f" F^sigma & E0 = {expected[k]!r}, found {found[k]!r}"
-                )
+        g, _, found, expected = _cells(e, inj.e, cone)[0]
+        if all(g[cone.index(r)] <= x for r, x in zip(sigma0, m0)):
             raise NotElementary(
-                f"clause (iii): families differ at {cone!r}, {g!r}"
-                f" outside the region below {m0!r}"
+                f"clause (iii): at {cone!r}, {g!r} expected"
+                f" F^sigma & E0 = {expected!r}, found {found!r}"
             )
+        raise NotElementary(
+            f"clause (iii): families differ at {cone!r}, {g!r}"
+            f" outside the region below {m0!r}"
+        )
     return inj
 
 
@@ -759,14 +775,16 @@ def factorize(
 def _factorize(e: Multifiltration, f: Multifiltration) -> list[ElementaryInjection]:
     """`factorize`'s loop, for a pair on one fan and rank with E c F.
 
-    Each step locates the minimal differing class m0 of the minimal
-    differing cone sigma0 and takes the drop of the current family G
-    there to the echelon hyperplane H >= E^sigma0_m0, with `drop`, which
-    derives the step's invariants.  m0 is the first jump (lambda, W) of
-    G's list on sigma0 with E^sigma0_lambda != W: the lex-first
-    differing class mu is componentwise minimal, so G and E agree one
-    step below it and G^sigma0_mu > E^sigma0_mu >= their join there: mu
-    is a jump of G.
+    Visits the cones in (dim, lex) order and, while the current family G
+    differs from E on the cone sigma0, takes the drop of G at the
+    minimal differing class m0 to the echelon hyperplane H >=
+    E^sigma0_m0, with `drop`, which derives the step's invariants.  A
+    drop at sigma0 changes only sigma0's cofaces, all later in that
+    order, so each step is at the (dim, lex)-minimal differing cone.  m0
+    is the first jump (lambda, W) of G's list on sigma0 with
+    E^sigma0_lambda != W: the lex-first differing class mu is
+    componentwise minimal, so G and E agree one step below it and
+    G^sigma0_mu > E^sigma0_mu >= their join there: mu is a jump of G.
 
     Each drop keeps E c G by construction.  Off the cofaces of sigma0
     the drop keeps G's lists.  On a coface tau, let g be a class in the
@@ -786,34 +804,28 @@ def _factorize(e: Multifiltration, f: Multifiltration) -> list[ElementaryInjecti
     of dim G there by 1 and none raises it, so the loop terminates.  A
     failed check is a ValueError.
     """
-    fan = e.fan
     steps: list[ElementaryInjection] = []
     current = f
-    while True:
-        differing = [
-            c for c in fan.all_cones(min_dim=1) if e.jumps[c] != current.jumps[c]
-        ]
-        if not differing:
-            return steps
-        k0 = min(len(c) for c in differing)
-        sigma0 = min(c for c in differing if len(c) == k0)
-        for m0, value in current.jumps[sigma0]:
-            inner = eval_jumps(e.rank, e.jumps[sigma0], m0)
-            if inner is not value:
-                break
-        else:
-            raise ValueError(
-                f"E is not a valid family: no jump of G on {sigma0!r} differs from E"
-            )
-        top = [ax[-1] for ax in _axes(e.jumps[sigma0] + f.jumps[sigma0], k0)]
-        if not inner <= value or any(x >= t for x, t in zip(m0, top)):
-            raise ValueError(
-                f"E is not a valid family: a valid E cannot differ from G"
-                f" at class {m0!r} on {sigma0!r}"
-            )
-        step = drop(current, sigma0, m0, echelon_hyperplane(value, inner))
-        steps.append(step)
-        current = step.e
+    for sigma0 in e.fan.all_cones(min_dim=1):
+        while current.jumps[sigma0] != e.jumps[sigma0]:
+            for m0, value in current.jumps[sigma0]:
+                inner = eval_jumps(e.rank, e.jumps[sigma0], m0)
+                if inner is not value:
+                    break
+            else:
+                raise ValueError(
+                    f"E is not a valid family: no jump of G on {sigma0!r} differs from E"
+                )
+            top = [ax[-1] for ax in _axes(e.jumps[sigma0] + f.jumps[sigma0], len(sigma0))]
+            if not inner <= value or any(x >= t for x, t in zip(m0, top)):
+                raise ValueError(
+                    f"E is not a valid family: a valid E cannot differ from G"
+                    f" at class {m0!r} on {sigma0!r}"
+                )
+            step = drop(current, sigma0, m0, echelon_hyperplane(value, inner))
+            steps.append(step)
+            current = step.e
+    return steps
 
 
 def drop_counts(e: Multifiltration, f: Multifiltration) -> dict[int, int]:
@@ -827,17 +839,20 @@ def drop_counts(e: Multifiltration, f: Multifiltration) -> dict[int, int]:
     changes only sigma0's cofaces, all later in that order; so it
     finishes sigma0 before it moves on and never comes back.  Each of
     its drops at sigma0 lowers the dimension at one class of sigma0 by
-    one, so their number is `_cone_delta(E, G, sigma0)`.  Together they
-    compose to one rewrite: G^tau_g & E^sigma0_g' on every coface tau,
-    with g' the coordinates of the class g on sigma0's rays.  Each drop
-    meets G^tau_g with a hyperplane H >= E^sigma0_m0 >= E^sigma0_g' on
-    the region g' <= m0, so G never falls below the rewrite; and when
-    G^sigma0 = E^sigma0, stabilization gives G^tau_g <= G^sigma0_g' =
-    E^sigma0_g', so G is at most the rewrite.  On sigma0 itself the
-    rewrite is E^sigma0, as E^sigma0 <= G^sigma0 (checked at E's jumps).
-    Each proper coface is rewritten on one grid of G widened by
-    E^sigma0's coordinates on sigma0's axes (E^sigma0 is constant on its
-    cells there), then `_canonical_flat`.
+    one, so their number is the `_cone_delta` of the `_cells(E, G,
+    sigma0)` where they differ.  Together they compose to one rewrite:
+    G^tau_g & E^sigma0_g' on every coface tau, with g' the coordinates
+    of the class g on sigma0's rays.  Each drop meets G^tau_g with a
+    hyperplane H >= E^sigma0_m0 >= E^sigma0_g' on the region g' <= m0,
+    so G never falls below the rewrite; and when G^sigma0 = E^sigma0,
+    stabilization gives G^tau_g <= G^sigma0_g' = E^sigma0_g', so G is
+    at most the rewrite.  On sigma0 itself the rewrite is E^sigma0, as
+    E^sigma0 <= G^sigma0 (checked on the cells).  Off the cells,
+    E^sigma0_g' = G^sigma0_g' >= G^tau_g and the meet changes nothing, so
+    `_meet_cells` rewrites each proper coface on the cells alone, then
+    `_canonical_flat`.  The cells are bounded by then: `_cone_delta`
+    raises on an unbounded cell that changes dimension, and the check on
+    the cells on one that does not (two distinct values of one dim).
 
     Containment needs no separate check: a cone is never rewritten after
     its visit, so G ends equal to E, and G only ever falls below F, so
@@ -846,38 +861,20 @@ def drop_counts(e: Multifiltration, f: Multifiltration) -> dict[int, int]:
     if e.fan != f.fan or e.rank != f.rank:
         raise ValueError("families live on different fans or ranks")
     fan, rank = f.fan, f.rank
-    zero, full = Subspace.zero(rank), Subspace.full(rank)
     jumps = dict(f.jumps)
     g = Multifiltration._canonical(fan, rank, jumps)  # G, rewritten in place
     counts: dict[int, int] = {}
     for sigma0 in fan.all_cones(min_dim=1):
-        target = e.jumps[sigma0]
-        if target == jumps[sigma0]:
+        if e.jumps[sigma0] == jumps[sigma0]:
             continue
+        cells = _cells(e, g, sigma0)
         k0 = len(sigma0)
-        counts[k0] = counts.get(k0, 0) + _cone_delta(e, g, sigma0)
-        if not all(w <= eval_jumps(rank, jumps[sigma0], c) for c, w in target):
+        counts[k0] = counts.get(k0, 0) + _cone_delta(sigma0, cells)
+        if not all(u <= v for _, _, u, v in cells):
             raise ValueError(f"E is not pointwise contained in F on {sigma0!r}")
-        jumps[sigma0] = target
-        coords = _axes(target, k0)
+        jumps[sigma0] = e.jumps[sigma0]
         for tau in fan.cofaces(sigma0)[1:]:
-            pos = [tau.index(r) for r in sigma0]
-            extra: list[list[int]] = [[] for _ in tau]
-            for p, xs in zip(pos, coords):
-                extra[p] = xs
-            axes = _axes(jumps[tau], len(tau), extra)
-            values, strides = _grid_flat(rank, jumps[tau], axes)
-            inner, inner_strides = _grid_flat(rank, target, [axes[p] for p in pos])
-            # the flat index into E^sigma0's grid of every point of tau's grid
-            at = [0]
-            for p, axis in enumerate(axes):
-                s = inner_strides[pos.index(p)] if p in pos else 0
-                at = [k + j * s for k in at for j in range(len(axis))]
-            # the meet by rank-2 case analysis, as in `_grid_flat`'s passes
-            values = [
-                v if u is v or u is full else u if v is full else zero
-                for v, u in zip(values, [inner[k] for k in at])
-            ]
+            axes, strides, values, _ = _meet_cells(rank, jumps[tau], tau, sigma0, cells)
             jumps[tau] = _canonical_flat(rank, axes, values, strides)
     return counts
 

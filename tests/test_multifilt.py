@@ -23,6 +23,7 @@ from tsk.multifilt import (
     _axes,
     _canonical_flat,
     _canonical_jumps,
+    _cells,
     _grid_flat,
     apply_elementary,
     delta,
@@ -38,6 +39,7 @@ from tsk.multifilt import (
     recompose,
     reflexive_hull,
 )
+from tsk.obstruct import torsion_profile
 from tsk.prescribe import build_sequence, family_p4_odd
 from tsk.reflexive import R2Filtration, to_multifiltration
 from tsk.sampling import random_b_zero, random_drops, random_reflexive, random_semistable
@@ -826,3 +828,61 @@ def test_drop_counts_rejects_non_containment():
         assert not is_contained(one, other)
         with pytest.raises(ValueError):
             drop_counts(one, other)
+
+
+def test_drop_counts_and_the_torsion_profile_are_twist_invariant():
+    # Tensoring both families by one line bundle shifts every coordinate
+    # and changes no count: the rewrite runs on shifted cells.
+    rng = random.Random(4040)
+    seen, cases = set(), 0
+    while cases < 80:
+        n = rng.choice((3, 4, 5))
+        start = to_multifiltration(random_reflexive(rng, n, max_c=3))
+        dims = tuple(sorted(rng.sample(range(1, n + 1), rng.randint(1, n))))
+        final, applied = random_drops(rng, start, rng.randint(1, 4), dims)
+        if not applied:
+            continue
+        d = tuple(rng.randint(-5, 5) for _ in range(n + 1))
+        counts = drop_counts(final, start)
+        assert drop_counts(final.twist(d), start.twist(d)) == counts
+        if reflexive_hull(final) != final:
+            assert torsion_profile(final.twist(d)) == torsion_profile(final)
+        seen |= set(counts)
+        cases += 1
+    assert seen == {1, 2, 3, 4, 5}
+
+
+def test_cells_are_the_differing_cells_of_the_joint_grid():
+    # Pairs in both orders and unrelated pairs, so E c F fails on some.
+    rng = random.Random(4141)
+    cells_seen = unbounded = 0
+    for _ in range(12):
+        n = rng.choice((2, 3))
+        start = to_multifiltration(random_reflexive(rng, n, max_c=3))
+        dims = tuple(range(1, n + 1))
+        one, _ = random_drops(rng, start, rng.randint(1, 4), dims)
+        other, _ = random_drops(rng, start, rng.randint(1, 4), dims)
+        for e, f in ((one, start), (start, one), (one, other)):
+            for cone in e.fan.all_cones(min_dim=1):
+                je, jf = e.jumps[cone], f.jumps[cone]
+                axes = _axes(je + jf, len(cone))
+                differ = [
+                    g
+                    for g in product(*axes)
+                    if eval_jumps(e.rank, je, g) is not eval_jumps(f.rank, jf, g)
+                ]
+                cells = _cells(e, f, cone)
+                assert [lo for lo, _, _, _ in cells] == differ
+                for lo, hi, u, v in cells:
+                    following = [ax[ax.index(x) + 1 :] for ax, x in zip(axes, lo)]
+                    assert (hi is None) == (not all(following))
+                    if hi is not None:
+                        assert hi == tuple(nxt[0] for nxt in following)
+                    # every class of the cell, three steps into an unbounded axis
+                    tops = [nxt[0] if nxt else x + 3 for nxt, x in zip(following, lo)]
+                    for g in product(*map(range, lo, tops)):
+                        assert eval_jumps(e.rank, je, g) is u
+                        assert eval_jumps(f.rank, jf, g) is v
+                    cells_seen += 1
+                    unbounded += hi is None
+    assert cells_seen > 0 and unbounded > 0

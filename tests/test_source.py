@@ -96,15 +96,37 @@ def test_canonical_jumps_only_in_the_constructor():
 
 def test_joint_grid_only_in_delta_and_elementary_check():
     # The canonical lists hold their values, so containment and
-    # factorize's m0 read the lists; a joint grid of two families is for
-    # the delta invariant and for locating an elementary injection.
-    allowed = {("_cone_delta",), ("elementary_check",)}
+    # factorize's m0 read the lists; the cells where two families differ,
+    # for the delta invariant, the torsion profile and locating or
+    # refuting an elementary injection, are read off their joint grid
+    # by `_cells` alone.
+    allowed = {("_cells",)}
     found = [
         f"{path.name}:{call.lineno}"
         for path in sorted(SRC.rglob("*.py"))
         for scope, call in _calls_by_scope(ast.parse(path.read_text("utf-8")))
         if getattr(call.func, "id", getattr(call.func, "attr", None)) == "_joint_grid"
         and not (path.name == "multifilt.py" and scope in allowed)
+    ]
+    assert found == []
+
+
+def test_grid_flat_only_in_the_kernels():
+    # A coface rewrite (a drop, a per-cone count, a run of drops) is
+    # `_meet_cells`; a second grid of one family per coface would be a
+    # second rewrite.
+    allowed = {
+        ("multifilt.py", ("_canonical_jumps",)),
+        ("multifilt.py", ("_joint_grid",)),
+        ("multifilt.py", ("_meet_cells",)),
+        ("chern.py", ("chern_general",)),
+    }
+    found = [
+        f"{path.name}:{call.lineno}"
+        for path in sorted(SRC.rglob("*.py"))
+        for scope, call in _calls_by_scope(ast.parse(path.read_text("utf-8")))
+        if getattr(call.func, "id", getattr(call.func, "attr", None)) == "_grid_flat"
+        and (path.name, scope) not in allowed
     ]
     assert found == []
 
