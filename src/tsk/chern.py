@@ -110,7 +110,7 @@ def chern_general(mf: Multifiltration) -> TruncPoly:
 
     The mixed difference is the composition of the first differences
     along the d axes, so it is d passes over the flat grid of
-    `_grid_flat`, each subtracting the predecessor k - strides[i] (Zero,
+    `_grid_flat`, each subtracting the predecessor k - strides[i] (ZERO,
     so nothing, off the grid).  Exponents are summed per weight
     <u_sigma, m> first, so each distinct weight is one linear factor.
     """
@@ -119,7 +119,7 @@ def chern_general(mf: Multifiltration) -> TruncPoly:
     for cone, jumps in sorted(mf.jumps.items()):
         sign = -1 if (n - len(cone)) % 2 else 1
         axes = _axes(jumps, len(cone))
-        flat, strides = _grid_flat(mf.rank, jumps, axes)
+        flat, strides = _grid_flat(jumps, axes)
         box = [v.dim for v in flat]
         for s, axis in zip(strides, axes):
             block = s * len(axis)

@@ -89,10 +89,7 @@ def _chern_methods(doc: SheafDocument) -> dict[str, TruncPoly]:
         out["resolution"] = refl.chern_total(f)
         out["klyachko"] = chern_mod.chern_general(to_multifiltration(f))
         if f.is_b_zero():
-            n = f.n
-            out["symmetric"] = TruncPoly(
-                n, [1] + [refl.elementary_symmetric(f, k) for k in range(1, n + 1)]
-            )
+            out["symmetric"] = refl.chern_symmetric(f)
     else:
         out["klyachko"] = chern_mod.chern_general(doc.payload)
     return out
@@ -129,8 +126,6 @@ def _as_reflexive(doc: SheafDocument, what: str) -> R2Filtration:
     if doc.kind == "reflexive":
         return doc.reflexive()
     mf = doc.payload
-    if mf.rank != 2:
-        raise CliError(f"{what} needs rank 2, got rank {mf.rank}")
     if reflexive_hull(mf) != mf:
         raise CliError(
             f"{what} is defined for reflexive data; this multifiltration"
@@ -220,15 +215,7 @@ def cmd_prescribe(args: argparse.Namespace) -> int:
     closed = _closed_form_report(problem) if args.closed_form else None
     sol = solve_p(problem)
     if isinstance(sol, Infeasible):
-        _emit(
-            {
-                "infeasible": {
-                    "reason": sol.reason,
-                    "q": sol.q,
-                    "value": str(sol.value),
-                }
-            }
-        )
+        _emit(sol.as_json())
         return INFEASIBLE
     payload = sol.certificate()
     payload["injections"] = sol.injection_count
@@ -280,13 +267,7 @@ def cmd_family(args: argparse.Namespace) -> int:
         selected = None
         for label, sol in candidates.items():
             if isinstance(sol, Infeasible):
-                report["candidates"][label] = {
-                    "infeasible": {
-                        "reason": sol.reason,
-                        "q": sol.q,
-                        "value": str(sol.value),
-                    }
-                }
+                report["candidates"][label] = sol.as_json()
             else:
                 report["candidates"][label] = sol.certificate()
                 if label == "c=120t":
@@ -321,7 +302,7 @@ def cmd_obstruct(args: argparse.Namespace) -> int:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     doc = _read_document(args.input)
-    payload: dict = {"valid": True, "kind": doc.kind, "n": doc.n, "rank": doc.rank}
+    payload: dict = {"valid": True, "kind": doc.kind, "n": doc.n, "rank": 2}
     if doc.label is not None:
         payload["label"] = doc.label
     _emit(payload)
@@ -347,9 +328,7 @@ def cmd_selftest(args: argparse.Namespace) -> int:
         res = refl.chern_total(f)
         kly = chern_mod.chern_general(to_multifiltration(f))
         b0 = refl.normalize(f, "b_zero")
-        sym = TruncPoly(
-            n, [1] + [refl.elementary_symmetric(b0, k) for k in range(1, n + 1)]
-        )
+        sym = refl.chern_symmetric(b0)
         twist = refl.chern_total(b0)
         if not (res == kly and sym == twist):
             _emit({"error": "chern method disagreement", "seed": args.seed})

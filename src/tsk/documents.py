@@ -8,12 +8,13 @@ Two sheaf encodings travel on the wire:
                    "jumps":[{"coords":[-1,0,0],
                              "subspace":{"kind":"line","line":[1,0]}}]}]}
 
-plus an optional "label".  A multifiltration has rank 1 or 2, and each
-jump subspace is {"kind":"zero"}, {"kind":"full"} or (rank 2 only)
-{"kind":"line","line":[p,q]}.  Serialization is canonical (sorted keys,
-tight separators, trailing newline, integers only -- floats are
-rejected outright), so documents round-trip byte-identically and
-identical inputs give identical outputs.
+plus an optional "label".  Every sheaf has rank 2: a multifiltration
+document must carry "rank":2, and each jump subspace of C^2 is
+{"kind":"zero"}, {"kind":"full"} or {"kind":"line","line":[p,q]}.
+Serialization is canonical (sorted keys, tight separators, trailing
+newline, integers only -- floats are rejected outright), so documents
+round-trip byte-identically and identical inputs give identical
+outputs.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from .fan import Fan
-from .linalg import RANKS, Subspace
+from .linalg import FULL, ZERO, Subspace
 from .multifilt import Multifiltration
 from .reflexive import R2Filtration, RayDatum, to_multifiltration
 
@@ -51,24 +52,22 @@ def canonical_loads(text: str) -> Any:
 
 
 def subspace_to_doc(w: Subspace) -> dict:
-    if w.dim == 0:
+    if w is ZERO:
         return {"kind": "zero"}
-    if w.dim == w.r:
+    if w is FULL:
         return {"kind": "full"}
     return {"kind": "line", "line": list(w.line_pair())}
 
 
-def subspace_from_doc(doc: Any, rank: int) -> Subspace:
+def subspace_from_doc(doc: Any) -> Subspace:
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ValueError(f"subspace document must be an object with 'kind': {doc!r}")
     kind = doc["kind"]
     if kind == "zero":
-        return Subspace.zero(rank)
+        return ZERO
     if kind == "full":
-        return Subspace.full(rank)
+        return FULL
     if kind == "line":
-        if rank != 2:
-            raise ValueError("'line' subspaces are specific to rank 2")
         pair = doc.get("line")
         if (
             not isinstance(pair, list)
@@ -157,17 +156,17 @@ def multifilt_to_doc(mf: Multifiltration) -> dict:
                 ],
             }
         )
-    return {"n": mf.fan.n, "rank": mf.rank, "cones": cones}
+    return {"n": mf.fan.n, "rank": 2, "cones": cones}
 
 
 def multifilt_from_doc(doc: Any) -> Multifiltration:
     if not isinstance(doc, dict):
         raise ValueError("multifiltration document must be a JSON object")
-    n, rank = doc.get("n"), doc.get("rank")
+    n = doc.get("n")
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"'n' must be a positive integer, got {n!r}")
-    if rank not in RANKS:
-        raise ValueError(f"'rank' must be 1 or 2, got {rank!r}")
+    if doc.get("rank") != 2:
+        raise ValueError(f"'rank' must be 2, got {doc.get('rank')!r}")
     cones = doc.get("cones")
     if not isinstance(cones, list):
         raise ValueError("'cones' must be a list")
@@ -193,9 +192,9 @@ def multifilt_from_doc(doc: Any) -> Multifiltration:
                 isinstance(x, int) for x in coords
             ):
                 raise ValueError(f"jump 'coords' must be integers: {coords!r}")
-            parsed.append((tuple(coords), subspace_from_doc(j.get("subspace"), rank)))
+            parsed.append((tuple(coords), subspace_from_doc(j.get("subspace"))))
         jumps[cone] = parsed
-    return Multifiltration(Fan(n), rank, jumps, validate=True)
+    return Multifiltration(Fan(n), jumps, validate=True)
 
 
 # ---------------------------------------------------------------------------
@@ -218,10 +217,6 @@ class SheafDocument:
             if isinstance(self.payload, R2Filtration)
             else self.payload.fan.n
         )
-
-    @property
-    def rank(self) -> int:
-        return 2 if isinstance(self.payload, R2Filtration) else self.payload.rank
 
     def as_multifiltration(self) -> Multifiltration:
         if isinstance(self.payload, R2Filtration):

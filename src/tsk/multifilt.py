@@ -1,8 +1,8 @@
 """Multifiltrations: torsion-free equivariant sheaves as jump data.
 
-A multifiltration of rank r on the fan of P^n assigns to every cone
+A multifiltration of rank 2 on the fan of P^n assigns to every cone
 sigma and every class m in M/(sigma^perp & M) a subspace E^sigma_m of
-C^r, monotone in m, bounded below, with finitely many jumps, and
+C^2, monotone in m, bounded below, with finitely many jumps, and
 compatible along facets:  E^tau_m = union_i E^sigma_{m + i m_tau}.
 
 Encoding: for each cone sigma (dim >= 1) a finite list of jumps
@@ -11,7 +11,7 @@ Encoding: for each cone sigma (dim >= 1) a finite list of jumps
     E^sigma_mu = join { W : lambda <= mu componentwise }.
 
 Monotonicity and boundedness below are then automatic; the validator
-checks facet compatibility and that the deep value is all of C^r.
+checks facet compatibility and that the deep value is all of C^2.
 Every such function has a unique minimal ("canonical") jump list: the
 classes where the value strictly exceeds the join of the values one
 step below in each axis.  Canonical lists make equality of families a
@@ -51,7 +51,7 @@ from operator import sub
 from typing import Iterable, Mapping, Sequence
 
 from .fan import Cone, Fan, Weight
-from .linalg import RANKS, Subspace, echelon_hyperplane, join_all
+from .linalg import FULL, ZERO, Subspace, echelon_hyperplane, join_all
 
 Jump = tuple[Weight, Subspace]
 JumpList = tuple[Jump, ...]
@@ -88,7 +88,7 @@ def _strides(axes: Sequence[Sequence[int]]) -> list[int]:
 
 
 def _grid_flat(
-    rank: int, jumps: JumpList, axes: Sequence[Sequence[int]]
+    jumps: JumpList, axes: Sequence[Sequence[int]]
 ) -> tuple[list[Subspace], list[int]]:
     """Evaluate the family at every point of the axes grid, flattened.
 
@@ -96,20 +96,19 @@ def _grid_flat(
     of `iproduct(*axes)`), and `strides` are the row-major strides, so
     the predecessor of flat index k one grid step down axis i is
     k - strides[i].  Each jump is seeded at its own grid point with a
-    checked `Subspace.join`, so a value of the wrong rank raises.  The
+    checked `Subspace.join`, so a value that is no Subspace raises.  The
     value at a point is the join of the seeds componentwise below it,
     a prefix join along every axis, so it is d passes, one per axis:
     with stride s, the grid splits into contiguous blocks of s * len(axis)
     points, and in each block every point past the first s joins its
     predecessor k - s, in ascending order so that the join runs along
-    the whole axis.  The passes join by rank-2 case analysis (two
-    distinct nonzero values join to Full), since every operand is an
+    the whole axis.  The passes join by case analysis (two
+    distinct nonzero values join to FULL), since every operand is an
     already checked value.
     """
     strides = _strides(axes)
     size = strides[0] * len(axes[0]) if axes else 1
-    flat = [Subspace.zero(rank)] * size
-    full = Subspace.full(rank)
+    flat = [ZERO] * size
     index_of = [{x: j for j, x in enumerate(a)} for a in axes]
     for coords, w in jumps:
         k = sum([ix[x] * s for ix, x, s in zip(index_of, coords, strides)])
@@ -122,64 +121,63 @@ def _grid_flat(
                 if u.dim:
                     v = flat[k]
                     if u is not v:
-                        flat[k] = u if v.dim == 0 else full
+                        flat[k] = u if v.dim == 0 else FULL
     return flat, strides
 
 
 def _canonical_flat(
-    rank: int, axes: Sequence[Sequence[int]], flat: Sequence[Subspace], strides: Sequence[int]
+    axes: Sequence[Sequence[int]], flat: Sequence[Subspace], strides: Sequence[int]
 ) -> JumpList:
     """The canonical jump list of a monotone family given on a flat grid.
 
     Keeps exactly the grid points whose value strictly exceeds the join
-    of the values one grid step below along each axis (Zero off-grid),
+    of the values one grid step below along each axis (ZERO off-grid),
     in row-major order over the sorted axes, which is lexicographic.
     On any grid that holds every jump coordinate of the family this is
     its unique minimal list.  Joins as in `_grid_flat`'s pass.
     """
-    zero, full = Subspace.zero(rank), Subspace.full(rank)
     out: list[Jump] = []
     points = zip(iproduct(*(range(len(a)) for a in axes)), iproduct(*axes), flat)
     for k, (idx, coords, v) in enumerate(points):
         if v.dim == 0:
             continue
-        below = zero
+        below = ZERO
         for i, j in enumerate(idx):
             if j:
                 u = flat[k - strides[i]]
                 if u.dim and u is not below:
-                    below = u if below.dim == 0 else full
-                    if below is v or below is full:
+                    below = u if below.dim == 0 else FULL
+                    if below is v or below is FULL:
                         break
         else:
             out.append((coords, v))
     return tuple(out)
 
 
-def eval_jumps(rank: int, jumps: JumpList, mu: Weight) -> Subspace:
+def eval_jumps(jumps: JumpList, mu: Weight) -> Subspace:
     """E^sigma at the class with coordinates mu (join semantics).
 
     Any list of jumps, in any order: the join of the values at the jumps
-    componentwise <= mu, stopping at Full.
+    componentwise <= mu, stopping at FULL.
     """
-    out = Subspace.zero(rank)
+    out = ZERO
     for coords, w in jumps:
         if all(x <= y for x, y in zip(coords, mu)):
             out = out.join(w)
-            if out.dim == rank:
+            if out is FULL:
                 break
     return out
 
 
 @lru_cache(maxsize=65536)
-def _canonical_jumps(rank: int, jumps: JumpList) -> JumpList:
+def _canonical_jumps(jumps: JumpList) -> JumpList:
     """The unique minimal jump list generating the same family: the
     `_canonical_flat` of its grid over its own jump coordinates."""
     if not jumps:
         return ()
     axes = _axes(jumps, len(jumps[0][0]))
-    flat, strides = _grid_flat(rank, jumps, axes)
-    return _canonical_flat(rank, axes, flat, strides)
+    flat, strides = _grid_flat(jumps, axes)
+    return _canonical_flat(axes, flat, strides)
 
 
 # ---------------------------------------------------------------------------
@@ -187,25 +185,22 @@ def _canonical_jumps(rank: int, jumps: JumpList) -> JumpList:
 
 
 class Multifiltration:
-    """Rank-r multifiltration on the fan of P^n, canonical jump lists.
+    """Rank-2 multifiltration on the fan of P^n, canonical jump lists.
 
     `jumps` maps every cone of dimension >= 1 to its canonical jump
-    list; the zero cone is implicit (single class, value C^r).
+    list; the zero cone is implicit (single class, value C^2).
     Instances are immutable; equality is equality of the families as
     functions (== of canonical lists).
     """
 
-    __slots__ = ("fan", "rank", "jumps")
+    __slots__ = ("fan", "jumps")
 
     def __init__(
         self,
         fan: Fan,
-        rank: int,
         jumps: Mapping[Cone, Iterable[Jump]],
         validate: bool = True,
     ) -> None:
-        if rank not in RANKS:
-            raise ValueError(f"rank must be 1 or 2, got {rank!r}")
         canonical: dict[Cone, JumpList] = {}
         for cone in fan.all_cones(min_dim=1):
             raw = tuple(sorted(jumps.get(cone, ()), key=lambda jw: jw[0]))
@@ -214,27 +209,24 @@ class Multifiltration:
                     raise InvalidFamily(
                         f"jump {coords!r} has wrong arity for cone {cone!r}"
                     )
-                if not isinstance(w, Subspace) or w.r != rank:
-                    raise InvalidFamily(
-                        f"jump value {w!r} is not a subspace of C^{rank}"
-                    )
-            canonical[cone] = _canonical_jumps(rank, raw)
+                if not isinstance(w, Subspace):
+                    raise InvalidFamily(f"jump value {w!r} is not a subspace of C^2")
+            canonical[cone] = _canonical_jumps(raw)
         unknown = set(jumps) - set(canonical)
         if unknown:
             raise InvalidFamily(f"jump lists for non-cones: {sorted(unknown)!r}")
         object.__setattr__(self, "fan", fan)
-        object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "jumps", canonical)
         if validate:
             self.validate()
 
     @classmethod
-    def _canonical(cls, fan: Fan, rank: int, jumps: dict[Cone, JumpList]) -> Multifiltration:
+    def _canonical(cls, fan: Fan, jumps: dict[Cone, JumpList]) -> Multifiltration:
         """Wrap jump lists as they are, with no sort, canonicalization or
         validation: callers pass the canonical lists of a valid family."""
         mf = object.__new__(cls)
-        for name, value in (("fan", fan), ("rank", rank), ("jumps", jumps)):
-            object.__setattr__(mf, name, value)
+        object.__setattr__(mf, "fan", fan)
+        object.__setattr__(mf, "jumps", jumps)
         return mf
 
     def __setattr__(self, *_: object) -> None:
@@ -243,23 +235,14 @@ class Multifiltration:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Multifiltration):
             return NotImplemented
-        return (
-            self.fan == other.fan
-            and self.rank == other.rank
-            and self.jumps == other.jumps
-        )
+        return self.fan == other.fan and self.jumps == other.jumps
 
     def __hash__(self) -> int:
-        return hash(
-            (self.fan, self.rank, tuple(sorted(self.jumps.items())))
-        )
+        return hash((self.fan, tuple(sorted(self.jumps.items()))))
 
     def __repr__(self) -> str:
         total = sum(len(v) for v in self.jumps.values())
-        return (
-            f"<Multifiltration rank {self.rank} on P^{self.fan.n},"
-            f" {total} jumps>"
-        )
+        return f"<Multifiltration on P^{self.fan.n}, {total} jumps>"
 
     # -- evaluation -----------------------------------------------------
 
@@ -267,12 +250,12 @@ class Multifiltration:
         """E^cone at the class with ray-ordered coordinates mu."""
         cone = tuple(cone)
         if len(cone) == 0:
-            return Subspace.full(self.rank)
+            return FULL
         if cone not in self.jumps:
             raise ValueError(f"{cone!r} is not a cone of the fan of P^{self.fan.n}")
         if len(mu) != len(cone):
             raise ValueError(f"class {mu!r} has wrong arity for cone {cone!r}")
-        return eval_jumps(self.rank, self.jumps[cone], tuple(mu))
+        return eval_jumps(self.jumps[cone], tuple(mu))
 
     # -- validation -----------------------------------------------------
 
@@ -281,17 +264,15 @@ class Multifiltration:
 
         Monotonicity and boundedness below hold by construction (join
         encoding); this checks that the deep value of every cone is all
-        of C^r and facet compatibility.  It runs on parsed documents
+        of C^2 and facet compatibility.  It runs on parsed documents
         (hence `tsk validate`) and in the tests; the families tsk builds
         are valid by construction and are not re-checked.
         """
         fan = self.fan
         for cone, jumps in self.jumps.items():
-            deep = join_all(self.rank, (w for _, w in jumps))
-            if deep.dim != self.rank:
-                raise InvalidFamily(
-                    f"deep value at cone {cone!r} is {deep!r}, not C^{self.rank}"
-                )
+            deep = join_all(w for _, w in jumps)
+            if deep is not FULL:
+                raise InvalidFamily(f"deep value at cone {cone!r} is {deep!r}, not C^2")
         # Stabilizing E^cone along the ray at `pos` deletes that coordinate
         # from its jumps; canonical lists are unique, so facet compatibility
         # is one list comparison (uncached: the lists are one-off).
@@ -300,7 +281,7 @@ class Multifiltration:
             for pos in range(len(cone)):
                 facet = cone[:pos] + cone[pos + 1 :]
                 projected = tuple((c[:pos] + c[pos + 1 :], w) for c, w in jumps)
-                stabilized = _canonical_jumps.__wrapped__(self.rank, projected)
+                stabilized = _canonical_jumps.__wrapped__(projected)
                 if stabilized != self.jumps[facet]:
                     raise InvalidFamily(
                         f"facet compatibility fails: cone {cone!r} stabilized"
@@ -322,7 +303,7 @@ class Multifiltration:
         for cone, jumps in self.jumps.items():
             shift = [d[ray] for ray in cone]
             moved[cone] = tuple((tuple(map(sub, coords, shift)), w) for coords, w in jumps)
-        return Multifiltration._canonical(self.fan, self.rank, moved)
+        return Multifiltration._canonical(self.fan, moved)
 
     def restrict_rays(self) -> dict[int, JumpList]:
         """The ray filtrations (jump lists on the 1-cones)."""
@@ -331,23 +312,11 @@ class Multifiltration:
 
 def join_below(f: Multifiltration, cone: Cone, m0: Weight) -> Subspace:
     """The join of the values of F^cone one step below m0 along each axis."""
-    below = Subspace.zero(f.rank)
+    below = ZERO
     for i in range(len(cone)):
         pred = m0[:i] + (m0[i] - 1,) + m0[i + 1 :]
         below = below.join(f.evaluate(cone, pred))
     return below
-
-
-def line_bundle(fan: Fan, d: Sequence[int]) -> Multifiltration:
-    """The rank-1 multifiltration of O(sum d_rho D_rho)."""
-    if len(d) != fan.n + 1:
-        raise ValueError("need one coefficient per ray")
-    full = Subspace.full(1)
-    jumps = {
-        cone: ((tuple(-d[ray] for ray in cone), full),)
-        for cone in fan.all_cones(min_dim=1)
-    }
-    return Multifiltration._canonical(fan, 1, jumps)
 
 
 # ---------------------------------------------------------------------------
@@ -363,24 +332,23 @@ def reflexive_hull(mf: Multifiltration) -> Multifiltration:
     each cone's list is the `_canonical_flat` of its meet grid there.
     A cone's meet grid is that of its facet cone[:-1], which comes
     earlier in (dim, lex) order, met with its last ray's levels.  The
-    result is valid by construction: every ray value reaches C^r, and
+    result is valid by construction: every ray value reaches C^2, and
     stabilizing a meet along a ray drops that ray's term.
     """
     rays = mf.restrict_rays()
-    zero, full = Subspace.zero(mf.rank), Subspace.full(mf.rank)
-    flats: dict[Cone, list[Subspace]] = {(): [full]}
+    flats: dict[Cone, list[Subspace]] = {(): [FULL]}
     hull: dict[Cone, JumpList] = {}
     for cone in mf.fan.all_cones(min_dim=1):
-        # the meets by rank-2 case analysis (two distinct lines meet in Zero)
+        # the meets by case analysis (two distinct lines meet in ZERO)
         flat = [
-            v if v is w or w is full else w if v is full else zero
+            v if v is w or w is FULL else w if v is FULL else ZERO
             for v in flats[cone[:-1]]
             for _, w in rays[cone[-1]]
         ]
         flats[cone] = flat
         axes = [[c[0] for c, _ in rays[ray]] for ray in cone]
-        hull[cone] = _canonical_flat(mf.rank, axes, flat, _strides(axes))
-    return Multifiltration._canonical(mf.fan, mf.rank, hull)
+        hull[cone] = _canonical_flat(axes, flat, _strides(axes))
+    return Multifiltration._canonical(mf.fan, hull)
 
 
 def is_reflexive(mf: Multifiltration) -> bool:
@@ -398,17 +366,17 @@ def _joint_grid(
     flat grids over them (row-major, the order of `iproduct(*axes)`)."""
     je, jf = e.jumps[cone], f.jumps[cone]
     axes = _axes(je + jf, len(cone))
-    return axes, _grid_flat(e.rank, je, axes)[0], _grid_flat(f.rank, jf, axes)[0]
+    return axes, _grid_flat(je, axes)[0], _grid_flat(jf, axes)[0]
 
 
 def is_contained(e: Multifiltration, f: Multifiltration) -> bool:
     """Pointwise containment E^sigma_m <= F^sigma_m for all sigma, m:
     W <= F^sigma_lambda at every jump (lambda, W) of E, as E^sigma_mu is
     the join of the W at its jumps lambda <= mu and F is monotone."""
-    if e.fan != f.fan or e.rank != f.rank:
+    if e.fan != f.fan:
         return False
     return all(
-        w <= eval_jumps(f.rank, f.jumps[cone], coords)
+        w <= eval_jumps(f.jumps[cone], coords)
         for cone, jumps in e.jumps.items()
         for coords, w in jumps
     )
@@ -489,8 +457,8 @@ def delta(e: Multifiltration, f: Multifiltration) -> tuple[int | Infinity, ...]:
     defined and vanishing facet-level delta; when Sigma*(k) is empty,
     delta_k = INFINITY (and stays INFINITY above).
     """
-    if e.fan != f.fan or e.rank != f.rank:
-        raise ValueError("families live on different fans or ranks")
+    if e.fan != f.fan:
+        raise ValueError("families live on different fans")
     fan = e.fan
     per_cone: dict[Cone, int | None] = {}
     out: list[int | Infinity] = []
@@ -547,7 +515,7 @@ class ElementaryInjection:
 
 
 def _meet_cells(
-    rank: int, jumps: JumpList, tau: Cone, sigma0: Cone, cells: Sequence[Cell]
+    jumps: JumpList, tau: Cone, sigma0: Cone, cells: Sequence[Cell]
 ) -> tuple[list[list[int]], list[int], list[Subspace], list[int]]:
     """Meet G^tau with the cells' values over the given cells of sigma0.
 
@@ -565,9 +533,8 @@ def _meet_cells(
         for p, x, y in zip(pos, lo, hi):
             corners[p].update((x, y))
     axes = _axes(jumps, len(tau), corners)
-    values, strides = _grid_flat(rank, jumps, axes)
+    values, strides = _grid_flat(jumps, axes)
     bounds = [(0, len(axis)) for axis in axes]
-    zero, full = Subspace.zero(rank), Subspace.full(rank)
     gaps = []
     for lo, hi, w, *_ in cells:
         for p, x, y in zip(pos, lo, hi):
@@ -577,8 +544,8 @@ def _meet_cells(
             block = [k + j * s for k in block for j in range(start, stop)]
         for k in block:
             v = values[k]
-            # the meet by rank-2 case analysis (two distinct lines meet in Zero)
-            u = v if w is v or w is full else w if v is full else zero
+            # the meet by case analysis (two distinct lines meet in ZERO)
+            u = v if w is v or w is FULL else w if v is FULL else ZERO
             if u is not v:
                 values[k] = u
                 gaps.append(k)
@@ -642,8 +609,8 @@ def drop(
     saturated = True
     cell = [(m0, tuple(x + 1 for x in m0), target, value)]
     for cone in f.fan.cofaces(sigma0):
-        axes, strides, values, gaps = _meet_cells(f.rank, f.jumps[cone], cone, sigma0, cell)
-        new_jumps[cone] = _canonical_flat(f.rank, axes, values, strides)
+        axes, strides, values, gaps = _meet_cells(f.jumps[cone], cone, sigma0, cell)
+        new_jumps[cone] = _canonical_flat(axes, values, strides)
         new = [(p, r) for p, r in enumerate(cone) if r not in sigma0]
         if len(new) == 1:
             p, ray = new[0]
@@ -659,7 +626,7 @@ def drop(
     m_rho = dict(zip(sigma0, m0))
     m_rho.update(a_ray)
     return ElementaryInjection(
-        e=Multifiltration._canonical(f.fan, f.rank, new_jumps),
+        e=Multifiltration._canonical(f.fan, new_jumps),
         f=f,
         k0=len(sigma0),
         sigma0=sigma0,
@@ -682,8 +649,8 @@ def elementary_check(e: Multifiltration, f: Multifiltration) -> ElementaryInject
     differing class, otherwise.  This is the explicit check for given
     pairs; the drops tsk takes are elementary by construction.
     """
-    if e.fan != f.fan or e.rank != f.rank:
-        raise NotElementary("families live on different fans or ranks")
+    if e.fan != f.fan:
+        raise NotElementary("families live on different fans")
     fan = e.fan
     differing = [c for c in fan.all_cones(min_dim=1) if e.jumps[c] != f.jumps[c]]
     if not differing:
@@ -765,15 +732,15 @@ def factorize(
     The pair is caller input, so this entry checks E c F; `_factorize`
     is the loop, for callers that have proved it (`drop_counts` does).
     """
-    if e.fan != f.fan or e.rank != f.rank:
-        raise ValueError("families live on different fans or ranks")
+    if e.fan != f.fan:
+        raise ValueError("families live on different fans")
     if not is_contained(e, f):
         raise ValueError("E is not pointwise contained in F")
     return _factorize(e, f)
 
 
 def _factorize(e: Multifiltration, f: Multifiltration) -> list[ElementaryInjection]:
-    """`factorize`'s loop, for a pair on one fan and rank with E c F.
+    """`factorize`'s loop, for a pair on one fan with E c F.
 
     Visits the cones in (dim, lex) order and, while the current family G
     differs from E on the cone sigma0, takes the drop of G at the
@@ -809,7 +776,7 @@ def _factorize(e: Multifiltration, f: Multifiltration) -> list[ElementaryInjecti
     for sigma0 in e.fan.all_cones(min_dim=1):
         while current.jumps[sigma0] != e.jumps[sigma0]:
             for m0, value in current.jumps[sigma0]:
-                inner = eval_jumps(e.rank, e.jumps[sigma0], m0)
+                inner = eval_jumps(e.jumps[sigma0], m0)
                 if inner is not value:
                     break
             else:
@@ -858,11 +825,11 @@ def drop_counts(e: Multifiltration, f: Multifiltration) -> dict[int, int]:
     its visit, so G ends equal to E, and G only ever falls below F, so
     E = G <= F.
     """
-    if e.fan != f.fan or e.rank != f.rank:
-        raise ValueError("families live on different fans or ranks")
-    fan, rank = f.fan, f.rank
+    if e.fan != f.fan:
+        raise ValueError("families live on different fans")
+    fan = f.fan
     jumps = dict(f.jumps)
-    g = Multifiltration._canonical(fan, rank, jumps)  # G, rewritten in place
+    g = Multifiltration._canonical(fan, jumps)  # G, rewritten in place
     counts: dict[int, int] = {}
     for sigma0 in fan.all_cones(min_dim=1):
         if e.jumps[sigma0] == jumps[sigma0]:
@@ -874,8 +841,8 @@ def drop_counts(e: Multifiltration, f: Multifiltration) -> dict[int, int]:
             raise ValueError(f"E is not pointwise contained in F on {sigma0!r}")
         jumps[sigma0] = e.jumps[sigma0]
         for tau in fan.cofaces(sigma0)[1:]:
-            axes, strides, values, _ = _meet_cells(rank, jumps[tau], tau, sigma0, cells)
-            jumps[tau] = _canonical_flat(rank, axes, values, strides)
+            axes, strides, values, _ = _meet_cells(jumps[tau], tau, sigma0, cells)
+            jumps[tau] = _canonical_flat(axes, values, strides)
     return counts
 
 

@@ -50,6 +50,7 @@ from .reflexive import (
     R2Filtration,
     Stability,
     from_multifiltration,
+    line_sums,
     normalize,
     stability,
 )
@@ -169,13 +170,7 @@ def leading_log_check(E: Multifiltration) -> bool:
 def s_max(f: R2Filtration) -> int:
     """max_L S_L with S_L = sum of c_rho over rays carrying line L
     (0 when no ray is active)."""
-    best = 0
-    for line in f.distinct_active_lines():
-        s = sum(
-            f.c_vec[i] for i in f.active_rays() if f.rays[i].line == line
-        )
-        best = max(best, s)
-    return best
+    return max(line_sums(f).values(), default=0)
 
 
 def obstruction_verdict(E: Multifiltration) -> NotSmoothable | Inconclusive:
@@ -187,8 +182,6 @@ def obstruction_verdict(E: Multifiltration) -> NotSmoothable | Inconclusive:
     hypothesis match whose guaranteed witness vanishes would falsify
     the machine-checked argument and raises RuntimeError.
     """
-    if E.rank != 2:
-        raise ValueError(f"unsupported: obstructions need rank 2, got {E.rank}")
     hull = _proper_hull(E)
     prof = _profile(E, hull)
     q, n = prof.q, E.fan.n

@@ -24,7 +24,7 @@ from typing import Iterator, Sequence
 
 from .chern import power_sum_range, run_factors, stirling_A
 from .fan import Cone, Fan, Weight
-from .linalg import Subspace
+from .linalg import ZERO
 from .multifilt import (
     ElementaryInjection,
     Multifiltration,
@@ -88,6 +88,11 @@ class Infeasible:
 
     def __str__(self) -> str:
         return f"infeasible at q={self.q}: p_{self.q} = {self.value} ({self.reason})"
+
+    def as_json(self) -> dict:
+        return {
+            "infeasible": {"reason": self.reason, "q": self.q, "value": str(self.value)}
+        }
 
 
 @dataclass(frozen=True)
@@ -402,7 +407,7 @@ def build_sequence(
     for k, j, sigma, m0 in solution.injection_params():
         if len(injections) == cap:
             break
-        inj = drop(current, sigma, m0, Subspace.zero(2))
+        inj = drop(current, sigma, m0, ZERO)
         scheduled = weight_schedule(c0, p, k, j)
         if not (
             inj.saturated
@@ -505,12 +510,11 @@ def family_p5_candidates(t: int) -> dict[str, PrescriptionSolution | Infeasible]
 
 def family_p5(t: int) -> PrescriptionSolution:
     """The P^5 family with (c_rho) = (1, 120t, 120t, 0, 0, 0)."""
-    sol = family_p5_candidates(t)["c=120t"]
-    if isinstance(sol, Infeasible):
-        raise RuntimeError(f"family_p5({t}): expected feasible, got {sol}")
-    if sol.stability is not Stability.STABLE:
-        raise RuntimeError(f"family_p5({t}): expected a stable start sheaf")
-    return sol
+    if t < 1:
+        raise ValueError("t >= 1")
+    return _solved(
+        PrescriptionProblem(5, (1, 120 * t, 120 * t, 0, 0, 0)), f"family_p5({t})"
+    )
 
 
 def family_pn(n: int) -> PrescriptionSolution:

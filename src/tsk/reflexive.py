@@ -22,7 +22,7 @@ from math import comb
 from typing import Iterable, Mapping, Sequence
 
 from .fan import Fan
-from .linalg import Subspace, line2
+from .linalg import FULL, ZERO, Subspace, line2
 from .multifilt import Multifiltration, reflexive_hull
 from .ring import TruncPoly, linear_product
 
@@ -77,10 +77,10 @@ class RayDatum:
     def value_at(self, i: int) -> Subspace:
         """The filtration subspace E^rho(i)."""
         if i < self.a:
-            return Subspace.zero(2)
+            return ZERO
         if i < self.b:
             return Subspace.line(*self.line)  # type: ignore[misc]
-        return Subspace.full(2)
+        return FULL
 
 
 class R2Filtration:
@@ -219,6 +219,14 @@ def _esym(values: Sequence[int]) -> list[int]:
     return e
 
 
+def chern_symmetric(f: R2Filtration) -> TruncPoly:
+    """Total Chern class of b_zero data by the symmetric-function
+    formula c_k = s_k, independent of `chern_total`'s two routes."""
+    if not f.is_b_zero():
+        raise ValueError("chern_symmetric requires b_zero data")
+    return TruncPoly(f.n, _esym(f.c_vec)[: f.n + 1])
+
+
 def is_locally_free(f: R2Filtration) -> bool:
     """Locally free iff at most two distinct lines occur on active rays
     (the filtration then splits as a sum of two line bundles)."""
@@ -282,6 +290,16 @@ def slope(f: R2Filtration) -> Fraction:
     return Fraction(-(f.a_sum + f.b_sum), 2)
 
 
+def line_sums(f: R2Filtration) -> dict[tuple[int, int], int]:
+    """S_L for each distinct active line L, in first-occurrence order:
+    the sum of c_rho over the rays carrying L."""
+    sums: dict[tuple[int, int], int] = {}
+    for r in f.rays:
+        if r.c > 0:
+            sums[r.line] = sums.get(r.line, 0) + r.c  # type: ignore[index]
+    return sums
+
+
 def stability(f: R2Filtration) -> Stability:
     """Slope stability of the reflexive sheaf.
 
@@ -295,8 +313,7 @@ def stability(f: R2Filtration) -> Stability:
     if c == 0:
         return Stability.STRICTLY_SEMISTABLE
     tie = False
-    for target in f.distinct_active_lines():
-        s_l = sum(r.c for r in f.rays if r.c > 0 and r.line == target)
+    for s_l in line_sums(f).values():
         if 2 * s_l > c:
             return Stability.UNSTABLE
         if 2 * s_l == c:
@@ -409,17 +426,15 @@ def to_multifiltration(f: R2Filtration) -> Multifiltration:
         (i,): [((x,), r.value_at(x)) for x in sorted({r.a, r.b})]
         for i, r in enumerate(f.rays)
     }
-    return reflexive_hull(Multifiltration(f.fan, 2, rays, validate=False))
+    return reflexive_hull(Multifiltration(f.fan, rays, validate=False))
 
 
 def from_multifiltration(mf: Multifiltration) -> R2Filtration:
-    """Recover the rank-2 ray data (a, b, L) from a reflexive family's
-    ray filtrations (rank must be 2).  A canonical ray list holds strictly
-    growing values, so [(a, C^2)] is (a, a), [(a, L), (b, C^2)] is
-    (a, b, L), a list that is empty or ends below C^2 never reaches C^2,
-    and any other shape is not of the form 0 -> line -> C^2."""
-    if mf.rank != 2:
-        raise ValueError("rank-2 data required")
+    """Recover the ray data (a, b, L) from a reflexive family's ray
+    filtrations.  A canonical ray list holds strictly growing values, so
+    [(a, C^2)] is (a, a), [(a, L), (b, C^2)] is (a, b, L), a list that
+    is empty or ends below C^2 never reaches C^2, and any other shape is
+    not of the form 0 -> line -> C^2."""
     data: list[RayDatum] = []
     for ray in mf.fan.rays:
         jumps = mf.jumps[(ray,)]

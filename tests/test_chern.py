@@ -25,9 +25,9 @@ from tsk.chern import (
     twist_chern,
 )
 from tsk.fan import Fan
-from tsk.linalg import Subspace
+from tsk.linalg import ZERO
 from tsk.multifilt import _axes, apply_elementary, elementary_check
-from tsk.reflexive import R2Filtration, chern_total, to_multifiltration
+from tsk.reflexive import R2Filtration, RayDatum, chern_total, to_multifiltration
 from tsk.ring import TruncPoly
 from tsk.sampling import random_drops, random_reflexive
 
@@ -78,17 +78,34 @@ def test_chern_general_matches_resolution():
         assert chern_general(to_multifiltration(f)) == chern_total(f)
 
 
-def test_chern_general_line_bundle():
-    from tsk.multifilt import line_bundle
+def split_bundle(fan, d1, d2):
+    """O(D1) + O(D2), D_i = sum d_i[rho] D_rho, as reflexive data: on
+    each ray the summand on the line (1, 0) enters at -d1[rho] and the
+    one on (0, 1) at -d2[rho]."""
+    rays = []
+    for x, y in zip(d1, d2):
+        if x == y:
+            rays.append(RayDatum(-x, -x))
+        else:
+            rays.append(RayDatum(-max(x, y), -min(x, y), (1, 0) if x > y else (0, 1)))
+    return R2Filtration(fan, rays)
 
-    # O(sum d_rho D_rho) has c_1 = sum d_rho
-    lb = line_bundle(Fan(3), (2, 0, 0, 0))
-    assert chern_general(lb) == TruncPoly(3, (1, 2))
-    lb2 = line_bundle(Fan(3), (1, -1, 3, 0))
-    assert chern_general(lb2) == TruncPoly(3, (1, 3))
-    # on P^5 the 5-cones take all five differencing passes
-    lb5 = line_bundle(Fan(5), (2, -1, 0, 3, 0, 1))
-    assert chern_general(lb5) == TruncPoly(5, (1, 5))
+
+def test_chern_general_line_bundle():
+    # c(O(D1) + O(D2)) = (1 + deg D1 H)(1 + deg D2 H), deg D = sum d_rho;
+    # on P^5 the 5-cones take all five differencing passes.
+    cases = [
+        ((2, 0, 0, 0), (0, 0, 0, 0)),
+        ((1, -1, 3, 0), (-2, 0, 1, -1)),
+        ((-1, -1, 0, 0), (0, 2, -3, 0)),
+        ((2, -1, 0, 3, 0, 1), (-1, -1, 0, 0, 2, -3)),
+        ((0, -2, 0, -1, 0, 0), (1, 1, 0, 0, 0, 0)),
+    ]
+    for d1, d2 in cases:
+        n = len(d1) - 1
+        f = split_bundle(Fan(n), d1, d2)
+        expected = TruncPoly(n, (1, sum(d1))) * TruncPoly(n, (1, sum(d2)))
+        assert chern_general(to_multifiltration(f)) == expected
 
 
 def chern_general_per_point(mf):
@@ -154,7 +171,7 @@ def test_twist_chern():
 def single_drop(n=4, c=(1, 6, 6, 0, 0), sigma0=(0, 1, 2), m0=(-1, 0, 0)):
     """The first scheduled drop of the running example, verified."""
     start = to_multifiltration(b_zero(n, c))
-    dropped = apply_elementary(start, sigma0, m0, Subspace.zero(2))
+    dropped = apply_elementary(start, sigma0, m0, ZERO)
     return elementary_check(dropped, start)
 
 

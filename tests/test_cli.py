@@ -5,15 +5,16 @@ from __future__ import annotations
 import io
 import json
 import time
+from fractions import Fraction
 
 import pytest
 
 from tsk import cli
 from tsk.documents import SheafDocument, canonical_dumps, dump_document, multifilt_to_doc
 from tsk.fan import Fan
-from tsk.linalg import Subspace
+from tsk.linalg import ZERO
 from tsk.multifilt import apply_elementary
-from tsk.prescribe import build_sequence, family_pn
+from tsk.prescribe import Infeasible, build_sequence, family_pn
 from tsk.reflexive import R2Filtration, to_multifiltration
 from tsk.ring import TruncPoly
 
@@ -30,7 +31,7 @@ def start_doc(tmp_path):
 def dropped_doc(tmp_path):
     f = R2Filtration.b_zero_data(Fan(4), (1, 6, 6, 0, 0))
     mf = to_multifiltration(f)
-    e = apply_elementary(mf, (0, 1, 2), (-1, 0, 0), Subspace.zero(2))
+    e = apply_elementary(mf, (0, 1, 2), (-1, 0, 0), ZERO)
     path = tmp_path / "dropped.json"
     path.write_text(dump_document(SheafDocument("multifiltration", e)))
     return path
@@ -241,6 +242,25 @@ def test_family_p5_reports_both(capsys):
     assert data["candidates"]["c=12t"]["chern"] == "1 + 25*H + 168*H^2"
 
 
+def test_family_p5_reports_an_infeasible_candidate(capsys, monkeypatch):
+    real = cli.family_p5_candidates(1)
+    stuck = Infeasible("Negative", 4, Fraction(-3, 2))
+    for label, code_expected in (("c=12t", 0), ("c=120t", 2)):
+        monkeypatch.setattr(cli, "family_p5_candidates", lambda t: {**real, label: stuck})
+        code, out, _ = run(capsys, "family", "--which", "p5", "--t", "1")
+        assert code == code_expected
+        data = payload(out)
+        assert data["candidates"][label] == {
+            "infeasible": {"reason": "Negative", "q": 4, "value": "-3/2"}
+        }
+        other = "c=120t" if label == "c=12t" else "c=12t"
+        assert data["candidates"][other] == real[other].certificate()
+        if code == 0:
+            assert data["selected"] == "c=120t"
+        else:
+            assert data["error"] == "the c=120t recipe is infeasible"
+
+
 def test_family_pn(capsys):
     code, out, _ = run(capsys, "family", "--which", "pn", "--n", "3")
     assert code == 0
@@ -338,13 +358,40 @@ def test_validate_rejects_unsupported_subspaces(capsys, tmp_path, hull_doc):
     rank3.write_text(json.dumps(dict(doc, rank=3)))
     code, out, err = run(capsys, "validate", rank3)
     assert code == 1 and out == ""
-    assert "'rank' must be 1 or 2" in err and "Traceback" not in err
+    assert "'rank' must be 2, got 3" in err and "Traceback" not in err
     doc["cones"][0]["jumps"][0]["subspace"] = {"kind": "basis", "rows": [["1", "0"]]}
     basis = tmp_path / "basis.json"
     basis.write_text(json.dumps(doc))
     code, out, err = run(capsys, "validate", basis)
     assert code == 1 and out == ""
     assert "unknown subspace kind 'basis'" in err and "Traceback" not in err
+
+
+def test_rank_one_documents_exit_1(capsys, tmp_path):
+    # Every sheaf has rank 2: a rank-1 multifiltration document (the
+    # trivial line bundle on P^2) is invalid input for every command.
+    cones = [
+        {
+            "rays": list(cone),
+            "jumps": [{"coords": [0] * len(cone), "subspace": {"kind": "full"}}],
+        }
+        for cone in Fan(2).all_cones(min_dim=1)
+    ]
+    rank1 = tmp_path / "rank1.json"
+    rank1.write_text(json.dumps({"n": 2, "rank": 1, "cones": cones}))
+    for argv in (
+        ("validate", rank1),
+        ("chern", rank1),
+        ("factorize", rank1, rank1),
+        ("obstruct", rank1),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert "'rank' must be 2, got 1" in err and "Traceback" not in err
+    # the same document at rank 2 is the trivial rank-2 bundle
+    rank1.write_text(json.dumps({"n": 2, "rank": 2, "cones": cones}))
+    code, out, _ = run(capsys, "chern", rank1)
+    assert code == 0 and payload(out)["chern"] == "1"
 
 
 def test_stdin_input(capsys, monkeypatch, start_doc):

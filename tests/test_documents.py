@@ -20,7 +20,7 @@ from tsk.documents import (
     subspace_to_doc,
 )
 from tsk.fan import Fan
-from tsk.linalg import Subspace
+from tsk.linalg import FULL, ZERO, Subspace
 from tsk.multifilt import apply_elementary
 from tsk.reflexive import R2Filtration, RayDatum, to_multifiltration
 
@@ -48,29 +48,22 @@ def test_float_rejection():
 
 def test_subspace_docs():
     cases = [
-        (Subspace.zero(2), {"kind": "zero"}),
-        (Subspace.full(2), {"kind": "full"}),
+        (ZERO, {"kind": "zero"}),
+        (FULL, {"kind": "full"}),
         (Subspace.line(2, 4), {"kind": "line", "line": [1, 2]}),
     ]
     for w, doc in cases:
         assert subspace_to_doc(w) == doc
-        assert subspace_from_doc(doc, 2) == w
-    # rank 1 has only zero and full
-    for w, doc in [
-        (Subspace.zero(1), {"kind": "zero"}),
-        (Subspace.full(1), {"kind": "full"}),
-    ]:
-        assert subspace_to_doc(w) == doc
-        assert subspace_from_doc(doc, 1) is w
-    with pytest.raises(ValueError):
-        subspace_from_doc({"kind": "line", "line": [1, 0]}, 1)
+        assert subspace_from_doc(doc) is w
     # there is no general-rank basis encoding
     with pytest.raises(ValueError, match="unknown subspace kind 'basis'"):
-        subspace_from_doc({"kind": "basis", "rows": [["1", "0"]]}, 2)
+        subspace_from_doc({"kind": "basis", "rows": [["1", "0"]]})
     with pytest.raises(ValueError):
-        subspace_from_doc({"kind": "sphere"}, 2)
+        subspace_from_doc({"kind": "sphere"})
     with pytest.raises(ValueError):
-        subspace_from_doc({"kind": "line", "line": [1]}, 2)
+        subspace_from_doc({"kind": "line", "line": [1]})
+    with pytest.raises(ValueError):
+        subspace_from_doc({"kind": "line", "line": [0, 0]})
 
 
 def test_reflexive_roundtrip():
@@ -115,15 +108,17 @@ def test_multifilt_roundtrip():
     assert doc["n"] == 4 and doc["rank"] == 2
     assert multifilt_from_doc(doc) == mf
     # after a drop (a genuinely non-reflexive family)
-    e = apply_elementary(mf, (0, 1, 2), (-1, 0, 0), Subspace.zero(2))
+    e = apply_elementary(mf, (0, 1, 2), (-1, 0, 0), ZERO)
     assert multifilt_from_doc(multifilt_to_doc(e)) == e
 
 
 def test_multifilt_doc_errors():
     doc = multifilt_to_doc(to_multifiltration(sample_reflexive()))
-    for rank in (0, 3):
-        with pytest.raises(ValueError, match="'rank' must be 1 or 2"):
+    for rank in (0, 1, 3, True):
+        with pytest.raises(ValueError, match=f"^'rank' must be 2, got {rank!r}$"):
             multifilt_from_doc(dict(doc, rank=rank))
+    with pytest.raises(ValueError, match="^'rank' must be 2, got None$"):
+        multifilt_from_doc({k: v for k, v in doc.items() if k != "rank"})
     with pytest.raises(ValueError):
         multifilt_from_doc(dict(doc, cones="nope"))
     dup = dict(doc, cones=doc["cones"] + [doc["cones"][0]])
@@ -137,7 +132,7 @@ def test_load_dump_documents():
     doc = load_document(text)
     assert doc.kind == "reflexive"
     assert doc.label == "start"
-    assert doc.n == 4 and doc.rank == 2
+    assert doc.n == 4
     assert doc.payload == f
     # byte-identical round trip
     assert dump_document(doc) == text

@@ -24,6 +24,7 @@ from tsk.prescribe import (
     tilde_c,
     weight_schedule,
 )
+from tsk import prescribe
 from tsk.multifilt import is_reflexive, reflexive_hull
 from tsk.reflexive import Stability
 from tsk.ring import TruncPoly
@@ -100,6 +101,7 @@ def test_solve_p_infeasible():
     assert bad.q == 3
     assert bad.value == Fraction(1, 2)
     assert "q=3" in str(bad)
+    assert bad.as_json() == {"infeasible": {"reason": "NonInteger", "q": 3, "value": "1/2"}}
 
 
 def test_injection_params_schedule():
@@ -205,12 +207,21 @@ def test_family_p4_even():
     assert lhs == 3 * (big_t * (big_t + 1) * (big_t + 2)) ** 2
 
 
-def test_family_p5():
+def test_family_p5(monkeypatch):
     cands = family_p5_candidates(1)
     assert set(cands) == {"c=120t", "c=12t"}
+    # family_p5 solves the printed recipe alone
+    solved = []
+    monkeypatch.setattr(
+        prescribe, "solve_p", lambda problem: solved.append(problem.c) or solve_p(problem)
+    )
     sol = family_p5(1)
+    assert solved == [(1, 120, 120, 0, 0, 0)]
+    assert sol == cands["c=120t"]
     assert sol.chern == TruncPoly(5, (1, 241, 14640, 0, 0, 0))
     assert sol.p == (7200, 26498400, 351211221073200)
+    with pytest.raises(ValueError, match="t >= 1"):
+        family_p5(0)
     small = cands["c=12t"]
     assert not isinstance(small, Infeasible)
     assert small.chern == TruncPoly(5, (1, 25, 168, 0, 0, 0))

@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 
 from tsk.fan import Fan
-from tsk.linalg import Subspace
+from tsk.linalg import ZERO, FULL, Subspace
+from tsk.chern import chern_general
 from tsk.multifilt import Multifiltration
 from tsk.reflexive import (
     NO_SPLIT,
@@ -16,12 +17,14 @@ from tsk.reflexive import (
     Stability,
     bogomolov_ok,
     chern_k_general,
+    chern_symmetric,
     chern_total,
     chern_vector_positivity,
     discriminant,
     elementary_symmetric,
     from_multifiltration,
     is_locally_free,
+    line_sums,
     normalize,
     normalized_positivity,
     prescribe_reflexive,
@@ -40,9 +43,9 @@ def test_ray_datum():
     r = RayDatum(-2, 0, (2, 4))
     assert r.c == 2
     assert r.line == (1, 2)  # canonicalized
-    assert r.value_at(-3) == Subspace.zero(2)
+    assert r.value_at(-3) == ZERO
     assert r.value_at(-1) == Subspace.line(1, 2)
-    assert r.value_at(0) == Subspace.full(2)
+    assert r.value_at(0) == FULL
     # trivial ray: the line is dropped
     assert RayDatum(1, 1, (1, 0)).line is None
     with pytest.raises(ValueError):
@@ -104,6 +107,17 @@ def test_chern_total_oracle():
     assert chern_total(f) == TruncPoly(4, (1, 13, 48, 36, 0))
     assert chern_k_general(f, 3) == 36
     assert chern_k_general(f, 4) == 0
+
+
+def test_chern_symmetric():
+    # the third route, c_k = s_k on b_zero data, agrees with the other two
+    for n, c in [(4, (1, 6, 6, 0, 0)), (3, (2, 3, 1, 4)), (5, (1, 1, 1, 0, 0, 0))]:
+        f = b_zero(n, c)
+        assert chern_symmetric(f) == chern_total(f)
+        assert chern_symmetric(f) == chern_general(to_multifiltration(f))
+    assert chern_symmetric(b_zero(4, (1, 6, 6, 0, 0))).coeffs == (1, 13, 48, 36, 0)
+    with pytest.raises(ValueError, match="b_zero"):
+        chern_symmetric(normalize(b_zero(4, (1, 6, 6, 0, 0)), "a_zero"))
 
 
 def test_chern_line_bundle_split():
@@ -178,6 +192,15 @@ def test_stability_verdicts():
     assert stability(same) is Stability.UNSTABLE
 
 
+def test_line_sums():
+    # S_L per distinct active line, in first-occurrence order
+    f = b_zero(3, (2, 3, 1, 0), lines=[(1, 0), (1, 1), (2, 0), None])
+    assert list(line_sums(f).items()) == [((1, 0), 3), ((1, 1), 3)]
+    assert stability(f) is Stability.STRICTLY_SEMISTABLE
+    assert line_sums(b_zero(3, (0, 0, 0, 0))) == {}
+    assert line_sums(b_zero(4, (1, 6, 6, 0, 0))) == {(1, 0): 1, (1, 1): 6, (1, 2): 6}
+
+
 def test_discriminant_and_bogomolov():
     f = b_zero(4, (1, 1, 1, 0, 0))
     assert discriminant(f) == 4 * 3 - 9 == 3
@@ -232,6 +255,6 @@ def test_multifiltration_roundtrip():
 @pytest.mark.parametrize("ray_jumps", [(), (((0,), Subspace.line(1, 0)),)])
 def test_from_multifiltration_ray_never_reaching_c2(ray_jumps):
     mf = to_multifiltration(b_zero(2, (1, 0, 0)))
-    broken = Multifiltration(mf.fan, 2, {**mf.jumps, (0,): ray_jumps}, validate=False)
+    broken = Multifiltration(mf.fan, {**mf.jumps, (0,): ray_jumps}, validate=False)
     with pytest.raises(ValueError, match=r"^ray 0 never reaches C\^2$"):
         from_multifiltration(broken)

@@ -157,3 +157,23 @@ def test_containment_checked_only_at_factorize_entry():
             if name == "factorize" and path.name == "obstruct.py":
                 found.append(f"{path.name}:{call.lineno}")
     assert found == []
+
+
+def test_no_rank_parameter():
+    # Every sheaf has rank 2, so the lattice, the multifiltrations and the
+    # documents take no rank: no parameter, attribute or name of one, and
+    # no rank-1 constructor.
+    found = []
+    for name in ("linalg.py", "multifilt.py", "documents.py"):
+        for node in ast.walk(ast.parse((SRC / name).read_text("utf-8"))):
+            if isinstance(node, ast.arguments):
+                params = node.posonlyargs + node.args + node.kwonlyargs
+                params += [a for a in (node.vararg, node.kwarg) if a is not None]
+                found += [f"{name}:{a.lineno} {a.arg}" for a in params if a.arg in ("rank", "r")]
+            elif isinstance(node, ast.Attribute) and node.attr in ("rank", "r"):
+                found.append(f"{name}:{node.lineno} .{node.attr}")
+            elif isinstance(node, ast.Name) and node.id in ("rank", "RANKS"):
+                found.append(f"{name}:{node.lineno} {node.id}")
+            elif isinstance(node, ast.FunctionDef) and node.name == "line_bundle":
+                found.append(f"{name}:{node.lineno} def line_bundle")
+    assert found == []
