@@ -6,11 +6,20 @@ JSON documents travel on stdin/stdout or as file paths ("-" = stdin);
 all output is canonical JSON (sorted keys, exact integers/rationals,
 no floats), so identical input bytes give identical output bytes.
 
-Exit codes: 0 success, 1 invalid input, 2 infeasible / search
-exhausted, 3 method disagreement or internal error, 4 recomposition
-mismatch (3 and 4 are internal cross-check sentinels; a disagreement or
-mismatch payload goes to stdout, an internal error -- an ArithmeticError
-or RuntimeError escaping a command -- is one line on stderr).
+Every `cmd_*` returns (exit code, payload) and writes nothing; `main`
+is the one place where a result leaves the process.  It writes the
+payload to stdout with `canonical_dumps` and maps what escapes a
+command to one line on stderr:
+
+    CliError, ValueError           exit 1, "tsk: error: ..."
+    ArithmeticError, RuntimeError  exit 3, "tsk: internal error: ..."
+
+ValueError is how the library rejects input (InvalidFamily and
+NotElementary are ValueErrors).  Exit codes: 0 success, 1 invalid
+input, 2 infeasible / search exhausted, 3 method disagreement or
+internal error, 4 recomposition mismatch (3 and 4 are internal
+cross-check sentinels whose disagreement or mismatch payload goes to
+stdout).
 """
 
 from __future__ import annotations
@@ -23,13 +32,7 @@ from typing import NoReturn
 from . import chern as chern_mod
 from . import reflexive as refl
 from .documents import SheafDocument, canonical_dumps, load_document
-from .multifilt import (
-    InvalidFamily,
-    Multifiltration,
-    factorize,
-    recompose,
-    reflexive_hull,
-)
+from .multifilt import factorize, is_reflexive, recompose
 from .obstruct import obstruction_verdict
 from .prescribe import (
     Infeasible,
@@ -46,6 +49,8 @@ from .reflexive import R2Filtration, to_multifiltration
 from .ring import TruncPoly
 
 OK, INVALID, INFEASIBLE, DISAGREEMENT, MISMATCH = 0, 1, 2, 3, 4
+
+Result = tuple[int, dict]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -67,14 +72,10 @@ def _read_document(path: str) -> SheafDocument:
         return load_document(text)
     except OSError as e:
         raise CliError(f"cannot read {path!r}: {e}") from e
-    except (ValueError, InvalidFamily) as e:  # UnicodeDecodeError is a ValueError
+    except ValueError as e:  # InvalidFamily and UnicodeDecodeError are ValueErrors
         raise CliError(f"invalid document {path!r}: {e}") from e
     except RecursionError as e:
         raise CliError(f"invalid document {path!r}: nested too deeply") from e
-
-
-def _emit(payload: dict) -> None:
-    sys.stdout.write(canonical_dumps(payload))
 
 
 # ---------------------------------------------------------------------------
@@ -82,38 +83,41 @@ def _emit(payload: dict) -> None:
 
 
 def _chern_methods(doc: SheafDocument) -> dict[str, TruncPoly]:
-    """All methods applicable to the document, in fixed order."""
+    """Every route whose hypothesis holds, in fixed order; the general
+    formula (klyachko) always applies, the closed ones need the active
+    lines in general position (resolution also takes locally free
+    data, symmetric needs b_zero data)."""
+    if doc.kind != "reflexive":
+        return {"klyachko": chern_mod.chern_general(doc.payload)}
+    f = doc.reflexive()
+    general = refl.in_general_position(f)
     out: dict[str, TruncPoly] = {}
-    if doc.kind == "reflexive":
-        f = doc.reflexive()
+    if general or refl.is_locally_free(f):
         out["resolution"] = refl.chern_total(f)
-        out["klyachko"] = chern_mod.chern_general(to_multifiltration(f))
-        if f.is_b_zero():
-            out["symmetric"] = refl.chern_symmetric(f)
-    else:
-        out["klyachko"] = chern_mod.chern_general(doc.payload)
+    out["klyachko"] = chern_mod.chern_general(to_multifiltration(f))
+    if general and f.is_b_zero():
+        out["symmetric"] = refl.chern_symmetric(f)
     return out
 
 
-def cmd_chern(args: argparse.Namespace) -> int:
+_CLOSED_ROUTES = {"resolution": refl.chern_total, "symmetric": refl.chern_symmetric}
+
+
+def cmd_chern(args: argparse.Namespace) -> Result:
     doc = _read_document(args.input)
-    methods = _chern_methods(doc)
-    if args.method != "auto":
-        if args.method not in methods:
-            why = (
-                "the symmetric-function formula needs b_zero reflexive data"
-                if args.method == "symmetric" and doc.kind == "reflexive"
-                else f"method {args.method!r} does not apply to a {doc.kind} document"
-            )
-            raise CliError(why)
-        _emit({"chern": methods[args.method].render(), "method": args.method})
-        return OK
-    rendered = {name: poly.render() for name, poly in methods.items()}
-    if len(set(rendered.values())) > 1:
-        _emit({"error": "method disagreement", "methods": rendered})
-        return DISAGREEMENT
-    _emit({"chern": next(iter(rendered.values())), "methods": rendered})
-    return OK
+    if args.method == "auto":
+        rendered = {name: poly.render() for name, poly in _chern_methods(doc).items()}
+        if len(set(rendered.values())) > 1:
+            return DISAGREEMENT, {"error": "method disagreement", "methods": rendered}
+        return OK, {"chern": next(iter(rendered.values())), "methods": rendered}
+    if args.method == "klyachko":
+        poly = chern_mod.chern_general(doc.as_multifiltration())
+    elif doc.kind == "reflexive":
+        # a closed route raises a ValueError naming the hypothesis it lacks
+        poly = _CLOSED_ROUTES[args.method](doc.reflexive())
+    else:
+        raise CliError(f"method {args.method!r} does not apply to a {doc.kind} document")
+    return OK, {"chern": poly.render(), "method": args.method}
 
 
 # ---------------------------------------------------------------------------
@@ -125,43 +129,36 @@ def _as_reflexive(doc: SheafDocument, what: str) -> R2Filtration:
     non-reflexive multifiltrations."""
     if doc.kind == "reflexive":
         return doc.reflexive()
-    mf = doc.payload
-    if reflexive_hull(mf) != mf:
+    if not is_reflexive(doc.payload):
         raise CliError(
             f"{what} is defined for reflexive data; this multifiltration"
             " is not reflexive (factor through its hull first)"
         )
-    return refl.from_multifiltration(mf)
+    return refl.from_multifiltration(doc.payload)
 
 
-def cmd_stability(args: argparse.Namespace) -> int:
+def cmd_stability(args: argparse.Namespace) -> Result:
     f = _as_reflexive(_read_document(args.input), "the stability verdict")
-    verdict = refl.stability(f)
     bg = refl.bogomolov_ok(f)
-    _emit(
-        {
-            "verdict": verdict.value,
-            "slope": str(refl.slope(f)),
-            "delta": refl.discriminant(f),
-            "bogomolov": "n/a" if bg is None else ("ok" if bg else "violated"),
-        }
-    )
-    return OK
+    return OK, {
+        "verdict": refl.stability(f).value,
+        "slope": str(refl.slope(f)),
+        "delta": refl.discriminant(f),
+        "bogomolov": "n/a" if bg is None else ("ok" if bg else "violated"),
+    }
 
 
 # ---------------------------------------------------------------------------
 # factorize
 
 
-def cmd_factorize(args: argparse.Namespace) -> int:
+def cmd_factorize(args: argparse.Namespace) -> Result:
     if args.e == "-" and args.f == "-":
         raise CliError("at most one of E, F can come from stdin")
-    e_doc = _read_document(args.e)
-    f_doc = _read_document(args.f)
-    e, f = e_doc.as_multifiltration(), f_doc.as_multifiltration()
+    e, f = (_read_document(path).as_multifiltration() for path in (args.e, args.f))
     try:
         steps = factorize(e, f)
-    except (ValueError, InvalidFamily) as err:
+    except ValueError as err:
         raise CliError(f"cannot factorize: {err}") from err
     payload = {
         "count": len(steps),
@@ -177,12 +174,8 @@ def cmd_factorize(args: argparse.Namespace) -> int:
         ],
     }
     if recompose(f, steps) != e:
-        payload["error"] = "recomposition mismatch"
-        _emit(payload)
-        return MISMATCH
-    payload["recomposition"] = "ok"
-    _emit(payload)
-    return OK
+        return MISMATCH, {**payload, "error": "recomposition mismatch"}
+    return OK, {**payload, "recomposition": "ok"}
 
 
 # ---------------------------------------------------------------------------
@@ -203,160 +196,76 @@ def _closed_form_report(problem: PrescriptionProblem) -> dict:
     return {f"p{k}": str(v) for k, v in zip(range(3, problem.n + 1), p)}
 
 
-def cmd_prescribe(args: argparse.Namespace) -> int:
+def cmd_prescribe(args: argparse.Namespace) -> Result:
     try:
         c = tuple(int(x) for x in args.start.split(","))
     except ValueError as e:
         raise CliError(f"--start must be a comma-separated integer list: {e}") from e
-    try:
-        problem = PrescriptionProblem(args.n, c)
-    except ValueError as e:
-        raise CliError(str(e)) from e
+    problem = PrescriptionProblem(args.n, c)
     closed = _closed_form_report(problem) if args.closed_form else None
     sol = solve_p(problem)
     if isinstance(sol, Infeasible):
-        _emit(sol.as_json())
-        return INFEASIBLE
-    payload = sol.certificate()
-    payload["injections"] = sol.injection_count
-    if closed is not None:
-        payload["closed_form"] = closed
-        agrees = all(
-            str(sol.p_k(k)) == closed[f"p{k}"] for k in range(3, problem.n + 1)
-        )
-        if not agrees:
-            payload["error"] = "closed form disagrees with the solver"
-            _emit(payload)
-            return DISAGREEMENT
-    _emit(payload)
-    return OK
+        return INFEASIBLE, sol.as_json()
+    payload = {**sol.certificate(), "injections": sol.injection_count}
+    if closed is None:
+        return OK, payload
+    payload["closed_form"] = closed
+    if any(str(sol.p_k(k)) != closed[f"p{k}"] for k in range(3, problem.n + 1)):
+        return DISAGREEMENT, {**payload, "error": "closed form disagrees with the solver"}
+    return OK, payload
 
 
 # ---------------------------------------------------------------------------
 # family
 
 
-def cmd_family(args: argparse.Namespace) -> int:
-    which = args.which
-    if which == "pn":
-        if args.n is None:
-            raise CliError("--which pn needs --n")
-        try:
-            sol = family_pn(args.n)
-        except ValueError as e:
-            raise CliError(str(e)) from e
-        except RuntimeError as e:
-            _emit({"error": str(e)})
-            return INFEASIBLE
-        payload = sol.certificate()
-        payload["multiplier"] = sol.problem.c[1]
-        _emit(payload)
-        return OK
-    if args.t is None:
-        raise CliError(f"--which {which} needs --t")
+_FAMILIES = {"pn": family_pn, "p4-odd": family_p4_odd, "p4-even": family_p4_even}
+
+
+def cmd_family(args: argparse.Namespace) -> Result:
+    """pn takes --n, the others --t; p5 reports both start-data
+    candidates and selects c=120t unless it is infeasible."""
+    param = "n" if args.which == "pn" else "t"
+    value = getattr(args, param)
+    if value is None:
+        raise CliError(f"--which {args.which} needs --{param}")
     try:
-        if which == "p4-odd":
-            _emit(family_p4_odd(args.t).certificate())
-            return OK
-        if which == "p4-even":
-            _emit(family_p4_even(args.t).certificate())
-            return OK
-        # p5: report both start-data candidates, select the feasible recipe
-        candidates = family_p5_candidates(args.t)
-        report: dict = {"candidates": {}}
-        selected = None
-        for label, sol in candidates.items():
-            if isinstance(sol, Infeasible):
-                report["candidates"][label] = sol.as_json()
-            else:
-                report["candidates"][label] = sol.certificate()
-                if label == "c=120t":
-                    selected = label
-        if selected is None:
-            report["error"] = "the c=120t recipe is infeasible"
-            _emit(report)
-            return INFEASIBLE
-        report["selected"] = selected
-        _emit(report)
-        return OK
-    except ValueError as e:
-        raise CliError(str(e)) from e
+        if args.which == "p5":
+            candidates = family_p5_candidates(value)
+        else:
+            sol = _FAMILIES[args.which](value)
     except RuntimeError as e:
-        _emit({"error": str(e)})
-        return INFEASIBLE
+        return INFEASIBLE, {"error": str(e)}
+    if args.which == "pn":
+        return OK, {**sol.certificate(), "multiplier": sol.problem.c[1]}
+    if args.which != "p5":
+        return OK, sol.certificate()
+    report: dict = {
+        "candidates": {
+            label: s.as_json() if isinstance(s, Infeasible) else s.certificate()
+            for label, s in candidates.items()
+        }
+    }
+    if isinstance(candidates["c=120t"], Infeasible):
+        return INFEASIBLE, {**report, "error": "the c=120t recipe is infeasible"}
+    return OK, {**report, "selected": "c=120t"}
 
 
 # ---------------------------------------------------------------------------
 # obstruct / validate
 
 
-def cmd_obstruct(args: argparse.Namespace) -> int:
+def cmd_obstruct(args: argparse.Namespace) -> Result:
     doc = _read_document(args.input)
-    try:
-        verdict = obstruction_verdict(doc.as_multifiltration())
-    except ValueError as e:
-        raise CliError(str(e)) from e
-    _emit(verdict.as_json())
-    return OK
+    return OK, obstruction_verdict(doc.as_multifiltration()).as_json()
 
 
-def cmd_validate(args: argparse.Namespace) -> int:
+def cmd_validate(args: argparse.Namespace) -> Result:
     doc = _read_document(args.input)
     payload: dict = {"valid": True, "kind": doc.kind, "n": doc.n, "rank": 2}
     if doc.label is not None:
         payload["label"] = doc.label
-    _emit(payload)
-    return OK
-
-
-# ---------------------------------------------------------------------------
-# selftest (hidden): deterministic randomized sweeps for CI
-
-
-def cmd_selftest(args: argparse.Namespace) -> int:
-    import random
-
-    from . import sampling
-
-    rng = random.Random(args.seed)
-    checks: dict[str, int] = {}
-
-    # Chern oracle triple agreement on random reflexive data.
-    for _ in range(25):
-        n = rng.choice((3, 4))
-        f = sampling.random_reflexive(rng, n, max_c=4)
-        res = refl.chern_total(f)
-        kly = chern_mod.chern_general(to_multifiltration(f))
-        b0 = refl.normalize(f, "b_zero")
-        sym = refl.chern_symmetric(b0)
-        twist = refl.chern_total(b0)
-        if not (res == kly and sym == twist):
-            _emit({"error": "chern method disagreement", "seed": args.seed})
-            return DISAGREEMENT
-    checks["chern_triple"] = 25
-
-    # Factorize/recompose roundtrips over random drop sequences.
-    for _ in range(10):
-        n = rng.choice((3, 4))
-        start = to_multifiltration(sampling.random_b_zero(rng, n, max_c=3))
-        dropped, _ = sampling.random_drops(rng, start, rng.randint(1, 3), (2, n))
-        steps = factorize(dropped, start)
-        if recompose(start, steps) != dropped:
-            _emit({"error": "recomposition mismatch", "seed": args.seed})
-            return MISMATCH
-    checks["factorize_roundtrip"] = 10
-
-    # Combinatorial identity spot checks.
-    for _ in range(20):
-        a, m = rng.randint(-3, 3), rng.randint(-3, 3)
-        d, n = rng.randint(2, 4), 4
-        if not chern_mod.identity_product(a, m, d, n):
-            _emit({"error": "identity_product failed", "seed": args.seed})
-            return DISAGREEMENT
-    checks["identity_product"] = 20
-
-    _emit({"selftest": "ok", "seed": args.seed, "checks": checks})
-    return OK
+    return OK, payload
 
 
 # ---------------------------------------------------------------------------
@@ -431,10 +340,6 @@ def build_parser() -> _Parser:
     p.add_argument("input", help="document path or - for stdin")
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("selftest")  # hidden: not in the metavar list
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_selftest)
-
     return parser
 
 
@@ -445,13 +350,16 @@ def main(argv: list[str] | None = None) -> int:
         parser.print_help(sys.stderr)
         return INVALID
     try:
-        return args.func(args)
-    except CliError as e:
+        code, payload = args.func(args)
+        text = canonical_dumps(payload)
+    except (CliError, ValueError) as e:
         print(f"tsk: error: {e}", file=sys.stderr)
         return INVALID
     except (ArithmeticError, RuntimeError) as e:
         print(f"tsk: internal error: {e}", file=sys.stderr)
         return DISAGREEMENT
+    sys.stdout.write(text)
+    return code
 
 
 if __name__ == "__main__":

@@ -12,9 +12,9 @@ plus an optional "label".  Every sheaf has rank 2: a multifiltration
 document must carry "rank":2, and each jump subspace of C^2 is
 {"kind":"zero"}, {"kind":"full"} or {"kind":"line","line":[p,q]}.
 Serialization is canonical (sorted keys, tight separators, trailing
-newline, integers only -- floats are rejected outright), so documents
-round-trip byte-identically and identical inputs give identical
-outputs.
+newline, integers only -- floats are rejected outright, and so are
+booleans where an integer belongs), so documents round-trip
+byte-identically and identical inputs give identical outputs.
 """
 
 from __future__ import annotations
@@ -27,6 +27,16 @@ from .fan import Fan
 from .linalg import FULL, ZERO, Subspace
 from .multifilt import Multifiltration
 from .reflexive import R2Filtration, RayDatum, to_multifiltration
+
+
+def _is_int(x: Any) -> bool:
+    """A JSON integer: bool is an int subclass, but true and false are
+    not integers."""
+    return type(x) is int
+
+
+def _is_int_pair(x: Any) -> bool:
+    return isinstance(x, list) and len(x) == 2 and all(map(_is_int, x))
 
 
 def canonical_dumps(obj: Any) -> str:
@@ -69,11 +79,7 @@ def subspace_from_doc(doc: Any) -> Subspace:
         return FULL
     if kind == "line":
         pair = doc.get("line")
-        if (
-            not isinstance(pair, list)
-            or len(pair) != 2
-            or not all(isinstance(x, int) for x in pair)
-        ):
+        if not _is_int_pair(pair):
             raise ValueError(f"'line' needs an integer pair, got {pair!r}")
         return Subspace.line(pair[0], pair[1])
     raise ValueError(f"unknown subspace kind {kind!r}")
@@ -106,7 +112,7 @@ def reflexive_from_doc(doc: Any) -> R2Filtration:
         raise ValueError("reflexive document must be a JSON object")
     n = doc.get("n")
     rays = doc.get("rays")
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise ValueError(f"'n' must be a positive integer, got {n!r}")
     if not isinstance(rays, list) or len(rays) != n + 1:
         raise ValueError(f"'rays' must list {n + 1} entries for P^{n}")
@@ -115,15 +121,11 @@ def reflexive_from_doc(doc: Any) -> R2Filtration:
         if not isinstance(entry, dict):
             raise ValueError(f"ray {i}: expected an object, got {entry!r}")
         a, b = entry.get("a"), entry.get("b")
-        if not isinstance(a, int) or not isinstance(b, int):
+        if not _is_int(a) or not _is_int(b):
             raise ValueError(f"ray {i}: 'a' and 'b' must be integers")
         line = entry.get("line")
         if line is not None:
-            if (
-                not isinstance(line, list)
-                or len(line) != 2
-                or not all(isinstance(x, int) for x in line)
-            ):
+            if not _is_int_pair(line):
                 raise ValueError(f"ray {i}: 'line' must be an integer pair")
             line = (line[0], line[1])
         data.append(RayDatum(a, b, line))
@@ -163,7 +165,7 @@ def multifilt_from_doc(doc: Any) -> Multifiltration:
     if not isinstance(doc, dict):
         raise ValueError("multifiltration document must be a JSON object")
     n = doc.get("n")
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise ValueError(f"'n' must be a positive integer, got {n!r}")
     if doc.get("rank") != 2:
         raise ValueError(f"'rank' must be 2, got {doc.get('rank')!r}")
@@ -175,7 +177,7 @@ def multifilt_from_doc(doc: Any) -> Multifiltration:
         if not isinstance(entry, dict):
             raise ValueError(f"cone entry must be an object, got {entry!r}")
         rays = entry.get("rays")
-        if not isinstance(rays, list) or not all(isinstance(x, int) for x in rays):
+        if not isinstance(rays, list) or not all(map(_is_int, rays)):
             raise ValueError(f"cone 'rays' must be a list of ray indices: {rays!r}")
         cone = tuple(rays)
         if cone in jumps:
@@ -188,9 +190,7 @@ def multifilt_from_doc(doc: Any) -> Multifiltration:
             if not isinstance(j, dict):
                 raise ValueError(f"jump entry must be an object, got {j!r}")
             coords = j.get("coords")
-            if not isinstance(coords, list) or not all(
-                isinstance(x, int) for x in coords
-            ):
+            if not isinstance(coords, list) or not all(map(_is_int, coords)):
                 raise ValueError(f"jump 'coords' must be integers: {coords!r}")
             parsed.append((tuple(coords), subspace_from_doc(j.get("subspace"))))
         jumps[cone] = parsed

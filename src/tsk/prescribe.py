@@ -72,10 +72,7 @@ class PrescriptionProblem:
 
     def target_chern(self) -> TruncPoly:
         """1 + c1 H + c2 H^2 with c1, c2 of the start data."""
-        s = self.start_chern()
-        coeffs = [0] * (self.n + 1)
-        coeffs[0], coeffs[1], coeffs[2] = 1, s[1], s[2]
-        return TruncPoly(self.n, tuple(coeffs))
+        return _low(self.start_chern())
 
 
 @dataclass(frozen=True)
@@ -153,6 +150,11 @@ class PrescriptionSolution:
 # the triangular system
 
 
+def _low(c: TruncPoly) -> TruncPoly:
+    """The truncation 1 + c1 H + c2 H^2 of a Chern polynomial."""
+    return TruncPoly(c.n, (1, *c.coeffs[1:3]))
+
+
 def tilde_c(c: TruncPoly) -> tuple[int, ...]:
     """(tilde_c_3, ..., tilde_c_n):
     tilde_c_q = -q [H^q](log c - log(1 + c1 H + c2 H^2)).
@@ -162,8 +164,7 @@ def tilde_c(c: TruncPoly) -> tuple[int, ...]:
     n = c.n
     if c[0] != 1:
         raise ValueError("Chern polynomial must have constant term 1")
-    low = TruncPoly(n, (1, c[1], c[2]) if n >= 2 else (1, c[1]))
-    defect = c.log() - low.log()
+    defect = c.log() - _low(c).log()
     out = []
     for q in range(3, n + 1):
         v = -q * Fraction(defect[q])
@@ -214,7 +215,8 @@ def solve_p(problem: PrescriptionProblem) -> PrescriptionSolution | Infeasible:
     """
     n = problem.n
     c0 = problem.c_rho0
-    tc = tilde_c(problem.start_chern())
+    start = problem.start_chern()
+    tc = tilde_c(start)
     p: list[int] = []
     for q in range(3, n + 1):
         known = 0
@@ -241,7 +243,7 @@ def solve_p(problem: PrescriptionProblem) -> PrescriptionSolution | Infeasible:
         if back != tc[q - 3]:
             raise ArithmeticError(f"stage {q} consistency: {back} != {tc[q - 3]}")
 
-    target = problem.target_chern()
+    target = _low(start)
     delta = 4 * target[2] - target[1] ** 2
     return PrescriptionSolution(
         problem=problem,

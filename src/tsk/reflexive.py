@@ -219,11 +219,23 @@ def _esym(values: Sequence[int]) -> list[int]:
     return e
 
 
+def in_general_position(f: R2Filtration) -> bool:
+    """The closed formulas' hypothesis: the active lines are pairwise
+    distinct (no two active rays carry the same line)."""
+    lines = [r.line for r in f.rays if r.c > 0]
+    return len(set(lines)) == len(lines)
+
+
 def chern_symmetric(f: R2Filtration) -> TruncPoly:
-    """Total Chern class of b_zero data by the symmetric-function
-    formula c_k = s_k, independent of `chern_total`'s two routes."""
+    """Total Chern class of b_zero data in general position by the
+    symmetric-function formula c_k = s_k, independent of
+    `chern_total`'s two routes."""
     if not f.is_b_zero():
-        raise ValueError("chern_symmetric requires b_zero data")
+        raise ValueError("the symmetric-function formula needs b_zero reflexive data")
+    if not in_general_position(f):
+        raise ValueError(
+            "the symmetric-function formula needs pairwise distinct active lines"
+        )
     return TruncPoly(f.n, _esym(f.c_vec)[: f.n + 1])
 
 
@@ -260,12 +272,18 @@ def chern_total(f: R2Filtration) -> TruncPoly:
     Locally free data: the split-bundle product (1+d1*H)(1+d2*H).
     Otherwise: the resolution quotient
         prod_rho (1-(b-c_rho)H) * (1-bH)^-(n-1),   b = sum b_rho,
-    which assumes the active lines are in general position (pairwise
-    distinct); the two pipelines agree on their common boundary.
+    which needs the active lines in general position (pairwise
+    distinct), else ValueError; the two pipelines agree on their
+    common boundary.
     """
     if is_locally_free(f):
         d1, d2 = _split_degrees(f)
         return linear_product(f.n, [(d1, 1), (d2, 1)])
+    if not in_general_position(f):
+        raise ValueError(
+            "the resolution formula needs locally free data or pairwise"
+            " distinct active lines"
+        )
     b = f.b_sum
     return linear_product(
         f.n, [(-(b - r.c), 1) for r in f.rays] + [(-b, -(f.n - 1))]

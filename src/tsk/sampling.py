@@ -1,4 +1,4 @@
-"""Random instance generation for property sweeps and the CLI selftest.
+"""Random instance generation for property sweeps.
 
 Everything is driven by an explicit random.Random so sweeps are
 reproducible from a seed.  Drop sampling is rejection-based: candidate

@@ -419,13 +419,121 @@ def test_no_command_prints_help(capsys):
     assert "selftest" not in captured.err
 
 
-def test_selftest(capsys):
-    code, out, _ = run(capsys, "selftest", "--seed", "5")
+def test_selftest_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["selftest"])
+    assert exc.value.code == 1
+    assert "invalid choice" in capsys.readouterr().err
+
+
+P1 = '{"n":1,"rays":[{"a":-1,"b":0,"line":[1,0]},{"a":-2,"b":0,"line":[1,1]}]}'
+# three distinct lines, [1,0] on two rays: outside general position
+REPEATED = (
+    '{"n":3,"rays":[{"a":-1,"b":0,"line":[1,0]},{"a":-2,"b":0,"line":[1,0]},'
+    '{"a":-1,"b":0,"line":[1,1]},{"a":-3,"b":0,"line":[1,2]}]}'
+)
+# one line on every ray: O(4) (+) O
+ONE_LINE = '{"n":3,"rays":[' + ",".join(['{"a":-1,"b":0,"line":[1,0]}'] * 4) + "]}"
+
+
+def _multifilt_doc(edit=None):
+    doc = multifilt_to_doc(to_multifiltration(R2Filtration.b_zero_data(Fan(2), (1, 1, 1))))
+    if edit is not None:
+        edit(doc["cones"][1])
+    return canonical_dumps(doc)
+
+
+EDGE_DOCUMENTS = {
+    "p1": P1,
+    "repeated-line": REPEATED,
+    "one-line": ONE_LINE,
+    "bool-n": P1.replace('"n":1', '"n":true'),
+    "bool-a": P1.replace('"a":-1', '"a":true'),
+    "bool-b": P1.replace('"b":0', '"b":false', 1),
+    "bool-coords": _multifilt_doc(lambda c: c["jumps"][0].update(coords=[True])),
+    "bool-rays": _multifilt_doc(lambda c: c.update(rays=[True])),
+    "reflexive-multifiltration": _multifilt_doc(),
+    "dropped": canonical_dumps(
+        multifilt_to_doc(
+            apply_elementary(
+                to_multifiltration(R2Filtration.b_zero_data(Fan(2), (1, 1, 1))),
+                (0, 1),
+                (-1, 0),
+                ZERO,
+            )
+        )
+    ),
+}
+
+DOCUMENT_COMMANDS = [
+    ("chern",),
+    ("chern", "--method", "resolution"),
+    ("chern", "--method", "klyachko"),
+    ("chern", "--method", "symmetric"),
+    ("stability",),
+    ("obstruct",),
+    ("validate",),
+    ("factorize",),
+]
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_DOCUMENTS))
+def test_exit_code_contract_on_edge_documents(capsys, tmp_path, name):
+    # Whatever the document, every command keeps the contract: an exit
+    # code in 0-4, no traceback, and nothing on stdout when input is
+    # rejected.
+    path = tmp_path / f"{name}.json"
+    path.write_text(EDGE_DOCUMENTS[name])
+    for command in DOCUMENT_COMMANDS:
+        argv = [command[0], path, *command[1:]]
+        if command[0] == "factorize":
+            argv.append(path)
+        try:
+            code, out, err = run(capsys, *argv)
+        except SystemExit as exc:
+            captured = capsys.readouterr()
+            code, out, err = exc.code, captured.out, captured.err
+        assert code in (0, 1, 2, 3, 4), (argv, code)
+        assert "Traceback" not in err, (argv, err)
+        if code == 1:
+            assert out == "", (argv, out)
+            assert err.startswith("tsk: error: ") and err.count("\n") == 1, (argv, err)
+        if name.startswith("bool-"):  # true/false are not JSON integers
+            assert code == 1 and "invalid document" in err, (argv, err)
+
+
+def test_p1_stability_is_invalid_input(capsys, tmp_path):
+    path = tmp_path / "p1.json"
+    path.write_text(P1)
+    code, out, err = run(capsys, "stability", path)
+    assert (code, out) == (1, "")
+    assert err == "tsk: error: discriminant needs n >= 2\n"
+
+
+def test_chern_lists_only_the_routes_whose_hypothesis_holds(capsys, tmp_path):
+    repeated, one_line = tmp_path / "repeated.json", tmp_path / "one-line.json"
+    repeated.write_text(REPEATED)
+    one_line.write_text(ONE_LINE)
+    code, out, _ = run(capsys, "chern", repeated)
     assert code == 0
-    data = payload(out)
-    assert data["selftest"] == "ok"
-    assert data["seed"] == 5
-    assert data["checks"]["chern_triple"] == 25
+    assert payload(out) == {
+        "chern": "1 + 7*H + 15*H^2 + 9*H^3",
+        "methods": {"klyachko": "1 + 7*H + 15*H^2 + 9*H^3"},
+    }
+    code, out, _ = run(capsys, "chern", one_line)
+    assert code == 0
+    assert payload(out) == {
+        "chern": "1 + 4*H",
+        "methods": {"klyachko": "1 + 4*H", "resolution": "1 + 4*H"},
+    }
+    for path, method in ((repeated, "resolution"), (repeated, "symmetric"), (one_line, "symmetric")):
+        code, out, err = run(capsys, "chern", path, "--method", method)
+        assert (code, out) == (1, "")
+        assert "pairwise distinct" in err
+    # the discriminant needs c_2, which no closed formula gives here
+    code, out, err = run(capsys, "stability", repeated)
+    assert (code, out) == (1, "")
+    assert "pairwise distinct" in err
 
 
 def test_determinism(capsys, start_doc):

@@ -102,6 +102,37 @@ def test_reflexive_doc_errors():
         reflexive_from_doc({"n": 2, "rays": [{"a": 0, "b": "x"}] * 3})
 
 
+def test_booleans_are_not_integers():
+    # bool is an int subclass in Python; JSON true/false never stand in
+    # for an integer, wherever a document needs one.
+    rdoc = reflexive_to_doc(R2Filtration.b_zero_data(Fan(1), (1, 2)))
+    assert reflexive_from_doc(rdoc).n == 1
+    ray = {"a": -1, "b": 0, "line": [1, 0]}
+    for bad in (
+        dict(rdoc, n=True),
+        dict(rdoc, rays=[dict(ray, a=True), rdoc["rays"][1]]),
+        dict(rdoc, rays=[dict(ray, b=False), rdoc["rays"][1]]),
+        dict(rdoc, rays=[dict(ray, line=[True, 0]), rdoc["rays"][1]]),
+    ):
+        with pytest.raises(ValueError):
+            reflexive_from_doc(bad)
+    with pytest.raises(ValueError, match="integer pair"):
+        subspace_from_doc({"kind": "line", "line": [1, False]})
+    mdoc = multifilt_to_doc(to_multifiltration(R2Filtration.b_zero_data(Fan(2), (1, 1, 1))))
+    assert multifilt_from_doc(mdoc).fan == Fan(2)
+    cone = mdoc["cones"][1]
+    jump = cone["jumps"][0]
+    for bad_cone in (
+        dict(cone, rays=[True]),
+        dict(cone, jumps=[dict(jump, coords=[True])] + cone["jumps"][1:]),
+    ):
+        cones = [bad_cone if c is cone else c for c in mdoc["cones"]]
+        with pytest.raises(ValueError, match="integers|ray indices"):
+            multifilt_from_doc(dict(mdoc, cones=cones))
+    with pytest.raises(ValueError, match="positive integer"):
+        multifilt_from_doc(dict(mdoc, n=True))
+
+
 def test_multifilt_roundtrip():
     mf = to_multifiltration(sample_reflexive())
     doc = multifilt_to_doc(mf)

@@ -26,7 +26,7 @@ from tsk.prescribe import (
 )
 from tsk import prescribe
 from tsk.multifilt import is_reflexive, reflexive_hull
-from tsk.reflexive import Stability
+from tsk.reflexive import Stability, chern_total
 from tsk.ring import TruncPoly
 
 
@@ -92,6 +92,19 @@ def test_solve_p_oracles():
     even = solve_p(PrescriptionProblem(4, (1, 7, 7, 7, 0)))
     assert even.p == (245, 31752)
     assert even.delta == 188
+
+
+def test_solve_p_computes_the_start_class_once(monkeypatch):
+    calls = []
+
+    def counted(f):
+        calls.append(f)
+        return chern_total(f)
+
+    monkeypatch.setattr(prescribe, "chern_total", counted)
+    sol = solve_p(PrescriptionProblem(4, (1, 6, 6, 0, 0)))
+    assert len(calls) == 1
+    assert sol.chern == PrescriptionProblem(4, (1, 6, 6, 0, 0)).target_chern()
 
 
 def test_solve_p_infeasible():

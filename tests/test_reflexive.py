@@ -23,6 +23,7 @@ from tsk.reflexive import (
     discriminant,
     elementary_symmetric,
     from_multifiltration,
+    in_general_position,
     is_locally_free,
     line_sums,
     normalize,
@@ -118,6 +119,29 @@ def test_chern_symmetric():
     assert chern_symmetric(b_zero(4, (1, 6, 6, 0, 0))).coeffs == (1, 13, 48, 36, 0)
     with pytest.raises(ValueError, match="b_zero"):
         chern_symmetric(normalize(b_zero(4, (1, 6, 6, 0, 0)), "a_zero"))
+
+
+def test_closed_routes_need_general_position():
+    # three distinct active lines, one of them on two rays: not locally
+    # free and not in general position, so neither closed formula applies
+    rep = b_zero(3, (1, 2, 1, 3), lines=[(1, 0), (1, 0), (1, 1), (1, 2)])
+    assert not is_locally_free(rep) and not in_general_position(rep)
+    with pytest.raises(ValueError, match="pairwise distinct"):
+        chern_total(rep)
+    with pytest.raises(ValueError, match="pairwise distinct"):
+        chern_symmetric(rep)
+    with pytest.raises(ValueError, match="pairwise distinct"):
+        discriminant(rep)
+    assert chern_general(to_multifiltration(rep)).render() == "1 + 7*H + 15*H^2 + 9*H^3"
+    # one line on every ray is O(4) (+) O: the split route applies, c_k = s_k does not
+    one = b_zero(3, (1, 1, 1, 1), lines=[(1, 0)] * 4)
+    assert is_locally_free(one) and not in_general_position(one)
+    assert chern_total(one).render() == "1 + 4*H"
+    assert chern_general(to_multifiltration(one)) == chern_total(one)
+    with pytest.raises(ValueError, match="pairwise distinct"):
+        chern_symmetric(one)
+    # inactive rays carry no line and do not count
+    assert in_general_position(b_zero(4, (1, 6, 6, 0, 0)))
 
 
 def test_chern_line_bundle_split():

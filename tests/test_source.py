@@ -177,3 +177,23 @@ def test_no_rank_parameter():
             elif isinstance(node, ast.FunctionDef) and node.name == "line_bundle":
                 found.append(f"{name}:{node.lineno} def line_bundle")
     assert found == []
+
+
+def test_only_main_writes_to_stdout():
+    # Every cli command returns (exit code, payload); main is the one
+    # boundary that writes the payload and maps errors to exit codes.
+    tree = ast.parse((SRC / "cli.py").read_text("utf-8"))
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        if fn.name == "cmd_selftest":
+            found.append(f"cli.py:{fn.lineno} def cmd_selftest")
+        if fn.name == "main":
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Name) and node.id in ("print", "_emit"):
+                found.append(f"cli.py:{node.lineno} {fn.name}: {node.id}")
+            elif isinstance(node, ast.Attribute) and node.attr == "stdout":
+                found.append(f"cli.py:{node.lineno} {fn.name}: .stdout")
+    assert found == []
