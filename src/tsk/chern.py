@@ -1,6 +1,6 @@
 """Chern engine: the general Klyachko product formula for
 multifiltrations, closed-form Chern ratios of elementary injections,
-their log expansions, Chern-character twists, and the combinatorial
+their log expansions, rank-2 twists, and the combinatorial
 identities (Stirling-type coefficients, telescoping products, signed
 cone sums) that the closed forms rest on.
 
@@ -134,30 +134,22 @@ def chern_general(mf: Multifiltration) -> TruncPoly:
     return linear_product(n, [(-w, x) for w, x in exps.items()])
 
 
-def twist_chern(c: TruncPoly, rank: int, m: int) -> TruncPoly:
-    """Total Chern class of E(m) = E tensor O(m) from c(E) and rank(E).
+def twist_chern(c: TruncPoly, m: int) -> TruncPoly:
+    """Total Chern class of E(m) = E tensor O(m) from c(E), E of rank 2.
 
-    Chern roots shift by m: recover the root power sums from log c,
-    shift them binomially (p'_k = sum_i C(k,i) m^{k-i} p_i, p_0 = rank),
-    and exponentiate back.  Exact; the result is integral.
+    Every Chern root shifts by m, which for a class of rank 2 gives
+
+        c(E(m)) = sum_k c_k H^k (1 + mH)^(2-k),
+
+    one `linear_product` per k.  Exact; integral c gives integral c(E(m)).
     """
     n = c.n
-    lg = c.log()
-    p = [Fraction(rank)] + [
-        (-1) ** (k - 1) * k * Fraction(lg[k]) for k in range(1, n + 1)
-    ]
-    shifted = [
-        sum(comb(k, i) * m ** (k - i) * p[i] for i in range(k + 1))
-        for k in range(n + 1)
-    ]
-    new_log = TruncPoly(
-        n,
-        tuple(
-            Fraction(0) if k == 0 else (-1) ** (k - 1) * shifted[k] / k
-            for k in range(n + 1)
-        ),
-    )
-    return new_log.exp().to_integral()
+    out = [0] * (n + 1)
+    for k, ck in enumerate(c.coeffs):
+        if ck:
+            for j, t in enumerate(linear_product(n - k, [(m, 2 - k)]).coeffs):
+                out[k + j] += ck * t
+    return TruncPoly(n, out)
 
 
 # ---------------------------------------------------------------------------

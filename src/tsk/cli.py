@@ -45,8 +45,7 @@ from .prescribe import (
     solve_p_closed_p4,
     solve_p_closed_p5,
 )
-from .reflexive import R2Filtration, to_multifiltration
-from .ring import TruncPoly
+from .reflexive import R2Filtration
 
 OK, INVALID, INFEASIBLE, DISAGREEMENT, MISMATCH = 0, 1, 2, 3, 4
 
@@ -82,42 +81,28 @@ def _read_document(path: str) -> SheafDocument:
 # chern
 
 
-def _chern_methods(doc: SheafDocument) -> dict[str, TruncPoly]:
-    """Every route whose hypothesis holds, in fixed order; the general
-    formula (klyachko) always applies, the closed ones need the active
-    lines in general position (resolution also takes locally free
-    data, symmetric needs b_zero data)."""
-    if doc.kind != "reflexive":
-        return {"klyachko": chern_mod.chern_general(doc.payload)}
-    f = doc.reflexive()
-    general = refl.in_general_position(f)
-    out: dict[str, TruncPoly] = {}
-    if general or refl.is_locally_free(f):
-        out["resolution"] = refl.chern_total(f)
-    out["klyachko"] = chern_mod.chern_general(to_multifiltration(f))
-    if general and f.is_b_zero():
-        out["symmetric"] = refl.chern_symmetric(f)
-    return out
-
-
-_CLOSED_ROUTES = {"resolution": refl.chern_total, "symmetric": refl.chern_symmetric}
-
-
 def cmd_chern(args: argparse.Namespace) -> Result:
+    """auto runs every route whose hypothesis holds (the route table of
+    `reflexive`; a multifiltration has only klyachko) and compares; a
+    named closed route raises a ValueError naming the hypothesis it lacks."""
     doc = _read_document(args.input)
-    if args.method == "auto":
-        rendered = {name: poly.render() for name, poly in _chern_methods(doc).items()}
-        if len(set(rendered.values())) > 1:
-            return DISAGREEMENT, {"error": "method disagreement", "methods": rendered}
-        return OK, {"chern": next(iter(rendered.values())), "methods": rendered}
-    if args.method == "klyachko":
-        poly = chern_mod.chern_general(doc.as_multifiltration())
-    elif doc.kind == "reflexive":
-        # a closed route raises a ValueError naming the hypothesis it lacks
-        poly = _CLOSED_ROUTES[args.method](doc.reflexive())
+    method = args.method
+    if doc.kind == "reflexive":
+        f = doc.reflexive()
+        if method == "auto":
+            polys = refl.chern_routes(f)
+        else:
+            polys = {method: refl.CHERN_ROUTES[method](f)}
+    elif method in ("auto", "klyachko"):
+        polys = {"klyachko": chern_mod.chern_general(doc.payload)}
     else:
-        raise CliError(f"method {args.method!r} does not apply to a {doc.kind} document")
-    return OK, {"chern": poly.render(), "method": args.method}
+        raise CliError(f"method {method!r} does not apply to a {doc.kind} document")
+    rendered = {name: poly.render() for name, poly in polys.items()}
+    if len(set(rendered.values())) > 1:
+        return DISAGREEMENT, {"error": "method disagreement", "methods": rendered}
+    if method == "auto":
+        return OK, {"chern": next(iter(rendered.values())), "methods": rendered}
+    return OK, {"chern": rendered[method], "method": method}
 
 
 # ---------------------------------------------------------------------------

@@ -63,7 +63,6 @@ class TorsionProfile:
     of k-elementary injections in the factorization, and
     q = min{k : p_k > 0} >= 2 is the codimension of the quotient."""
 
-    q: int
     p: tuple[tuple[int, int], ...]  # sorted (k, count) pairs, counts > 0
 
     def __post_init__(self) -> None:
@@ -71,8 +70,10 @@ class TorsionProfile:
             raise ValueError("empty profile: E is reflexive")
         if any(cnt <= 0 for _, cnt in self.p):
             raise ValueError("profile counts must be positive")
-        if self.q != min(k for k, _ in self.p):
-            raise ValueError("q must be the minimal k with p_k > 0")
+
+    @property
+    def q(self) -> int:
+        return min(k for k, _ in self.p)
 
     def count(self, k: int) -> int:
         return dict(self.p).get(k, 0)
@@ -91,7 +92,6 @@ class NotSmoothable:
 
     case: str  # "Q4" | "Q2"
     witness: int
-    q: int
     profile: TorsionProfile
 
     def as_json(self) -> dict:
@@ -99,7 +99,7 @@ class NotSmoothable:
             "verdict": "NotSmoothable",
             "case": self.case,
             "witness": self.witness,
-            "q": self.q,
+            "q": self.profile.q,
             "profile": {str(k): c for k, c in self.profile.p},
         }
 
@@ -110,14 +110,13 @@ class Inconclusive:
     certificate).  `reason` distinguishes a hypothesis miss worth
     flagging, e.g. the q=2 weight bound failing on degenerate hulls."""
 
-    q: int
     profile: TorsionProfile
     reason: str | None = None
 
     def as_json(self) -> dict:
         out: dict = {
             "verdict": "Inconclusive",
-            "q": self.q,
+            "q": self.profile.q,
             "profile": {str(k): c for k, c in self.profile.p},
         }
         if self.reason is not None:
@@ -138,7 +137,7 @@ def _proper_hull(E: Multifiltration) -> Multifiltration:
 
 def _profile(E: Multifiltration, hull: Multifiltration) -> TorsionProfile:
     pairs = tuple(sorted(drop_counts(E, hull).items()))
-    return TorsionProfile(q=pairs[0][0], p=pairs)
+    return TorsionProfile(pairs)
 
 
 def torsion_profile(E: Multifiltration) -> TorsionProfile:
@@ -187,7 +186,7 @@ def obstruction_verdict(E: Multifiltration) -> NotSmoothable | Inconclusive:
     q, n = prof.q, E.fan.n
     q4 = n >= 4 and q >= 4
     if not (q4 or (n >= 3 and q == 2 and prof.count(3) == 0)):
-        return Inconclusive(q, prof)
+        return Inconclusive(prof)
     hull_f = from_multifiltration(hull)
     b = hull_f.b_vec
     E_n = E.twist(b) if any(b) else E
@@ -195,9 +194,9 @@ def obstruction_verdict(E: Multifiltration) -> NotSmoothable | Inconclusive:
     if q4:
         c_norm = chern_general(E_n)
         if c_norm[3] != 0:
-            return NotSmoothable("Q4", 3, q, prof)
+            return NotSmoothable("Q4", 3, prof)
         if c_norm[q] != 0:
-            return NotSmoothable("Q4", q, q, prof)
+            return NotSmoothable("Q4", q, prof)
         raise RuntimeError(
             f"obstruction argument falsified: q={q} >= 4 but c_3 and c_{q}"
             " of the normalized sheaf both vanish"
@@ -205,7 +204,7 @@ def obstruction_verdict(E: Multifiltration) -> NotSmoothable | Inconclusive:
 
     hull_nf = normalize(hull_f, "b_zero")
     if stability(hull_nf) is Stability.UNSTABLE:
-        return Inconclusive(q, prof)
+        return Inconclusive(prof)
     # The hull commutes with twisting, so the normalized hull is a shift;
     # drop_counts has proved E c hull, so the loop runs without the check.
     steps = _factorize(E_n, hull.twist(b) if any(b) else hull)
@@ -219,9 +218,8 @@ def obstruction_verdict(E: Multifiltration) -> NotSmoothable | Inconclusive:
                 " semistable hull, weights within bound, but c_3"
                 " of the normalized sheaf vanishes"
             )
-        return NotSmoothable("Q2", 3, q, prof)
+        return NotSmoothable("Q2", 3, prof)
     return Inconclusive(
-        q,
         prof,
         reason=(
             "2-elementary weight below -S_max"

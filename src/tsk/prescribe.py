@@ -361,9 +361,11 @@ class BuildResult:
     """Outcome of build_sequence.
 
     `injections` holds the steps actually built and verified
-    (everything when `full`); `chern_final` is exact in both modes —
-    for a partial build the unbuilt tail is closed with the telescoped
-    ratio product, which the built prefix is checked against.
+    (everything when `full`).  `chern_final` is the Chern class of the
+    whole schedule in both modes: the start closed with every stage's
+    telescoped ratio and checked against the solution's Chern class,
+    whatever the number of steps built.  Only a full build has its
+    final sheaf's hull checked against the start.
     """
 
     start: Multifiltration
@@ -392,8 +394,10 @@ def build_sequence(
     (impossible for valid solutions).  The tests re-check the steps
     with elementary_check.  With limit=None the whole schedule is built
     and the final sheaf's reflexive hull is checked to be the start;
-    otherwise at most `limit` steps are materialized and the remaining
-    Chern ratios are closed in telescoped form.
+    otherwise at most `limit` steps are materialized and no hull is
+    checked.  In both modes the Chern class of the whole schedule is
+    closed from the start with every stage's telescoped ratio, not
+    from the built prefix, and checked against `solution.chern`.
     """
     if isinstance(solution, Infeasible):
         raise ValueError(f"cannot build an infeasible solution: {solution}")

@@ -4,9 +4,10 @@ A reflexive rank-2 sheaf is encoded by one bounded increasing
 filtration of C^2 per ray: empty below a_rho, a line L_rho on
 [a_rho, b_rho), everything from b_rho on.  The module provides the
 normalizations, the Chern-class formulas (resolution quotient for the
-non-locally-free regime, split-bundle divisor arithmetic otherwise),
-slope stability, the discriminant, the positivity inequalities, and
-the conversion to the full multifiltration encoding.
+non-locally-free regime, split-bundle divisor arithmetic otherwise)
+and the table of every Chern route, slope stability, the
+discriminant, the positivity inequalities, and the conversion to the
+full multifiltration encoding.
 
 Derived scalars follow the usual conventions: c_rho = b_rho - a_rho,
 a = sum a_rho, b = sum b_rho, c = sum c_rho, and s_k is the k-th
@@ -19,8 +20,9 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import comb
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Sequence
 
+from .chern import chern_general
 from .fan import Fan
 from .linalg import FULL, ZERO, Subspace, line2
 from .multifilt import Multifiltration, reflexive_hull
@@ -31,24 +33,6 @@ class Stability(str, Enum):
     STABLE = "stable"
     STRICTLY_SEMISTABLE = "strictly_semistable"
     UNSTABLE = "unstable"
-
-
-class NoSplit:
-    """Sentinel: the target Chern polynomial admits no nonnegative
-    integer root multiset (prescribe_reflexive failure value)."""
-
-    _instance: "NoSplit | None" = None
-
-    def __new__(cls) -> "NoSplit":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "NoSplit"
-
-
-NO_SPLIT = NoSplit()
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,22 +67,19 @@ class RayDatum:
         return FULL
 
 
+@dataclass(frozen=True, slots=True)
 class R2Filtration:
-    """One RayDatum per ray of the fan of P^n; immutable."""
+    """One RayDatum per ray of the fan of P^n."""
 
-    __slots__ = ("fan", "rays")
+    fan: Fan
+    rays: tuple[RayDatum, ...]
 
-    def __init__(self, fan: Fan, rays: Sequence[RayDatum]) -> None:
-        rays = tuple(rays)
-        if len(rays) != fan.n + 1:
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "rays", tuple(self.rays))
+        if len(self.rays) != self.fan.n + 1:
             raise ValueError(
-                f"P^{fan.n} has {fan.n + 1} rays, got {len(rays)} data"
+                f"P^{self.fan.n} has {self.fan.n + 1} rays, got {len(self.rays)} data"
             )
-        object.__setattr__(self, "fan", fan)
-        object.__setattr__(self, "rays", rays)
-
-    def __setattr__(self, *_: object) -> None:
-        raise AttributeError("R2Filtration is immutable")
 
     @classmethod
     def b_zero_data(
@@ -116,17 +97,6 @@ class R2Filtration:
             for ci, li in zip(c, lines, strict=True)
         ]
         return cls(fan, data)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, R2Filtration):
-            return NotImplemented
-        return self.fan == other.fan and self.rays == other.rays
-
-    def __hash__(self) -> int:
-        return hash((self.fan, self.rays))
-
-    def __repr__(self) -> str:
-        return f"<R2Filtration on P^{self.fan.n}: {list(self.rays)!r}>"
 
     # -- derived scalars --------------------------------------------------
 
@@ -157,21 +127,6 @@ class R2Filtration:
     @property
     def c_sum(self) -> int:
         return sum(self.c_vec)
-
-    def active_rays(self) -> list[int]:
-        """Rays with c_rho > 0 (the ones whose line matters)."""
-        return [i for i, r in enumerate(self.rays) if r.c > 0]
-
-    def distinct_active_lines(self) -> list[tuple[int, int]]:
-        """Distinct lines among active rays, in first-occurrence order."""
-        seen: list[tuple[int, int]] = []
-        for i in self.active_rays():
-            ln = self.rays[i].line
-            if ln is None:
-                raise ValueError(f"active ray {i} carries no line")
-            if ln not in seen:
-                seen.append(ln)
-        return seen
 
     def is_b_zero(self) -> bool:
         return all(r.b == 0 for r in self.rays)
@@ -219,11 +174,22 @@ def _esym(values: Sequence[int]) -> list[int]:
     return e
 
 
+def line_sums(f: R2Filtration) -> dict[tuple[int, int], int]:
+    """S_L for each distinct active line L, in first-occurrence order:
+    the sum of c_rho over the rays carrying L.  The one reading of the
+    active lines: general position, local freeness, the split degrees
+    and stability all count or walk its keys."""
+    sums: dict[tuple[int, int], int] = {}
+    for r in f.rays:
+        if r.c > 0:
+            sums[r.line] = sums.get(r.line, 0) + r.c  # type: ignore[index]
+    return sums
+
+
 def in_general_position(f: R2Filtration) -> bool:
     """The closed formulas' hypothesis: the active lines are pairwise
     distinct (no two active rays carry the same line)."""
-    lines = [r.line for r in f.rays if r.c > 0]
-    return len(set(lines)) == len(lines)
+    return len(line_sums(f)) == sum(r.c > 0 for r in f.rays)
 
 
 def chern_symmetric(f: R2Filtration) -> TruncPoly:
@@ -242,28 +208,22 @@ def chern_symmetric(f: R2Filtration) -> TruncPoly:
 def is_locally_free(f: R2Filtration) -> bool:
     """Locally free iff at most two distinct lines occur on active rays
     (the filtration then splits as a sum of two line bundles)."""
-    return len(f.distinct_active_lines()) <= 2
+    return len(line_sums(f)) <= 2
 
 
 def _split_degrees(f: R2Filtration) -> tuple[int, int]:
     """Summand degrees of a locally free (splittable) filtration.
 
     Summand j is the invariant line bundle of the distinct line L_j:
-    on each ray it enters at a_rho when that ray's active line is L_j,
-    at b_rho otherwise; its degree is minus the sum of entry levels.
+    on each ray it enters at a_rho when that ray's line is L_j, at
+    b_rho otherwise; its degree is minus the sum of entry levels.  A
+    missing line is None, the line of the inactive rays, where a = b.
     """
-    distinct = f.distinct_active_lines()
-    if len(distinct) > 2:
-        raise ValueError("filtration does not split: >2 distinct active lines")
-    while len(distinct) < 2:
-        distinct.append((0, 0))  # placeholder matching no stored line
-    degs = []
-    for target in distinct:
-        entry = 0
-        for r in f.rays:
-            entry += r.a if (r.c > 0 and r.line == target) else r.b
-        degs.append(-entry)
-    return degs[0], degs[1]
+    d1, d2 = (
+        -sum(r.a if r.line == line else r.b for r in f.rays)
+        for line in [*line_sums(f), None, None][:2]
+    )
+    return d1, d2
 
 
 def chern_total(f: R2Filtration) -> TruncPoly:
@@ -308,16 +268,6 @@ def slope(f: R2Filtration) -> Fraction:
     return Fraction(-(f.a_sum + f.b_sum), 2)
 
 
-def line_sums(f: R2Filtration) -> dict[tuple[int, int], int]:
-    """S_L for each distinct active line L, in first-occurrence order:
-    the sum of c_rho over the rays carrying L."""
-    sums: dict[tuple[int, int], int] = {}
-    for r in f.rays:
-        if r.c > 0:
-            sums[r.line] = sums.get(r.line, 0) + r.c  # type: ignore[index]
-    return sums
-
-
 def stability(f: R2Filtration) -> Stability:
     """Slope stability of the reflexive sheaf.
 
@@ -339,11 +289,38 @@ def stability(f: R2Filtration) -> Stability:
     return Stability.STRICTLY_SEMISTABLE if tie else Stability.STABLE
 
 
+# Every Chern route of reflexive data, in a fixed order.  The general
+# (klyachko) formula covers every sheaf; a closed route raises
+# ValueError outside its hypothesis.  Each entry looks its route up by
+# module-level name when called, so a rebinding of that name is seen.
+CHERN_ROUTES: dict[str, Callable[[R2Filtration], TruncPoly]] = {
+    "resolution": lambda f: chern_total(f),
+    "klyachko": lambda f: chern_general(to_multifiltration(f)),
+    "symmetric": lambda f: chern_symmetric(f),
+}
+
+
+def chern_routes(f: R2Filtration) -> dict[str, TruncPoly]:
+    """Every route of CHERN_ROUTES whose hypothesis holds, in table order."""
+    out: dict[str, TruncPoly] = {}
+    for name, route in CHERN_ROUTES.items():
+        try:
+            out[name] = route(f)
+        except ValueError:
+            continue
+    return out
+
+
 def discriminant(f: R2Filtration) -> int:
-    """Delta = 4c_2 - c_1^2; invariant under both normalizations."""
+    """Delta = 4c_2 - c_1^2; invariant under both normalizations.  The
+    closed formula gives c when its hypothesis holds, else the general
+    formula does."""
     if f.n < 2:
         raise ValueError("discriminant needs n >= 2")
-    c = chern_total(f)
+    try:
+        c = chern_total(f)
+    except ValueError:
+        c = chern_general(to_multifiltration(f))
     return 4 * c[2] - c[1] ** 2
 
 
@@ -385,21 +362,21 @@ def normalized_positivity(f: R2Filtration) -> bool:
     return chern_vector_positivity([c[k] for k in range(f.n + 1)])
 
 
-def prescribe_reflexive(target: TruncPoly) -> R2Filtration | NoSplit:
+def prescribe_reflexive(target: TruncPoly) -> R2Filtration | None:
     """Find b_zero reflexive data with the prescribed total Chern class.
 
     Searches nonnegative integers (r_0, ..., r_n) whose elementary
     symmetric polynomials match the target coefficients for k = 1..n
     (the degree-(n+1) coefficient of the lift is free).  On success the
     returned filtration has c_rho = r_rho (positives first, ascending)
-    and pairwise distinct lines; NO_SPLIT when no multiset exists.
+    and pairwise distinct lines; None when no multiset exists.
     """
     n = target.n
     if target[0] != 1 or not target.is_integral:
         raise ValueError("target must be an integral polynomial with constant 1")
     goal = [target[k] for k in range(n + 1)]
     if any(goal[k] < 0 for k in range(1, n + 1)):
-        return NO_SPLIT
+        return None
     e1 = goal[1]
 
     found: list[int] | None = None
@@ -424,7 +401,7 @@ def prescribe_reflexive(target: TruncPoly) -> R2Filtration | NoSplit:
     if search(roots, e1, e1 if e1 > 0 else 0):
         found = roots
     if found is None:
-        return NO_SPLIT
+        return None
     ordered = sorted((r for r in found if r > 0)) + [0] * found.count(0)
     fan = Fan(n)
     return R2Filtration.b_zero_data(fan, ordered)

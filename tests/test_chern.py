@@ -159,13 +159,28 @@ def test_twist_chern():
     f = b_zero(n, (1, 6, 6, 0, 0))
     c = chern_total(f)
     # rank-2 twist: c1 += 2m, c2 += m*c1 + m^2, etc.
-    cm = twist_chern(c, 2, 3)
+    cm = twist_chern(c, 3)
     assert cm[1] == c[1] + 6
     assert cm[2] == c[2] + 3 * c[1] + 9
     # twisting back is the identity
-    assert twist_chern(cm, 2, -3) == c
-    # line bundles: (1 + aH) -> (1 + (a+m)H)
-    assert twist_chern(TruncPoly(3, (1, 5)), 1, -2) == TruncPoly(3, (1, 3))
+    assert twist_chern(cm, -3) == c
+    # O(5) (+) O: (1 + 5H) -> (1 + 3H)(1 - 2H)
+    assert twist_chern(TruncPoly(3, (1, 5)), -2) == TruncPoly(3, (1, 3)) * TruncPoly(3, (1, -2))
+
+
+def test_twist_chern_matches_twisted_drop_chains():
+    # c(E(d)) from the twisted family equals the rank-2 twist of c(E) by
+    # deg O(sum d_rho D_rho) = sum d, on torsion-free (non-reflexive) E.
+    rng = random.Random(15)
+    dropped = 0
+    for i in range(40):
+        n = (2, 3, 4)[i % 3]
+        start = to_multifiltration(random_reflexive(rng, n, max_c=3))
+        family, applied = random_drops(rng, start, rng.randint(1, 3), range(1, n + 1))
+        dropped += len(applied)
+        d = [rng.randint(-3, 3) for _ in range(n + 1)]
+        assert chern_general(family.twist(d)) == twist_chern(chern_general(family), sum(d))
+    assert dropped > 0
 
 
 def single_drop(n=4, c=(1, 6, 6, 0, 0), sigma0=(0, 1, 2), m0=(-1, 0, 0)):

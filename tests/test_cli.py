@@ -112,13 +112,13 @@ def test_chern_symmetric_requires_b_zero(capsys, tmp_path):
 
 
 def test_chern_disagreement_sentinel(capsys, start_doc, monkeypatch):
-    def fake_methods(doc):
+    def fake_routes(f):
         return {
             "resolution": TruncPoly(4, (1, 1)),
             "klyachko": TruncPoly(4, (1, 2)),
         }
 
-    monkeypatch.setattr(cli, "_chern_methods", fake_methods)
+    monkeypatch.setattr(cli.refl, "chern_routes", fake_routes)
     code, out, _ = run(capsys, "chern", start_doc)
     assert code == 3
     assert payload(out)["error"] == "method disagreement"
@@ -530,10 +530,10 @@ def test_chern_lists_only_the_routes_whose_hypothesis_holds(capsys, tmp_path):
         code, out, err = run(capsys, "chern", path, "--method", method)
         assert (code, out) == (1, "")
         assert "pairwise distinct" in err
-    # the discriminant needs c_2, which no closed formula gives here
-    code, out, err = run(capsys, "stability", repeated)
-    assert (code, out) == (1, "")
-    assert "pairwise distinct" in err
+    # no closed formula gives c_2 here, so the discriminant takes it from klyachko
+    code, out, _ = run(capsys, "stability", repeated)
+    assert code == 0
+    assert payload(out) == {"bogomolov": "ok", "delta": 11, "slope": "7/2", "verdict": "stable"}
 
 
 def test_determinism(capsys, start_doc):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
@@ -23,6 +24,7 @@ from tsk.fan import Fan
 from tsk.linalg import FULL, ZERO, Subspace
 from tsk.multifilt import apply_elementary
 from tsk.reflexive import R2Filtration, RayDatum, to_multifiltration
+from tsk.sampling import random_drops, random_reflexive
 
 
 def sample_reflexive():
@@ -180,6 +182,24 @@ def test_load_dump_documents():
     assert doc.as_multifiltration() == to_multifiltration(f)
     with pytest.raises(ValueError):
         mf_doc.reflexive()
+
+
+def test_load_dump_round_trip_on_random_documents():
+    # load inverts dump on the payload, and dump inverts load on the bytes:
+    # general-b reflexive data and drop chains below its hull.
+    rng = random.Random(16)
+    docs = []
+    for i in range(30):
+        n = (2, 3, 4)[i % 3]
+        f = random_reflexive(rng, n, max_c=4)
+        docs.append(SheafDocument("reflexive", f, label=f"r{i}" if i % 2 else None))
+        e, _ = random_drops(rng, to_multifiltration(f), rng.randint(1, 4), range(1, n + 1))
+        docs.append(SheafDocument("multifiltration", e))
+    for doc in docs:
+        text = dump_document(doc)
+        back = load_document(text)
+        assert back == doc
+        assert dump_document(back) == text
 
 
 def test_load_document_errors():

@@ -33,17 +33,15 @@ def drop(mf, sigma0, m0, target=None):
 
 
 def test_torsion_profile_basics():
-    prof = TorsionProfile(2, ((2, 1), (4, 3)))
+    prof = TorsionProfile(((2, 1), (4, 3)))
     assert prof.q == 2
     assert prof.count(2) == 1 and prof.count(3) == 0 and prof.count(4) == 3
     assert prof.total == 4
     assert dict(prof.p) == {2: 1, 4: 3}
     with pytest.raises(ValueError):
-        TorsionProfile(3, ())
+        TorsionProfile(())
     with pytest.raises(ValueError):
-        TorsionProfile(3, ((2, 1),))  # q must be the minimal k
-    with pytest.raises(ValueError):
-        TorsionProfile(2, ((2, 0),))
+        TorsionProfile(((2, 0),))
 
 
 def test_torsion_profile_of_drops():
@@ -95,7 +93,7 @@ def test_verdict_q4():
     E = drop(F, (0, 1, 2, 3), (-1, 0, 0, 0))
     v = obstruction_verdict(E)
     assert isinstance(v, NotSmoothable)
-    assert v.case == "Q4" and v.q == 4
+    assert v.case == "Q4" and v.profile.q == 4
     # the hull has c_3 = s_3 = 4 != 0, so the cheap witness applies
     assert v.witness == 3
     assert chern_general(E)[3] == 4 != 0
@@ -108,7 +106,7 @@ def test_verdict_q4_deep_witness():
     E = drop(F, (0, 1, 2, 3), (-1, 0, 0, 0))
     v = obstruction_verdict(E)
     assert isinstance(v, NotSmoothable)
-    assert v.case == "Q4" and v.witness == v.q == 4
+    assert v.case == "Q4" and v.witness == v.profile.q == 4
     assert chern_general(E)[3] == 0
     assert chern_general(E)[4] != 0
 
@@ -120,7 +118,7 @@ def test_verdict_q2_stable_hull():
     E = drop(to_multifiltration(f), (0, 1), (0, -1))
     v = obstruction_verdict(E)
     assert isinstance(v, NotSmoothable)
-    assert v.case == "Q2" and v.q == 2 and v.witness == 3
+    assert v.case == "Q2" and v.profile.q == 2 and v.witness == 3
     assert chern_general(E).render() == "1 + 4*H + 7*H^2 + 8*H^3"
 
 
@@ -138,7 +136,7 @@ def test_verdict_q2_weight_bound_regression():
     assert chern_general(E).render() == "1 + 2*H + 2*H^2"
     v = obstruction_verdict(E)
     assert isinstance(v, Inconclusive)
-    assert v.q == 2
+    assert v.profile.q == 2
     assert v.reason is not None and "-S_max" in v.reason
     assert "reason" in v.as_json()
 
@@ -148,7 +146,7 @@ def test_verdict_q3_inconclusive():
     E = drop(F, (0, 1, 2), (-1, 0, 0))
     v = obstruction_verdict(E)
     assert isinstance(v, Inconclusive)
-    assert v.q == 3 and v.reason is None
+    assert v.profile.q == 3 and v.reason is None
     assert "reason" not in v.as_json()
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,12 +12,12 @@ from tsk.linalg import ZERO, FULL, Subspace
 from tsk.chern import chern_general
 from tsk.multifilt import Multifiltration
 from tsk.reflexive import (
-    NO_SPLIT,
     R2Filtration,
     RayDatum,
     Stability,
     bogomolov_ok,
     chern_k_general,
+    chern_routes,
     chern_symmetric,
     chern_total,
     chern_vector_positivity,
@@ -62,8 +63,7 @@ def test_filtration_basics():
     assert f.b_vec == (0, 0, 0, 0, 0)
     assert f.c_vec == (1, 6, 6, 0, 0)
     assert f.c_sum == 13
-    assert f.active_rays() == [0, 1, 2]
-    assert f.distinct_active_lines() == [(1, 0), (1, 1), (1, 2)]
+    assert list(line_sums(f)) == [(1, 0), (1, 1), (1, 2)]
     assert f.is_b_zero() and not f.is_a_zero()
     with pytest.raises(ValueError):
         R2Filtration(Fan(2), (RayDatum(0, 0),))  # wrong ray count
@@ -130,9 +130,9 @@ def test_closed_routes_need_general_position():
         chern_total(rep)
     with pytest.raises(ValueError, match="pairwise distinct"):
         chern_symmetric(rep)
-    with pytest.raises(ValueError, match="pairwise distinct"):
-        discriminant(rep)
     assert chern_general(to_multifiltration(rep)).render() == "1 + 7*H + 15*H^2 + 9*H^3"
+    # the discriminant takes c_1 and c_2 from the general formula there
+    assert discriminant(rep) == 4 * 15 - 7**2 == 11
     # one line on every ray is O(4) (+) O: the split route applies, c_k = s_k does not
     one = b_zero(3, (1, 1, 1, 1), lines=[(1, 0)] * 4)
     assert is_locally_free(one) and not in_general_position(one)
@@ -142,6 +142,39 @@ def test_closed_routes_need_general_position():
         chern_symmetric(one)
     # inactive rays carry no line and do not count
     assert in_general_position(b_zero(4, (1, 6, 6, 0, 0)))
+
+
+def test_route_table_matches_the_hypotheses():
+    # Lines from a pool of three, so repeated lines occur; every third draw
+    # is b_zero.  chern_routes keeps exactly the routes whose hypothesis
+    # holds, they agree, and the discriminant reads the general formula.
+    rng = random.Random(15)
+    pool = [(1, 0), (1, 1), (0, 1)]
+    outside = 0
+    for i in range(300):
+        n = rng.randint(2, 4)
+        rays = []
+        for _ in range(n + 1):
+            b = 0 if i % 3 == 0 else rng.randint(-3, 3)
+            c = rng.randint(0, 4)
+            rays.append(RayDatum(b - c, b, rng.choice(pool) if c else None))
+        f = R2Filtration(Fan(n), rays)
+        general, free = in_general_position(f), is_locally_free(f)
+        routes = chern_routes(f)
+        assert list(routes) == [
+            name
+            for name, holds in (
+                ("resolution", general or free),
+                ("klyachko", True),
+                ("symmetric", general and f.is_b_zero()),
+            )
+            if holds
+        ]
+        assert len(set(routes.values())) == 1
+        c = routes["klyachko"]
+        assert discriminant(f) == 4 * c[2] - c[1] ** 2
+        outside += not (general or free)
+    assert outside >= 40  # 48 of the 300 draws lie outside both closed routes
 
 
 def test_chern_line_bundle_split():
@@ -255,7 +288,7 @@ def test_prescribe_reflexive():
     assert chern_total(f) == target
     assert f.c_vec == (1, 6, 6, 0, 0)
     # no multiset of nonnegative integers has e_1 = 1, e_2 = 1
-    assert prescribe_reflexive(TruncPoly(3, (1, 1, 1, 0))) is NO_SPLIT
+    assert prescribe_reflexive(TruncPoly(3, (1, 1, 1, 0))) is None
     with pytest.raises(ValueError):
         prescribe_reflexive(TruncPoly(3, (2, 1)))
 

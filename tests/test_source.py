@@ -160,22 +160,34 @@ def test_containment_checked_only_at_factorize_entry():
 
 
 def test_no_rank_parameter():
-    # Every sheaf has rank 2, so the lattice, the multifiltrations and the
-    # documents take no rank: no parameter, attribute or name of one, and
-    # no rank-1 constructor.
+    # Every sheaf has rank 2, so no module takes a rank: no parameter,
+    # attribute or name of one, and no rank-1 constructor.
     found = []
-    for name in ("linalg.py", "multifilt.py", "documents.py"):
-        for node in ast.walk(ast.parse((SRC / name).read_text("utf-8"))):
-            if isinstance(node, ast.arguments):
-                params = node.posonlyargs + node.args + node.kwonlyargs
-                params += [a for a in (node.vararg, node.kwarg) if a is not None]
-                found += [f"{name}:{a.lineno} {a.arg}" for a in params if a.arg in ("rank", "r")]
-            elif isinstance(node, ast.Attribute) and node.attr in ("rank", "r"):
-                found.append(f"{name}:{node.lineno} .{node.attr}")
-            elif isinstance(node, ast.Name) and node.id in ("rank", "RANKS"):
-                found.append(f"{name}:{node.lineno} {node.id}")
-            elif isinstance(node, ast.FunctionDef) and node.name == "line_bundle":
-                found.append(f"{name}:{node.lineno} def line_bundle")
+    for path, node in _nodes():
+        if isinstance(node, ast.arguments):
+            params = node.posonlyargs + node.args + node.kwonlyargs
+            params += [a for a in (node.vararg, node.kwarg) if a is not None]
+            found += [f"{path.name}:{a.lineno} {a.arg}" for a in params if a.arg in ("rank", "r")]
+        elif isinstance(node, ast.Attribute) and node.attr in ("rank", "r"):
+            found.append(f"{path.name}:{node.lineno} .{node.attr}")
+        elif isinstance(node, ast.Name) and node.id in ("rank", "RANKS"):
+            found.append(f"{path.name}:{node.lineno} {node.id}")
+        elif isinstance(node, ast.FunctionDef) and node.name == "line_bundle":
+            found.append(f"{path.name}:{node.lineno} def line_bundle")
+    assert found == []
+
+
+def test_cli_reads_the_route_table():
+    # Which Chern routes apply is decided by the routes themselves
+    # (reflexive.chern_routes); the cli names none of their hypotheses.
+    tree = ast.parse((SRC / "cli.py").read_text("utf-8"))
+    hypotheses = {"in_general_position", "is_locally_free", "is_b_zero"}
+    field = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}
+    found = [
+        f"cli.py:{node.lineno} {getattr(node, field[type(node)])}"
+        for node in ast.walk(tree)
+        if type(node) in field and getattr(node, field[type(node)]) in hypotheses
+    ]
     assert found == []
 
 
