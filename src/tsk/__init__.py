@@ -34,6 +34,7 @@ from .multifilt import (
     Multifiltration,
     NotElementary,
     apply_elementary,
+    apply_run,
     drop,
     drop_counts,
     elementary_check,
@@ -100,6 +101,7 @@ __all__ = [
     "TorsionProfile",
     "TruncPoly",
     "apply_elementary",
+    "apply_run",
     "bogomolov_ok",
     "build_sequence",
     "canonical_dumps",

@@ -34,7 +34,9 @@ the per-cone count of the torsion profile, are one rewrite of sigma0's
 cofaces: G^tau_g & E^sigma0_g', g' the coordinates of g on sigma0's
 rays, applied only on the cells of sigma0 where the values differ
 (`_meet_cells`).  `drop` writes E and reads the injection's invariants
-off the rewritten grids; `factorize` trusts its drops.  `drop_counts`
+off the rewritten grids; `apply_run` writes a run of drops to ZERO at
+consecutive classes along one axis as one rewrite, on the union of
+their cells; `factorize` trusts its drops.  `drop_counts`
 counts the factorization's drops per cone without taking them.
 Canonical jumps hold the family's values, so containment and
 `factorize`'s m0 read the lists; the cells where two families differ
@@ -712,6 +714,39 @@ def apply_elementary(
 ) -> Multifiltration:
     """The family E of `drop(f, sigma0, m0, target)`."""
     return drop(f, sigma0, m0, target).e
+
+
+def apply_run(
+    f: Multifiltration, sigma0: Cone, m0: Weight, count: int
+) -> Multifiltration:
+    """Drop F^sigma0 to ZERO at the `count` consecutive classes m0,
+    m0 + e, ..., m0 + (count - 1) e, e the unit step along sigma0's last
+    axis: the family E of those `count` drops `drop(..., ZERO)`, taken
+    in that order.
+
+    Each of those drops meets the cofaces of sigma0 with ZERO on its own
+    unit cell of sigma0 (see `drop`), and the cells are disjoint, so each
+    drop sees F's values on its cell and the composite is one meet over
+    their union: the cell from m0 to (m0 + 1) + (count - 1) e.  That is
+    one `_meet_cells` call per coface, in (dim, lex) order, then
+    `_canonical_flat`, as in `drop`; with count = 1 the result is
+    `drop(f, sigma0, m0, ZERO).e`.  The drops' preconditions and
+    invariants are not checked: the caller checks the family it builds
+    (`prescribe.build_sequence` does).
+    """
+    sigma0 = tuple(sigma0)
+    m0 = tuple(m0)
+    if sigma0 not in f.jumps or len(m0) != len(sigma0):
+        raise ValueError(f"{m0!r} is not a class of the cone {sigma0!r}")
+    if count < 0:
+        raise ValueError(f"a run has a nonnegative count, got {count}")
+    hi = tuple(x + 1 for x in m0[:-1]) + (m0[-1] + count,)
+    cell = [(m0, hi, ZERO)]
+    new_jumps: dict[Cone, JumpList] = dict(f.jumps)
+    for cone in f.fan.cofaces(sigma0):
+        axes, strides, values, _ = _meet_cells(f.jumps[cone], cone, sigma0, cell)
+        new_jumps[cone] = _canonical_flat(axes, values, strides)
+    return Multifiltration._canonical(f.fan, new_jumps)
 
 
 # ---------------------------------------------------------------------------

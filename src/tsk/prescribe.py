@@ -11,8 +11,12 @@ saturated elementary injections on the schedule
     m_{k,j} = (-c_0, 0, p_3, ..., p_{k-1}, j-1),   j = 1..p_k,
 
 whose weights m_Sigma^{k,j} = -c_0 + p_3 + ... + p_{k-1} + (j-1) form
-consecutive runs, so the Chern bookkeeping of astronomically long
-schedules telescopes: each stage is one run of `run_factors`.
+consecutive runs.  So stage k is one run, for the sheaf and for its
+Chern class: `build_sequence` takes it with one `apply_run`, however
+long, and the Chern bookkeeping of astronomically long schedules
+telescopes into one `run_factors` per stage.  The drop-by-drop chain
+of the schedule (`injection_params`, one `drop` per step) is the
+oracle the tests hold the runs to.
 """
 
 from __future__ import annotations
@@ -22,15 +26,9 @@ from fractions import Fraction
 from math import comb, factorial, lcm
 from typing import Iterator, Sequence
 
-from .chern import power_sum_range, run_factors, stirling_A
+from .chern import chern_general, power_sum_range, run_factors, stirling_A
 from .fan import Cone, Fan, Weight
-from .linalg import ZERO
-from .multifilt import (
-    ElementaryInjection,
-    Multifiltration,
-    drop,
-    reflexive_hull,
-)
+from .multifilt import Multifiltration, apply_run, drop_counts, reflexive_hull
 from .reflexive import (
     R2Filtration,
     Stability,
@@ -112,16 +110,21 @@ class PrescriptionSolution:
     def injection_count(self) -> int:
         return sum(self.p)
 
+    def stages(self) -> Iterator[tuple[int, Cone, Weight, int]]:
+        """The schedule by stage, (k, sigma_k, head, p_k) for k = 3..n:
+        stage k drops the classes m_{k,j} = head + (j - 1,), j = 1..p_k."""
+        head = (-self.problem.c_rho0, 0)
+        for k in range(3, self.problem.n + 1):
+            yield k, tuple(range(k)), head, self.p_k(k)
+            head += (self.p_k(k),)
+
     def injection_params(self) -> Iterator[tuple[int, int, Cone, Weight]]:
         """The drop schedule (k, j, sigma_k, m_{k,j}), stage by stage.
 
         Lazy: the count can be astronomically large.
         """
-        c0 = self.problem.c_rho0
-        for k in range(3, self.problem.n + 1):
-            sigma = tuple(range(k))
-            head = (-c0, 0) + tuple(self.p[i - 3] for i in range(3, k))
-            for j in range(1, self.p_k(k) + 1):
+        for k, sigma, head, pk in self.stages():
+            for j in range(1, pk + 1):
                 yield k, j, sigma, head + (j - 1,)
 
     def certificate(self) -> dict:
@@ -358,19 +361,17 @@ def schwarzenberger(c1: int, c2: int, n: int) -> int | None:
 
 @dataclass(frozen=True)
 class BuildResult:
-    """Outcome of build_sequence.
+    """Outcome of build_sequence: the first `built` of the schedule's
+    `total` drops applied to `start`, one run per stage, giving `final`.
 
-    `injections` holds the steps actually built and verified
-    (everything when `full`).  `chern_final` is the Chern class of the
-    whole schedule in both modes: the start closed with every stage's
-    telescoped ratio and checked against the solution's Chern class,
-    whatever the number of steps built.  Only a full build has its
-    final sheaf's hull checked against the start.
+    `chern_final` is the Chern class of the whole schedule whether or
+    not the build is `full`: the start closed with every stage's
+    telescoped ratio and checked against the solution's Chern class.
+    For a full build it is also the general Chern class of `final`.
     """
 
     start: Multifiltration
     final: Multifiltration
-    injections: tuple[ElementaryInjection, ...]
     chern_final: TruncPoly
     built: int
     total: int
@@ -380,85 +381,90 @@ class BuildResult:
         return self.built == self.total
 
 
+def _closed_chern(c: TruncPoly, runs: Sequence[tuple[int, int, int]]) -> TruncPoly:
+    """c divided by the telescoped ratio of each run (k, first weight,
+    count): one product with negated exponents."""
+    return c * linear_product(
+        c.n, [(a, -e) for k, first, count in runs for a, e in run_factors(k, first, count)]
+    )
+
+
 def build_sequence(
     problem: PrescriptionProblem,
     solution: PrescriptionSolution,
     limit: int | None = None,
 ) -> BuildResult:
-    """Apply the drop schedule to the start sheaf.
+    """Apply the drop schedule to the start sheaf, one run per stage.
 
-    Every step is taken with `drop`, which derives its invariants from
-    the grids that write it.  They are compared with the schedule: each
-    step must come back saturated with the scheduled (k0, sigma0, m0,
-    m_Sigma), and a mismatch is an internal consistency error
-    (impossible for valid solutions).  The tests re-check the steps
-    with elementary_check.  With limit=None the whole schedule is built
-    and the final sheaf's reflexive hull is checked to be the start;
-    otherwise at most `limit` steps are materialized and no hull is
-    checked.  In both modes the Chern class of the whole schedule is
-    closed from the start with every stage's telescoped ratio, not
-    from the built prefix, and checked against `solution.chern`.
+    Stage k is the run of its p_k drops on sigma_k, taken at once with
+    `apply_run`; with a `limit`, the first `limit` drops are built and
+    the stage where the limit falls becomes a shorter run.  The built
+    sheaf E is checked against the schedule on every build:
+
+    - its reflexive hull is the start (the runs touch only cones of
+      dim >= 3, so the ray filtrations stay the start's);
+    - `drop_counts(E, start)` is the built count of each stage;
+    - `chern_general(E)` is the start's Chern class divided by the
+      built runs' telescoped ratios (for a full build, the solution's).
+
+    A failed check is an internal consistency error (impossible for
+    valid solutions).  The Chern class of the whole schedule is then
+    closed from the start with every stage's telescoped ratio, however
+    many drops were built, and checked against `solution.chern`.  The
+    tests hold the runs to the drop-by-drop chain of
+    `solution.injection_params()`, each step checked for saturation and
+    its scheduled (k0, sigma0, m0, m_Sigma).
     """
     if isinstance(solution, Infeasible):
         raise ValueError(f"cannot build an infeasible solution: {solution}")
-    start_f = problem.start_filtration()
-    start = to_multifiltration(start_f)
+    start = to_multifiltration(problem.start_filtration())
     total = solution.injection_count
     cap = total if limit is None else max(0, min(limit, total))
-    c0 = problem.c_rho0
-    p = solution.p
 
+    # The built runs and all the stages, as (k, first weight, count).
+    runs: list[tuple[int, int, int]] = []
+    stages: list[tuple[int, int, int]] = []
     current = start
-    injections: list[ElementaryInjection] = []
-    for k, j, sigma, m0 in solution.injection_params():
-        if len(injections) == cap:
-            break
-        inj = drop(current, sigma, m0, ZERO)
-        scheduled = weight_schedule(c0, p, k, j)
-        if not (
-            inj.saturated
-            and inj.k0 == k
-            and inj.sigma0 == sigma
-            and inj.m0 == m0
-            and inj.m_Sigma == scheduled
-        ):
-            raise RuntimeError(
-                f"internal consistency error at drop (k={k}, j={j}):"
-                f" got k0={inj.k0}, m_Sigma={inj.m_Sigma},"
-                f" saturated={inj.saturated}; scheduled m_Sigma={scheduled}"
-            )
-        injections.append(inj)
-        current = inj.e
+    left = cap
+    for k, sigma, head, pk in solution.stages():
+        count = min(pk, left)
+        if count:
+            current = apply_run(current, sigma, head + (0,), count)
+            runs.append((k, sum(head), count))
+            left -= count
+        if pk:
+            stages.append((k, sum(head), pk))
 
-    # Exact Chern of the full schedule: the start divided by every
-    # stage's telescoped run, one product with negated exponents.
-    n = problem.n
-    closure = [
-        (a, -e)
-        for k in range(3, n + 1)
-        if p[k - 3]
-        for a, e in run_factors(k, weight_schedule(c0, p, k, 1), p[k - 3])
-    ]
-    chern = problem.start_chern() * linear_product(n, closure)
+    if reflexive_hull(current) != start:
+        raise RuntimeError(
+            "internal consistency error: reflexive hull of the built"
+            " sheaf differs from the start"
+        )
+    counts = {k: count for k, _, count in runs}
+    found = drop_counts(current, start)
+    if found != counts:
+        raise RuntimeError(
+            f"internal consistency error: the built sheaf has drop counts"
+            f" {found}, scheduled {counts}"
+        )
+    c_start = problem.start_chern()
+    c_built, c_runs = chern_general(current), _closed_chern(c_start, runs)
+    if c_built != c_runs:
+        raise RuntimeError(
+            f"internal consistency error: the built sheaf has Chern class"
+            f" {c_built.render()}, its runs close to {c_runs.render()}"
+        )
+    chern = _closed_chern(c_start, stages)
     if chern != solution.chern:
         raise ArithmeticError(
             f"schedule closure produced {chern.render()},"
             f" target {solution.chern.render()}"
         )
-
-    if cap == total:
-        hull = reflexive_hull(current)
-        if hull != start:
-            raise RuntimeError(
-                "internal consistency error: reflexive hull of the final"
-                " sheaf differs from the start"
-            )
     return BuildResult(
         start=start,
         final=current,
-        injections=tuple(injections),
         chern_final=chern,
-        built=len(injections),
+        built=cap,
         total=total,
     )
 

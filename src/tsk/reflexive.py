@@ -6,8 +6,8 @@ filtration of C^2 per ray: empty below a_rho, a line L_rho on
 normalizations, the Chern-class formulas (resolution quotient for the
 non-locally-free regime, split-bundle divisor arithmetic otherwise)
 and the table of every Chern route, slope stability, the
-discriminant, the positivity inequalities, and the conversion to the
-full multifiltration encoding.
+discriminant, and the conversion to the full multifiltration
+encoding.
 
 Derived scalars follow the usual conventions: c_rho = b_rho - a_rho,
 a = sum a_rho, b = sum b_rho, c = sum c_rho, and s_k is the k-th
@@ -332,34 +332,7 @@ def bogomolov_ok(f: R2Filtration) -> bool | None:
 
 
 # ---------------------------------------------------------------------------
-# positivity and prescription
-
-
-def chern_vector_positivity(coeffs: Sequence[int]) -> bool:
-    """The inequalities sum_i C(k-3,i) c_{i+3} c_1^{k-3-i} >= 0, all k.
-
-    coeffs = (1, c_1, ..., c_n).  These sums are the s_k of a_zero
-    data, hence nonnegative for genuine filtrations; exposed to vet
-    externally supplied Chern vectors.
-    """
-    n = len(coeffs) - 1
-    c1 = coeffs[1]
-    for k in range(3, n + 1):
-        total = sum(
-            comb(k - 3, i) * coeffs[i + 3] * c1 ** (k - 3 - i)
-            for i in range(k - 2)
-        )
-        if total < 0:
-            return False
-    return True
-
-
-def normalized_positivity(f: R2Filtration) -> bool:
-    """chern_vector_positivity of a_zero-normalized data (precondition)."""
-    if not f.is_a_zero():
-        raise ValueError("normalized_positivity requires a_zero data")
-    c = chern_total(f)
-    return chern_vector_positivity([c[k] for k in range(f.n + 1)])
+# prescription
 
 
 def prescribe_reflexive(target: TruncPoly) -> R2Filtration | None:

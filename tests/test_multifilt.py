@@ -26,6 +26,7 @@ from tsk.multifilt import (
     _cells,
     _grid_flat,
     apply_elementary,
+    apply_run,
     delta,
     drop,
     drop_counts,
@@ -42,6 +43,8 @@ from tsk.obstruct import torsion_profile
 from tsk.prescribe import build_sequence, family_p4_odd
 from tsk.reflexive import R2Filtration, RayDatum, to_multifiltration
 from tsk.sampling import random_b_zero, random_drops, random_reflexive, random_semistable
+
+from drop_oracle import replay_drops
 
 
 def start_family(n=4, c=(1, 6, 6, 0, 0)):
@@ -447,12 +450,51 @@ def test_drop_equals_elementary_check():
 
 
 def test_p4_odd_build_steps_pass_elementary_check():
-    # build_sequence trusts drop's invariants; re-check all 258 steps.
+    # The drop-by-drop oracle of the 258-drop build, whose final sheaf the
+    # run build must reach; re-check all 258 steps.
     sol = family_p4_odd(1)
-    res = build_sequence(sol.problem, sol)
-    assert res.full and len(res.injections) == 258
-    for inj in res.injections:
+    final, injections = replay_drops(sol, 258)
+    assert len(injections) == 258
+    assert final == build_sequence(sol.problem, sol).final
+    for inj in injections:
         assert_drop_is_elementary(inj)
+
+
+def test_apply_run_equals_drop_by_drop():
+    # A run of count c from m0 is the chain of the c drops to ZERO at m0,
+    # m0 + e, ... along sigma0's last axis, on seeded starts: the start's
+    # line jumps on cones of dim >= 2, as far as the drops are legal.
+    rng = random.Random(16)
+    seen = set()
+    for _ in range(16):
+        f = to_multifiltration(random_reflexive(rng, rng.choice((3, 4))))
+        sigma0 = rng.choice(list(f.fan.all_cones(min_dim=2)))
+        lines = [coords for coords, w in f.jumps[sigma0] if w.dim == 1]
+        if not lines:
+            continue
+        m0 = rng.choice(lines)
+        chain = [f]
+        for j in range(6):
+            try:
+                inj = drop(chain[-1], sigma0, m0[:-1] + (m0[-1] + j,), ZERO)
+            except ValueError:
+                break
+            chain.append(inj.e)
+        for count, e in enumerate(chain):
+            assert apply_run(f, sigma0, m0, count) == e, (sigma0, m0, count)
+            seen.add(count)
+        assert_valid_and_canonical(apply_run(f, sigma0, m0, len(chain) - 1))
+    assert seen == set(range(7))
+
+
+def test_apply_run_rejects_malformed_runs():
+    f = start_family()
+    with pytest.raises(ValueError):
+        apply_run(f, (0, 1, 2), (-1, 0), 1)  # m0 of the wrong arity
+    with pytest.raises(ValueError):
+        apply_run(f, (0, 1, 2), (-1, 0, 0), -1)
+    with pytest.raises(ValueError):
+        apply_run(f, (0, 0), (0, 0), 1)
 
 
 def with_jump(family, cone, coords, w):

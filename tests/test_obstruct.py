@@ -57,7 +57,8 @@ def test_torsion_profile_of_drops():
 
 
 def test_profile_of_the_built_families():
-    # The paper's families built drop by drop: 258, 64 and 2060 drops.
+    # The paper's families built in full, one run per stage: 258, 64 and
+    # 2060 drops.
     for sol, total in ((family_p4_odd(1), 258), (family_pn(4), 64), (family_pn(5), 2060)):
         res = build_sequence(sol.problem, sol)
         assert res.built == total

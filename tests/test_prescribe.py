@@ -25,9 +25,12 @@ from tsk.prescribe import (
     weight_schedule,
 )
 from tsk import prescribe
-from tsk.multifilt import is_reflexive, reflexive_hull
+from tsk.chern import chern_general
+from tsk.multifilt import drop_counts, is_reflexive, reflexive_hull
 from tsk.reflexive import Stability, chern_total
 from tsk.ring import TruncPoly
+
+from drop_oracle import replay_drops
 
 
 def test_problem_validation():
@@ -125,6 +128,11 @@ def test_injection_params_schedule():
     assert params[17] == (3, 18, (0, 1, 2), (-1, 0, 17))
     assert params[18] == (4, 1, (0, 1, 2, 3), (-1, 0, 18, 0))
     assert params[-1] == (4, 240, (0, 1, 2, 3), (-1, 0, 18, 239))
+    # the stages are the runs of the same schedule
+    assert list(sol.stages()) == [
+        (3, (0, 1, 2), (-1, 0), 18),
+        (4, (0, 1, 2, 3), (-1, 0, 18), 240),
+    ]
 
 
 def test_closed_forms_match_solver():
@@ -172,20 +180,73 @@ def test_build_sequence_prefix():
     res = build_sequence(prob, sol, limit=5)
     assert not res.full
     assert res.built == 5 and res.total == 258
-    assert len(res.injections) == 5
     # the closure is exact even for partial builds
     assert res.chern_final == sol.chern
-    # every built step is saturated with the scheduled weight
-    for idx, inj in enumerate(res.injections):
-        assert inj.saturated
-        assert inj.m_Sigma == weight_schedule(1, sol.p, *_kj(sol, idx))
+    # the prefix is the schedule's first five drops, each saturated with
+    # its scheduled weight (the oracle checks every step)
+    final, injections = replay_drops(sol, 5)
+    assert len(injections) == 5 and final == res.final
+    assert drop_counts(res.final, res.start) == {3: 5}
 
 
-def _kj(sol, idx):
-    for pos, (k, j, _, _) in enumerate(sol.injection_params()):
-        if pos == idx:
-            return k, j
-    raise IndexError(idx)
+@pytest.mark.parametrize("limit", [0, 1, 17, 18, 19, 100, 258, 10**6])
+def test_build_prefixes_cut_one_run(limit):
+    # A limit inside a stage cuts its run short; 18 = p3 ends stage 3.
+    sol = family_p4_odd(1)
+    res = build_sequence(sol.problem, sol, limit=limit)
+    assert res.built == min(limit, 258) and res.total == 258
+    assert res.chern_final == sol.chern
+    assert res.final == replay_drops(sol, res.built)[0]
+
+
+@pytest.mark.parametrize(
+    "make, total",
+    [(lambda: family_p4_odd(1), 258), (lambda: family_pn(4), 64), (lambda: family_pn(5), 2060)],
+    ids=["p4_odd(1)", "pn(4)", "pn(5)"],
+)
+def test_run_build_equals_the_drops_on_the_full_builds(make, total):
+    sol = make()
+    res = build_sequence(sol.problem, sol)
+    final, injections = replay_drops(sol, res.built)
+    assert res.full and res.built == len(injections) == total
+    assert res.final == final
+
+
+@pytest.mark.parametrize("shift", [-1, 1])
+@pytest.mark.parametrize("limit", [None, 5])
+def test_off_by_one_run_bound_is_caught(monkeypatch, shift, limit):
+    # A run one class short or long (its cell's last upper coordinate off
+    # by one) must fail the build's checks.
+    run = prescribe.apply_run
+    monkeypatch.setattr(
+        prescribe, "apply_run", lambda f, sigma, m0, count: run(f, sigma, m0, count + shift)
+    )
+    for sol in (family_pn(3), family_p4_odd(1)):
+        with pytest.raises(RuntimeError, match="internal consistency error"):
+            build_sequence(sol.problem, sol, limit=limit)
+
+
+PAPER_FAMILIES = (
+    [(f"p4_odd({t})", family_p4_odd, t) for t in range(1, 6)]
+    + [(f"p4_even({t})", family_p4_even, t) for t in range(1, 4)]
+    + [(f"p5({t})", family_p5, t) for t in range(1, 4)]
+    + [(f"pn({n})", family_pn, n) for n in (6, 7, 8)]
+)
+
+
+@pytest.mark.parametrize(
+    "family, arg", [f[1:] for f in PAPER_FAMILIES], ids=[f[0] for f in PAPER_FAMILIES]
+)
+def test_every_paper_family_builds_in_full(family, arg):
+    # Up to 1.6e76 drops (pn(8)), one run per stage; each final sheaf is
+    # checked here independently of build_sequence's own checks.
+    sol = family(arg)
+    res = build_sequence(sol.problem, sol)
+    assert res.full and res.built == sol.injection_count
+    res.final.validate()
+    assert reflexive_hull(res.final) == res.start
+    assert chern_general(res.final) == sol.chern == res.chern_final
+    assert drop_counts(res.final, res.start) == {k: pk for k, pk in enumerate(sol.p, 3) if pk}
 
 
 def test_build_rejects_infeasible():

@@ -20,7 +20,6 @@ from tsk.reflexive import (
     chern_routes,
     chern_symmetric,
     chern_total,
-    chern_vector_positivity,
     discriminant,
     elementary_symmetric,
     from_multifiltration,
@@ -28,7 +27,6 @@ from tsk.reflexive import (
     is_locally_free,
     line_sums,
     normalize,
-    normalized_positivity,
     prescribe_reflexive,
     slope,
     stability,
@@ -270,15 +268,6 @@ def test_discriminant_and_bogomolov():
     assert stability(h) is Stability.STRICTLY_SEMISTABLE
     assert discriminant(h) == 4 * 4 - 16 == 0
     assert bogomolov_ok(h) is True
-
-
-def test_positivity():
-    assert chern_vector_positivity((1, 13, 48, 36, 0))
-    assert not chern_vector_positivity((1, 13, 48, -1, 0))
-    f = normalize(b_zero(4, (1, 6, 6, 0, 0)), "a_zero")
-    assert normalized_positivity(f)
-    with pytest.raises(ValueError):
-        normalized_positivity(b_zero(4, (1, 6, 6, 0, 0)))
 
 
 def test_prescribe_reflexive():

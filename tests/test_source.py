@@ -209,3 +209,23 @@ def test_only_main_writes_to_stdout():
             elif isinstance(node, ast.Attribute) and node.attr == "stdout":
                 found.append(f"cli.py:{node.lineno} {fn.name}: .stdout")
     assert found == []
+
+
+def test_prescribe_builds_by_runs_only():
+    # build_sequence takes one run per stage; the drop-by-drop chain is
+    # the tests' oracle and must not come back as a second build path.
+    per_drop = {"drop", "apply_elementary"}
+    tree = ast.parse((SRC / "prescribe.py").read_text("utf-8"))
+    imported = {
+        name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+        for name in (alias.name, alias.asname)
+    }
+    called = {
+        getattr(node.func, "id", getattr(node.func, "attr", None))
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+    }
+    assert per_drop & (imported | called) == set()
