@@ -11,7 +11,6 @@ from .chern import (
     chern_general,
     identity_cone_sum,
     identity_product,
-    ratio_run,
     ratio_saturated,
     stirling_A,
     twist_chern,
@@ -77,7 +76,7 @@ from .reflexive import (
     stability,
     to_multifiltration,
 )
-from .ring import TruncPoly, parse_poly
+from .ring import TruncPoly
 
 __version__ = "0.1.0"
 
@@ -127,8 +126,6 @@ __all__ = [
     "multifilt_to_doc",
     "normalize",
     "obstruction_verdict",
-    "parse_poly",
-    "ratio_run",
     "ratio_saturated",
     "recompose",
     "reflexive_from_doc",

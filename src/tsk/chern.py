@@ -1,8 +1,8 @@
 """Chern engine: the general Klyachko product formula for
 multifiltrations, closed-form Chern ratios of elementary injections,
-their log expansions, rank-2 twists, and the combinatorial
-identities (Stirling-type coefficients, telescoping products, signed
-cone sums) that the closed forms rest on.
+rank-2 twists, and the combinatorial identities (Stirling-type
+coefficients, telescoping products, signed cone sums) that the closed
+forms rest on.
 
 The product formulas are products of linear factors (1 - wH)^e; each
 collects its (-w, e) pairs and multiplies them in one
@@ -12,7 +12,6 @@ construction.  All arithmetic is exact (big integers / Fractions).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
 from math import comb, factorial
@@ -166,26 +165,18 @@ def ratio_saturated(k0: int, m_sigma: int, n: int) -> TruncPoly:
     )
 
 
-def ratio_run(k0: int, start: int, count: int, n: int) -> TruncPoly:
-    """prod_{j=0}^{count-1} ratio_saturated(k0, start+j, n), telescoped.
+def run_factors(k0: int, start: int, count: int) -> list[tuple[int, int]]:
+    """The linear factors (a, e), (1 + aH)^e, of
+    prod_{j=0}^{count-1} ratio_saturated(k0, start+j, n), telescoped.
 
     Each ratio factors as edge(m)/edge(m+1) with
     edge(x) = prod_{i=0}^{k0-1} (1-(x+i)H)^{(-1)^i C(k0-1,i)}
     (Pascal: C(k0-1,i) + C(k0-1,i-1) = C(k0,i)), so the run collapses
     to edge(start)/edge(start+count) -- O(1) in count, which is what
-    makes astronomically long drop schedules tractable.  Dividing by an
-    edge is multiplying by its factors with negated exponents.
+    makes astronomically long drop schedules tractable.  The factors
+    are both edges, the second with negated exponents (dividing by an
+    edge); `linear_product` multiplies them.
     """
-    if not 1 <= k0 <= n:
-        raise ValueError(f"need 1 <= k0 <= n, got k0={k0}, n={n}")
-    if count < 0:
-        raise ValueError("count must be >= 0")
-    return linear_product(n, run_factors(k0, start, count))
-
-
-def run_factors(k0: int, start: int, count: int) -> list[tuple[int, int]]:
-    """The linear factors (a, e), (1 + aH)^e, of `ratio_run`: both edges,
-    the second with negated exponents."""
     return [
         (-(x + i), sign * (-1) ** i * comb(k0 - 1, i))
         for x, sign in ((start, 1), (start + count, -1))
@@ -214,44 +205,6 @@ def ratio_saturated_conewise(inj: ElementaryInjection) -> TruncPoly:
             for i in range(k0 + 1)
         ],
     )
-
-
-def log_ratio_saturated(k0: int, m_sigma: int, n: int) -> TruncPoly:
-    """log of ratio_saturated:
-
-        - sum_{k=k0}^n ( sum_{l=k0}^k C(k,l) A_{l,k0} m_Sigma^{k-l} ) H^k / k
-
-    Rational coefficients; exp of it equals ratio_saturated.  Empty sum
-    (k0 > n) gives 0.
-    """
-    if k0 < 1:
-        raise ValueError("need k0 >= 1")
-    coeffs: list[Fraction] = [Fraction(0)] * (n + 1)
-    for k in range(k0, n + 1):
-        inner = sum(
-            comb(k, l) * stirling_A(l, k0) * m_sigma ** (k - l)
-            for l in range(k0, k + 1)
-        )
-        coeffs[k] = Fraction(-inner, k)
-    return TruncPoly(n, tuple(coeffs))
-
-
-def log_ratio_leading(inj: ElementaryInjection) -> tuple[Fraction, Fraction]:
-    """The two leading coefficients of log(c(F)/c(E)) for an elementary
-    injection (saturation not required):
-
-        [H^k0]     = (-1)^{k0-1} (k0-1)!
-        [H^{k0+1}] = -(A_{k0,k0} m_Sigma + A_{k0+1,k0}/(k0+1)).
-    """
-    k0 = inj.k0
-    if k0 < 1:
-        raise ValueError("need k0 >= 1")
-    lead = Fraction((-1) ** (k0 - 1) * factorial(k0 - 1))
-    after = -(
-        Fraction(stirling_A(k0, k0) * inj.m_Sigma)
-        + Fraction(stirling_A(k0 + 1, k0), k0 + 1)
-    )
-    return (lead, after)
 
 
 # ---------------------------------------------------------------------------

@@ -54,14 +54,6 @@ class Fan:
         """Ray indices 0..n; ray 0 is u_0 = -(e_1 + ... + e_n)."""
         return range(self.n + 1)
 
-    def ray_vector(self, ray: int) -> tuple[int, ...]:
-        """The primitive generator u_ray as a vector in N = Z^n."""
-        if not 0 <= ray <= self.n:
-            raise ValueError(f"ray {ray} out of range for P^{self.n}")
-        if ray == 0:
-            return (-1,) * self.n
-        return tuple(1 if i == ray - 1 else 0 for i in range(self.n))
-
     def cones(self, k: int) -> list[Cone]:
         """All k-dimensional cones, lexicographically sorted."""
         if not 0 <= k <= self.n:
@@ -78,15 +70,6 @@ class Fan:
 
     def codim(self, cone: Cone) -> int:
         return self.n - len(_check_cone(self.n, cone))
-
-    def u_sigma(self, cone: Cone) -> tuple[int, ...]:
-        """Sum of the ray generators of the cone (a vector in N)."""
-        _check_cone(self.n, cone)
-        total = [0] * self.n
-        for ray in cone:
-            for i, v in enumerate(self.ray_vector(ray)):
-                total[i] += v
-        return tuple(total)
 
     def pairing(self, m: Weight, ray: int) -> int:
         """<m, u_ray> for a character m in M = Z^n."""
@@ -118,10 +101,3 @@ class Fan:
             grown = [tuple(sorted(cone + more)) for more in combinations(rest, extra)]
             out.extend(sorted(grown))
         return out
-
-
-def le_componentwise(a: Weight, b: Weight) -> bool:
-    """Componentwise <=; on cone coordinates this is the order <=_sigma."""
-    if len(a) != len(b):
-        raise ValueError("cannot compare coordinate tuples of different length")
-    return all(x <= y for x, y in zip(a, b))

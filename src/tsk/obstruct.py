@@ -54,7 +54,6 @@ from .reflexive import (
     normalize,
     stability,
 )
-from .ring import TruncPoly
 
 
 @dataclass(frozen=True)

@@ -68,10 +68,6 @@ class PrescriptionProblem:
     def start_chern(self) -> TruncPoly:
         return chern_total(self.start_filtration())
 
-    def target_chern(self) -> TruncPoly:
-        """1 + c1 H + c2 H^2 with c1, c2 of the start data."""
-        return _low(self.start_chern())
-
 
 @dataclass(frozen=True)
 class Infeasible:
@@ -303,20 +299,6 @@ def solve_p_closed_p5(c: Sequence[int]) -> tuple[Fraction, Fraction, Fraction]:
         + 2 * p4
     )
     return (p3, p4, p5)
-
-
-def positivity_check_p4(c: Sequence[int] | TruncPoly, c_rho0: int) -> bool:
-    """The n=4 positivity constraint (equivalent to p4 >= 0):
-
-        (c1 c3 - c4)/3 + c3 + c3^2/4  >=  c_rho0 c3.
-
-    c is the Chern vector (1, c1, c2, c3, c4) or the polynomial.
-    """
-    coeffs = [c[k] for k in range(5)] if isinstance(c, TruncPoly) else list(c)
-    if len(coeffs) != 5:
-        raise ValueError("need the five coefficients (1, c1..c4) of P^4 data")
-    _, c1, _, c3, c4 = (Fraction(x) for x in coeffs)
-    return (c1 * c3 - c4) / 3 + c3 + c3**2 / 4 >= c_rho0 * c3
 
 
 def schwarzenberger(c1: int, c2: int, n: int) -> int | None:

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import comb
 from typing import Callable, Sequence
 
 from .chern import chern_general
@@ -250,19 +249,6 @@ def chern_total(f: R2Filtration) -> TruncPoly:
     )
 
 
-def chern_k_general(f: R2Filtration, k: int) -> int:
-    """c_k = sum_{i=0}^{k-3} C(k-3,i) s_{i+3} b^{k-3-i}  (3 <= k <= n).
-
-    Under b_zero this collapses to c_k = s_k.  Always equals the H^k
-    coefficient of chern_total on general-position data.
-    """
-    if not 3 <= k <= f.n:
-        raise ValueError(f"k must be in [3, {f.n}], got {k}")
-    b = f.b_sum
-    e = _esym(f.c_vec)
-    return sum(comb(k - 3, i) * e[i + 3] * b ** (k - 3 - i) for i in range(k - 2))
-
-
 def slope(f: R2Filtration) -> Fraction:
     """mu = -(1/2) sum_rho iota_rho with iota_rho = a_rho + b_rho."""
     return Fraction(-(f.a_sum + f.b_sum), 2)
@@ -329,55 +315,6 @@ def bogomolov_ok(f: R2Filtration) -> bool | None:
     if stability(f) is Stability.UNSTABLE:
         return None
     return discriminant(f) >= 0
-
-
-# ---------------------------------------------------------------------------
-# prescription
-
-
-def prescribe_reflexive(target: TruncPoly) -> R2Filtration | None:
-    """Find b_zero reflexive data with the prescribed total Chern class.
-
-    Searches nonnegative integers (r_0, ..., r_n) whose elementary
-    symmetric polynomials match the target coefficients for k = 1..n
-    (the degree-(n+1) coefficient of the lift is free).  On success the
-    returned filtration has c_rho = r_rho (positives first, ascending)
-    and pairwise distinct lines; None when no multiset exists.
-    """
-    n = target.n
-    if target[0] != 1 or not target.is_integral:
-        raise ValueError("target must be an integral polynomial with constant 1")
-    goal = [target[k] for k in range(n + 1)]
-    if any(goal[k] < 0 for k in range(1, n + 1)):
-        return None
-    e1 = goal[1]
-
-    found: list[int] | None = None
-
-    def search(prefix: list[int], remaining: int, bound: int) -> bool:
-        if len(prefix) == n + 1:
-            if remaining != 0:
-                return False
-            e = _esym(prefix)
-            return all(e[k] == goal[k] for k in range(1, n + 1))
-        slots = n + 1 - len(prefix)
-        for r in range(min(bound, remaining), -1, -1):
-            if r * slots < remaining:
-                break
-            prefix.append(r)
-            if search(prefix, remaining - r, r):
-                return True
-            prefix.pop()
-        return False
-
-    roots: list[int] = []
-    if search(roots, e1, e1 if e1 > 0 else 0):
-        found = roots
-    if found is None:
-        return None
-    ordered = sorted((r for r in found if r > 0)) + [0] * found.count(0)
-    fan = Fan(n)
-    return R2Filtration.b_zero_data(fan, ordered)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ plain ints, and builds one TruncPoly at the end.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -95,12 +94,6 @@ class TruncPoly:
     @property
     def is_integral(self) -> bool:
         return all(isinstance(c, int) for c in self.coeffs)
-
-    def to_integral(self) -> "TruncPoly":
-        """Assert all coefficients are integers and return self."""
-        if not self.is_integral:
-            raise ValueError(f"non-integer coefficients in {self!r}")
-        return self
 
     # -- ring operations -------------------------------------------------
 
@@ -202,10 +195,10 @@ class TruncPoly:
             out = out + power * Fraction(1, factorial)
         return out
 
-    # -- rendering / parsing ----------------------------------------------
+    # -- rendering -------------------------------------------------------
 
     def render(self) -> str:
-        """Render like "1 + 13*H + 48*H^2" (the CLI grammar).
+        """Render like "1 + 13*H + 48*H^2", the form the CLI prints.
 
         Every nonzero coefficient is printed explicitly (including 1),
         rationals as p/q.  The zero polynomial renders as "0".
@@ -226,52 +219,6 @@ class TruncPoly:
             else:
                 parts.append(f"+ {body}" if c > 0 else f"- {body}")
         return " ".join(parts) if parts else "0"
-
-
-_TERM_RE = re.compile(
-    r"""^\s*
-        (?P<coeff>-?\d+(?:/\d+)?)          # integer or p/q
-        (?:\s*\*\s*H(?:\^(?P<exp>\d+))?)?  # optional *H or *H^k
-        \s*$""",
-    re.VERBOSE,
-)
-
-
-def parse_poly(text: str, n: int) -> TruncPoly:
-    """Parse the `render` grammar back into a TruncPoly.
-
-    Accepts e.g. "1 + 13*H + 48*H^2", "-1*H^3", "0", "1/2*H^2".
-    """
-    s = text.strip()
-    if not s:
-        raise ValueError("empty polynomial text")
-    # Split into signed terms: a leading sign, then +/- separators.
-    chunks = re.split(r"\s+([+-])\s+", s)
-    signed: list[tuple[int, str]] = []
-    head = chunks[0]
-    sign = 1
-    if head.startswith("-"):
-        sign, head = -1, head[1:]
-    signed.append((sign, head))
-    for op, term in zip(chunks[1::2], chunks[2::2]):
-        signed.append((1 if op == "+" else -1, term))
-    coeffs: list[Scalar] = [0] * (n + 1)
-    for sign, term in signed:
-        m = _TERM_RE.match(term)
-        if m is None:
-            raise ValueError(f"cannot parse polynomial term {term!r} in {text!r}")
-        raw = m.group("coeff")
-        coeff: Scalar = Fraction(raw) if "/" in raw else int(raw)
-        if m.group("exp") is not None:
-            k = int(m.group("exp"))
-        elif m.group(0).rstrip().endswith("H"):
-            k = 1
-        else:
-            k = 0
-        if k > n:
-            raise ValueError(f"degree {k} exceeds truncation H^{n} in {text!r}")
-        coeffs[k] += sign * coeff
-    return TruncPoly(n, coeffs)
 
 
 def product(polys: Iterable[TruncPoly], n: int) -> TruncPoly:

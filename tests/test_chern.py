@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import product
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -14,21 +14,19 @@ from tsk.chern import (
     chern_general,
     identity_cone_sum,
     identity_product,
-    log_ratio_leading,
-    log_ratio_saturated,
     power_sum_range,
-    ratio_run,
     ratio_saturated,
     ratio_saturated_conewise,
+    run_factors,
     stirling2,
     stirling_A,
     twist_chern,
 )
 from tsk.fan import Fan
 from tsk.linalg import ZERO
-from tsk.multifilt import _axes, apply_elementary, elementary_check
+from tsk.multifilt import _axes, apply_elementary, elementary_check, factorize
 from tsk.reflexive import R2Filtration, RayDatum, chern_total, to_multifiltration
-from tsk.ring import TruncPoly
+from tsk.ring import TruncPoly, linear_product
 from tsk.sampling import random_drops, random_reflexive
 
 
@@ -209,12 +207,63 @@ def test_ratio_run_telescopes():
                 expanded = TruncPoly.one(n)
                 for j in range(count):
                     expanded = expanded * ratio_saturated(k0, start + j, n)
-                assert ratio_run(k0, start, count, n) == expanded
-    # astronomically long runs stay O(1)
-    big = ratio_run(3, 0, 10**12, 5)
+                assert linear_product(n, run_factors(k0, start, count)) == expanded
+    # astronomically long runs stay O(1) and split at any point
+    half = 5 * 10**11
+    big = linear_product(n, run_factors(3, 0, 2 * half))
     assert big[0] == 1
-    with pytest.raises(ValueError):
-        ratio_run(3, 0, -1, 5)
+    assert big == linear_product(n, run_factors(3, 0, half) + run_factors(3, half, half))
+
+
+def test_chern_is_multiplicative_along_factorized_chains():
+    # c(E) times the closed ratio c(F)/c(E) of every saturated step of
+    # the factorization is c(start).
+    rng = random.Random(11)
+    saturated = 0
+    for i in range(40):
+        n = (3, 4, 5)[i % 3]
+        start = to_multifiltration(random_reflexive(rng, n, max_c=3))
+        dims = rng.sample(range(1, n + 1), rng.randint(1, n))
+        family, _ = random_drops(rng, start, rng.randint(1, 5), dims)
+        steps = factorize(family, start)
+        if not steps or not all(s.saturated for s in steps):
+            continue
+        saturated += 1
+        c = chern_general(family)
+        for s in steps:
+            c = c * ratio_saturated(s.k0, s.m_Sigma, n)
+        assert c == chern_general(start)
+    assert saturated >= 10
+
+
+def log_ratio_saturated(k0, m_sigma, n):
+    """log of ratio_saturated:
+
+        - sum_{k=k0}^n ( sum_{l=k0}^k C(k,l) A_{l,k0} m_Sigma^{k-l} ) H^k / k
+    """
+    coeffs = [Fraction(0)] * (n + 1)
+    for k in range(k0, n + 1):
+        inner = sum(
+            comb(k, l) * stirling_A(l, k0) * m_sigma ** (k - l)
+            for l in range(k0, k + 1)
+        )
+        coeffs[k] = Fraction(-inner, k)
+    return TruncPoly(n, coeffs)
+
+
+def log_ratio_leading(inj):
+    """The two leading coefficients of log(c(F)/c(E)) for an elementary
+    injection (saturation not required):
+
+        [H^k0]     = (-1)^{k0-1} (k0-1)!
+        [H^{k0+1}] = -(A_{k0,k0} m_Sigma + A_{k0+1,k0}/(k0+1)).
+    """
+    k0 = inj.k0
+    lead = Fraction((-1) ** (k0 - 1) * factorial(k0 - 1))
+    after = -(
+        Fraction(stirling_A(k0, k0) * inj.m_Sigma) + Fraction(stirling_A(k0 + 1, k0), k0 + 1)
+    )
+    return lead, after
 
 
 def test_log_ratio():

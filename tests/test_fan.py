@@ -7,21 +7,16 @@ from math import comb
 
 import pytest
 
-from tsk.fan import Fan, le_componentwise
+from tsk.fan import Fan
 
 
 def test_rays_and_generators():
     fan = Fan(3)
     assert list(fan.rays) == [0, 1, 2, 3]
-    assert fan.ray_vector(0) == (-1, -1, -1)
-    assert fan.ray_vector(1) == (1, 0, 0)
-    assert fan.ray_vector(3) == (0, 0, 1)
+    m = (2, -5, 7)
+    assert [fan.pairing(m, r) for r in fan.rays] == [-4, 2, -5, 7]
     # the rays sum to zero: the defining relation of the fan
-    total = [0, 0, 0]
-    for r in fan.rays:
-        for i, v in enumerate(fan.ray_vector(r)):
-            total[i] += v
-    assert total == [0, 0, 0]
+    assert sum(fan.pairing(m, r) for r in fan.rays) == 0
 
 
 def test_bad_parameters():
@@ -29,7 +24,7 @@ def test_bad_parameters():
         Fan(0)
     fan = Fan(2)
     with pytest.raises(ValueError):
-        fan.ray_vector(3)
+        fan.pairing((0, 0), 3)
     with pytest.raises(ValueError):
         fan.cones(3)
     with pytest.raises(ValueError):
@@ -58,14 +53,6 @@ def test_all_cones_order():
         (0, 2),
         (1, 2),
     ]
-
-
-def test_u_sigma():
-    fan = Fan(4)
-    assert fan.u_sigma((1, 2)) == (1, 1, 0, 0)
-    # summing all rays of a maximal cone containing ray 0
-    assert fan.u_sigma((0, 1, 2, 3)) == (0, 0, 0, -1)
-    assert fan.u_sigma(()) == (0, 0, 0, 0)
 
 
 def test_pairing_and_weight_class():
@@ -105,10 +92,3 @@ def test_cofaces_order_and_membership():
         if 2 in c
     }
     assert set(cofs) == expected
-
-
-def test_componentwise_order():
-    assert le_componentwise((1, 2), (1, 3))
-    assert not le_componentwise((1, 4), (1, 3))
-    with pytest.raises(ValueError):
-        le_componentwise((1,), (1, 2))

@@ -16,7 +16,6 @@ from tsk.prescribe import (
     family_p5,
     family_p5_candidates,
     family_pn,
-    positivity_check_p4,
     schwarzenberger,
     solve_p,
     solve_p_closed_p4,
@@ -37,7 +36,7 @@ def test_problem_validation():
     prob = PrescriptionProblem(4, (1, 6, 6, 0, 0))
     assert prob.c_rho0 == 1
     assert prob.start_chern().render() == "1 + 13*H + 48*H^2 + 36*H^3"
-    assert prob.target_chern().render() == "1 + 13*H + 48*H^2"
+    assert solve_p(prob).chern.render() == "1 + 13*H + 48*H^2"
     with pytest.raises(ValueError):
         PrescriptionProblem(2, (1, 1, 1))
     with pytest.raises(ValueError):
@@ -107,7 +106,7 @@ def test_solve_p_computes_the_start_class_once(monkeypatch):
     monkeypatch.setattr(prescribe, "chern_total", counted)
     sol = solve_p(PrescriptionProblem(4, (1, 6, 6, 0, 0)))
     assert len(calls) == 1
-    assert sol.chern == PrescriptionProblem(4, (1, 6, 6, 0, 0)).target_chern()
+    assert sol.chern == TruncPoly(4, (1, 13, 48))
 
 
 def test_solve_p_infeasible():
@@ -135,13 +134,28 @@ def test_injection_params_schedule():
     ]
 
 
+def positivity_check_p4(c, c_rho0):
+    """The n=4 positivity constraint (equivalent to p4 >= 0):
+
+        (c1 c3 - c4)/3 + c3 + c3^2/4  >=  c_rho0 c3.
+
+    c = (1, c1, c2, c3, c4) are the Chern classes of the start sheaf.
+    """
+    _, c1, _, c3, c4 = (Fraction(x) for x in c)
+    return (c1 * c3 - c4) / 3 + c3 + c3**2 / 4 >= c_rho0 * c3
+
+
 def test_closed_forms_match_solver():
     prob = PrescriptionProblem(4, (1, 6, 6, 0, 0))
     sol = solve_p(prob)
     start = prob.start_chern()
     p3, p4 = solve_p_closed_p4(start.coeffs, prob.c_rho0)
     assert (p3, p4) == sol.p
-    assert positivity_check_p4(start, prob.c_rho0)
+    assert positivity_check_p4(start.coeffs, prob.c_rho0)
+    for c in [(1, 6, 6, 0, 0), (3, 2, 2, 0, 0), (1, 1, 1, 1, 1), (5, 0, 0, 1, 1)]:
+        start = PrescriptionProblem(4, c).start_chern()
+        _, p4 = solve_p_closed_p4(start.coeffs, c[0])
+        assert positivity_check_p4(start.coeffs, c[0]) == (p4 >= 0), c
 
     for c in [(1, 120, 120, 0, 0, 0), (1, 12, 12, 0, 0, 0)]:
         prob5 = PrescriptionProblem(5, c)

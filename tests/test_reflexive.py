@@ -16,7 +16,6 @@ from tsk.reflexive import (
     RayDatum,
     Stability,
     bogomolov_ok,
-    chern_k_general,
     chern_routes,
     chern_symmetric,
     chern_total,
@@ -27,7 +26,6 @@ from tsk.reflexive import (
     is_locally_free,
     line_sums,
     normalize,
-    prescribe_reflexive,
     slope,
     stability,
     to_multifiltration,
@@ -104,8 +102,8 @@ def test_chern_total_oracle():
     assert chern_total(f).render() == "1 + 13*H + 48*H^2 + 36*H^3"
     # b_zero: c_k = s_k for k >= 1
     assert chern_total(f) == TruncPoly(4, (1, 13, 48, 36, 0))
-    assert chern_k_general(f, 3) == 36
-    assert chern_k_general(f, 4) == 0
+    assert elementary_symmetric(f, 3) == 36
+    assert elementary_symmetric(f, 4) == 0
 
 
 def test_chern_symmetric():
@@ -206,11 +204,12 @@ def test_chern_general_vs_resolution():
     assert not is_locally_free(f)
     c = chern_total(f)
     assert c == TruncPoly(3, (1, 3, 3, 1))
-    assert c[3] == chern_k_general(f, 3) == elementary_symmetric(f, 3)
+    assert c[3] == elementary_symmetric(f, 3)
 
 
 def test_general_b_chern():
-    # non-normalized data: chern_k_general's binomial expansion in b
+    # non-normalized data: the resolution quotient, with b != 0, agrees
+    # with the general formula
     f = R2Filtration(
         Fan(4),
         (
@@ -221,9 +220,8 @@ def test_general_b_chern():
             RayDatum(0, 0),
         ),
     )
-    c = chern_total(f)
-    for k in (3, 4):
-        assert c[k] == chern_k_general(f, k)
+    assert f.b_sum != 0
+    assert chern_total(f) == chern_general(to_multifiltration(f))
 
 
 def test_slope():
@@ -268,18 +266,6 @@ def test_discriminant_and_bogomolov():
     assert stability(h) is Stability.STRICTLY_SEMISTABLE
     assert discriminant(h) == 4 * 4 - 16 == 0
     assert bogomolov_ok(h) is True
-
-
-def test_prescribe_reflexive():
-    target = TruncPoly(4, (1, 13, 48, 36, 0))
-    f = prescribe_reflexive(target)
-    assert isinstance(f, R2Filtration)
-    assert chern_total(f) == target
-    assert f.c_vec == (1, 6, 6, 0, 0)
-    # no multiset of nonnegative integers has e_1 = 1, e_2 = 1
-    assert prescribe_reflexive(TruncPoly(3, (1, 1, 1, 0))) is None
-    with pytest.raises(ValueError):
-        prescribe_reflexive(TruncPoly(3, (2, 1)))
 
 
 def test_multifiltration_roundtrip():

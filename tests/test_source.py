@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 import tsk
@@ -229,3 +230,121 @@ def test_prescribe_builds_by_runs_only():
         if isinstance(node, ast.Call)
     }
     assert per_drop & (imported | called) == set()
+
+
+def test_no_unused_imports():
+    # The package's linter: every name a top-level import binds is read
+    # in its module.  __init__.py binds names only to re-export them.
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text("utf-8"))
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in tree.body:
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name != "annotations" and name not in read:
+                    found.append(f"{path.name}:{node.lineno} {name}")
+    assert found == []
+
+
+REPO = Path(__file__).resolve().parents[1]
+
+# Source definitions that only the tests call, each mapped to a test
+# function that reads it: a paper formula held to a second route, the
+# reference a faster routine must reproduce, or a sampler of test data.
+KEPT = {
+    "product": "test_ring.py::int_pow_product",
+    "TruncPoly.linear": "test_ring.py::int_pow_product",
+    "twist_chern": "test_chern.py::test_twist_chern_matches_twisted_drop_chains",
+    "ratio_saturated_conewise": "test_chern.py::test_ratio_saturated_oracle",
+    "Fan.weight_class": "test_fan.py::test_pairing_and_weight_class",
+    "weight_schedule": "drop_oracle.py::replay_drops",
+    "PrescriptionSolution.injection_params": "drop_oracle.py::replay_drops",
+    "S_kl": "test_prescribe.py::test_schedule_power_sums",
+    "family_p5": "test_prescribe.py::test_family_p5",
+    "random_b_zero": "test_multifilt.py::test_factorize_k0_monotone_random",
+}
+
+
+def _named(tree, dotted_strings=False):
+    """Identifiers a tree names: variables, attributes and, when asked,
+    the parts of dotted-path strings such as "Subspace.meet"."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif (
+            dotted_strings
+            and isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and re.fullmatch(r"[A-Za-z_][\w.]*", node.value)
+        ):
+            out.update(node.value.split("."))
+    return out
+
+
+def _src_definitions():
+    """(label, name, names its body reads) for every top-level function
+    and class and every public method in src/tsk, and the names read by
+    module-level code outside them."""
+    defs, module_level = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text("utf-8"))
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                module_level |= _named(node)
+                continue
+            label = f"{path.name}:{node.lineno} {node.name}"
+            if isinstance(node, ast.FunctionDef):
+                defs.append((label, node.name, _named(node)))
+                continue
+            methods = [
+                m for m in node.body
+                if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")
+            ]
+            body = set()
+            for child in node.body:
+                if child not in methods:
+                    body |= _named(child)
+            body |= {n for base in node.bases for n in _named(base)}
+            defs.append((label, node.name, body))
+            for m in methods:
+                defs.append(
+                    (f"{path.name}:{m.lineno} {node.name}.{m.name}", m.name, _named(m))
+                )
+    return defs, module_level
+
+
+def test_every_src_function_has_a_caller():
+    # What src/tsk defines is reached from the CLI's module-level code,
+    # the acceptance gate, the benchmark (its tracer's attribute paths
+    # included) or a KEPT oracle, directly or through other reached code.
+    defs, live = _src_definitions()
+    # Each KEPT entry names a definition and a test function reading it.
+    labels = {label.split(" ")[1] for label, _, _ in defs}
+    for name, test in KEPT.items():
+        module, func = test.split("::")
+        tree = ast.parse((REPO / "tests" / module).read_text("utf-8"))
+        fn = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == func]
+        assert name in labels and fn and name.split(".")[-1] in _named(fn[0]), (name, test)
+    live |= _named(ast.parse((REPO / "tests" / "test_acceptance.py").read_text("utf-8")))
+    for path in sorted((REPO / "perfbench").glob("*.py")):
+        live |= _named(ast.parse(path.read_text("utf-8")), dotted_strings=True)
+    live |= {name.split(".")[-1] for name in KEPT}
+    reached = set()
+    while True:
+        new = [d for d in defs if d[0] not in reached and d[1] in live]
+        if not new:
+            break
+        for label, _, body in new:
+            reached.add(label)
+            live |= body
+    assert [label for label, _, _ in defs if label not in reached] == []
