@@ -19,11 +19,13 @@ list comparison, and so facet compatibility too: stabilizing E^sigma
 along a ray deletes that coordinate from its jumps, and the result
 must canonicalize to the facet's list.
 
-Grids are flat lists in row-major order (`_grid_flat`), and the
-canonical list is read off such a grid (`_canonical_flat`).  The
-constructor canonicalizes raw lists through the cached
-`_canonical_jumps`; the constructions (`reflexive_hull`, `drop`) read
-their lists off the grids they have already computed.
+Grids are flat lists in row-major order (`_grid_flat`).  The
+constructions (`reflexive_hull`, `drop`, `apply_run`) read their
+canonical lists off the grids they have already computed
+(`_canonical_flat`).  The constructor and the facet check canonicalize
+raw lists with the cached `_canonical_jumps`, which builds no grid:
+only jump coordinates can be canonical jumps, so it scans the list, and
+parsing a document costs what its lists hold, not what their grids do.
 
 The elementary-injection machinery (delta invariant, drop,
 elementary_check, factorize) follows the equal-rank factorization
@@ -48,8 +50,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product as iproduct
-from operator import sub
+from itertools import groupby, product as iproduct
+from operator import itemgetter, le, sub
 from typing import Iterable, Mapping, Sequence
 
 from .fan import Cone, Fan, Weight
@@ -173,13 +175,35 @@ def eval_jumps(jumps: JumpList, mu: Weight) -> Subspace:
 
 @lru_cache(maxsize=65536)
 def _canonical_jumps(jumps: JumpList) -> JumpList:
-    """The unique minimal jump list generating the same family: the
-    `_canonical_flat` of its grid over its own jump coordinates."""
-    if not jumps:
-        return ()
-    axes = _axes(jumps, len(jumps[0][0]))
-    flat, strides = _grid_flat(jumps, axes)
-    return _canonical_flat(axes, flat, strides)
+    """The unique minimal jump list generating the same family.
+
+    No grid is built.  A class g that is no jump coordinate has every
+    jump lambda <= g strictly below it in some axis, so its value is the
+    join of the values one step below it and it is never a canonical
+    jump.  So visit the distinct jump coordinates g in lex order.  The
+    join of the values one step below g is J(g), the join of the
+    canonical jumps found so far that lie componentwise below g: every
+    class below g comes earlier in lex order.  The value at g is V(g),
+    J(g) joined with the jumps at g, and (g, V(g)) is kept when it is
+    not J(g).  With r jumps, K canonical ones and d axes this is
+    O(r * K * d), not the grid's prod |axis_i| (r^d when scattered).
+    The jumps at g join with a checked `Subspace.join`, so a value that
+    is no Subspace raises; J(g) joins by case analysis.
+    """
+    out: list[Jump] = []
+    for g, at_g in groupby(sorted(jumps, key=itemgetter(0)), key=itemgetter(0)):
+        below = ZERO
+        for coords, w in out:
+            if w is not below and all(map(le, coords, g)):
+                below = w if below is ZERO else FULL
+                if below is FULL:
+                    break
+        value = below
+        for _, w in at_g:
+            value = value.join(w)
+        if value is not below:
+            out.append((g, value))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +301,8 @@ class Multifiltration:
                 raise InvalidFamily(f"deep value at cone {cone!r} is {deep!r}, not C^2")
         # Stabilizing E^cone along the ray at `pos` deletes that coordinate
         # from its jumps; canonical lists are unique, so facet compatibility
-        # is one list comparison (uncached: the lists are one-off).
+        # is one list comparison.  The projected lists are one-off, so they
+        # bypass the cache.
         for cone in fan.all_cones(min_dim=2):
             jumps = self.jumps[cone]
             for pos in range(len(cone)):

@@ -9,8 +9,14 @@ from fractions import Fraction
 
 import pytest
 
-from tsk import cli
-from tsk.documents import SheafDocument, canonical_dumps, dump_document, multifilt_to_doc
+from tsk import cli, multifilt
+from tsk.documents import (
+    SheafDocument,
+    canonical_dumps,
+    dump_document,
+    load_document,
+    multifilt_to_doc,
+)
 from tsk.fan import Fan
 from tsk.linalg import ZERO
 from tsk.multifilt import apply_elementary
@@ -542,3 +548,38 @@ def test_determinism(capsys, start_doc):
         _, out, _ = run(capsys, "chern", start_doc)
         outs.add(out)
     assert len(outs) == 1
+
+
+def _scattered_p5_doc(count):
+    """The trivial family on P^5 (C^2 from class 0 on every cone) but
+    for `count` pairwise incomparable FULL jumps on the cone (0,1,2,3,4):
+    its grid has count^5 points, and it fails the facet check."""
+    fan = Fan(5)
+    cones = []
+    for cone in fan.all_cones(min_dim=1):
+        coords = [[0] * len(cone)]
+        if cone == (0, 1, 2, 3, 4):
+            coords = [[i, -i, 2 * i, -2 * i, 3 * i] for i in range(count)]
+        jumps = [{"coords": c, "subspace": {"kind": "full"}} for c in coords]
+        cones.append({"rays": list(cone), "jumps": jumps})
+    return canonical_dumps({"n": 5, "rank": 2, "cones": cones})
+
+
+def test_parse_work_is_bounded_by_the_list(capsys, monkeypatch, tmp_path):
+    # Canonicalizing and validating a document builds no grid: 20 jumps
+    # whose grid has 3.2e6 points are rejected after a scan of the list.
+    calls = []
+    grid_flat = multifilt._grid_flat
+    monkeypatch.setattr(
+        multifilt, "_grid_flat", lambda *args: calls.append(args) or grid_flat(*args)
+    )
+    text = _scattered_p5_doc(20)
+    with pytest.raises(ValueError, match="facet compatibility fails: cone \\(0, 1, 2, 3, 4\\)"):
+        load_document(text)
+    path = tmp_path / "scattered.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "validate", path)
+    assert (code, out) == (1, "")
+    assert err.startswith("tsk: error: invalid document") and err.count("\n") == 1
+    assert "facet compatibility fails" in err and "Traceback" not in err
+    assert calls == []

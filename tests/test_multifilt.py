@@ -12,6 +12,7 @@ from itertools import product
 import pytest
 
 from tsk.chern import chern_general, ratio_saturated_conewise
+from tsk.documents import SheafDocument, dump_document, load_document
 from tsk.fan import Fan
 from tsk.linalg import FULL, ZERO, Subspace
 from tsk.multifilt import (
@@ -40,7 +41,7 @@ from tsk.multifilt import (
     reflexive_hull,
 )
 from tsk.obstruct import torsion_profile
-from tsk.prescribe import build_sequence, family_p4_odd
+from tsk.prescribe import build_sequence, family_p4_odd, family_pn
 from tsk.reflexive import R2Filtration, RayDatum, to_multifiltration
 from tsk.sampling import random_b_zero, random_drops, random_reflexive, random_semistable
 
@@ -147,6 +148,45 @@ def test_grid_kernel_matches_pointwise_evaluation():
     assert seen_empty
     with pytest.raises(TypeError):
         grid_values((((0,), (1, 0)),), [[0]])
+
+
+def test_canonical_jumps_matches_the_grid_definition():
+    # The scan against its definition, the canonical list read off the
+    # grid over the list's own coordinates.  Boxes shrink with d so the
+    # grid stays small; the lists are unsorted, repeat coordinates and
+    # carry ZERO and FULL values.
+    rng = random.Random(18)
+    values = [ZERO, FULL] + [Subspace.line(1, k) for k in range(3)]
+    width = {1: 40, 2: 12, 3: 6, 4: 4, 5: 3}
+    kept = 0
+    for case in range(400):
+        d = case % 5 + 1
+        w = rng.randint(1, width[d])
+        jumps = tuple(
+            (tuple(rng.randint(-w, w) for _ in range(d)), rng.choice(values))
+            for _ in range(0 if case < 5 else rng.randint(1, 40))
+        )
+        axes = _axes(jumps, d)
+        expected = _canonical_flat(axes, *_grid_flat(jumps, axes))
+        assert _canonical_jumps.__wrapped__(jumps) == expected
+        kept += len(expected)
+    assert kept > 1000
+    # two lines at one class join to FULL there
+    lines = (((1, 0), Subspace.line(1, 0)), ((0, 1), FULL), ((1, 0), Subspace.line(1, 1)))
+    assert _canonical_jumps.__wrapped__(lines) == (((0, 1), FULL), ((1, 0), FULL))
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_run_built_families_are_canonical(n):
+    # The paper's run-built P^6..P^8 sheaves, whose coordinates reach
+    # 10^76, keep their lists under the scan and read back from their
+    # documents.
+    sol = family_pn(n)
+    final = build_sequence(sol.problem, sol).final
+    for jumps in final.jumps.values():
+        assert _canonical_jumps.__wrapped__(jumps) == jumps
+    text = dump_document(SheafDocument("multifiltration", final))
+    assert load_document(text).payload == final
 
 
 def test_validate_catches_broken_families():
