@@ -20,8 +20,8 @@ byte-identically and identical inputs give identical outputs.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Any
+import sys
+from typing import Any, NamedTuple
 
 from .fan import Fan
 from .linalg import FULL, ZERO, Subspace
@@ -40,11 +40,23 @@ def _is_int_pair(x: Any) -> bool:
 
 
 def canonical_dumps(obj: Any) -> str:
-    """The one true JSON rendering: sorted keys, no spaces, newline."""
-    return (
-        json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
-        + "\n"
-    )
+    """The one true JSON rendering: sorted keys, no spaces, newline.
+
+    Exact integers are written in full.  Python's limit on the digits
+    of an int-str conversion (3.10.7 on) guards parsing, so documents
+    are still read under it; it is lifted only while writing.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # int() is 0: no limit
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        return (
+            json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
+            + "\n"
+        )
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def _reject_float(s: str) -> None:
@@ -201,8 +213,7 @@ def multifilt_from_doc(doc: Any) -> Multifiltration:
 # tagged documents
 
 
-@dataclass(frozen=True)
-class SheafDocument:
+class SheafDocument(NamedTuple):
     """A parsed wire document: reflexive rank-2 data or a general
     multifiltration, with an optional label."""
 

@@ -18,8 +18,8 @@ dual cone).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
+from operator import index
 from typing import Iterator
 
 Cone = tuple[int, ...]
@@ -39,15 +39,29 @@ def _check_cone(n: int, cone: Cone) -> Cone:
     return cone
 
 
-@dataclass(frozen=True, slots=True)
 class Fan:
-    """The complete fan of P^n (n >= 1)."""
+    """The complete fan of P^n (n >= 1).
 
-    n: int
+    Immutable and interned like the lines of `linalg`: `Fan(n)` is the
+    one fan of P^n, so equality is identity.
+    """
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
+    __slots__ = ("n",)
+
+    def __new__(cls, n: int) -> "Fan":
+        n = index(n)
+        try:
+            return _FANS[n]
+        except KeyError:
+            pass
+        if n < 1:
             raise ValueError("P^n needs n >= 1")
+        fan = object.__new__(cls)
+        object.__setattr__(fan, "n", n)
+        return _FANS.setdefault(n, fan)
+
+    def __setattr__(self, *_: object) -> None:
+        raise AttributeError("Fan is immutable")
 
     @property
     def rays(self) -> range:
@@ -71,21 +85,6 @@ class Fan:
     def codim(self, cone: Cone) -> int:
         return self.n - len(_check_cone(self.n, cone))
 
-    def pairing(self, m: Weight, ray: int) -> int:
-        """<m, u_ray> for a character m in M = Z^n."""
-        if len(m) != self.n:
-            raise ValueError(f"character must have length {self.n}: {m!r}")
-        if ray == 0:
-            return -sum(m)
-        if not 1 <= ray <= self.n:
-            raise ValueError(f"ray {ray} out of range for P^{self.n}")
-        return m[ray - 1]
-
-    def weight_class(self, cone: Cone, m: Weight) -> Weight:
-        """Coordinates of [m] in M/(sigma^perp & M): (<m, u_rho>)_{rho in cone}."""
-        _check_cone(self.n, cone)
-        return tuple(self.pairing(m, ray) for ray in cone)
-
     def facets(self, cone: Cone) -> list[Cone]:
         """Codimension-one faces of the cone, one per omitted ray, in
         the cone's ray order."""
@@ -101,3 +100,6 @@ class Fan:
             grown = [tuple(sorted(cone + more)) for more in combinations(rest, extra)]
             out.extend(sorted(grown))
         return out
+
+
+_FANS: dict[int, Fan] = {}

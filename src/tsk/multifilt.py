@@ -48,11 +48,10 @@ are read off their joint grid by `_cells` alone, for `delta`,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby, product as iproduct
 from operator import itemgetter, le, sub
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .fan import Cone, Fan, Weight
 from .linalg import FULL, ZERO, Subspace, echelon_hyperplane, join_all
@@ -512,8 +511,7 @@ def delta(e: Multifiltration, f: Multifiltration) -> tuple[int | Infinity, ...]:
 # elementary injections
 
 
-@dataclass(frozen=True, slots=True)
-class ElementaryInjection:
+class ElementaryInjection(NamedTuple):
     """A verified elementary injection E c F with its derived data.
 
     k0: dimension of the distinguished cone sigma0 (codim of the

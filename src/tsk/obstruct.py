@@ -40,9 +40,9 @@ this module verifies it per instance instead of assuming it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
+from typing import NamedTuple
 
 from .chern import chern_general
 from .multifilt import Multifiltration, _factorize, drop_counts, reflexive_hull
@@ -56,19 +56,32 @@ from .reflexive import (
 )
 
 
-@dataclass(frozen=True)
 class TorsionProfile:
     """Codimension profile of the quotient F/E: p maps k to the number
     of k-elementary injections in the factorization, and
-    q = min{k : p_k > 0} >= 2 is the codimension of the quotient."""
+    q = min{k : p_k > 0} >= 2 is the codimension of the quotient.
+    `p` holds the sorted (k, count) pairs, counts > 0.  Immutable;
+    equal profiles compare and hash equal."""
 
-    p: tuple[tuple[int, int], ...]  # sorted (k, count) pairs, counts > 0
+    __slots__ = ("p",)
 
-    def __post_init__(self) -> None:
-        if not self.p:
+    def __init__(self, p: tuple[tuple[int, int], ...]) -> None:
+        if not p:
             raise ValueError("empty profile: E is reflexive")
-        if any(cnt <= 0 for _, cnt in self.p):
+        if any(cnt <= 0 for _, cnt in p):
             raise ValueError("profile counts must be positive")
+        object.__setattr__(self, "p", p)
+
+    def __setattr__(self, *_: object) -> None:
+        raise AttributeError("TorsionProfile is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TorsionProfile):
+            return NotImplemented
+        return self.p == other.p
+
+    def __hash__(self) -> int:
+        return hash(self.p)
 
     @property
     def q(self) -> int:
@@ -82,8 +95,7 @@ class TorsionProfile:
         return sum(cnt for _, cnt in self.p)
 
 
-@dataclass(frozen=True)
-class NotSmoothable:
+class NotSmoothable(NamedTuple):
     """Obstructed verdict.  `witness` is the index i of the Chern class
     verified nonzero on the normalized sheaf (E twisted so its hull is
     b_zero); nonzero-ness of c_i is preserved under flat deformation,
@@ -103,8 +115,7 @@ class NotSmoothable:
         }
 
 
-@dataclass(frozen=True)
-class Inconclusive:
+class Inconclusive(NamedTuple):
     """No obstruction from the implemented theorems (not a smoothability
     certificate).  `reason` distinguishes a hypothesis miss worth
     flagging, e.g. the q=2 weight bound failing on degenerate hulls."""

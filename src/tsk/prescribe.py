@@ -21,10 +21,9 @@ oracle the tests hold the runs to.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, lcm
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .chern import chern_general, power_sum_range, run_factors, stirling_A
 from .fan import Cone, Fan, Weight
@@ -39,24 +38,36 @@ from .reflexive import (
 from .ring import TruncPoly, linear_product
 
 
-@dataclass(frozen=True)
 class PrescriptionProblem:
     """Start data for the prescription: (c_rho) on P^n, ray 0 designated
-    (c_0 >= 1), lines pairwise distinct (line(1, i) on ray i)."""
+    (c_0 >= 1), lines pairwise distinct (line(1, i) on ray i).
+    Immutable; equal data compare and hash equal."""
 
-    n: int
-    c: tuple[int, ...]
+    __slots__ = ("n", "c")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "c", tuple(self.c))
-        if self.n < 3:
+    def __init__(self, n: int, c: Sequence[int]) -> None:
+        c = tuple(c)
+        if n < 3:
             raise ValueError("prescription needs n >= 3")
-        if len(self.c) != self.n + 1:
-            raise ValueError(f"need {self.n + 1} values c_rho, got {len(self.c)}")
-        if any(x < 0 for x in self.c):
+        if len(c) != n + 1:
+            raise ValueError(f"need {n + 1} values c_rho, got {len(c)}")
+        if any(x < 0 for x in c):
             raise ValueError("c_rho must be nonnegative")
-        if self.c[0] < 1:
+        if c[0] < 1:
             raise ValueError("the designated ray needs c_0 >= 1")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "c", c)
+
+    def __setattr__(self, *_: object) -> None:
+        raise AttributeError("PrescriptionProblem is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PrescriptionProblem):
+            return NotImplemented
+        return (self.n, self.c) == (other.n, other.c)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.c))
 
     @property
     def c_rho0(self) -> int:
@@ -69,8 +80,7 @@ class PrescriptionProblem:
         return chern_total(self.start_filtration())
 
 
-@dataclass(frozen=True)
-class Infeasible:
+class Infeasible(NamedTuple):
     """Failure value of solve_p: the exact stage and offending value."""
 
     reason: str  # "NonInteger" | "Negative"
@@ -86,8 +96,7 @@ class Infeasible:
         }
 
 
-@dataclass(frozen=True)
-class PrescriptionSolution:
+class PrescriptionSolution(NamedTuple):
     """Solved drop counts p = (p_3, ..., p_n) plus the certificate data."""
 
     problem: PrescriptionProblem
@@ -191,16 +200,6 @@ def _schedule_power_sum(c_rho0: int, p: Sequence[int], k: int, l: int) -> int:
         return 0
     first = -c_rho0 + sum(p[i - 3] for i in range(3, k))
     return power_sum_range(l, first, first + pk - 1)
-
-
-def S_kl(c_rho0: int, p: Sequence[int], k: int, l: int) -> int:
-    """The schedule power sum S_k^l = sum_j (m_Sigma^{k,j})^l, l <= n-k."""
-    n = len(p) + 2
-    if not 3 <= k <= n:
-        raise ValueError(f"k must be in [3, {n}], got {k}")
-    if not 0 <= l <= n - k:
-        raise ValueError(f"l must be in [0, n-k] = [0, {n - k}], got {l}")
-    return _schedule_power_sum(c_rho0, p, k, l)
 
 
 def solve_p(problem: PrescriptionProblem) -> PrescriptionSolution | Infeasible:
@@ -341,8 +340,7 @@ def schwarzenberger(c1: int, c2: int, n: int) -> int | None:
 # building the injection sequence
 
 
-@dataclass(frozen=True)
-class BuildResult:
+class BuildResult(NamedTuple):
     """Outcome of build_sequence: the first `built` of the schedule's
     `total` drops applied to `start`, one run per stage, giving `final`.
 

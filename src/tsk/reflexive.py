@@ -16,7 +16,6 @@ elementary symmetric polynomial of the c_rho.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -34,24 +33,36 @@ class Stability(str, Enum):
     UNSTABLE = "unstable"
 
 
-@dataclass(frozen=True, slots=True)
 class RayDatum:
     """Filtration of one ray: (a, b, line), with line the subspace on
-    [a, b); the line is meaningless and stored as None when a = b."""
+    [a, b); the line is meaningless and stored as None when a = b.
+    Immutable; equal data compare and hash equal."""
 
-    a: int
-    b: int
-    line: tuple[int, int] | None = None
+    __slots__ = ("a", "b", "line")
 
-    def __post_init__(self) -> None:
-        if self.a > self.b:
-            raise ValueError(f"need a <= b, got ({self.a}, {self.b})")
-        if self.a == self.b:
-            object.__setattr__(self, "line", None)
+    def __init__(self, a: int, b: int, line: tuple[int, int] | None = None) -> None:
+        if a > b:
+            raise ValueError(f"need a <= b, got ({a}, {b})")
+        if a == b:
+            line = None
+        elif line is None:
+            raise ValueError("a < b requires a line")
         else:
-            if self.line is None:
-                raise ValueError("a < b requires a line")
-            object.__setattr__(self, "line", line2(*self.line))
+            line = line2(*line)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "line", line)
+
+    def __setattr__(self, *_: object) -> None:
+        raise AttributeError("RayDatum is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RayDatum):
+            return NotImplemented
+        return (self.a, self.b, self.line) == (other.a, other.b, other.line)
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.b, self.line))
 
     @property
     def c(self) -> int:
@@ -66,19 +77,31 @@ class RayDatum:
         return FULL
 
 
-@dataclass(frozen=True, slots=True)
 class R2Filtration:
-    """One RayDatum per ray of the fan of P^n."""
+    """One RayDatum per ray of the fan of P^n.  Immutable; equal data
+    compare and hash equal."""
 
-    fan: Fan
-    rays: tuple[RayDatum, ...]
+    __slots__ = ("fan", "rays")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rays", tuple(self.rays))
-        if len(self.rays) != self.fan.n + 1:
+    def __init__(self, fan: Fan, rays: Sequence[RayDatum]) -> None:
+        rays = tuple(rays)
+        if len(rays) != fan.n + 1:
             raise ValueError(
-                f"P^{self.fan.n} has {self.fan.n + 1} rays, got {len(self.rays)} data"
+                f"P^{fan.n} has {fan.n + 1} rays, got {len(rays)} data"
             )
+        object.__setattr__(self, "fan", fan)
+        object.__setattr__(self, "rays", rays)
+
+    def __setattr__(self, *_: object) -> None:
+        raise AttributeError("R2Filtration is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, R2Filtration):
+            return NotImplemented
+        return self.fan is other.fan and self.rays == other.rays
+
+    def __hash__(self) -> int:
+        return hash((self.fan, self.rays))
 
     @classmethod
     def b_zero_data(

@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import json
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,13 @@ from tsk.documents import (
 from tsk.fan import Fan
 from tsk.linalg import ZERO
 from tsk.multifilt import apply_elementary
-from tsk.prescribe import Infeasible, build_sequence, family_pn
+from tsk.prescribe import (
+    Infeasible,
+    PrescriptionProblem,
+    build_sequence,
+    family_pn,
+    solve_p,
+)
 from tsk.reflexive import R2Filtration, to_multifiltration
 from tsk.ring import TruncPoly
 
@@ -273,6 +280,32 @@ def test_family_pn(capsys):
     data = payload(out)
     assert data["multiplier"] == 2
     assert data["stability"] == "stable"
+
+
+def test_family_pn_writes_integers_past_the_digit_limit(capsys):
+    # p_14 of family_pn(14) has 9384 digits, past Python's default limit
+    # of 4300 on int-str conversions, which stays in force for parsing.
+    code, out, err = run(capsys, "family", "--which", "pn", "--n", "14")
+    assert code == 0 and err == ""
+    # Decimal reads any number of digits exactly, and so does int(Decimal)
+    data = json.loads(out, parse_int=lambda s: int(Decimal(s)))
+    m = data["multiplier"]
+    sol = solve_p(PrescriptionProblem(14, (1, m, m) + (0,) * 12))
+    assert tuple(data["p"]) == sol.p and max(sol.p) > 10**9000
+
+
+@pytest.mark.parametrize("digits, code", [(4, 0), (5000, 1)])
+def test_documents_are_read_under_the_digit_limit(capsys, tmp_path, digits, code):
+    path = tmp_path / "long.json"
+    path.write_text(
+        '{"n":1,"rank":2,"cones":['
+        f'{{"rays":[0],"jumps":[{{"coords":[{"9" * digits}],"subspace":{{"kind":"full"}}}}]}},'
+        '{"rays":[1],"jumps":[{"coords":[0],"subspace":{"kind":"full"}}]}]}'
+    )
+    got, out, err = run(capsys, "validate", path)
+    assert got == code
+    if code:
+        assert out == "" and "Traceback" not in err
 
 
 def test_family_missing_parameter(capsys):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 
 import pytest
 
@@ -38,6 +39,15 @@ def test_canonical_dumps():
     assert canonical_dumps(json.loads(text)) == text
     with pytest.raises(ValueError):
         canonical_dumps({"x": float("nan")})
+
+
+def test_long_integers_are_written_but_not_read():
+    text = canonical_dumps({"x": 10**5000})
+    assert text == '{"x":1' + "0" * 5000 + "}\n"
+    if hasattr(sys, "get_int_max_str_digits"):
+        # parsing stays under Python's limit on int-str digits
+        with pytest.raises(ValueError, match="limit"):
+            canonical_loads(text)
 
 
 def test_float_rejection():
@@ -182,6 +192,8 @@ def test_load_dump_documents():
     assert doc.as_multifiltration() == to_multifiltration(f)
     with pytest.raises(ValueError):
         mf_doc.reflexive()
+    with pytest.raises(AttributeError):
+        doc.label = "other"
 
 
 def test_load_dump_round_trip_on_random_documents():

@@ -13,18 +13,20 @@ from tsk.fan import Fan
 def test_rays_and_generators():
     fan = Fan(3)
     assert list(fan.rays) == [0, 1, 2, 3]
-    m = (2, -5, 7)
-    assert [fan.pairing(m, r) for r in fan.rays] == [-4, 2, -5, 7]
-    # the rays sum to zero: the defining relation of the fan
-    assert sum(fan.pairing(m, r) for r in fan.rays) == 0
+
+
+def test_fan_is_an_interned_value():
+    assert Fan(3) is Fan(3) and hash(Fan(3)) == hash(Fan(3))
+    assert Fan(3) != Fan(4)
+    assert Fan(3) != (3,)
+    with pytest.raises(AttributeError):
+        Fan(3).n = 4
 
 
 def test_bad_parameters():
     with pytest.raises(ValueError):
         Fan(0)
     fan = Fan(2)
-    with pytest.raises(ValueError):
-        fan.pairing((0, 0), 3)
     with pytest.raises(ValueError):
         fan.cones(3)
     with pytest.raises(ValueError):
@@ -53,20 +55,6 @@ def test_all_cones_order():
         (0, 2),
         (1, 2),
     ]
-
-
-def test_pairing_and_weight_class():
-    fan = Fan(3)
-    m = (2, -1, 5)
-    assert fan.pairing(m, 1) == 2
-    assert fan.pairing(m, 3) == 5
-    assert fan.pairing(m, 0) == -6
-    assert fan.weight_class((0, 2), m) == (-6, -1)
-    # the class is exactly the tuple of pairings in sorted ray order
-    for cone in fan.all_cones(min_dim=1):
-        assert fan.weight_class(cone, m) == tuple(
-            fan.pairing(m, r) for r in cone
-        )
 
 
 def test_facets():

@@ -6,7 +6,6 @@ import random
 import signal
 import time
 from contextlib import contextmanager
-from dataclasses import fields
 from itertools import product
 
 import pytest
@@ -450,8 +449,8 @@ def assert_drop_is_elementary(inj):
     """`drop` trusts its own bookkeeping; the explicit check and the
     reference must agree with it field by field."""
     checked = elementary_check(inj.e, inj.f)
-    for field in fields(ElementaryInjection):
-        assert getattr(inj, field.name) == getattr(checked, field.name), field.name
+    for name in ElementaryInjection._fields:
+        assert getattr(inj, name) == getattr(checked, name), name
     assert reference_invariants(inj) == (inj.m_sigma, inj.m_rho, inj.m_Sigma, inj.saturated)
 
 
@@ -487,6 +486,8 @@ def test_drop_equals_elementary_check():
     for inj in pinned:
         assert_drop_is_elementary(inj)
     assert [(inj.saturated, inj.k0) for inj in pinned] == [(False, 1), (True, 3)]
+    with pytest.raises(AttributeError):
+        pinned[0].k0 = 2
 
 
 def test_p4_odd_build_steps_pass_elementary_check():

@@ -42,6 +42,13 @@ def test_torsion_profile_basics():
         TorsionProfile(())
     with pytest.raises(ValueError):
         TorsionProfile(((2, 0),))
+    assert prof == TorsionProfile(((2, 1), (4, 3))) != TorsionProfile(((2, 1),))
+    assert hash(prof) == hash(TorsionProfile(((2, 1), (4, 3))))
+    with pytest.raises(AttributeError):
+        prof.p = ((2, 1),)
+    for verdict in (NotSmoothable("Q4", 4, prof), Inconclusive(prof)):
+        with pytest.raises(AttributeError):
+            verdict.profile = prof
 
 
 def test_torsion_profile_of_drops():

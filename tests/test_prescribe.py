@@ -9,7 +9,7 @@ import pytest
 from tsk.prescribe import (
     Infeasible,
     PrescriptionProblem,
-    S_kl,
+    _schedule_power_sum,
     build_sequence,
     family_p4_even,
     family_p4_odd,
@@ -45,6 +45,10 @@ def test_problem_validation():
         PrescriptionProblem(4, (0, 1, 1, 0, 0))  # designated ray inactive
     with pytest.raises(ValueError):
         PrescriptionProblem(4, (1, -1, 1, 0, 0))
+    assert prob == PrescriptionProblem(4, [1, 6, 6, 0, 0]) != PrescriptionProblem(4, (1, 6, 6, 1, 0))
+    assert hash(prob) == hash(PrescriptionProblem(4, [1, 6, 6, 0, 0]))
+    with pytest.raises(AttributeError):
+        prob.c = (1, 1, 1, 0, 0)
 
 
 def test_tilde_c_oracle():
@@ -73,9 +77,7 @@ def test_schedule_power_sums():
         expected = sum(
             weight_schedule(1, p, k, j) ** l for j in range(1, p[k - 3] + 1)
         )
-        assert S_kl(1, p, k, l) == expected
-    with pytest.raises(ValueError):
-        S_kl(1, p, 3, 2)  # l > n - k
+        assert _schedule_power_sum(1, p, k, l) == expected
 
 
 def test_solve_p_oracles():
@@ -117,6 +119,18 @@ def test_solve_p_infeasible():
     assert bad.value == Fraction(1, 2)
     assert "q=3" in str(bad)
     assert bad.as_json() == {"infeasible": {"reason": "NonInteger", "q": 3, "value": "1/2"}}
+    with pytest.raises(AttributeError):
+        bad.q = 4
+
+
+def test_solutions_are_hashable_values():
+    # the drop-by-drop oracle keys its replays by solution
+    a, b = family_p4_odd(1), family_p4_odd(1)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert {a: 1}[b] == 1
+    assert a != family_p4_odd(2)
+    with pytest.raises(AttributeError):
+        a.p = (0,)
 
 
 def test_injection_params_schedule():
@@ -186,6 +200,8 @@ def test_build_sequence_small_full():
     assert res.chern_final == sol.chern
     assert not is_reflexive(res.final)
     assert reflexive_hull(res.final) == res.start
+    with pytest.raises(AttributeError):
+        res.built = 0
 
 
 def test_build_sequence_prefix():

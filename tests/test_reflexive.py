@@ -52,6 +52,24 @@ def test_ray_datum():
         RayDatum(-1, 0, None)
 
 
+def test_ray_data_are_values():
+    r = RayDatum(-2, 0, (2, 4))
+    assert r == RayDatum(-2, 0, (1, 2)) and hash(r) == hash(RayDatum(-2, 0, (1, 2)))
+    assert r != RayDatum(-2, 0, (1, 3)) and r != RayDatum(-1, 0, (1, 2))
+    assert r != (-2, 0, (1, 2))
+    f = b_zero(3, (1, 2, 0, 1))
+    g = R2Filtration(Fan(3), list(f.rays))
+    assert f == g and hash(f) == hash(g) and g.rays == f.rays
+    assert f != b_zero(3, (1, 2, 1, 1)) and f != b_zero(4, (1, 2, 0, 1, 0))
+    assert f != (Fan(3), f.rays)
+    with pytest.raises(AttributeError):
+        r.a = 0
+    with pytest.raises(AttributeError):
+        f.rays = ()
+    with pytest.raises(ValueError):
+        R2Filtration(Fan(3), f.rays[:3])
+
+
 def test_filtration_basics():
     f = b_zero(4, (1, 6, 6, 0, 0))
     assert f.n == 4

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import tsk
@@ -178,6 +181,34 @@ def test_no_rank_parameter():
     assert found == []
 
 
+def test_no_dataclasses():
+    # Every tsk process imports the record layer before it does any
+    # work: `dataclasses` (and the `inspect` it imports) costs more than
+    # the rest of that layer, and each @dataclass execs its methods.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path, node in _nodes()
+        if isinstance(node, ast.Import)
+        and any(alias.name == "dataclasses" for alias in node.names)
+        or isinstance(node, ast.ImportFrom)
+        and node.module == "dataclasses"
+    ]
+    assert found == []
+
+
+def test_cli_cold_start_leaves_out_dataclasses():
+    # -S: only what tsk.cli imports, not what site hooks bring in
+    code = "import sys, tsk.cli; print('dataclasses' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out == "False\n"
+
+
 def test_cli_reads_the_route_table():
     # Which Chern routes apply is decided by the routes themselves
     # (reflexive.chern_routes); the cli names none of their hypotheses.
@@ -261,10 +292,8 @@ KEPT = {
     "TruncPoly.linear": "test_ring.py::int_pow_product",
     "twist_chern": "test_chern.py::test_twist_chern_matches_twisted_drop_chains",
     "ratio_saturated_conewise": "test_chern.py::test_ratio_saturated_oracle",
-    "Fan.weight_class": "test_fan.py::test_pairing_and_weight_class",
     "weight_schedule": "drop_oracle.py::replay_drops",
     "PrescriptionSolution.injection_params": "drop_oracle.py::replay_drops",
-    "S_kl": "test_prescribe.py::test_schedule_power_sums",
     "family_p5": "test_prescribe.py::test_family_p5",
     "random_b_zero": "test_multifilt.py::test_factorize_k0_monotone_random",
 }
