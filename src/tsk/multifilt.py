@@ -38,12 +38,14 @@ rays, applied only on the cells of sigma0 where the values differ
 (`_meet_cells`).  `drop` writes E and reads the injection's invariants
 off the rewritten grids; `apply_run` writes a run of drops to ZERO at
 consecutive classes along one axis as one rewrite, on the union of
-their cells; `factorize` trusts its drops.  `drop_counts`
-counts the factorization's drops per cone without taking them.
-Canonical jumps hold the family's values, so containment and
-`factorize`'s m0 read the lists; the cells where two families differ
-are read off their joint grid by `_cells` alone, for `delta`,
-`drop_counts` and `elementary_check`.
+their cells.  The cells where two families differ are read off their
+joint grid by `_cells` alone.  `factorize`, `drop_counts` and `delta`
+take each cone's cells from `_checked_cells`, which checks E c F on
+the cone and sums the dim differences: `factorize` walks the cones
+once and drops each differing class in lex order, `drop_counts` walks
+them the same way and takes each cone's drops as one rewrite, and
+`delta` sums.  `elementary_check` locates or refutes a single drop on
+the `_cells`.
 """
 
 from __future__ import annotations
@@ -430,21 +432,24 @@ def _cells(e: Multifiltration, f: Multifiltration, cone: Cone) -> list[Cell]:
     return cells
 
 
-def _cone_delta(cone: Cone, cells: Sequence[Cell]) -> int:
-    """Sum over all classes of the cone of dim F - dim E, from the
-    `_cells(e, f, cone)` where they differ.
+def _checked_cells(
+    e: Multifiltration, f: Multifiltration, cone: Cone
+) -> tuple[list[Cell], int]:
+    """The `_cells(e, f, cone)` of a pair with E c F on the cone, and
+    the sum over all its classes of dim F - dim E.
 
-    A cell's contribution is the dim difference times its (integer)
-    volume.  Cells unbounded above must have difference 0 or the sum
-    diverges — InvalidFamily then.
+    Every cell must hold E's value inside F's, ValueError otherwise; the
+    values differ, so the dim difference is positive, and a cell
+    unbounded above makes the sum diverge: InvalidFamily.  A bounded
+    cell adds its dim difference times its (integer) volume.
     """
+    cells = _cells(e, f, cone)
     total = 0
     for lo, hi, u, v in cells:
-        diff = v.dim - u.dim
-        if diff == 0:
-            continue
-        if diff < 0:
-            raise InvalidFamily(f"E not contained in F at {cone!r}, class {lo!r}")
+        if not u <= v:
+            raise ValueError(
+                f"E is not pointwise contained in F on {cone!r} at class {lo!r}"
+            )
         if hi is None:
             raise InvalidFamily(
                 f"divergent difference at cone {cone!r}: families differ"
@@ -453,8 +458,8 @@ def _cone_delta(cone: Cone, cells: Sequence[Cell]) -> int:
         volume = 1
         for x, y in zip(lo, hi):
             volume *= y - x
-        total += diff * volume
-    return total
+        total += (v.dim - u.dim) * volume
+    return cells, total
 
 
 class Infinity:
@@ -481,7 +486,9 @@ def delta(e: Multifiltration, f: Multifiltration) -> tuple[int | Infinity, ...]:
     delta_1 sums dim F - dim E over all ray classes; for k >= 2 the sum
     runs over Sigma*(k), the k-cones all of whose facets carry a
     defined and vanishing facet-level delta; when Sigma*(k) is empty,
-    delta_k = INFINITY (and stays INFINITY above).
+    delta_k = INFINITY (and stays INFINITY above).  Each summed cone
+    comes from `_checked_cells`, so a pair with E not in F there raises
+    ValueError.
     """
     if e.fan != f.fan:
         raise ValueError("families live on different fans")
@@ -499,7 +506,7 @@ def delta(e: Multifiltration, f: Multifiltration) -> tuple[int | Infinity, ...]:
             if not ok:
                 per_cone[cone] = None
                 continue
-            value = _cone_delta(cone, _cells(e, f, cone))
+            value = _checked_cells(e, f, cone)[1]
             per_cone[cone] = value
             level_defined = True
             level_total += value
@@ -783,105 +790,67 @@ def factorize(
 
     Returns the chain peeled off F outward-in: the first entry is the
     elementary injection into F itself, and the k0 sequence is
-    non-decreasing along the list (the minimal differing dimension can
-    only grow as drops are consumed).  Re-applying the drops to F in
-    list order reproduces E; `recompose` checks that.
+    non-decreasing along the list.  Re-applying the drops to F in list
+    order reproduces E; `recompose` checks that.
 
-    The pair is caller input, so this entry checks E c F; `_factorize`
-    is the loop, for callers that have proved it (`drop_counts` does).
+    One walk over the cones in (dim, lex) order, with G = F.  On a cone
+    sigma0 where G differs from E, it reads the `_checked_cells(E, G,
+    sigma0)` once and, class by class in lex order, takes dim G - dim E
+    drops with `drop`, which derives each step's invariants: each lowers
+    G^sigma0_m0 to the echelon hyperplane H >= E^sigma0_m0.  A drop at
+    sigma0 changes sigma0 only at m0, and otherwise only sigma0's proper
+    cofaces, all later in the walk.  So each step is at the (dim,
+    lex)-minimal cone and the lex-first class where G and E differ, and
+    its preconditions hold: the classes below m0 come earlier, where G
+    is E by now, so their join lies in E^sigma0_m0 <= H.
+
+    A drop keeps E c G: on a coface tau, at a class g whose coordinates
+    g' on sigma0's rays are <= m0, E^tau_g <= E^sigma0_g' (stabilization)
+    <= E^sigma0_m0 <= H, and elsewhere the drop keeps G's values.  G ends
+    equal to E, which is then valid and inside F; so a pair that is not
+    one (E not in F, or an E built with validate=False that is no family)
+    fails a check of `_checked_cells` on some cone: E above G on a cell
+    (ValueError) or a divergent unbounded cell (InvalidFamily).
     """
     if e.fan != f.fan:
         raise ValueError("families live on different fans")
-    if not is_contained(e, f):
-        raise ValueError("E is not pointwise contained in F")
-    return _factorize(e, f)
-
-
-def _factorize(e: Multifiltration, f: Multifiltration) -> list[ElementaryInjection]:
-    """`factorize`'s loop, for a pair on one fan with E c F.
-
-    Visits the cones in (dim, lex) order and, while the current family G
-    differs from E on the cone sigma0, takes the drop of G at the
-    minimal differing class m0 to the echelon hyperplane H >=
-    E^sigma0_m0, with `drop`, which derives the step's invariants.  A
-    drop at sigma0 changes only sigma0's cofaces, all later in that
-    order, so each step is at the (dim, lex)-minimal differing cone.  m0
-    is the first jump (lambda, W) of G's list on sigma0 with
-    E^sigma0_lambda != W: the lex-first differing class mu is
-    componentwise minimal, so G and E agree one step below it and
-    G^sigma0_mu > E^sigma0_mu >= their join there: mu is a jump of G.
-
-    Each drop keeps E c G by construction.  Off the cofaces of sigma0
-    the drop keeps G's lists.  On a coface tau, let g be a class in the
-    region {g <= m0 over sigma0} and g' its coordinates on sigma0's
-    rays; then E^tau_g <= E^sigma0_g' (stabilization) <= E^sigma0_m0
-    (monotonicity) <= H, so E^tau_g <= G^tau_g & H, the dropped value.
-    Off the region the drop keeps G's values.
-
-    E may be built with validate=False, so each step checks what a
-    valid E guarantees: G has a jump m0 where E differs, E^sigma0_m0 <=
-    G^sigma0_m0, and m0_i < t_i, the largest axis-i coordinate in E's
-    and F's lists on sigma0.  For a valid E, from t_i on along axis i
-    both E and G <= F have stabilized to their values on the facet
-    without ray i, where they agree (sigma0 is minimal), so the checks
-    never fire.  G <= F is non-zero at m0, so m0 also lies above a jump
-    of F: the steps stay in a finite box per cone, each lowers the sum
-    of dim G there by 1 and none raises it, so the loop terminates.  A
-    failed check is a ValueError.
-    """
     steps: list[ElementaryInjection] = []
     current = f
-    for sigma0 in e.fan.all_cones(min_dim=1):
-        while current.jumps[sigma0] != e.jumps[sigma0]:
-            for m0, value in current.jumps[sigma0]:
-                inner = eval_jumps(e.jumps[sigma0], m0)
-                if inner is not value:
-                    break
-            else:
-                raise ValueError(
-                    f"E is not a valid family: no jump of G on {sigma0!r} differs from E"
-                )
-            top = [ax[-1] for ax in _axes(e.jumps[sigma0] + f.jumps[sigma0], len(sigma0))]
-            if not inner <= value or any(x >= t for x, t in zip(m0, top)):
-                raise ValueError(
-                    f"E is not a valid family: a valid E cannot differ from G"
-                    f" at class {m0!r} on {sigma0!r}"
-                )
-            step = drop(current, sigma0, m0, echelon_hyperplane(value, inner))
-            steps.append(step)
-            current = step.e
+    for sigma0 in f.fan.all_cones(min_dim=1):
+        if current.jumps[sigma0] == e.jumps[sigma0]:
+            continue
+        cells, _ = _checked_cells(e, current, sigma0)
+        classes = [
+            (m0, inner, value)
+            for lo, hi, inner, value in cells
+            for m0 in iproduct(*map(range, lo, hi))
+        ]
+        for m0, inner, value in sorted(classes, key=itemgetter(0)):
+            for _ in range(value.dim - inner.dim):
+                value = echelon_hyperplane(value, inner)
+                step = drop(current, sigma0, m0, value)
+                steps.append(step)
+                current = step.e
     return steps
 
 
 def drop_counts(e: Multifiltration, f: Multifiltration) -> dict[int, int]:
     """The torsion profile of E c F: {k: p_k} for every k with p_k > 0,
     p_k the number of k-elementary injections in `factorize(e, f)`, with
-    work bounded by the cones, not by the drops.  E must be a valid
-    family; a pair with E not contained in F raises ValueError.
+    work bounded by the cones, not by the drops.
 
-    Visits the cones in (dim, lex) order with G = F.  `factorize` picks
-    sigma0 as the (dim, lex)-minimal differing cone, and a drop at sigma0
-    changes only sigma0's cofaces, all later in that order; so it
-    finishes sigma0 before it moves on and never comes back.  Each of
-    its drops at sigma0 lowers the dimension at one class of sigma0 by
-    one, so their number is the `_cone_delta` of the `_cells(E, G,
-    sigma0)` where they differ.  Together they compose to one rewrite:
-    G^tau_g & E^sigma0_g' on every coface tau, with g' the coordinates
-    of the class g on sigma0's rays.  Each drop meets G^tau_g with a
-    hyperplane H >= E^sigma0_m0 >= E^sigma0_g' on the region g' <= m0,
-    so G never falls below the rewrite; and when G^sigma0 = E^sigma0,
-    stabilization gives G^tau_g <= G^sigma0_g' = E^sigma0_g', so G is
-    at most the rewrite.  On sigma0 itself the rewrite is E^sigma0, as
-    E^sigma0 <= G^sigma0 (checked on the cells).  Off the cells,
-    E^sigma0_g' = G^sigma0_g' >= G^tau_g and the meet changes nothing, so
-    `_meet_cells` rewrites each proper coface on the cells alone, then
-    `_canonical_flat`.  The cells are bounded by then: `_cone_delta`
-    raises on an unbounded cell that changes dimension, and the check on
-    the cells on one that does not (two distinct values of one dim).
-
-    Containment needs no separate check: a cone is never rewritten after
-    its visit, so G ends equal to E, and G only ever falls below F, so
-    E = G <= F.
+    `factorize`'s walk, with its checks, taking each cone's drops as one
+    rewrite.  On sigma0 their number is the count of the `_checked_cells
+    (E, G, sigma0)`, and they compose to G^tau_g & E^sigma0_g' on every
+    coface tau, with g' the coordinates of the class g on sigma0's rays.
+    Each drop meets G^tau_g with a hyperplane H >= E^sigma0_m0 >=
+    E^sigma0_g' on the region g' <= m0, so G never falls below the
+    rewrite; and when G^sigma0 = E^sigma0, stabilization gives G^tau_g <=
+    G^sigma0_g' = E^sigma0_g', so G is at most the rewrite.  On sigma0
+    itself the rewrite is E^sigma0.  Off the cells, E^sigma0_g' =
+    G^sigma0_g' >= G^tau_g and the meet changes nothing, so `_meet_cells`
+    rewrites each proper coface on the cells alone, then
+    `_canonical_flat`.
     """
     if e.fan != f.fan:
         raise ValueError("families live on different fans")
@@ -892,11 +861,9 @@ def drop_counts(e: Multifiltration, f: Multifiltration) -> dict[int, int]:
     for sigma0 in fan.all_cones(min_dim=1):
         if e.jumps[sigma0] == jumps[sigma0]:
             continue
-        cells = _cells(e, g, sigma0)
+        cells, count = _checked_cells(e, g, sigma0)
         k0 = len(sigma0)
-        counts[k0] = counts.get(k0, 0) + _cone_delta(sigma0, cells)
-        if not all(u <= v for _, _, u, v in cells):
-            raise ValueError(f"E is not pointwise contained in F on {sigma0!r}")
+        counts[k0] = counts.get(k0, 0) + count
         jumps[sigma0] = e.jumps[sigma0]
         for tau in fan.cofaces(sigma0)[1:]:
             axes, strides, values, _ = _meet_cells(jumps[tau], tau, sigma0, cells)

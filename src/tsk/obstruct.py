@@ -8,7 +8,8 @@ the k-elementary injections, so the profile (q, p_k) with
 q = min{k : p_k > 0} is intrinsic.  The profile is counted per cone
 (`multifilt.drop_counts`), so its cost is bounded by the cones, not by
 the number of drops, which reaches 10^76 in the paper's families; only
-the Q2 regime below, which needs each 2-elementary weight, factorizes.
+the Q2 regime below, which needs each 2-elementary weight, factorizes
+(`multifilt.factorize`, the same per-cone walk taken drop by drop).
 Two obstruction regimes are machine-checkable:
 
   Q4: q >= 4 on P^n with n >= 4 forces c_3 or c_q of the normalized
@@ -45,7 +46,7 @@ from math import factorial
 from typing import NamedTuple
 
 from .chern import chern_general
-from .multifilt import Multifiltration, _factorize, drop_counts, reflexive_hull
+from .multifilt import Multifiltration, drop_counts, factorize, reflexive_hull
 from .reflexive import (
     R2Filtration,
     Stability,
@@ -215,9 +216,9 @@ def obstruction_verdict(E: Multifiltration) -> NotSmoothable | Inconclusive:
     hull_nf = normalize(hull_f, "b_zero")
     if stability(hull_nf) is Stability.UNSTABLE:
         return Inconclusive(prof)
-    # The hull commutes with twisting, so the normalized hull is a shift;
-    # drop_counts has proved E c hull, so the loop runs without the check.
-    steps = _factorize(E_n, hull.twist(b) if any(b) else hull)
+    # The hull commutes with twisting, so the normalized hull is a shift
+    # of the hull, and E_n c hull_n as E c hull.
+    steps = factorize(E_n, hull.twist(b) if any(b) else hull)
     bound = -s_max(hull_nf)
     weights = [s.m_Sigma for s in steps if s.k0 == 2]
     if all(w >= bound for w in weights):

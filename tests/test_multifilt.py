@@ -41,10 +41,10 @@ from tsk.multifilt import (
 )
 from tsk.obstruct import torsion_profile
 from tsk.prescribe import build_sequence, family_p4_odd, family_pn
-from tsk.reflexive import R2Filtration, RayDatum, to_multifiltration
+from tsk.reflexive import R2Filtration, RayDatum, from_multifiltration, to_multifiltration
 from tsk.sampling import random_b_zero, random_drops, random_reflexive, random_semistable
 
-from drop_oracle import replay_drops
+from drop_oracle import replay_drops, rescan_factorize
 
 
 def start_family(n=4, c=(1, 6, 6, 0, 0)):
@@ -634,6 +634,20 @@ def test_delta_invariant():
     assert delta(mf, mf) == (0,) * 4
 
 
+def test_delta_rejects_a_pair_that_is_not_an_injection():
+    # Two lines dropped at one class of a top cone: equal dimensions
+    # everywhere, so the dim differences sum to 0, yet neither family
+    # contains the other.
+    start = start_family(n=2, c=(1, 0, 0))
+    one, other = (
+        apply_elementary(start, (1, 2), (0, 0), Subspace.line(1, k)) for k in (0, 1)
+    )
+    assert not is_contained(one, other)
+    with pytest.raises(ValueError, match="not pointwise contained"):
+        delta(one, other)
+    assert delta(one, start) == (0, 1)
+
+
 def test_delta_infinite_when_no_cone_qualifies():
     # E c E(sum D_rho) differs on every ray, so Sigma*(2) is empty; each
     # ray filtration moves one step, so each ray adds rank 2 to delta_1.
@@ -719,6 +733,13 @@ def test_factorize_rejects_non_containment():
         factorize(mf, e)  # wrong order
     with pytest.raises(ValueError):
         factorize(start_family(c=(2, 6, 6, 0, 0)), mf)
+    # Two lines in one Full value: equal dimensions everywhere, neither
+    # contains the other; on a ray and on a top-dimensional cone.
+    top = start_family(n=2, c=(1, 0, 0))
+    for f, cone, m0 in ((mf, (3,), (0,)), (top, (1, 2), (0, 0))):
+        one, other = (apply_elementary(f, cone, m0, Subspace.line(1, k)) for k in (0, 1))
+        with pytest.raises(ValueError, match="not pointwise contained"):
+            factorize(one, other)
 
 
 @contextmanager
@@ -740,10 +761,10 @@ def deadline(seconds):
 def test_factorize_rejects_invalid_e_at_once():
     # E built with validate=False: a drop chain on P^2 with one ray-(0,)
     # jump shifted by +-1, contained in the chain or in its start.  Without
-    # factorize's validity checks some such E sends m0 along an axis
-    # without end.
+    # the walk's checks on the cells, some such E would send m0 along an
+    # axis without end.
     rng = random.Random(7)
-    messages = {"no jump of G": 0, "cannot differ": 0}
+    messages = {"not pointwise contained": 0, "divergent": 0}
     t0 = time.perf_counter()
     for _ in range(8):
         start = to_multifiltration(random_reflexive(rng, 2, max_c=3))
@@ -760,7 +781,7 @@ def test_factorize_rejects_invalid_e_at_once():
                     if not is_contained(e, f):
                         continue
                     with deadline(2.0), pytest.raises(
-                        ValueError, match="E is not a valid family"
+                        ValueError, match="|".join(messages)
                     ) as err:
                         factorize(e, f)
                     messages[next(k for k in messages if k in str(err.value))] += 1
@@ -808,6 +829,29 @@ def test_factorize_steps_contain_e_and_keep_the_other_cones():
         if hull != final:
             lengths.append(len(assert_factorize_trusts_its_drops(final, hull)))
     assert len(lengths) > len(chains) and max(lengths) >= 10
+
+
+def test_factorize_matches_the_rescanning_oracle():
+    # Seeded drop chains on P^2..P^5, each factorized inside its start and
+    # inside its reflexive hull, and obstruct's pair: both twisted so that
+    # the hull is b_zero data.  The walk must take the oracle's steps.
+    rng = random.Random(2020)
+    pairs = steps = 0
+    while pairs < 400:
+        n = rng.choice((2, 3, 4, 5))
+        start = to_multifiltration(random_reflexive(rng, n, max_c=3))
+        dims = tuple(sorted(rng.sample(range(1, n + 1), rng.randint(1, n))))
+        final, applied = random_drops(rng, start, rng.randint(1, 4), dims)
+        if not applied:
+            continue
+        pairs += 1
+        hull = reflexive_hull(final)
+        b = from_multifiltration(hull).b_vec
+        for e, f in ((final, start), (final, hull), (final.twist(b), hull.twist(b))):
+            chain = factorize(e, f)
+            assert chain == rescan_factorize(e, f)
+            steps += len(chain)
+    assert steps > 2 * pairs
 
 
 # ---------------------------------------------------------------------------

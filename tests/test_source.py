@@ -99,11 +99,10 @@ def test_canonical_jumps_only_in_the_constructor():
 
 
 def test_joint_grid_only_in_delta_and_elementary_check():
-    # The canonical lists hold their values, so containment and
-    # factorize's m0 read the lists; the cells where two families differ,
-    # for the delta invariant, the torsion profile and locating or
-    # refuting an elementary injection, are read off their joint grid
-    # by `_cells` alone.
+    # The cells where two families differ, for the delta invariant, the
+    # factorization, the torsion profile and locating or refuting an
+    # elementary injection, are read off their joint grid by `_cells`
+    # alone.
     allowed = {("_cells",)}
     found = [
         f"{path.name}:{call.lineno}"
@@ -148,18 +147,29 @@ def test_int_pow_only_in_ring():
     assert found == []
 
 
-def test_containment_checked_only_at_factorize_entry():
-    # drop_counts proves E c F as it counts, so obstruct, whose pairs are
-    # E and its hull, never calls the checked entry; is_contained is the
-    # check of caller-supplied pairs at factorize's public entry.
+def test_factorize_is_one_checked_walk():
+    # factorize, drop_counts and delta check E c F on the cells they read,
+    # so no src/ code runs a separate containment pass, there is one
+    # factorization loop, and obstruct factorizes through the public name.
     found = []
     for path in sorted(SRC.rglob("*.py")):
-        for scope, call in _calls_by_scope(ast.parse(path.read_text("utf-8"))):
-            name = getattr(call.func, "id", getattr(call.func, "attr", None))
-            if name == "is_contained" and (path.name, scope) != ("multifilt.py", ("factorize",)):
-                found.append(f"{path.name}:{call.lineno}")
-            if name == "factorize" and path.name == "obstruct.py":
-                found.append(f"{path.name}:{call.lineno}")
+        tree = ast.parse(path.read_text("utf-8"))
+        for _, call in _calls_by_scope(tree):
+            if getattr(call.func, "id", getattr(call.func, "attr", None)) == "is_contained":
+                found.append(f"{path.name}:{call.lineno} calls is_contained")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == "_factorize":
+                found.append(f"{path.name}:{node.lineno} defines _factorize")
+            if (
+                path.name == "obstruct.py"
+                and isinstance(node, ast.ImportFrom)
+                and node.module == "multifilt"
+            ):
+                found += [
+                    f"{path.name}:{node.lineno} imports {alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("_")
+                ]
     assert found == []
 
 
