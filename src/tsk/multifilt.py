@@ -20,32 +20,40 @@ along a ray deletes that coordinate from its jumps, and the result
 must canonicalize to the facet's list.
 
 Grids are flat lists in row-major order (`_grid_flat`).  The
-constructions (`reflexive_hull`, `drop`, `apply_run`) read their
-canonical lists off the grids they have already computed
-(`_canonical_flat`).  The constructor and the facet check canonicalize
-raw lists with the cached `_canonical_jumps`, which builds no grid:
-only jump coordinates can be canonical jumps, so it scans the list, and
-parsing a document costs what its lists hold, not what their grids do.
+constructions on grids (`reflexive_hull`, `apply_run`, `drop_counts`)
+read their canonical lists off the grids they have already computed
+(`_canonical_flat`).  The constructor, the facet check and `drop`
+canonicalize raw lists with `_canonical_jumps` (cached for the lists
+the constructor keeps), which builds no grid: only jump coordinates can
+be canonical jumps, so it scans the list, and parsing a document costs
+what its lists hold, not what their grids do.
 
 The elementary-injection machinery (delta invariant, drop,
 elementary_check, factorize) follows the equal-rank factorization
 theory: an elementary injection E c F drops exactly one jump value by
 one dimension at a single class m0 of a single cone sigma0 and
-intersects everything above with the dropped hyperplane.  A drop, and
-the per-cone count of the torsion profile, are one rewrite of sigma0's
-cofaces: G^tau_g & E^sigma0_g', g' the coordinates of g on sigma0's
-rays, applied only on the cells of sigma0 where the values differ
-(`_meet_cells`).  `drop` writes E and reads the injection's invariants
-off the rewritten grids; `apply_run` writes a run of drops to ZERO at
-consecutive classes along one axis as one rewrite, on the union of
-their cells.  The cells where two families differ are read off their
-joint grid by `_cells` alone.  `factorize`, `drop_counts` and `delta`
-take each cone's cells from `_checked_cells`, which checks E c F on
-the cone and sums the dim differences: `factorize` walks the cones
-once and drops each differing class in lex order, `drop_counts` walks
-them the same way and takes each cone's drops as one rewrite, and
-`delta` sums.  `elementary_check` locates or refutes a single drop on
-the `_cells`.
+intersects everything above with the dropped hyperplane.  On a coface
+of sigma0 that changes only the slice g' = m0, g' the coordinates of g
+on sigma0's rays, where G^tau_g meets the hyperplane.  `drop` rewrites
+each coface's jump list there and builds no grid: the jumps off the
+slice stay, the slice's jumps come again one step up each axis of
+sigma0, and, the lattice of subspaces of C^2 being modular, the met
+values are generated by the slice's jumps whose value holds the
+hyperplane and by the joins of pairs of distinct other lines; the
+injection's invariants are read off the slice's jumps outside the
+hyperplane.  The per-cone count of the torsion profile is the rewrite
+G^tau_g & E^sigma0_g' of sigma0's cofaces on the grid cells of sigma0
+where the values differ (`_meet_cells`), and `apply_run` writes a run
+of drops to ZERO at consecutive classes along one axis as one such
+rewrite, on the union of their cells.  The cells where two families
+differ are read off their joint grid by `_cells` alone.  `factorize`,
+`drop_counts` and `delta` take each cone's cells from `_checked_cells`,
+which checks E c F on the cone and sums the dim differences:
+`factorize` walks the cones once and drops each differing class in lex
+order, `drop_counts` walks them the same way and takes each cone's
+drops as one rewrite, and `delta` sums, checking E c F on the cones it
+leaves out too (`_contained_cells`).  `elementary_check` locates or
+refutes a single drop on the `_cells`.
 """
 
 from __future__ import annotations
@@ -432,24 +440,31 @@ def _cells(e: Multifiltration, f: Multifiltration, cone: Cone) -> list[Cell]:
     return cells
 
 
-def _checked_cells(
-    e: Multifiltration, f: Multifiltration, cone: Cone
-) -> tuple[list[Cell], int]:
-    """The `_cells(e, f, cone)` of a pair with E c F on the cone, and
-    the sum over all its classes of dim F - dim E.
-
-    Every cell must hold E's value inside F's, ValueError otherwise; the
-    values differ, so the dim difference is positive, and a cell
-    unbounded above makes the sum diverge: InvalidFamily.  A bounded
-    cell adds its dim difference times its (integer) volume.
-    """
+def _contained_cells(e: Multifiltration, f: Multifiltration, cone: Cone) -> list[Cell]:
+    """The `_cells(e, f, cone)`, each holding E's value inside F's:
+    ValueError otherwise."""
     cells = _cells(e, f, cone)
-    total = 0
-    for lo, hi, u, v in cells:
+    for lo, _, u, v in cells:
         if not u <= v:
             raise ValueError(
                 f"E is not pointwise contained in F on {cone!r} at class {lo!r}"
             )
+    return cells
+
+
+def _checked_cells(
+    e: Multifiltration, f: Multifiltration, cone: Cone
+) -> tuple[list[Cell], int]:
+    """The `_contained_cells(e, f, cone)` of a pair with E c F on the
+    cone, and the sum over all its classes of dim F - dim E.
+
+    The values differ on every cell, so the dim difference is positive,
+    and a cell unbounded above makes the sum diverge: InvalidFamily.  A
+    bounded cell adds its dim difference times its (integer) volume.
+    """
+    cells = _contained_cells(e, f, cone)
+    total = 0
+    for lo, hi, u, v in cells:
         if hi is None:
             raise InvalidFamily(
                 f"divergent difference at cone {cone!r}: families differ"
@@ -487,8 +502,9 @@ def delta(e: Multifiltration, f: Multifiltration) -> tuple[int | Infinity, ...]:
     runs over Sigma*(k), the k-cones all of whose facets carry a
     defined and vanishing facet-level delta; when Sigma*(k) is empty,
     delta_k = INFINITY (and stays INFINITY above).  Each summed cone
-    comes from `_checked_cells`, so a pair with E not in F there raises
-    ValueError.
+    comes from `_checked_cells`, and each cone left out of the sum from
+    `_contained_cells`, as its difference may be unbounded; so a pair
+    with E not in F raises ValueError.
     """
     if e.fan != f.fan:
         raise ValueError("families live on different fans")
@@ -505,6 +521,7 @@ def delta(e: Multifiltration, f: Multifiltration) -> tuple[int | Infinity, ...]:
                 ok = all(per_cone.get(facet) == 0 for facet in fan.facets(cone))
             if not ok:
                 per_cone[cone] = None
+                _contained_cells(e, f, cone)
                 continue
             value = _checked_cells(e, f, cone)[1]
             per_cone[cone] = value
@@ -548,16 +565,16 @@ class ElementaryInjection(NamedTuple):
 
 def _meet_cells(
     jumps: JumpList, tau: Cone, sigma0: Cone, cells: Sequence[Cell]
-) -> tuple[list[list[int]], list[int], list[Subspace], list[int]]:
+) -> tuple[list[list[int]], list[int], list[Subspace]]:
     """Meet G^tau with the cells' values over the given cells of sigma0.
 
     `jumps` is G's list on tau, a coface of sigma0, and `cells` are
     disjoint bounded cells (lo, hi, w, ...) of sigma0's classes.  G's
     grid on tau is widened by the cells' corners on sigma0's axes, so
     each grid cell lies over one cell or over none.  Returns its axes and
-    strides, the values G^tau_g & w for every class g whose coordinates
-    g' on sigma0's rays lie in a cell lo <= g' < hi of value w (G^tau_g
-    elsewhere), and the gaps, the flat indices where a value fell.
+    strides and the values G^tau_g & w for every class g whose
+    coordinates g' on sigma0's rays lie in a cell lo <= g' < hi of value
+    w (G^tau_g elsewhere).
     """
     pos = [tau.index(r) for r in sigma0]
     corners: list[set[int]] = [set() for _ in tau]
@@ -567,7 +584,6 @@ def _meet_cells(
     axes = _axes(jumps, len(tau), corners)
     values, strides = _grid_flat(jumps, axes)
     bounds = [(0, len(axis)) for axis in axes]
-    gaps = []
     for lo, hi, w, *_ in cells:
         for p, x, y in zip(pos, lo, hi):
             bounds[p] = axes[p].index(x), axes[p].index(y)
@@ -577,11 +593,8 @@ def _meet_cells(
         for k in block:
             v = values[k]
             # the meet by case analysis (two distinct lines meet in ZERO)
-            u = v if w is v or w is FULL else w if v is FULL else ZERO
-            if u is not v:
-                values[k] = u
-                gaps.append(k)
-    return axes, strides, values, gaps
+            values[k] = v if w is v or w is FULL else w if v is FULL else ZERO
+    return axes, strides, values
 
 
 def drop(
@@ -596,21 +609,33 @@ def drop(
     codimension 1 in F^sigma0_m0 and contains every value strictly below
     m0 (otherwise monotonicity would break); violations raise ValueError.
 
-    Every cone that is not a coface keeps F's list object.  Per coface,
-    sigma0 included, in (dim, lex) order, `_meet_cells` meets F's grid
-    with the target on the one cell [m0, m0 + 1) of sigma0, and E's list
-    is the `_canonical_flat` of the result (E is constant on the grid's
-    cells, as the cell's corners lie on it).  That is the whole region:
-    with g' the coordinates of g on sigma0's rays, g' <= m0 and g' != m0,
-    F^sigma_g <= F^sigma0_g' (stabilization) lies in the join below m0,
-    so in the target by the preconditions; only the m0 slice can change.
-    The gaps are the cells where dim F - dim E = 1.  The threshold a_j
-    is the first gap along the new axis of the facet-coface sigma0 +
-    ray_j, which precedes every coface that needs it.  Gaps lie only in
-    the box {sigma0 coords == m0, new coords >= a_j} (below a_j, the
-    facet-coface value, which bounds the coface's, is inside the
-    target), so E c F is saturated when every coface has as many gaps as
-    the box has cells.
+    Every cone that is not a coface keeps F's list object.  On a coface
+    tau, with g' the coordinates of a class g on sigma0's rays, only the
+    slice g' = m0 changes: for g' <= m0 and g' != m0, F^tau_g <=
+    F^sigma0_g' (stabilization) lies in the join below m0, so in the
+    target.  Split F^tau's list into the jumps `at` with lambda' = m0
+    and the rest.  On the slice, F^tau_g = J_<(g) v J_=(g), the joins of
+    the rest and of `at` below g, and J_< lies in the target (its jumps
+    have lambda' <= m0, lambda' != m0).  The lattice of subspaces of C^2
+    is modular, so E^tau_g = (J_< v J_=) & target = J_< v (J_= & target).
+    E's list is the canonicalization of: the rest; each `at` jump again
+    one step up each axis of sigma0, so that E = F off the slice; and,
+    when the target is a line, (lambda, target) for each `at` jump whose
+    value is FULL or the target, and (max(lambda1, lambda2), target) for
+    each pair of distinct other lines, which generate J_= & target.  No
+    grid is built, and the lists are one-off, so they bypass the cache,
+    as in `validate`.
+
+    The invariants are read off `out`, the `at` jumps whose value is not
+    inside the target: on the slice, E^tau_g != F^tau_g exactly when some
+    `out` jump lies below g.  The threshold a_j is the least new-axis
+    coordinate in `out` on the facet-coface sigma0 + ray_j, which
+    precedes every coface that needs it.  The difference lies in the box
+    {g' = m0, new coords >= a_j} (below a_j, the facet-coface value,
+    which bounds the coface's, is inside the target), and it is upward
+    closed there, as F is monotone.  So E c F is saturated, the
+    difference filling every box, when on every coface some `out` jump
+    lies at or below the box's corner (m0, a_j), which is m_sigma.
 
     E needs no facet check: stabilizing along a ray of sigma0 leaves the
     region m <= m0, so the values are F's; stabilizing along a new ray
@@ -639,21 +664,37 @@ def drop(
     a_ray: dict[int, int] = {}
     m_sigma: dict[Cone, Weight] = {}
     saturated = True
-    cell = [(m0, tuple(x + 1 for x in m0), target, value)]
+    key = m0 if len(m0) > 1 else m0[0]  # what itemgetter reads off lambda
     for cone in f.fan.cofaces(sigma0):
-        axes, strides, values, gaps = _meet_cells(f.jumps[cone], cone, sigma0, cell)
-        new_jumps[cone] = _canonical_flat(axes, values, strides)
+        pos = [cone.index(r) for r in sigma0]
+        on_sigma0 = itemgetter(*pos)
+        raw: list[Jump] = []
+        at: list[Jump] = []
+        for jump in f.jumps[cone]:
+            (at if on_sigma0(jump[0]) == key else raw).append(jump)
+        lines: list[Jump] = []
+        for coords, w in at:
+            for p in pos:
+                raw.append((coords[:p] + (coords[p] + 1,) + coords[p + 1 :], w))
+            if target is not ZERO:
+                if w is FULL or w is target:
+                    raw.append((coords, target))
+                else:
+                    lines.append((coords, w))
+        for i, (c1, w1) in enumerate(lines):
+            for c2, w2 in lines[:i]:
+                if w1 is not w2:
+                    raw.append((tuple(map(max, c1, c2)), target))
+        new_jumps[cone] = _canonical_jumps.__wrapped__(raw)
+
+        out = [coords for coords, w in at if not w <= target]
         new = [(p, r) for p, r in enumerate(cone) if r not in sigma0]
         if len(new) == 1:
             p, ray = new[0]
-            a_ray[ray] = axes[p][min(k // strides[p] % len(axes[p]) for k in gaps)]
-        m_sigma[cone] = tuple(
-            m0[sigma0.index(r)] if r in sigma0 else a_ray[r] for r in cone
-        )
-        box = 1
-        for p, r in new:
-            box *= sum(1 for x in axes[p] if x >= a_ray[r])
-        saturated = saturated and len(gaps) == box
+            a_ray[ray] = min(coords[p] for coords in out)
+        corner = tuple(m0[sigma0.index(r)] if r in sigma0 else a_ray[r] for r in cone)
+        m_sigma[cone] = corner
+        saturated = saturated and any(all(map(le, coords, corner)) for coords in out)
 
     m_rho = dict(zip(sigma0, m0))
     m_rho.update(a_ray)
@@ -759,7 +800,7 @@ def apply_run(
     drop sees F's values on its cell and the composite is one meet over
     their union: the cell from m0 to (m0 + 1) + (count - 1) e.  That is
     one `_meet_cells` call per coface, in (dim, lex) order, then
-    `_canonical_flat`, as in `drop`; with count = 1 the result is
+    `_canonical_flat`; with count = 1 the result is
     `drop(f, sigma0, m0, ZERO).e`.  The drops' preconditions and
     invariants are not checked: the caller checks the family it builds
     (`prescribe.build_sequence` does).
@@ -774,7 +815,7 @@ def apply_run(
     cell = [(m0, hi, ZERO)]
     new_jumps: dict[Cone, JumpList] = dict(f.jumps)
     for cone in f.fan.cofaces(sigma0):
-        axes, strides, values, _ = _meet_cells(f.jumps[cone], cone, sigma0, cell)
+        axes, strides, values = _meet_cells(f.jumps[cone], cone, sigma0, cell)
         new_jumps[cone] = _canonical_flat(axes, values, strides)
     return Multifiltration._canonical(f.fan, new_jumps)
 
@@ -866,7 +907,7 @@ def drop_counts(e: Multifiltration, f: Multifiltration) -> dict[int, int]:
         counts[k0] = counts.get(k0, 0) + count
         jumps[sigma0] = e.jumps[sigma0]
         for tau in fan.cofaces(sigma0)[1:]:
-            axes, strides, values, _ = _meet_cells(jumps[tau], tau, sigma0, cells)
+            axes, strides, values = _meet_cells(jumps[tau], tau, sigma0, cells)
             jumps[tau] = _canonical_flat(axes, values, strides)
     return counts
 

@@ -9,16 +9,33 @@ tests can hold the runs to the chain of drops the paper iterates.
 by class.  `rescan_factorize` finds every step afresh: it re-scans the
 current family's list for the first jump where E differs, so the tests
 can hold the walk to it step for step.
+
+`drop` rewrites each coface's jump list on the slice it changes.
+`grid_drop` takes the same drop on whole grids: it meets each coface's
+grid with the target on the one cell of the drop and reads the
+invariants off the gaps, the grid points where the value fell, so the
+tests can hold the list rewrite to it field by field.
 """
 
 from __future__ import annotations
 
-from itertools import islice
+from itertools import islice, product as iproduct
+from operator import mul
 from typing import Iterator
 
 from tsk.fan import Cone, Weight
-from tsk.linalg import ZERO, echelon_hyperplane
-from tsk.multifilt import ElementaryInjection, Multifiltration, _axes, drop, eval_jumps
+from tsk.linalg import FULL, ZERO, Subspace, echelon_hyperplane
+from tsk.multifilt import (
+    ElementaryInjection,
+    JumpList,
+    Multifiltration,
+    _axes,
+    _canonical_flat,
+    _grid_flat,
+    drop,
+    eval_jumps,
+    join_below,
+)
 from tsk.prescribe import PrescriptionSolution, weight_schedule
 from tsk.reflexive import to_multifiltration
 
@@ -91,3 +108,80 @@ def rescan_factorize(e: Multifiltration, f: Multifiltration) -> list[ElementaryI
             steps.append(step)
             current = step.e
     return steps
+
+
+def grid_drop(
+    f: Multifiltration, sigma0: Cone, m0: Weight, target: Subspace
+) -> ElementaryInjection:
+    """`drop(f, sigma0, m0, target)` on whole grids.
+
+    The preconditions and their ValueErrors are `drop`'s.  Per coface,
+    sigma0 included, in (dim, lex) order, it meets F's grid with the
+    target on the cell [m0, m0 + 1) of sigma0, and E's list is the
+    `_canonical_flat` of the result.  The gaps are the grid points
+    where dim F - dim E = 1.  The threshold a_j is the first gap along
+    the new axis of the facet-coface sigma0 + ray_j, and E c F is
+    saturated when every coface has as many gaps as the box {sigma0
+    coords == m0, new coords >= a_j} has grid points.
+    """
+    sigma0 = tuple(sigma0)
+    m0 = tuple(m0)
+    if sigma0 not in f.jumps:
+        raise ValueError(f"{sigma0!r} is not a cone of dimension >= 1")
+    value = f.evaluate(sigma0, m0)
+    if not target <= value or value.dim - target.dim != 1:
+        raise ValueError(f"target {target!r} is not a hyperplane of {value!r}")
+    if not join_below(f, sigma0, m0) <= target:
+        raise ValueError(f"the values strictly below {m0!r} are not inside {target!r}")
+
+    new_jumps: dict[Cone, JumpList] = dict(f.jumps)
+    a_ray: dict[int, int] = {}
+    m_sigma: dict[Cone, Weight] = {}
+    saturated = True
+    for cone in f.fan.cofaces(sigma0):
+        # F's grid, widened by the cell's corners m0 and m0 + 1 on sigma0's
+        # axes; the cell is the block of grid points at m0 on those axes.
+        pos = [cone.index(r) for r in sigma0]
+        corners: list[set[int]] = [set() for _ in cone]
+        for p, x in zip(pos, m0):
+            corners[p].update((x, x + 1))
+        axes = _axes(f.jumps[cone], len(cone), corners)
+        values, strides = _grid_flat(f.jumps[cone], axes)
+        ranges = [range(len(axis)) for axis in axes]
+        for p, x in zip(pos, m0):
+            ranges[p] = [axes[p].index(x)]
+        gaps = []
+        for idx in iproduct(*ranges):
+            k = sum(map(mul, idx, strides))
+            v = values[k]
+            u = v if target is v or target is FULL else target if v is FULL else ZERO
+            if u is not v:
+                values[k] = u
+                gaps.append(k)
+        new_jumps[cone] = _canonical_flat(axes, values, strides)
+        new = [(p, r) for p, r in enumerate(cone) if r not in sigma0]
+        if len(new) == 1:
+            p, ray = new[0]
+            a_ray[ray] = axes[p][min(k // strides[p] % len(axes[p]) for k in gaps)]
+        m_sigma[cone] = tuple(
+            m0[sigma0.index(r)] if r in sigma0 else a_ray[r] for r in cone
+        )
+        box = 1
+        for p, r in new:
+            box *= sum(1 for x in axes[p] if x >= a_ray[r])
+        saturated = saturated and len(gaps) == box
+
+    m_rho = dict(zip(sigma0, m0))
+    m_rho.update(a_ray)
+    return ElementaryInjection(
+        e=Multifiltration._canonical(f.fan, new_jumps),
+        f=f,
+        k0=len(sigma0),
+        sigma0=sigma0,
+        m0=m0,
+        dropped=target,
+        m_sigma=m_sigma,
+        m_rho=m_rho,
+        m_Sigma=sum(m_rho.values()),
+        saturated=saturated,
+    )

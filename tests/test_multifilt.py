@@ -44,7 +44,7 @@ from tsk.prescribe import build_sequence, family_p4_odd, family_pn
 from tsk.reflexive import R2Filtration, RayDatum, from_multifiltration, to_multifiltration
 from tsk.sampling import random_b_zero, random_drops, random_reflexive, random_semistable
 
-from drop_oracle import replay_drops, rescan_factorize
+from drop_oracle import grid_drop, replay_drops, rescan_factorize
 
 
 def start_family(n=4, c=(1, 6, 6, 0, 0)):
@@ -490,6 +490,82 @@ def test_drop_equals_elementary_check():
         pinned[0].k0 = 2
 
 
+def assert_drop_matches_the_grid_oracle(inj):
+    """`drop`'s list rewrite is the grid rewrite, field by field."""
+    ref = grid_drop(inj.f, inj.sigma0, inj.m0, inj.dropped)
+    for name in ElementaryInjection._fields:
+        assert getattr(inj, name) == getattr(ref, name), name
+
+
+def staircase(r):
+    """The P^5 staircase: on every cone, the projections of the r
+    pairwise incomparable FULL jumps (i, -i, 2i, -2i, 3i, 0)."""
+    fan = Fan(5)
+    points = [(i, -i, 2 * i, -2 * i, 3 * i, 0) for i in range(1, r + 1)]
+    return Multifiltration(
+        fan,
+        {
+            cone: [(tuple(p[ray] for ray in cone), FULL) for p in points]
+            for cone in fan.all_cones(min_dim=1)
+        },
+    )
+
+
+def test_drop_matches_the_grid_oracle():
+    # The steps of factorize inside the start and inside the hull of
+    # seeded drop chains on P^2..P^5, which recompose takes again.
+    rng = random.Random(2121)
+    seen = {"drops": 0, "unsaturated": 0, "ZERO": 0, "line": 0}
+    while seen["drops"] < 3000:
+        n = rng.choice((2, 3, 4, 5))
+        start = to_multifiltration(random_reflexive(rng, n, max_c=3))
+        final, _ = random_drops(rng, start, rng.randint(1, 5), range(1, n + 1))
+        for f in (start, reflexive_hull(final)):
+            for inj in factorize(final, f):
+                assert_drop_matches_the_grid_oracle(inj)
+                seen["drops"] += 1
+                seen["unsaturated"] += not inj.saturated
+                seen["line" if inj.dropped.dim else "ZERO"] += 1
+    assert seen["unsaturated"] >= 500 and seen["ZERO"] and seen["line"], seen
+    # the staircase pair (E, hull of E), 216 drops on 2-cones of P^5
+    e = staircase(4)
+    f = reflexive_hull(e)
+    steps = factorize(e, f)
+    assert len(steps) == 216 and recompose(f, steps) == e
+    for inj in steps:
+        assert_drop_matches_the_grid_oracle(inj)
+
+
+def test_drop_raises_where_the_grid_oracle_does():
+    # Random cones, classes near the jumps and targets, on seeded chains:
+    # both reject the same inputs, and agree where they accept.
+    rng = random.Random(2122)
+    targets = [ZERO, FULL] + [Subspace.line(1, k) for k in range(3)] + [Subspace.line(0, 1)]
+    outcomes = {True: 0, False: 0}
+    for _ in range(150):
+        n = rng.choice((2, 3, 4, 5))
+        start = to_multifiltration(random_reflexive(rng, n, max_c=3))
+        family, _ = random_drops(rng, start, rng.randint(0, 4), range(1, n + 1))
+        cones = list(family.fan.all_cones(min_dim=1))
+        for _ in range(20):
+            cone = rng.choice(cones)
+            axes = _axes(family.jumps[cone], len(cone))
+            m0 = tuple(rng.choice(axis) + rng.choice((-1, 0, 1)) for axis in axes)
+            target = rng.choice(targets)
+            results = []
+            for take in (drop, grid_drop):
+                try:
+                    results.append(take(family, cone, m0, target))
+                except ValueError:
+                    results.append(None)
+            inj, ref = results
+            assert (inj is None) == (ref is None), (cone, m0, target)
+            if inj is not None:
+                assert_drop_matches_the_grid_oracle(inj)
+            outcomes[inj is not None] += 1
+    assert outcomes[True] >= 100 and outcomes[False] >= 1000, outcomes
+
+
 def test_p4_odd_build_steps_pass_elementary_check():
     # The drop-by-drop oracle of the 258-drop build, whose final sheaf the
     # run build must reach; re-check all 258 steps.
@@ -646,6 +722,19 @@ def test_delta_rejects_a_pair_that_is_not_an_injection():
     with pytest.raises(ValueError, match="not pointwise contained"):
         delta(one, other)
     assert delta(one, start) == (0, 1)
+
+
+def test_delta_checks_containment_off_the_summed_cones():
+    # E drops ray (1,) too, so delta_1 > 0 leaves the 2-cone (1, 2) out
+    # of Sigma*(2); E still is not inside F there, on the class (0, 0).
+    start = start_family(n=2, c=(1, 0, 0))
+    f = drop(start, (1, 2), (0, 0), Subspace.line(1, 1)).e
+    e = drop(start, (1, 2), (0, 0), Subspace.line(1, 0)).e
+    e = drop(e, (1,), (0,), Subspace.line(1, 0)).e
+    assert not is_contained(e, f)
+    with pytest.raises(ValueError, match=r"not pointwise contained in F on \(1, 2\)"):
+        delta(e, f)
+    assert delta(e, start) == (1, 0)
 
 
 def test_delta_infinite_when_no_cone_qualifies():

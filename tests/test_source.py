@@ -83,17 +83,25 @@ def test_elementary_check_only_for_given_pairs():
 
 
 def test_canonical_jumps_only_in_the_constructor():
-    # Constructions canonicalize the grids they have already computed
-    # with `_canonical_flat`; the cached `_canonical_jumps` re-evaluates
-    # a raw list and is only for the constructor and validate().
-    allowed = {("Multifiltration", "__init__"), ("Multifiltration", "validate")}
+    # The cached `_canonical_jumps` is for the lists the constructor
+    # keeps.  One-off lists, validate()'s projections and the cofaces
+    # `drop` rewrites, go through the uncached `__wrapped__`, so that
+    # they do not fill the cache; the other constructions canonicalize
+    # the grids they have already computed with `_canonical_flat`.
+    allowed = {
+        False: {("Multifiltration", "__init__")},
+        True: {("Multifiltration", "validate"), ("drop",)},
+    }
     found = [
         f"{path.name}:{call.lineno}"
         for path in sorted(SRC.rglob("*.py"))
         for scope, call in _calls_by_scope(ast.parse(path.read_text("utf-8")))
         if "_canonical_jumps"
         in {n.id for n in ast.walk(call.func) if isinstance(n, ast.Name)}
-        and not (path.name == "multifilt.py" and scope in allowed)
+        and not (
+            path.name == "multifilt.py"
+            and scope in allowed[getattr(call.func, "attr", None) == "__wrapped__"]
+        )
     ]
     assert found == []
 
@@ -115,7 +123,7 @@ def test_joint_grid_only_in_delta_and_elementary_check():
 
 
 def test_grid_flat_only_in_the_kernels():
-    # A coface rewrite (a drop, a per-cone count, a run of drops) is
+    # A coface rewrite on grids (a per-cone count, a run of drops) is
     # `_meet_cells`; a second grid of one family per coface would be a
     # second rewrite.  Canonicalizing a raw list scans the list: its grid
     # can be exponentially larger than the document.
@@ -132,6 +140,31 @@ def test_grid_flat_only_in_the_kernels():
         and (path.name, scope) not in allowed
     ]
     assert found == []
+
+
+def test_drop_builds_no_grid():
+    # A drop rewrites each coface's jump list on the slice it changes;
+    # neither it nor anything it calls in multifilt builds or reads a grid.
+    tree = ast.parse((SRC / "multifilt.py").read_text("utf-8"))
+    defs = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):
+            defs.setdefault(node.name, []).append(node)
+    reached, todo = set(), ["drop"]
+    while todo:
+        name = todo.pop()
+        if name in reached or name not in defs:
+            continue
+        reached.add(name)
+        for node in defs[name]:
+            for call in ast.walk(node):
+                if isinstance(call, ast.Call):
+                    todo.append(getattr(call.func, "id", getattr(call.func, "attr", None)))
+    grids = {
+        "_grid_flat", "_meet_cells", "_joint_grid", "_cells", "_checked_cells", "_canonical_flat"
+    }
+    assert "evaluate" in reached and "eval_jumps" in reached
+    assert reached & grids == set()
 
 
 def test_int_pow_only_in_ring():
