@@ -184,6 +184,15 @@ def multifilt_from_doc(doc: Any) -> Multifiltration:
     cones = doc.get("cones")
     if not isinstance(cones, list):
         raise ValueError("'cones' must be a list")
+    # A family has a list reaching C^2 on each of the 2^(n+1) - 2 cones,
+    # so no other count can be valid; checking it first spares building
+    # the fan.  That count has n + 1 bits, so a huge n costs no power.
+    size = len(cones)
+    if size.bit_length() != n + 1 or size != (1 << (n + 1)) - 2:
+        raise ValueError(
+            f"'cones' must hold one entry for each of the 2^{n + 1} - 2 cones"
+            f" of the fan of P^{n}, got {size}"
+        )
     jumps: dict[tuple[int, ...], list] = {}
     for entry in cones:
         if not isinstance(entry, dict):

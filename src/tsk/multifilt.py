@@ -19,14 +19,13 @@ list comparison, and so facet compatibility too: stabilizing E^sigma
 along a ray deletes that coordinate from its jumps, and the result
 must canonicalize to the facet's list.
 
-Grids are flat lists in row-major order (`_grid_flat`).  The
-constructions on grids (`reflexive_hull`, `apply_run`, `drop_counts`)
-read their canonical lists off the grids they have already computed
-(`_canonical_flat`).  The constructor, the facet check and `drop`
-canonicalize raw lists with `_canonical_jumps` (cached for the lists
-the constructor keeps), which builds no grid: only jump coordinates can
-be canonical jumps, so it scans the list, and parsing a document costs
-what its lists hold, not what their grids do.
+Grids are flat lists in row-major order (`_grid_flat`).  The hull
+(`reflexive_hull`) reads its canonical lists off the grids it has
+already computed (`_canonical_flat`).  Everything else canonicalizes
+raw lists with `_canonical_jumps` (cached for the lists the constructor
+keeps), which builds no grid: only jump coordinates can be canonical
+jumps, so it scans the list, and parsing a document costs what its
+lists hold, not what their grids do.
 
 The elementary-injection machinery (delta invariant, drop,
 elementary_check, factorize) follows the equal-rank factorization
@@ -34,26 +33,22 @@ theory: an elementary injection E c F drops exactly one jump value by
 one dimension at a single class m0 of a single cone sigma0 and
 intersects everything above with the dropped hyperplane.  On a coface
 of sigma0 that changes only the slice g' = m0, g' the coordinates of g
-on sigma0's rays, where G^tau_g meets the hyperplane.  `drop` rewrites
-each coface's jump list there and builds no grid: the jumps off the
-slice stay, the slice's jumps come again one step up each axis of
-sigma0, and, the lattice of subspaces of C^2 being modular, the met
-values are generated by the slice's jumps whose value holds the
-hyperplane and by the joins of pairs of distinct other lines; the
-injection's invariants are read off the slice's jumps outside the
-hyperplane.  The per-cone count of the torsion profile is the rewrite
-G^tau_g & E^sigma0_g' of sigma0's cofaces on the grid cells of sigma0
-where the values differ (`_meet_cells`), and `apply_run` writes a run
-of drops to ZERO at consecutive classes along one axis as one such
-rewrite, on the union of their cells.  The cells where two families
-differ are read off their joint grid by `_cells` alone.  `factorize`,
-`drop_counts` and `delta` take each cone's cells from `_checked_cells`,
-which checks E c F on the cone and sums the dim differences:
-`factorize` walks the cones once and drops each differing class in lex
-order, `drop_counts` walks them the same way and takes each cone's
-drops as one rewrite, and `delta` sums, checking E c F on the cones it
-leaves out too (`_contained_cells`).  `elementary_check` locates or
-refutes a single drop on the `_cells`.
+on sigma0's rays, where G^tau_g meets the hyperplane.  One rewrite,
+`_meet_box`, meets every coface with a value w over a box of sigma0's
+classes, on the jump lists (the lattice of subspaces of C^2 being
+modular) and with no grid.  `drop` is that rewrite on the unit box at
+m0, and reads the injection's invariants off the box's jumps outside
+the hyperplane; `apply_run` writes a run of drops to ZERO at
+consecutive classes along one axis as one rewrite on the run's box;
+`drop_counts` takes a cone's drops as one rewrite per differing cell.
+The cells where two families differ are read off their joint grid by
+`_cells` alone.  `factorize`, `drop_counts` and `delta` take each
+cone's cells from `_checked_cells`, which checks E c F on the cone and
+sums the dim differences: `factorize` walks the cones once and drops
+each differing class in lex order, `drop_counts` walks them the same
+way, and `delta` sums, checking E c F on the cones it leaves out too
+(`_contained_cells`).  `elementary_check` locates or refutes a single
+drop on the `_cells`.
 """
 
 from __future__ import annotations
@@ -82,14 +77,11 @@ class NotElementary(ValueError):
 # jump-list evaluation on grids
 
 
-def _axes(jumps: JumpList, d: int, extra: Sequence[Iterable[int]] = ()) -> list[list[int]]:
-    """Sorted per-axis coordinate sets of a jump list (plus extras)."""
-    cols = [set(xs) for xs in zip(*(coords for coords, _ in jumps))] or [
-        set() for _ in range(d)
-    ]
-    for i, xs in enumerate(extra):
-        cols[i].update(xs)
-    return [sorted(c) for c in cols]
+def _axes(jumps: JumpList, d: int) -> list[list[int]]:
+    """Sorted per-axis coordinate sets of a jump list."""
+    if not jumps:
+        return [[] for _ in range(d)]
+    return [sorted(set(xs)) for xs in zip(*(coords for coords, _ in jumps))]
 
 
 def _strides(axes: Sequence[Sequence[int]]) -> list[int]:
@@ -563,38 +555,69 @@ class ElementaryInjection(NamedTuple):
         return sum(self.m_sigma[cone])
 
 
-def _meet_cells(
-    jumps: JumpList, tau: Cone, sigma0: Cone, cells: Sequence[Cell]
-) -> tuple[list[list[int]], list[int], list[Subspace]]:
-    """Meet G^tau with the cells' values over the given cells of sigma0.
+def _meet_box(
+    jumps: dict[Cone, JumpList],
+    fan: Fan,
+    sigma0: Cone,
+    lo: Weight,
+    hi: Weight,
+    w: Subspace,
+) -> dict[Cone, list[Jump]]:
+    """Meet G with w over the box lo <= g' < hi of sigma0's classes.
 
-    `jumps` is G's list on tau, a coface of sigma0, and `cells` are
-    disjoint bounded cells (lo, hi, w, ...) of sigma0's classes.  G's
-    grid on tau is widened by the cells' corners on sigma0's axes, so
-    each grid cell lies over one cell or over none.  Returns its axes and
-    strides and the values G^tau_g & w for every class g whose
-    coordinates g' on sigma0's rays lie in a cell lo <= g' < hi of value
-    w (G^tau_g elsewhere).
+    For each coface tau of sigma0 (sigma0 included), in (dim, lex)
+    order, rewrites `jumps[tau]` in place to the canonical list of G^tau_g
+    & w on the classes g whose coordinates g' on sigma0's rays lie in
+    the box, and G^tau_g elsewhere; w is ZERO or a line.  Returns each
+    coface's `at`, its jumps (lambda, W) over the box.
+
+    Precondition: every jump of a coface below the box and outside it
+    (lambda' < hi componentwise, lambda' not >= lo) has W <= w.  Over the
+    box, G^tau_g = J_<(g) v J_=(g), the joins of the other jumps and of
+    `at` below g, and J_< <= w.  The lattice of subspaces of C^2 is
+    modular, so G^tau_g & w = J_< v (J_= & w).  The new list is the
+    canonicalization of: the other jumps; each `at` jump again on the
+    box's upper face along each axis of sigma0 (coordinate hi_p), so that
+    nothing changes off the box; and, when w is a line, (lambda, w) for
+    each `at` jump whose value is FULL or w, and (max(lambda1, lambda2),
+    w) for each pair of distinct other lines, which generate J_= & w.  No
+    grid is built, and the lists are one-off, so they bypass the cache,
+    as in `validate`.  A unit box keeps its one-comparison membership
+    test: lambda' == lo.
     """
-    pos = [tau.index(r) for r in sigma0]
-    corners: list[set[int]] = [set() for _ in tau]
-    for lo, hi, *_ in cells:
-        for p, x, y in zip(pos, lo, hi):
-            corners[p].update((x, y))
-    axes = _axes(jumps, len(tau), corners)
-    values, strides = _grid_flat(jumps, axes)
-    bounds = [(0, len(axis)) for axis in axes]
-    for lo, hi, w, *_ in cells:
-        for p, x, y in zip(pos, lo, hi):
-            bounds[p] = axes[p].index(x), axes[p].index(y)
-        block = [0]
-        for (start, stop), s in zip(bounds, strides):
-            block = [k + j * s for k in block for j in range(start, stop)]
-        for k in block:
-            v = values[k]
-            # the meet by case analysis (two distinct lines meet in ZERO)
-            values[k] = v if w is v or w is FULL else w if v is FULL else ZERO
-    return axes, strides, values
+    unit = all(y - x == 1 for x, y in zip(lo, hi))
+    key = lo if len(lo) > 1 else lo[0]  # what itemgetter reads off lambda
+    boxes: dict[Cone, list[Jump]] = {}
+    for cone in fan.cofaces(sigma0):
+        pos = [cone.index(r) for r in sigma0]
+        raw: list[Jump] = []
+        at: list[Jump] = []
+        if unit:
+            on_sigma0 = itemgetter(*pos)
+            for jump in jumps[cone]:
+                (at if on_sigma0(jump[0]) == key else raw).append(jump)
+        else:
+            spans = list(zip(pos, lo, hi))
+            for jump in jumps[cone]:
+                coords = jump[0]
+                inside = all(x <= coords[p] < y for p, x, y in spans)
+                (at if inside else raw).append(jump)
+        lines: list[Jump] = []
+        for coords, v in at:
+            for p, y in zip(pos, hi):
+                raw.append((coords[:p] + (y,) + coords[p + 1 :], v))
+            if w is not ZERO:
+                if v is FULL or v is w:
+                    raw.append((coords, w))
+                else:
+                    lines.append((coords, v))
+        for i, (c1, v1) in enumerate(lines):
+            for c2, v2 in lines[:i]:
+                if v1 is not v2:
+                    raw.append((tuple(map(max, c1, c2)), w))
+        jumps[cone] = _canonical_jumps.__wrapped__(raw)
+        boxes[cone] = at
+    return boxes
 
 
 def drop(
@@ -611,31 +634,23 @@ def drop(
 
     Every cone that is not a coface keeps F's list object.  On a coface
     tau, with g' the coordinates of a class g on sigma0's rays, only the
-    slice g' = m0 changes: for g' <= m0 and g' != m0, F^tau_g <=
-    F^sigma0_g' (stabilization) lies in the join below m0, so in the
-    target.  Split F^tau's list into the jumps `at` with lambda' = m0
-    and the rest.  On the slice, F^tau_g = J_<(g) v J_=(g), the joins of
-    the rest and of `at` below g, and J_< lies in the target (its jumps
-    have lambda' <= m0, lambda' != m0).  The lattice of subspaces of C^2
-    is modular, so E^tau_g = (J_< v J_=) & target = J_< v (J_= & target).
-    E's list is the canonicalization of: the rest; each `at` jump again
-    one step up each axis of sigma0, so that E = F off the slice; and,
-    when the target is a line, (lambda, target) for each `at` jump whose
-    value is FULL or the target, and (max(lambda1, lambda2), target) for
-    each pair of distinct other lines, which generate J_= & target.  No
-    grid is built, and the lists are one-off, so they bypass the cache,
-    as in `validate`.
+    slice g' = m0 changes, and the cofaces are rewritten by `_meet_box`
+    on the unit box [m0, m0 + 1) with w = target.  Its precondition is
+    the drop's: a jump of F^tau below m0 and off the slice has lambda'
+    <= m0, lambda' != m0, so its value is at most F^sigma0_lambda'
+    (stabilization), which lies in the join below m0, so in the target.
 
-    The invariants are read off `out`, the `at` jumps whose value is not
-    inside the target: on the slice, E^tau_g != F^tau_g exactly when some
-    `out` jump lies below g.  The threshold a_j is the least new-axis
-    coordinate in `out` on the facet-coface sigma0 + ray_j, which
-    precedes every coface that needs it.  The difference lies in the box
-    {g' = m0, new coords >= a_j} (below a_j, the facet-coface value,
-    which bounds the coface's, is inside the target), and it is upward
-    closed there, as F is monotone.  So E c F is saturated, the
-    difference filling every box, when on every coface some `out` jump
-    lies at or below the box's corner (m0, a_j), which is m_sigma.
+    The invariants are read off `out`, the jumps over the box (`at`)
+    whose value is not inside the target: on the slice, E^tau_g !=
+    F^tau_g exactly when some `out` jump lies below g.  The threshold a_j
+    is the least new-axis coordinate in `out` on the facet-coface sigma0
+    + ray_j, which precedes every coface that needs it.  The difference
+    lies in the region {g' = m0, new coords >= a_j} (below a_j, the
+    facet-coface value, which bounds the coface's, is inside the
+    target), and it is upward closed there, as F is monotone.  So E c F
+    is saturated, the difference filling every such region, when on
+    every coface some `out` jump lies at or below its corner (m0, a_j),
+    which is m_sigma.
 
     E needs no facet check: stabilizing along a ray of sigma0 leaves the
     region m <= m0, so the values are F's; stabilizing along a new ray
@@ -661,32 +676,11 @@ def drop(
         )
 
     new_jumps: dict[Cone, JumpList] = dict(f.jumps)
+    hi = tuple(x + 1 for x in m0)
     a_ray: dict[int, int] = {}
     m_sigma: dict[Cone, Weight] = {}
     saturated = True
-    key = m0 if len(m0) > 1 else m0[0]  # what itemgetter reads off lambda
-    for cone in f.fan.cofaces(sigma0):
-        pos = [cone.index(r) for r in sigma0]
-        on_sigma0 = itemgetter(*pos)
-        raw: list[Jump] = []
-        at: list[Jump] = []
-        for jump in f.jumps[cone]:
-            (at if on_sigma0(jump[0]) == key else raw).append(jump)
-        lines: list[Jump] = []
-        for coords, w in at:
-            for p in pos:
-                raw.append((coords[:p] + (coords[p] + 1,) + coords[p + 1 :], w))
-            if target is not ZERO:
-                if w is FULL or w is target:
-                    raw.append((coords, target))
-                else:
-                    lines.append((coords, w))
-        for i, (c1, w1) in enumerate(lines):
-            for c2, w2 in lines[:i]:
-                if w1 is not w2:
-                    raw.append((tuple(map(max, c1, c2)), target))
-        new_jumps[cone] = _canonical_jumps.__wrapped__(raw)
-
+    for cone, at in _meet_box(new_jumps, f.fan, sigma0, m0, hi, target).items():
         out = [coords for coords, w in at if not w <= target]
         new = [(p, r) for p, r in enumerate(cone) if r not in sigma0]
         if len(new) == 1:
@@ -796,14 +790,15 @@ def apply_run(
     in that order.
 
     Each of those drops meets the cofaces of sigma0 with ZERO on its own
-    unit cell of sigma0 (see `drop`), and the cells are disjoint, so each
-    drop sees F's values on its cell and the composite is one meet over
-    their union: the cell from m0 to (m0 + 1) + (count - 1) e.  That is
-    one `_meet_cells` call per coface, in (dim, lex) order, then
-    `_canonical_flat`; with count = 1 the result is
-    `drop(f, sigma0, m0, ZERO).e`.  The drops' preconditions and
-    invariants are not checked: the caller checks the family it builds
-    (`prescribe.build_sequence` does).
+    slice (see `drop`), and the slices are disjoint, so the composite is
+    one `_meet_box` over the run's box, from m0 to (m0 + 1) + (count - 1)
+    e, with w = ZERO; with count = 1 it is `drop(f, sigma0, m0,
+    ZERO).e`.  The box's precondition is the schedule's: a jump below the
+    box and outside it lies below one of the run's classes m and off the
+    slices of the drops before it, so its value lies in the join below m,
+    which the drop at m needs to be ZERO.  Neither that nor the drops'
+    invariants are checked here: the caller checks the family it builds
+    (`prescribe.build_sequence` does, after the fact).
     """
     sigma0 = tuple(sigma0)
     m0 = tuple(m0)
@@ -812,11 +807,8 @@ def apply_run(
     if count < 0:
         raise ValueError(f"a run has a nonnegative count, got {count}")
     hi = tuple(x + 1 for x in m0[:-1]) + (m0[-1] + count,)
-    cell = [(m0, hi, ZERO)]
     new_jumps: dict[Cone, JumpList] = dict(f.jumps)
-    for cone in f.fan.cofaces(sigma0):
-        axes, strides, values = _meet_cells(f.jumps[cone], cone, sigma0, cell)
-        new_jumps[cone] = _canonical_flat(axes, values, strides)
+    _meet_box(new_jumps, f.fan, sigma0, m0, hi, ZERO)
     return Multifiltration._canonical(f.fan, new_jumps)
 
 
@@ -880,18 +872,22 @@ def drop_counts(e: Multifiltration, f: Multifiltration) -> dict[int, int]:
     p_k the number of k-elementary injections in `factorize(e, f)`, with
     work bounded by the cones, not by the drops.
 
-    `factorize`'s walk, with its checks, taking each cone's drops as one
+    `factorize`'s walk, with its checks, taking each cell's drops as one
     rewrite.  On sigma0 their number is the count of the `_checked_cells
-    (E, G, sigma0)`, and they compose to G^tau_g & E^sigma0_g' on every
-    coface tau, with g' the coordinates of the class g on sigma0's rays.
-    Each drop meets G^tau_g with a hyperplane H >= E^sigma0_m0 >=
-    E^sigma0_g' on the region g' <= m0, so G never falls below the
-    rewrite; and when G^sigma0 = E^sigma0, stabilization gives G^tau_g <=
-    G^sigma0_g' = E^sigma0_g', so G is at most the rewrite.  On sigma0
-    itself the rewrite is E^sigma0.  Off the cells, E^sigma0_g' =
-    G^sigma0_g' >= G^tau_g and the meet changes nothing, so `_meet_cells`
-    rewrites each proper coface on the cells alone, then
-    `_canonical_flat`.
+    (E, G, sigma0)`.  The drops at a class m0 lower G^sigma0_m0 through
+    hyperplanes to E^sigma0_m0, each meeting the slice g' = m0 of every
+    coface (see `drop`), so they compose to the meet with E^sigma0_m0
+    there, and the drops of a cell (lo, hi, u, v) to one `_meet_box` over
+    lo <= g' < hi with w = u.  The cells are disjoint, so taking them in
+    row-major order, one `_meet_box` each, leaves the G that `factorize`
+    leaves, E^sigma0 on sigma0 included.  The cell order gives each box
+    its precondition: a jump of a coface below the cell and outside it
+    has lambda' over a componentwise-earlier, hence row-major earlier,
+    cell of the joint grid (or below the grid, where G^sigma0 is ZERO),
+    where G^sigma0 already equals E^sigma0.  So its value is at most
+    G^sigma0_lambda' (stabilization; each row-major prefix of the cells
+    is closed downward, so G stays a family) = E^sigma0_lambda' <= u, as
+    E is monotone and u on the cell.
     """
     if e.fan != f.fan:
         raise ValueError("families live on different fans")
@@ -905,10 +901,8 @@ def drop_counts(e: Multifiltration, f: Multifiltration) -> dict[int, int]:
         cells, count = _checked_cells(e, g, sigma0)
         k0 = len(sigma0)
         counts[k0] = counts.get(k0, 0) + count
-        jumps[sigma0] = e.jumps[sigma0]
-        for tau in fan.cofaces(sigma0)[1:]:
-            axes, strides, values = _meet_cells(jumps[tau], tau, sigma0, cells)
-            jumps[tau] = _canonical_flat(axes, values, strides)
+        for lo, hi, u, _ in cells:
+            _meet_box(jumps, fan, sigma0, lo, hi, u)
     return counts
 
 

@@ -104,20 +104,10 @@ class R2Filtration:
         return hash((self.fan, self.rays))
 
     @classmethod
-    def b_zero_data(
-        cls,
-        fan: Fan,
-        c: Sequence[int],
-        lines: Sequence[tuple[int, int] | None] | None = None,
-    ) -> "R2Filtration":
-        """The b_zero filtration with the given c_rho; default lines
-        are the pairwise distinct L_i = span(1, i) on active rays."""
-        if lines is None:
-            lines = [(1, i) for i in range(len(c))]
-        data = [
-            RayDatum(-ci, 0, li if ci > 0 else None)
-            for ci, li in zip(c, lines, strict=True)
-        ]
+    def b_zero_data(cls, fan: Fan, c: Sequence[int]) -> "R2Filtration":
+        """The b_zero filtration with the given c_rho, with the pairwise
+        distinct lines L_i = span(1, i) on the active rays."""
+        data = [RayDatum(-ci, 0, (1, i) if ci > 0 else None) for i, ci in enumerate(c)]
         return cls(fan, data)
 
     # -- derived scalars --------------------------------------------------

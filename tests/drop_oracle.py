@@ -10,11 +10,12 @@ by class.  `rescan_factorize` finds every step afresh: it re-scans the
 current family's list for the first jump where E differs, so the tests
 can hold the walk to it step for step.
 
-`drop` rewrites each coface's jump list on the slice it changes.
-`grid_drop` takes the same drop on whole grids: it meets each coface's
-grid with the target on the one cell of the drop and reads the
-invariants off the gaps, the grid points where the value fell, so the
-tests can hold the list rewrite to it field by field.
+`drop`, `apply_run` and `drop_counts` rewrite each coface's jump list
+over a box of sigma0's classes with `_meet_box`.  `grid_meet` takes the
+same rewrite on a whole grid, and `grid_drop` takes a drop that way: it
+meets each coface's grid with the target on the one cell of the drop
+and reads the invariants off the gaps, the grid points where the value
+fell, so the tests can hold the list rewrite to both.
 """
 
 from __future__ import annotations
@@ -110,6 +111,47 @@ def rescan_factorize(e: Multifiltration, f: Multifiltration) -> list[ElementaryI
     return steps
 
 
+def widened_axes(jumps: JumpList, d: int, extra) -> list[list[int]]:
+    """`_axes(jumps, d)`, each axis i widened by the coordinates extra[i]."""
+    return [sorted({*axis, *xs}) for axis, xs in zip(_axes(jumps, d), extra)]
+
+
+def _box_grid(jumps: JumpList, cone: Cone, sigma0: Cone, lo: Weight, hi: Weight):
+    """G's grid on the coface `cone`, widened by the box's corners lo and
+    hi on sigma0's axes, so that the box is a block of grid points: the
+    axes, the flat values, the strides and the block's index ranges."""
+    pos = [cone.index(r) for r in sigma0]
+    corners: list[set[int]] = [set() for _ in cone]
+    for p, x, y in zip(pos, lo, hi):
+        corners[p].update((x, y))
+    axes = widened_axes(jumps, len(cone), corners)
+    values, strides = _grid_flat(jumps, axes)
+    ranges = [range(len(axis)) for axis in axes]
+    for p, x, y in zip(pos, lo, hi):
+        ranges[p] = range(axes[p].index(x), axes[p].index(y))
+    return axes, values, strides, ranges
+
+
+def _meet(v: Subspace, w: Subspace) -> Subspace:
+    """v & w by case analysis (two distinct lines meet in ZERO)."""
+    return v if w is v or w is FULL else w if v is FULL else ZERO
+
+
+def grid_meet(
+    jumps: JumpList, cone: Cone, sigma0: Cone, lo: Weight, hi: Weight, w: Subspace
+) -> JumpList:
+    """The canonical list of G^cone_g & w on the classes g whose
+    coordinates on sigma0's rays lie in the box lo <= g' < hi, and of
+    G^cone_g elsewhere, read off G's grid widened by the box's corners:
+    what `_meet_box` must write on the coface.  Unlike `_meet_box`, it
+    needs no precondition on the jumps below the box."""
+    axes, values, strides, ranges = _box_grid(jumps, cone, sigma0, lo, hi)
+    for idx in iproduct(*ranges):
+        k = sum(map(mul, idx, strides))
+        values[k] = _meet(values[k], w)
+    return _canonical_flat(axes, values, strides)
+
+
 def grid_drop(
     f: Multifiltration, sigma0: Cone, m0: Weight, target: Subspace
 ) -> ElementaryInjection:
@@ -138,23 +180,14 @@ def grid_drop(
     a_ray: dict[int, int] = {}
     m_sigma: dict[Cone, Weight] = {}
     saturated = True
+    hi = tuple(x + 1 for x in m0)
     for cone in f.fan.cofaces(sigma0):
-        # F's grid, widened by the cell's corners m0 and m0 + 1 on sigma0's
-        # axes; the cell is the block of grid points at m0 on those axes.
-        pos = [cone.index(r) for r in sigma0]
-        corners: list[set[int]] = [set() for _ in cone]
-        for p, x in zip(pos, m0):
-            corners[p].update((x, x + 1))
-        axes = _axes(f.jumps[cone], len(cone), corners)
-        values, strides = _grid_flat(f.jumps[cone], axes)
-        ranges = [range(len(axis)) for axis in axes]
-        for p, x in zip(pos, m0):
-            ranges[p] = [axes[p].index(x)]
+        axes, values, strides, ranges = _box_grid(f.jumps[cone], cone, sigma0, m0, hi)
         gaps = []
         for idx in iproduct(*ranges):
             k = sum(map(mul, idx, strides))
             v = values[k]
-            u = v if target is v or target is FULL else target if v is FULL else ZERO
+            u = _meet(v, target)
             if u is not v:
                 values[k] = u
                 gaps.append(k)

@@ -30,8 +30,8 @@ from tsk.ring import TruncPoly, linear_product
 from tsk.sampling import random_drops, random_reflexive
 
 
-def b_zero(n, c, lines=None):
-    return R2Filtration.b_zero_data(Fan(n), c, lines)
+def b_zero(n, c):
+    return R2Filtration.b_zero_data(Fan(n), c)
 
 
 def test_stirling_numbers():

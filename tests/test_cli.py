@@ -308,6 +308,19 @@ def test_documents_are_read_under_the_digit_limit(capsys, tmp_path, digits, code
         assert out == "" and "Traceback" not in err
 
 
+def test_a_cones_list_of_the_wrong_length_exits_at_once(capsys, tmp_path):
+    # A family has one list per cone, 2^(n + 1) - 2 of them, so a list
+    # of any other length is refused before the fan is built: n = 60 has
+    # about 2.3e18 cones.
+    path = tmp_path / "short.json"
+    path.write_text('{"n":60,"rank":2,"cones":[]}')
+    for command in ("validate", "chern", "obstruct"):
+        start = time.perf_counter()
+        code, out, err = run(capsys, command, path)
+        assert time.perf_counter() - start < 0.5, command
+        assert code == 1 and out == "" and "2^61 - 2 cones" in err, (command, err)
+
+
 def test_family_missing_parameter(capsys):
     code, _, err = run(capsys, "family", "--which", "p4-odd")
     assert code == 1 and "--t" in err

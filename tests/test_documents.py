@@ -167,6 +167,13 @@ def test_multifilt_doc_errors():
     dup = dict(doc, cones=doc["cones"] + [doc["cones"][0]])
     with pytest.raises(ValueError):
         multifilt_from_doc(dup)
+    # one entry per cone: a missing one, or a duplicate in its place
+    for cones in (doc["cones"][1:], doc["cones"][1:] + doc["cones"][1:2]):
+        with pytest.raises(ValueError, match=r"2\^5 - 2 cones|duplicate"):
+            multifilt_from_doc(dict(doc, cones=cones))
+    # the count is refused before 2^(n + 1) is computed, for any n
+    with pytest.raises(ValueError, match=r"2\^1000001 - 2 cones of the fan of P\^1000000, got 0"):
+        multifilt_from_doc(dict(doc, n=10**6, cones=[]))
 
 
 def test_load_dump_documents():

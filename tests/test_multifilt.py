@@ -24,7 +24,9 @@ from tsk.multifilt import (
     _canonical_flat,
     _canonical_jumps,
     _cells,
+    _checked_cells,
     _grid_flat,
+    _meet_box,
     apply_elementary,
     apply_run,
     delta,
@@ -44,7 +46,13 @@ from tsk.prescribe import build_sequence, family_p4_odd, family_pn
 from tsk.reflexive import R2Filtration, RayDatum, from_multifiltration, to_multifiltration
 from tsk.sampling import random_b_zero, random_drops, random_reflexive, random_semistable
 
-from drop_oracle import grid_drop, replay_drops, rescan_factorize
+from drop_oracle import (
+    grid_drop,
+    grid_meet,
+    replay_drops,
+    rescan_factorize,
+    widened_axes,
+)
 
 
 def start_family(n=4, c=(1, 6, 6, 0, 0)):
@@ -124,7 +132,7 @@ def test_grid_kernel_matches_pointwise_evaluation():
         extra = [
             {rng.randint(-4, 4) for _ in range(rng.randint(0, 2))} for _ in range(d)
         ]
-        axes = _axes(jumps, d, extra)
+        axes = widened_axes(jumps, d, extra)
         values = grid_values(jumps, axes)
         assert list(values) == list(product(*axes))
         for g, v in values.items():
@@ -424,7 +432,7 @@ def reference_invariants(inj):
             extra[p].update((b, b + 1))
         for p, r in new:
             extra[p].update([a_ray[r]] if r in a_ray else [])
-        axes = _axes(e.jumps[cone] + f.jumps[cone], len(cone), extra)
+        axes = widened_axes(e.jumps[cone] + f.jumps[cone], len(cone), extra)
         ve = grid_values(e.jumps[cone], axes)
         vf = grid_values(f.jumps[cone], axes)
         assert all(ve[g] <= vf[g] and vf[g].dim - ve[g].dim <= 1 for g in ve)
@@ -564,6 +572,65 @@ def test_drop_raises_where_the_grid_oracle_does():
                 assert_drop_matches_the_grid_oracle(inj)
             outcomes[inj is not None] += 1
     assert outcomes[True] >= 100 and outcomes[False] >= 1000, outcomes
+
+
+def meet_box_against_the_grid(jumps, fan, sigma0, lo, hi, w, seen):
+    """`_meet_box` on `jumps`, in place, held to `grid_meet` on every
+    coface of sigma0; the other cones keep their lists."""
+    before = dict(jumps)
+    boxes = _meet_box(jumps, fan, sigma0, lo, hi, w)
+    assert list(boxes) == list(fan.cofaces(sigma0))
+    for tau, jumps_tau in before.items():
+        if tau not in boxes:
+            assert jumps[tau] is jumps_tau
+            continue
+        assert jumps[tau] == grid_meet(jumps_tau, tau, sigma0, lo, hi, w), (tau, lo, hi, w)
+        pos = [tau.index(r) for r in sigma0]
+        assert boxes[tau] == [
+            (c, v) for c, v in jumps_tau if all(x <= c[p] < y for p, x, y in zip(pos, lo, hi))
+        ]
+        others = {v for _, v in boxes[tau] if v is not FULL and v is not w}
+        seen["pairs"] += w is not ZERO and len(others) >= 2
+    seen["wide"] += any(y - x > 1 for x, y in zip(lo, hi))
+    seen["line" if w.dim else "ZERO"] += 1
+
+
+def test_meet_box_matches_the_grid_oracle():
+    # The boxes of the three callers on P^2..P^5: the drops of factorize
+    # inside the start and inside the hull of seeded drop chains, the
+    # runs of the paper's P^4 and P^5 builds, and the drop_counts walk
+    # over the cells of the same pairs, which must end at E.
+    rng = random.Random(2222)
+    seen = {"wide": 0, "line": 0, "ZERO": 0, "pairs": 0}
+    while seen["line"] + seen["ZERO"] < 1000:
+        n = rng.choice((2, 3, 4, 5))
+        start = to_multifiltration(random_reflexive(rng, n, max_c=3))
+        final, _ = random_drops(rng, start, rng.randint(1, 5), range(1, n + 1))
+        fan = start.fan
+        for f in (start, reflexive_hull(final)):
+            for inj in factorize(final, f):
+                hi = tuple(x + 1 for x in inj.m0)
+                jumps = dict(inj.f.jumps)
+                meet_box_against_the_grid(jumps, fan, inj.sigma0, inj.m0, hi, inj.dropped, seen)
+                assert jumps == inj.e.jumps
+            jumps = dict(f.jumps)
+            g = Multifiltration._canonical(fan, jumps)
+            for sigma0 in fan.all_cones(min_dim=1):
+                if final.jumps[sigma0] != jumps[sigma0]:
+                    for lo, hi, u, _ in _checked_cells(final, g, sigma0)[0]:
+                        meet_box_against_the_grid(jumps, fan, sigma0, lo, hi, u, seen)
+            assert jumps == final.jumps
+    for sol in (family_p4_odd(1), family_pn(5)):
+        jumps = dict(to_multifiltration(sol.problem.start_filtration()).jumps)
+        fan = Fan(sol.problem.n)
+        for _, sigma, head, pk in sol.stages():
+            lo = head + (0,)
+            hi = tuple(x + 1 for x in head) + (pk,)
+            meet_box_against_the_grid(jumps, fan, sigma, lo, hi, ZERO, seen)
+        assert jumps == build_sequence(sol.problem, sol).final.jumps
+    # boxes wider than one class, line and ZERO values, and cofaces with
+    # a pair of distinct lines other than a line w over the box
+    assert min(seen.values()) >= 30, seen
 
 
 def test_p4_odd_build_steps_pass_elementary_check():

@@ -18,7 +18,7 @@ from tsk.obstruct import (
     torsion_profile,
 )
 from tsk.prescribe import build_sequence, family_p4_odd, family_pn
-from tsk.reflexive import R2Filtration, Stability, stability, to_multifiltration
+from tsk.reflexive import R2Filtration, RayDatum, Stability, stability, to_multifiltration
 from tsk.ring import TruncPoly
 
 
@@ -88,9 +88,8 @@ def test_leading_log():
 def test_s_max():
     f = R2Filtration.b_zero_data(Fan(3), (1, 1, 1, 1))
     assert s_max(f) == 1
-    g = R2Filtration.b_zero_data(
-        Fan(3), (2, 3, 1, 0), lines=[(1, 0), (1, 1), (1, 0), None]
-    )
+    lines = [(1, 0), (1, 1), (1, 0), None]
+    g = R2Filtration(Fan(3), [RayDatum(-c, 0, li) for c, li in zip((2, 3, 1, 0), lines)])
     assert s_max(g) == 3  # line (1,0) carries 2 + 1
     assert s_max(R2Filtration.b_zero_data(Fan(3), (0, 0, 0, 0))) == 0
 

@@ -34,7 +34,12 @@ from tsk.ring import TruncPoly
 
 
 def b_zero(n, c, lines=None):
-    return R2Filtration.b_zero_data(Fan(n), c, lines)
+    """The b_zero filtration, with the given lines on the active rays in
+    place of b_zero_data's L_i = span(1, i)."""
+    if lines is None:
+        return R2Filtration.b_zero_data(Fan(n), c)
+    data = [RayDatum(-ci, 0, li if ci > 0 else None) for ci, li in zip(c, lines, strict=True)]
+    return R2Filtration(Fan(n), data)
 
 
 def test_ray_datum():

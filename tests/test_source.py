@@ -85,12 +85,11 @@ def test_elementary_check_only_for_given_pairs():
 def test_canonical_jumps_only_in_the_constructor():
     # The cached `_canonical_jumps` is for the lists the constructor
     # keeps.  One-off lists, validate()'s projections and the cofaces
-    # `drop` rewrites, go through the uncached `__wrapped__`, so that
-    # they do not fill the cache; the other constructions canonicalize
-    # the grids they have already computed with `_canonical_flat`.
+    # `_meet_box` rewrites, go through the uncached `__wrapped__`, so
+    # that they do not fill the cache.
     allowed = {
         False: {("Multifiltration", "__init__")},
-        True: {("Multifiltration", "validate"), ("drop",)},
+        True: {("Multifiltration", "validate"), ("_meet_box",)},
     }
     found = [
         f"{path.name}:{call.lineno}"
@@ -102,6 +101,20 @@ def test_canonical_jumps_only_in_the_constructor():
             path.name == "multifilt.py"
             and scope in allowed[getattr(call.func, "attr", None) == "__wrapped__"]
         )
+    ]
+    assert found == []
+
+
+def test_canonical_flat_only_in_the_hull():
+    # The hull reads its lists off the meet grids it computes; every
+    # other construction rewrites lists, so a second `_canonical_flat`
+    # caller would be a second, grid-built rewrite.
+    found = [
+        f"{path.name}:{call.lineno}"
+        for path in sorted(SRC.rglob("*.py"))
+        for scope, call in _calls_by_scope(ast.parse(path.read_text("utf-8")))
+        if getattr(call.func, "id", getattr(call.func, "attr", None)) == "_canonical_flat"
+        and (path.name, scope) != ("multifilt.py", ("reflexive_hull",))
     ]
     assert found == []
 
@@ -123,13 +136,12 @@ def test_joint_grid_only_in_delta_and_elementary_check():
 
 
 def test_grid_flat_only_in_the_kernels():
-    # A coface rewrite on grids (a per-cone count, a run of drops) is
-    # `_meet_cells`; a second grid of one family per coface would be a
+    # A coface rewrite (a drop, a run of drops, a per-cone count) is
+    # `_meet_box`, on lists; a grid of one family per coface would be a
     # second rewrite.  Canonicalizing a raw list scans the list: its grid
     # can be exponentially larger than the document.
     allowed = {
         ("multifilt.py", ("_joint_grid",)),
-        ("multifilt.py", ("_meet_cells",)),
         ("chern.py", ("chern_general",)),
     }
     found = [
@@ -143,14 +155,15 @@ def test_grid_flat_only_in_the_kernels():
 
 
 def test_drop_builds_no_grid():
-    # A drop rewrites each coface's jump list on the slice it changes;
-    # neither it nor anything it calls in multifilt builds or reads a grid.
+    # A drop and a run rewrite each coface's jump list over the box they
+    # change with `_meet_box`; none of them, nor anything they call in
+    # multifilt, builds or reads a grid.
     tree = ast.parse((SRC / "multifilt.py").read_text("utf-8"))
     defs = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.FunctionDef):
             defs.setdefault(node.name, []).append(node)
-    reached, todo = set(), ["drop"]
+    reached, todo = set(), ["drop", "apply_run", "_meet_box"]
     while todo:
         name = todo.pop()
         if name in reached or name not in defs:
@@ -160,10 +173,8 @@ def test_drop_builds_no_grid():
             for call in ast.walk(node):
                 if isinstance(call, ast.Call):
                     todo.append(getattr(call.func, "id", getattr(call.func, "attr", None)))
-    grids = {
-        "_grid_flat", "_meet_cells", "_joint_grid", "_cells", "_checked_cells", "_canonical_flat"
-    }
-    assert "evaluate" in reached and "eval_jumps" in reached
+    grids = {"_grid_flat", "_joint_grid", "_cells", "_checked_cells", "_canonical_flat"}
+    assert {"_meet_box", "evaluate", "eval_jumps"} <= reached
     assert reached & grids == set()
 
 
