@@ -101,12 +101,11 @@ def subspace_from_doc(doc: Any) -> Subspace:
 # reflexive documents
 
 
-def _normalization_tag(f: R2Filtration) -> str:
-    if f.is_b_zero():
-        return "b_zero"
-    if f.is_a_zero():
-        return "a_zero"
-    return "general"
+def _normalization_tags(f: R2Filtration) -> list[str]:
+    """The tags that describe the data, the one a dump writes first:
+    data with a = b = 0 on every ray is both b_zero and a_zero."""
+    tags = [tag for tag, fits in (("b_zero", f.is_b_zero()), ("a_zero", f.is_a_zero())) if fits]
+    return tags or ["general"]
 
 
 def reflexive_to_doc(f: R2Filtration) -> dict:
@@ -116,7 +115,7 @@ def reflexive_to_doc(f: R2Filtration) -> dict:
         if r.line is not None:
             entry["line"] = list(r.line)
         rays.append(entry)
-    return {"n": f.n, "normalization": _normalization_tag(f), "rays": rays}
+    return {"n": f.n, "normalization": _normalization_tags(f)[0], "rays": rays}
 
 
 def reflexive_from_doc(doc: Any) -> R2Filtration:
@@ -143,10 +142,10 @@ def reflexive_from_doc(doc: Any) -> R2Filtration:
         data.append(RayDatum(a, b, line))
     f = R2Filtration(Fan(n), tuple(data))
     tag = doc.get("normalization")
-    if tag is not None and tag != _normalization_tag(f):
+    fits = _normalization_tags(f)
+    if tag is not None and tag not in fits:
         raise ValueError(
-            f"normalization tag {tag!r} does not match the data"
-            f" ({_normalization_tag(f)})"
+            f"normalization tag {tag!r} does not match the data ({fits[0]})"
         )
     return f
 

@@ -19,13 +19,15 @@ list comparison, and so facet compatibility too: stabilizing E^sigma
 along a ray deletes that coordinate from its jumps, and the result
 must canonicalize to the facet's list.
 
-Grids are flat lists in row-major order (`_grid_flat`).  The hull
-(`reflexive_hull`) reads its canonical lists off the grids it has
-already computed (`_canonical_flat`).  Everything else canonicalizes
-raw lists with `_canonical_jumps` (cached for the lists the constructor
-keeps), which builds no grid: only jump coordinates can be canonical
-jumps, so it scans the list, and parsing a document costs what its
-lists hold, not what their grids do.
+Every construction canonicalizes raw lists with `_canonical_jumps`
+(cached for the lists the constructor keeps), which builds no grid:
+only jump coordinates can be canonical jumps, so it scans the list, and
+parsing a document costs what its lists hold, not what their grids do.
+The hull (`reflexive_hull`) meets each facet's list with its last ray's
+values on the lists too, by the line rule `_meet_line` that the coface
+rewrite `_meet_box` uses.  Grids, flat lists in row-major order
+(`_grid_flat`), serve only `chern_general`'s mixed difference and
+`_cells`, which reads where two families differ.
 
 The elementary-injection machinery (delta invariant, drop,
 elementary_check, factorize) follows the equal-rank factorization
@@ -74,7 +76,7 @@ class NotElementary(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# jump-list evaluation on grids
+# jump lists: evaluation, grids and canonical lists
 
 
 def _axes(jumps: JumpList, d: int) -> list[list[int]]:
@@ -130,35 +132,6 @@ def _grid_flat(
     return flat, strides
 
 
-def _canonical_flat(
-    axes: Sequence[Sequence[int]], flat: Sequence[Subspace], strides: Sequence[int]
-) -> JumpList:
-    """The canonical jump list of a monotone family given on a flat grid.
-
-    Keeps exactly the grid points whose value strictly exceeds the join
-    of the values one grid step below along each axis (ZERO off-grid),
-    in row-major order over the sorted axes, which is lexicographic.
-    On any grid that holds every jump coordinate of the family this is
-    its unique minimal list.  Joins as in `_grid_flat`'s pass.
-    """
-    out: list[Jump] = []
-    points = zip(iproduct(*(range(len(a)) for a in axes)), iproduct(*axes), flat)
-    for k, (idx, coords, v) in enumerate(points):
-        if v.dim == 0:
-            continue
-        below = ZERO
-        for i, j in enumerate(idx):
-            if j:
-                u = flat[k - strides[i]]
-                if u.dim and u is not below:
-                    below = u if below.dim == 0 else FULL
-                    if below is v or below is FULL:
-                        break
-        else:
-            out.append((coords, v))
-    return tuple(out)
-
-
 def eval_jumps(jumps: JumpList, mu: Weight) -> Subspace:
     """E^sigma at the class with coordinates mu (join semantics).
 
@@ -205,6 +178,26 @@ def _canonical_jumps(jumps: JumpList) -> JumpList:
         if value is not below:
             out.append((g, value))
     return tuple(out)
+
+
+def _meet_line(jumps: Iterable[Jump], w: Subspace) -> list[Jump]:
+    """Generators of G & w, G the family of `jumps` (no ZERO values) and
+    w a line.  G_g & w is w when some jump below g is FULL or w, or two
+    below it are distinct other lines (joining to FULL), and ZERO
+    otherwise: so (lambda, w) for each jump valued FULL or w, and
+    (max(lambda1, lambda2), w) for each pair of distinct other lines."""
+    out: list[Jump] = []
+    lines: list[Jump] = []
+    for coords, v in jumps:
+        if v is FULL or v is w:
+            out.append((coords, w))
+        else:
+            lines.append((coords, v))
+    for i, (c1, v1) in enumerate(lines):
+        for c2, v2 in lines[:i]:
+            if v1 is not v2:
+                out.append((tuple(map(max, c1, c2)), w))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -355,27 +348,29 @@ def reflexive_hull(mf: Multifiltration) -> Multifiltration:
     """The hull E^sigma_m = intersection of the ray values E^rho(m_rho).
 
     Depends only on the ray filtrations; reflexive families are fixed
-    points of this operation.  The hull is constant on the cells of the
-    product of the ray levels (each ray's canonical jump coordinates), so
-    each cone's list is the `_canonical_flat` of its meet grid there.
-    A cone's meet grid is that of its facet cone[:-1], which comes
-    earlier in (dim, lex) order, met with its last ray's levels.  The
-    result is valid by construction: every ray value reaches C^2, and
-    stabilizing a meet along a ray drops that ray's term.
+    points of this operation.  A cone's list comes from that of its facet
+    tau = cone[:-1], earlier in (dim, lex) order, and its last ray rho's.
+    A canonical ray list is a chain ZERO < L < FULL, so E^rho(y) is the
+    value of the last ray jump x <= y; meeting with a chain value is
+    monotone, so E^sigma_(m', y) = E^tau_m' & E^rho(y) is the join, over
+    the ray jumps (x, w) with x <= y, of E^tau_m' & w: E^tau itself when
+    w = FULL, and the family `_meet_line` generates on the facet list
+    when w is a line.  So the cone's list canonicalizes those generators,
+    x appended to their coordinates; the lists are one-off, so they
+    bypass the cache.  The result is valid by construction: every ray
+    value reaches C^2, and stabilizing a meet along a ray drops that
+    ray's term.
     """
     rays = mf.restrict_rays()
-    flats: dict[Cone, list[Subspace]] = {(): [FULL]}
-    hull: dict[Cone, JumpList] = {}
+    hull: dict[Cone, JumpList] = {(): (((), FULL),)}
     for cone in mf.fan.all_cones(min_dim=1):
-        # the meets by case analysis (two distinct lines meet in ZERO)
-        flat = [
-            v if v is w or w is FULL else w if v is FULL else ZERO
-            for v in flats[cone[:-1]]
-            for _, w in rays[cone[-1]]
-        ]
-        flats[cone] = flat
-        axes = [[c[0] for c, _ in rays[ray]] for ray in cone]
-        hull[cone] = _canonical_flat(axes, flat, _strides(axes))
+        facet = hull[cone[:-1]]
+        raw: list[Jump] = []
+        for (x,), w in rays[cone[-1]]:
+            met = facet if w is FULL else _meet_line(facet, w)
+            raw += [(coords + (x,), v) for coords, v in met]
+        hull[cone] = _canonical_jumps.__wrapped__(raw)
+    del hull[()]
     return Multifiltration._canonical(mf.fan, hull)
 
 
@@ -578,12 +573,10 @@ def _meet_box(
     modular, so G^tau_g & w = J_< v (J_= & w).  The new list is the
     canonicalization of: the other jumps; each `at` jump again on the
     box's upper face along each axis of sigma0 (coordinate hi_p), so that
-    nothing changes off the box; and, when w is a line, (lambda, w) for
-    each `at` jump whose value is FULL or w, and (max(lambda1, lambda2),
-    w) for each pair of distinct other lines, which generate J_= & w.  No
-    grid is built, and the lists are one-off, so they bypass the cache,
-    as in `validate`.  A unit box keeps its one-comparison membership
-    test: lambda' == lo.
+    nothing changes off the box; and, when w is a line, the generators
+    `_meet_line(at, w)` of J_= & w.  No grid is built, and the lists are
+    one-off, so they bypass the cache, as in `validate`.  A unit box keeps
+    its one-comparison membership test: lambda' == lo.
     """
     unit = all(y - x == 1 for x, y in zip(lo, hi))
     key = lo if len(lo) > 1 else lo[0]  # what itemgetter reads off lambda
@@ -602,19 +595,11 @@ def _meet_box(
                 coords = jump[0]
                 inside = all(x <= coords[p] < y for p, x, y in spans)
                 (at if inside else raw).append(jump)
-        lines: list[Jump] = []
         for coords, v in at:
             for p, y in zip(pos, hi):
                 raw.append((coords[:p] + (y,) + coords[p + 1 :], v))
-            if w is not ZERO:
-                if v is FULL or v is w:
-                    raw.append((coords, w))
-                else:
-                    lines.append((coords, v))
-        for i, (c1, v1) in enumerate(lines):
-            for c2, v2 in lines[:i]:
-                if v1 is not v2:
-                    raw.append((tuple(map(max, c1, c2)), w))
+        if w is not ZERO:
+            raw += _meet_line(at, w)
         jumps[cone] = _canonical_jumps.__wrapped__(raw)
         boxes[cone] = at
     return boxes

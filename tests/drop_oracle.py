@@ -16,23 +16,29 @@ same rewrite on a whole grid, and `grid_drop` takes a drop that way: it
 meets each coface's grid with the target on the one cell of the drop
 and reads the invariants off the gaps, the grid points where the value
 fell, so the tests can hold the list rewrite to both.
+
+Both read their canonical lists off the grids with `_canonical_flat`,
+as does `grid_hull`, the reflexive hull on meet grids: each cone's grid
+is its facet's met with its last ray's values, so the tests can hold
+the hull's list meet, `_meet_line` on the facet lists, to it.
 """
 
 from __future__ import annotations
 
 from itertools import islice, product as iproduct
 from operator import mul
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from tsk.fan import Cone, Weight
 from tsk.linalg import FULL, ZERO, Subspace, echelon_hyperplane
 from tsk.multifilt import (
     ElementaryInjection,
+    Jump,
     JumpList,
     Multifiltration,
     _axes,
-    _canonical_flat,
     _grid_flat,
+    _strides,
     drop,
     eval_jumps,
     join_below,
@@ -135,6 +141,55 @@ def _box_grid(jumps: JumpList, cone: Cone, sigma0: Cone, lo: Weight, hi: Weight)
 def _meet(v: Subspace, w: Subspace) -> Subspace:
     """v & w by case analysis (two distinct lines meet in ZERO)."""
     return v if w is v or w is FULL else w if v is FULL else ZERO
+
+
+def _canonical_flat(
+    axes: Sequence[Sequence[int]], flat: Sequence[Subspace], strides: Sequence[int]
+) -> JumpList:
+    """The canonical jump list of a monotone family given on a flat grid.
+
+    Keeps exactly the grid points whose value strictly exceeds the join
+    of the values one grid step below along each axis (ZERO off-grid),
+    in row-major order over the sorted axes, which is lexicographic.
+    On any grid that holds every jump coordinate of the family this is
+    its unique minimal list.  Joins by case analysis, as in
+    `_grid_flat`'s passes.
+    """
+    out: list[Jump] = []
+    points = zip(iproduct(*(range(len(a)) for a in axes)), iproduct(*axes), flat)
+    for k, (idx, coords, v) in enumerate(points):
+        if v.dim == 0:
+            continue
+        below = ZERO
+        for i, j in enumerate(idx):
+            if j:
+                u = flat[k - strides[i]]
+                if u.dim and u is not below:
+                    below = u if below.dim == 0 else FULL
+                    if below is v or below is FULL:
+                        break
+        else:
+            out.append((coords, v))
+    return tuple(out)
+
+
+def grid_hull(mf: Multifiltration) -> Multifiltration:
+    """`reflexive_hull(mf)` on meet grids.
+
+    The hull is constant on the cells of the product of the ray levels
+    (each ray's canonical jump coordinates).  A cone's meet grid there
+    is its facet cone[:-1]'s, met point by point with its last ray's
+    values, and its list is the grid's `_canonical_flat`.
+    """
+    rays = mf.restrict_rays()
+    flats: dict[Cone, list[Subspace]] = {(): [FULL]}
+    hull: dict[Cone, JumpList] = {}
+    for cone in mf.fan.all_cones(min_dim=1):
+        flat = [_meet(v, w) for v in flats[cone[:-1]] for _, w in rays[cone[-1]]]
+        flats[cone] = flat
+        axes = [[c[0] for c, _ in rays[ray]] for ray in cone]
+        hull[cone] = _canonical_flat(axes, flat, _strides(axes))
+    return Multifiltration._canonical(mf.fan, hull)
 
 
 def grid_meet(

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from tsk import cli
 from tsk.documents import (
     SheafDocument,
     canonical_dumps,
@@ -112,6 +113,23 @@ def test_reflexive_doc_errors():
         reflexive_from_doc(dict(doc, n="four"))
     with pytest.raises(ValueError):
         reflexive_from_doc({"n": 2, "rays": [{"a": 0, "b": "x"}] * 3})
+
+
+def test_every_fitting_normalization_tag_is_accepted(tmp_path, capsys):
+    # a = b = 0 on every ray is both b_zero and a_zero data; dumps write b_zero.
+    zero = {"n": 2, "rays": [{"a": 0, "b": 0}] * 3}
+    for tag in ("b_zero", "a_zero"):
+        assert reflexive_from_doc(dict(zero, normalization=tag)).is_a_zero()
+        path = tmp_path / f"{tag}.json"
+        path.write_text(json.dumps(dict(zero, normalization=tag)))
+        assert cli.main(["validate", str(path)]) == 0, capsys.readouterr().err
+    assert reflexive_to_doc(reflexive_from_doc(zero))["normalization"] == "b_zero"
+    with pytest.raises(ValueError, match="does not match the data \\(b_zero\\)"):
+        reflexive_from_doc(dict(zero, normalization="general"))
+    a_zero = {"n": 1, "rays": [{"a": 0, "b": 2, "line": [1, 0]}, {"a": 0, "b": 0}]}
+    assert reflexive_to_doc(reflexive_from_doc(a_zero))["normalization"] == "a_zero"
+    with pytest.raises(ValueError, match="does not match the data \\(a_zero\\)"):
+        reflexive_from_doc(dict(a_zero, normalization="b_zero"))
 
 
 def test_booleans_are_not_integers():

@@ -2,9 +2,12 @@
 
 The jump payloads of the cli-docs benchmark documents are mutated
 (coordinates, subspaces, added and removed jumps, cone ray lists) with
-n fixed, and each document command must keep the contract: an exit
-code in 0-4, no traceback, one error line and no stdout on exit 1, and
-every accepted document reads back byte-identically from its dump.
+n fixed, and so is the ray data of its reflexive document (a, b, lines,
+added and removed rays, the normalization tag), which every command
+takes through the hull.  Each document command must keep the contract:
+an exit code in 0-4, no traceback, one error line and no stdout on exit
+1, and every accepted document reads back byte-identically from its
+dump.  An accepted reflexive document's Chern routes must agree.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ SOURCES = {
     for name in ("p4", "p5", "e", "f")
 }
 COMMANDS = ("validate", "chern", "obstruct")
+START = json.loads((CLI_DOCS / "start.json").read_text("utf-8"))
 
 INTS = st.integers(-8, 8) | st.sampled_from([-(10**40), 10**40])
 SUBSPACES = (
@@ -38,6 +42,12 @@ SUBSPACES = (
     )
     | st.sampled_from([{"kind": "plane"}, {"kind": "line"}, {}, None, 0, [1, 0]])
 )
+LINES = (
+    st.sampled_from([[1, 0], [1, 1], [1, 2], [0, 0], [10**40, 1], [1, -(10**40)]])
+    | st.lists(st.integers(-3, 3), min_size=2, max_size=2)
+    | st.sampled_from([[1], [1, 0, 0], "x", None])
+)
+TAGS = st.sampled_from(["b_zero", "a_zero", "general", "other", None, 0])
 KINDS = ("coords", "arity", "subspace", "add", "remove", "duplicate", "reverse", "rays")
 
 
@@ -85,6 +95,44 @@ def _mutate(doc: dict, draw) -> None:
             rays.reverse()
 
 
+def _mutate_rays(doc: dict, draw) -> None:
+    """One mutation of the reflexive document's ray data, in place."""
+    rays = doc["rays"]
+    kind = draw(st.sampled_from(("a", "b", "line", "same line", "add", "remove", "tag")))
+    if kind in ("a", "b"):
+        draw(st.sampled_from(rays))[kind] = draw(INTS)
+    elif kind == "line":
+        ray = draw(st.sampled_from(rays))
+        line = draw(LINES)
+        if line is None:
+            ray.pop("line", None)
+        else:
+            ray["line"] = line
+    elif kind == "same line":
+        # a line another ray already carries: data off general position
+        lines = [ray["line"] for ray in rays if "line" in ray]
+        if lines:
+            draw(st.sampled_from(rays))["line"] = list(draw(st.sampled_from(lines)))
+    elif kind == "add":
+        a = draw(INTS)
+        ray = {"a": a, "b": a + draw(st.integers(0, 4))}
+        if draw(st.booleans()):
+            ray["line"] = draw(LINES)
+        rays.insert(draw(st.integers(0, len(rays))), ray)
+        if doc["n"] < 5 and draw(st.booleans()):
+            doc["n"] += 1
+    elif kind == "remove" and len(rays) > 1:
+        del rays[draw(st.integers(0, len(rays) - 1))]
+        if doc["n"] > 1 and draw(st.booleans()):
+            doc["n"] -= 1
+    elif kind == "tag":
+        tag = draw(TAGS)
+        if tag is None:
+            doc.pop("normalization", None)
+        else:
+            doc["normalization"] = tag
+
+
 def _run(*argv) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -97,20 +145,18 @@ def doc_path(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "doc.json"
 
 
-@pytest.mark.parametrize("name", sorted(SOURCES))
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(data=st.data())
-def test_mutated_documents_keep_the_exit_code_contract(doc_path, name, data):
-    doc = copy.deepcopy(SOURCES[name])
-    for _ in range(data.draw(st.integers(1, 3))):
-        _mutate(doc, data.draw)
+def _assert_contract(doc_path, doc: dict, commands) -> tuple[object, dict[str, int]]:
+    """Run each command on the document and hold it to the contract;
+    returns the accepted document (None if parsing rejects it) and the
+    exit codes."""
     text = json.dumps(doc)
     doc_path.write_text(text)
     try:
         accepted = load_document(text)
     except ValueError:
         accepted = None
-    for command in COMMANDS:
+    codes = {}
+    for command in commands:
         code, out, err = _run(command, doc_path)
         assert code in (0, 1, 2, 3, 4), (command, code)
         assert "Traceback" not in err, (command, err)
@@ -119,8 +165,33 @@ def test_mutated_documents_keep_the_exit_code_contract(doc_path, name, data):
             assert err.count("\n") == 1, (command, err)
         if command == "validate":
             assert code == (1 if accepted is None else 0), err
+        codes[command] = code
     if accepted is not None:
         dumped = dump_document(accepted)
         again = load_document(dumped)
         assert again.payload == accepted.payload
         assert dump_document(again) == dumped
+    return accepted, codes
+
+
+@pytest.mark.parametrize("name", sorted(SOURCES))
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_mutated_documents_keep_the_exit_code_contract(doc_path, name, data):
+    doc = copy.deepcopy(SOURCES[name])
+    for _ in range(data.draw(st.integers(1, 3))):
+        _mutate(doc, data.draw)
+    _assert_contract(doc_path, doc, COMMANDS)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_mutated_reflexive_documents_keep_the_exit_code_contract(doc_path, data):
+    doc = copy.deepcopy(START)
+    for _ in range(data.draw(st.integers(1, 4))):
+        _mutate_rays(doc, data.draw)
+    if data.draw(st.booleans()):
+        doc.pop("normalization", None)  # so that general data is accepted too
+    accepted, codes = _assert_contract(doc_path, doc, COMMANDS + ("stability",))
+    if accepted is not None:
+        assert codes["chern"] == 0, (doc, codes)

@@ -21,7 +21,6 @@ from tsk.multifilt import (
     Multifiltration,
     NotElementary,
     _axes,
-    _canonical_flat,
     _canonical_jumps,
     _cells,
     _checked_cells,
@@ -47,7 +46,9 @@ from tsk.reflexive import R2Filtration, RayDatum, from_multifiltration, to_multi
 from tsk.sampling import random_b_zero, random_drops, random_reflexive, random_semistable
 
 from drop_oracle import (
+    _canonical_flat,
     grid_drop,
+    grid_hull,
     grid_meet,
     replay_drops,
     rescan_factorize,
@@ -368,6 +369,63 @@ def test_reflexive_hull_matches_the_product_points():
         assert hull == product_point_hull(mf)
         assert_valid_and_canonical(hull)
     assert sum(reflexive_hull(mf) != mf for mf in families) > len(families) // 2
+
+
+def ray_data_family(rng, n, lines, inactive=0.0, shift=0):
+    """The family of random ray data on P^n: each ray inactive (a = b)
+    with probability `inactive`, else a < b on a line drawn from
+    `lines`, every coordinate moved by `shift`."""
+    data = []
+    for _ in range(n + 1):
+        a = shift + rng.randint(-4, 4)
+        if rng.random() < inactive:
+            data.append(RayDatum(a, a))
+        else:
+            data.append(RayDatum(a, a + rng.randint(1, 4), rng.choice(lines)))
+    return to_multifiltration(R2Filtration(Fan(n), tuple(data)))
+
+
+def test_hull_matches_the_grid_oracle():
+    # The list meet against the meet grids, per category of ray data.
+    rng = random.Random(23)
+    one, three = [(1, 0)], [(1, 0), (0, 1), (1, 1)]
+
+    def start_of(n):
+        return to_multifiltration(random_reflexive(rng, n, 3))
+
+    categories = {
+        "generic": [
+            to_multifiltration(random_reflexive(rng, n, 4))
+            for n in range(1, 9)
+            for _ in range(3)
+        ],
+        "one line": [ray_data_family(rng, n, one) for n in range(1, 9)],
+        "few lines, inactive rays": [
+            ray_data_family(rng, n, three, inactive=0.3) for n in range(2, 9)
+        ],
+        "coordinates of 10^40": [
+            ray_data_family(rng, n, three, inactive=0.2, shift=s * 10**40)
+            for n in range(2, 7)
+            for s in (1, -1)
+        ],
+        "drop chains": [
+            random_drops(rng, start_of(n), 8, range(1, n + 1))[0]
+            for n in (2, 3, 4, 5)
+            for _ in range(3)
+        ],
+        "run-built": [
+            build_sequence(sol.problem, sol).final
+            for sol in (family_pn(n) for n in (5, 6, 7, 8))
+        ],
+    }
+    for name, families in categories.items():
+        for mf in families:
+            hull = reflexive_hull(mf)
+            assert hull == grid_hull(mf), name
+            assert reflexive_hull(hull) == hull, name
+    # the torsion-free families are not their own hulls
+    assert sum(reflexive_hull(mf) != mf for mf in categories["drop chains"]) > 6
+    assert sum(reflexive_hull(mf) != mf for mf in categories["run-built"]) == 4
 
 
 def test_apply_elementary_basic():

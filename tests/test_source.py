@@ -84,12 +84,12 @@ def test_elementary_check_only_for_given_pairs():
 
 def test_canonical_jumps_only_in_the_constructor():
     # The cached `_canonical_jumps` is for the lists the constructor
-    # keeps.  One-off lists, validate()'s projections and the cofaces
-    # `_meet_box` rewrites, go through the uncached `__wrapped__`, so
-    # that they do not fill the cache.
+    # keeps.  One-off lists, validate()'s projections, the cofaces
+    # `_meet_box` rewrites and the hull's meets, go through the uncached
+    # `__wrapped__`, so that they do not fill the cache.
     allowed = {
         False: {("Multifiltration", "__init__")},
-        True: {("Multifiltration", "validate"), ("_meet_box",)},
+        True: {("Multifiltration", "validate"), ("_meet_box",), ("reflexive_hull",)},
     }
     found = [
         f"{path.name}:{call.lineno}"
@@ -105,16 +105,31 @@ def test_canonical_jumps_only_in_the_constructor():
     assert found == []
 
 
-def test_canonical_flat_only_in_the_hull():
-    # The hull reads its lists off the meet grids it computes; every
-    # other construction rewrites lists, so a second `_canonical_flat`
-    # caller would be a second, grid-built rewrite.
+def test_no_canonical_flat_in_src():
+    # `_canonical_jumps` is the one canonicalizer: every construction,
+    # the hull included, canonicalizes lists, and reading a list off a
+    # grid is the tests' oracle (`drop_oracle._canonical_flat`).
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path, node in _nodes()
+        if isinstance(node, ast.FunctionDef) and node.name == "_canonical_flat"
+        or isinstance(node, ast.Name) and node.id == "_canonical_flat"
+        or isinstance(node, ast.Attribute) and node.attr == "_canonical_flat"
+        or isinstance(node, ast.alias) and node.name == "_canonical_flat"
+    ]
+    assert found == []
+
+
+def test_meet_line_only_in_meet_box_and_the_hull():
+    # Meeting a family with a line is one rule on jump lists, which the
+    # coface rewrite and the hull share.
+    allowed = {("_meet_box",), ("reflexive_hull",)}
     found = [
         f"{path.name}:{call.lineno}"
         for path in sorted(SRC.rglob("*.py"))
         for scope, call in _calls_by_scope(ast.parse(path.read_text("utf-8")))
-        if getattr(call.func, "id", getattr(call.func, "attr", None)) == "_canonical_flat"
-        and (path.name, scope) != ("multifilt.py", ("reflexive_hull",))
+        if getattr(call.func, "id", getattr(call.func, "attr", None)) == "_meet_line"
+        and not (path.name == "multifilt.py" and scope in allowed)
     ]
     assert found == []
 
@@ -154,16 +169,19 @@ def test_grid_flat_only_in_the_kernels():
     assert found == []
 
 
-def test_drop_builds_no_grid():
-    # A drop and a run rewrite each coface's jump list over the box they
-    # change with `_meet_box`; none of them, nor anything they call in
-    # multifilt, builds or reads a grid.
+GRIDS = {"_grid_flat", "_strides", "_joint_grid", "_cells", "_checked_cells"}
+
+
+def _reached_in_multifilt(*roots):
+    """The multifilt definitions that the roots call, transitively: a
+    call reaches every name in its callee expression, so that
+    `_canonical_jumps.__wrapped__(...)` reaches `_canonical_jumps`."""
     tree = ast.parse((SRC / "multifilt.py").read_text("utf-8"))
     defs = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.FunctionDef):
             defs.setdefault(node.name, []).append(node)
-    reached, todo = set(), ["drop", "apply_run", "_meet_box"]
+    reached, todo = set(), list(roots)
     while todo:
         name = todo.pop()
         if name in reached or name not in defs:
@@ -172,10 +190,25 @@ def test_drop_builds_no_grid():
         for node in defs[name]:
             for call in ast.walk(node):
                 if isinstance(call, ast.Call):
-                    todo.append(getattr(call.func, "id", getattr(call.func, "attr", None)))
-    grids = {"_grid_flat", "_joint_grid", "_cells", "_checked_cells", "_canonical_flat"}
-    assert {"_meet_box", "evaluate", "eval_jumps"} <= reached
-    assert reached & grids == set()
+                    todo.extend(_named(call.func))
+    return reached
+
+
+def test_drop_builds_no_grid():
+    # A drop and a run rewrite each coface's jump list over the box they
+    # change with `_meet_box`; none of them, nor anything they call in
+    # multifilt, builds or reads a grid.
+    reached = _reached_in_multifilt("drop", "apply_run", "_meet_box")
+    assert {"_meet_box", "_meet_line", "_canonical_jumps", "evaluate", "eval_jumps"} <= reached
+    assert reached & GRIDS == set()
+
+
+def test_hull_builds_no_grid():
+    # The hull meets each facet's list with its last ray's values on the
+    # lists, by the line rule the coface rewrite uses.
+    reached = _reached_in_multifilt("reflexive_hull")
+    assert {"_meet_line", "_canonical_jumps", "restrict_rays"} <= reached
+    assert reached & GRIDS == set()
 
 
 def test_int_pow_only_in_ring():
