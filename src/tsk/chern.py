@@ -105,31 +105,65 @@ def chern_general(mf: Multifiltration) -> TruncPoly:
     vanishes off the jump grid, and on the grid the integer-step
     predecessor value equals the grid-step predecessor value (the
     family is constant between consecutive jump coordinates), so the
-    product is evaluated on the finite grid only.
+    product is evaluated on finite grids only.
 
-    The mixed difference is the composition of the first differences
-    along the d axes, so it is d passes over the flat grid of
-    `_grid_flat`, each subtracting the predecessor k - strides[i] (ZERO,
-    so nothing, off the grid).  Exponents are summed per weight
-    <u_sigma, m> first, so each distinct weight is one linear factor.
+    Every cone's mixed difference is read off the grids of the n + 1
+    top cones sigma_j (all rays but j): a cone tau is taken in sigma_j
+    with j the least ray not in tau, so the rays below j are tau's and
+    each ray above j is tau's or not.  Precondition: `mf` is a valid
+    family (facet compatible), which `validate` checks on parsed
+    documents and every construction guarantees.  Then tau's values
+    are sigma_j's with the axes off tau pushed past their last jump
+    (stabilization), so each axis of a ray above j gets one more
+    coordinate, "infinity", past its last jump, where `_grid_flat`
+    fills in the stabilized value.  The mixed difference is the
+    composition of the first differences along the axes, one pass per
+    axis over the flat grid: a finite index subtracts its predecessor
+    k - strides[i] (ZERO, so nothing, off the grid), and the infinity
+    index, which stands for the ray's absence from tau, negates, so a
+    point carries (-1)^{codim tau}.  On sigma_j's axes, finer than
+    tau's, the difference is tau's own, since a first difference
+    vanishes where the family does not jump.  Infinity weighs 0, so
+    sigma_0's all-infinity point, the zero cone, is the factor 1 of
+    weight 0, which `linear_product` skips.  Exponents are summed per
+    weight <u_sigma, m> first, so each distinct weight is one linear
+    factor.
     """
     n = mf.fan.n
     exps: dict[int, int] = {}
-    for cone, jumps in sorted(mf.jumps.items()):
-        sign = -1 if (n - len(cone)) % 2 else 1
-        axes = _axes(jumps, len(cone))
-        flat, strides = _grid_flat(jumps, axes)
+    for j in range(n + 1):
+        jumps = mf.jumps[tuple(ray for ray in range(n + 1) if ray != j)]
+        axes = _axes(jumps, n)
+        # the axes of the rays above j, positions j.. of sigma_j, get infinity
+        grid = axes[:j] + [[*a, a[-1] + 1] for a in axes[j:]]
+        flat, strides = _grid_flat(jumps, grid)
         box = [v.dim for v in flat]
-        for s, axis in zip(strides, axes):
+        size = len(box)
+        for i, (s, axis) in enumerate(zip(strides, grid)):
             block = s * len(axis)
-            # descending, so box[k - s] still holds its value before this pass
-            for k in range(len(box) - 1, -1, -1):
-                if k % block >= s:
-                    box[k] -= box[k - s]
-        for coords, x in zip(iproduct(*axes), box):
+            # a block's offsets from `finite` on are its infinity index
+            finite = block - s if i >= j else block
+            # Descending, so box[k - s] still holds its value before this
+            # pass; the loop over the offsets in a block or over the blocks,
+            # whichever is shorter, runs outside, so the inner loop is long.
+            if block * block < size:
+                for r in range(finite - 1, s - 1, -1):
+                    for k in range(r, size, block):
+                        box[k] -= box[k - s]
+                for r in range(finite, block):
+                    for k in range(r, size, block):
+                        box[k] = -box[k]
+            else:
+                for start in range(0, size, block):
+                    for k in range(start + finite - 1, start + s - 1, -1):
+                        box[k] -= box[k - s]
+                    for k in range(start + finite, start + block):
+                        box[k] = -box[k]
+        weights = axes[:j] + [[*a, 0] for a in axes[j:]]
+        for coords, x in zip(iproduct(*weights), box):
             if x:
                 w = sum(coords)
-                exps[w] = exps.get(w, 0) + sign * x
+                exps[w] = exps.get(w, 0) + x
     return linear_product(n, [(-w, x) for w, x in exps.items()])
 
 

@@ -26,8 +26,8 @@ parsing a document costs what its lists hold, not what their grids do.
 The hull (`reflexive_hull`) meets each facet's list with its last ray's
 values on the lists too, by the line rule `_meet_line` that the coface
 rewrite `_meet_box` uses.  Grids, flat lists in row-major order
-(`_grid_flat`), serve only `chern_general`'s mixed difference and
-`_cells`, which reads where two families differ.
+(`_grid_flat`), serve only `chern_general`'s mixed difference, once per
+top cone, and `_cells`, which reads where two families differ.
 
 The elementary-injection machinery (delta invariant, drop,
 elementary_check, factorize) follows the equal-rank factorization

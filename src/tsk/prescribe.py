@@ -387,6 +387,10 @@ def build_sequence(
     - `chern_general(E)` is the start's Chern class divided by the
       built runs' telescoped ratios (for a full build, the solution's).
 
+    The Chern check reads the n + 1 top cones' grids, which hold every
+    cone's values since the built sheaf is a valid family; the hull
+    check reads the rays, and `drop_counts` every cone.
+
     A failed check is an internal consistency error (impossible for
     valid solutions).  The Chern class of the whole schedule is then
     closed from the start with every stage's telescoped ratio, however

@@ -9,6 +9,7 @@ from math import comb, factorial
 
 import pytest
 
+from tsk import chern
 from tsk.chern import (
     binom_poly,
     chern_general,
@@ -24,10 +25,26 @@ from tsk.chern import (
 )
 from tsk.fan import Fan
 from tsk.linalg import ZERO
-from tsk.multifilt import _axes, apply_elementary, elementary_check, factorize
+from tsk.multifilt import (
+    _axes,
+    _grid_flat,
+    apply_elementary,
+    elementary_check,
+    factorize,
+    reflexive_hull,
+)
+from tsk.prescribe import (
+    build_sequence,
+    family_p4_even,
+    family_p4_odd,
+    family_p5,
+    family_pn,
+)
 from tsk.reflexive import R2Filtration, RayDatum, chern_total, to_multifiltration
 from tsk.ring import TruncPoly, linear_product
 from tsk.sampling import random_drops, random_reflexive
+
+from test_multifilt import staircase
 
 
 def b_zero(n, c):
@@ -125,6 +142,78 @@ def chern_general_per_point(mf):
     return out
 
 
+def chern_per_cone(mf):
+    """The general formula one cone at a time: each cone's own grid, its
+    mixed difference by d passes of first differences, the sign
+    (-1)^codim on the cone's exponents (2^(n+1) - 2 grids)."""
+    n = mf.fan.n
+    exps = {}
+    for cone, jumps in sorted(mf.jumps.items()):
+        sign = -1 if (n - len(cone)) % 2 else 1
+        axes = _axes(jumps, len(cone))
+        flat, strides = _grid_flat(jumps, axes)
+        box = [v.dim for v in flat]
+        for s, axis in zip(strides, axes):
+            block = s * len(axis)
+            # descending, so box[k - s] still holds its value before this pass
+            for k in range(len(box) - 1, -1, -1):
+                if k % block >= s:
+                    box[k] -= box[k - s]
+        for coords, x in zip(product(*axes), box):
+            if x:
+                w = sum(coords)
+                exps[w] = exps.get(w, 0) + sign * x
+    return linear_product(n, [(-w, x) for w, x in exps.items()])
+
+
+def test_chern_general_matches_the_per_cone_oracle():
+    # Reading every cone off the top cones' grids gives what each
+    # cone's own grid gives.
+    rng = random.Random(24)
+    for n in range(1, 9):
+        for _ in range(3 if n > 6 else 6):
+            mf = to_multifiltration(random_reflexive(rng, n, max_c=4))
+            assert chern_general(mf) == chern_per_cone(mf)
+    # Drop chains (torsion-free, not reflexive), their hulls and twists,
+    # with coordinates pushed far from the origin.
+    dropped = 0
+    for i in range(24):
+        n = (2, 3, 4, 5)[i % 4]
+        start = to_multifiltration(random_reflexive(rng, n, max_c=3))
+        family, applied = random_drops(rng, start, rng.randint(1, 5), range(1, n + 1))
+        dropped += len(applied)
+        shift = [
+            rng.choice((-(10**40), 0, 10**40)) + rng.randint(-3, 3) for _ in range(n + 1)
+        ]
+        for mf in (family, reflexive_hull(family), family.twist(shift)):
+            assert chern_general(mf) == chern_per_cone(mf)
+    assert dropped > 24
+    for r in (1, 3, 6):
+        mf = staircase(r)
+        assert chern_general(mf) == chern_per_cone(mf)
+    # The paper's families, built one run per stage.
+    solutions = [family_pn(n) for n in range(5, 9)]
+    solutions += [family_p4_odd(1), family_p4_odd(3), family_p4_even(2), family_p5(1)]
+    for sol in solutions:
+        final = build_sequence(sol.problem, sol).final
+        assert chern_general(final) == chern_per_cone(final)
+
+
+def test_chern_general_builds_one_grid_per_top_cone(monkeypatch):
+    # n + 1 grids, one per top cone, where one per cone is 2^(n+1) - 2.
+    calls = []
+    grid_flat = chern._grid_flat
+    monkeypatch.setattr(
+        chern, "_grid_flat", lambda *args: calls.append(args) or grid_flat(*args)
+    )
+    rng = random.Random(8)
+    for n in range(1, 9):
+        mf = to_multifiltration(random_reflexive(rng, n, max_c=3))
+        calls.clear()
+        chern_general(mf)
+        assert len(calls) == n + 1
+
+
 def test_chern_general_matches_per_point_product():
     # Non-reflexive families, where chern_general is the only engine.
     rng = random.Random(5)
@@ -150,6 +239,16 @@ def test_chern_general_matches_per_point_product():
     for i in range(20):
         mf = to_multifiltration(random_reflexive(rng, (3, 4, 5)[i % 3], max_c=6))
         assert chern_general(mf) == chern_general_per_point(mf)
+    # P^1, where the top cones are the rays.
+    rng = random.Random(1)
+    dropped = 0
+    for _ in range(6):
+        start = to_multifiltration(random_reflexive(rng, 1, max_c=3))
+        family, applied = random_drops(rng, start, rng.randint(1, 3), (1,))
+        dropped += len(applied)
+        for mf in (start, family):
+            assert chern_general(mf) == chern_general_per_point(mf)
+    assert dropped > 0
 
 
 def test_twist_chern():

@@ -4,10 +4,12 @@ The jump payloads of the cli-docs benchmark documents are mutated
 (coordinates, subspaces, added and removed jumps, cone ray lists) with
 n fixed, and so is the ray data of its reflexive document (a, b, lines,
 added and removed rays, the normalization tag), which every command
-takes through the hull.  Each document command must keep the contract:
-an exit code in 0-4, no traceback, one error line and no stdout on exit
-1, and every accepted document reads back byte-identically from its
-dump.  An accepted reflexive document's Chern routes must agree.
+takes through the hull.  The raw bytes of every cli-docs document are
+mutated too (bit flips, inserted and deleted bytes, truncation).  Each
+document command must keep the contract: an exit code in 0-4, no
+traceback, one error line and no stdout on exit 1, and every accepted
+document reads back byte-identically from its dump, with `tsk chern`
+exiting 0: its Chern routes agree.
 """
 
 from __future__ import annotations
@@ -33,6 +35,10 @@ SOURCES = {
 }
 COMMANDS = ("validate", "chern", "obstruct")
 START = json.loads((CLI_DOCS / "start.json").read_text("utf-8"))
+RAW = {
+    name: (CLI_DOCS / f"{name}.json").read_bytes()
+    for name in ("e", "f", "invalid", "p4", "p5", "start")
+}
 
 INTS = st.integers(-8, 8) | st.sampled_from([-(10**40), 10**40])
 SUBSPACES = (
@@ -133,6 +139,31 @@ def _mutate_rays(doc: dict, draw) -> None:
             doc["normalization"] = tag
 
 
+NUMBER_BYTES = [bytes([byte]) for byte in b"-0123456789"]
+
+
+def _mutate_bytes(data: bytearray, draw, aimed: bool) -> None:
+    """One raw-byte mutation, in place: a bit flip, an inserted or a
+    deleted run of bytes, or a truncation.  An aimed one falls on a
+    digit and mostly keeps the document JSON (flip bit 0, insert a digit
+    or a minus sign, delete one byte; no truncation), so that it reaches
+    the family checks and the commands."""
+    digits = [i for i, byte in enumerate(data) if byte in b"0123456789"]
+    aimed = aimed and bool(digits)
+    kinds = ("flip", "insert", "delete") + (() if aimed else ("truncate",))
+    kind = draw(st.sampled_from(kinds))
+    at = draw(st.sampled_from(digits) if aimed else st.integers(0, len(data) - 1))
+    if kind == "flip":
+        data[at] ^= 1 << (0 if aimed else draw(st.integers(0, 7)))
+    elif kind == "insert":
+        inserts = st.sampled_from(NUMBER_BYTES) if aimed else st.binary(min_size=1, max_size=4)
+        data[at:at] = draw(inserts)
+    elif kind == "delete":
+        del data[at : at + (1 if aimed else draw(st.integers(1, 4)))]
+    else:
+        del data[at:]
+
+
 def _run(*argv) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -145,15 +176,14 @@ def doc_path(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "doc.json"
 
 
-def _assert_contract(doc_path, doc: dict, commands) -> tuple[object, dict[str, int]]:
-    """Run each command on the document and hold it to the contract;
-    returns the accepted document (None if parsing rejects it) and the
-    exit codes."""
-    text = json.dumps(doc)
-    doc_path.write_text(text)
+def _assert_contract(doc_path, data: bytes, commands) -> None:
+    """Run each command on the document bytes and hold it to the
+    contract; an accepted document's `tsk chern` exits 0, its routes
+    agreeing."""
+    doc_path.write_bytes(data)
     try:
-        accepted = load_document(text)
-    except ValueError:
+        accepted = load_document(doc_path.read_text("utf-8"))
+    except ValueError:  # UnicodeDecodeError included
         accepted = None
     codes = {}
     for command in commands:
@@ -167,11 +197,11 @@ def _assert_contract(doc_path, doc: dict, commands) -> tuple[object, dict[str, i
             assert code == (1 if accepted is None else 0), err
         codes[command] = code
     if accepted is not None:
+        assert codes["chern"] == 0, (data, codes)
         dumped = dump_document(accepted)
         again = load_document(dumped)
         assert again.payload == accepted.payload
         assert dump_document(again) == dumped
-    return accepted, codes
 
 
 @pytest.mark.parametrize("name", sorted(SOURCES))
@@ -181,7 +211,7 @@ def test_mutated_documents_keep_the_exit_code_contract(doc_path, name, data):
     doc = copy.deepcopy(SOURCES[name])
     for _ in range(data.draw(st.integers(1, 3))):
         _mutate(doc, data.draw)
-    _assert_contract(doc_path, doc, COMMANDS)
+    _assert_contract(doc_path, json.dumps(doc).encode(), COMMANDS)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -192,6 +222,16 @@ def test_mutated_reflexive_documents_keep_the_exit_code_contract(doc_path, data)
         _mutate_rays(doc, data.draw)
     if data.draw(st.booleans()):
         doc.pop("normalization", None)  # so that general data is accepted too
-    accepted, codes = _assert_contract(doc_path, doc, COMMANDS + ("stability",))
-    if accepted is not None:
-        assert codes["chern"] == 0, (doc, codes)
+    _assert_contract(doc_path, json.dumps(doc).encode(), COMMANDS + ("stability",))
+
+
+@pytest.mark.parametrize("aimed", (False, True), ids=("anywhere", "at-digits"))
+@pytest.mark.parametrize("name", sorted(RAW))
+@settings(max_examples=25, deadline=2000, derandomize=True, database=None)
+@given(data=st.data())
+def test_raw_byte_mutants_keep_the_exit_code_contract(doc_path, name, aimed, data):
+    raw = bytearray(RAW[name])
+    for _ in range(data.draw(st.integers(1, 3))):
+        if raw:
+            _mutate_bytes(raw, data.draw, aimed)
+    _assert_contract(doc_path, bytes(raw), COMMANDS)
