@@ -19,15 +19,15 @@ list comparison, and so facet compatibility too: stabilizing E^sigma
 along a ray deletes that coordinate from its jumps, and the result
 must canonicalize to the facet's list.
 
-Every construction canonicalizes raw lists with `_canonical_jumps`
-(cached for the lists the constructor keeps), which builds no grid:
-only jump coordinates can be canonical jumps, so it scans the list, and
-parsing a document costs what its lists hold, not what their grids do.
-The hull (`reflexive_hull`) meets each facet's list with its last ray's
-values on the lists too, by the line rule `_meet_line` that the coface
-rewrite `_meet_box` uses.  Grids, flat lists in row-major order
-(`_grid_flat`), serve only `chern_general`'s mixed difference, once per
-top cone, and `_cells`, which reads where two families differ.
+The constructor and the coface rewrite `_meet_box` canonicalize raw
+lists with `_canonical_jumps` (cached for the lists the constructor
+keeps), which builds no grid: only jump coordinates can be canonical
+jumps, so it scans the list, and parsing a document costs what its
+lists hold, not what their grids do.  The reflexive hull needs none:
+each cone's list is a closed form in its rays' ends (`hull_of_ends`).
+Grids, flat lists in row-major order (`_grid_flat`), serve only
+`chern_general`'s mixed difference, once per top cone, and `_cells`,
+which reads where two families differ.
 
 The elementary-injection machinery (delta invariant, drop,
 elementary_check, factorize) follows the equal-rank factorization
@@ -326,10 +326,6 @@ class Multifiltration:
             moved[cone] = tuple((tuple(map(sub, coords, shift)), w) for coords, w in jumps)
         return Multifiltration._canonical(self.fan, moved)
 
-    def restrict_rays(self) -> dict[int, JumpList]:
-        """The ray filtrations (jump lists on the 1-cones)."""
-        return {ray: self.jumps[(ray,)] for ray in self.fan.rays}
-
 
 def join_below(f: Multifiltration, cone: Cone, m0: Weight) -> Subspace:
     """The join of the values of F^cone one step below m0 along each axis."""
@@ -344,34 +340,66 @@ def join_below(f: Multifiltration, cone: Cone, m0: Weight) -> Subspace:
 # reflexive hull
 
 
-def reflexive_hull(mf: Multifiltration) -> Multifiltration:
-    """The hull E^sigma_m = intersection of the ray values E^rho(m_rho).
+def ray_ends(mf: Multifiltration) -> list[tuple[int, int, Subspace]]:
+    """The ends (a, b, v) of each ray filtration, v its value at a: a
+    canonical ray list is [(a, C^2)], so (a, a, FULL), or [(a, v), (b,
+    C^2)] with v a line.  Any other list (a family built with
+    validate=False) raises InvalidFamily, naming the ray."""
+    ends = []
+    for ray in mf.fan.rays:
+        jumps = mf.jumps[(ray,)]
+        if not jumps or jumps[-1][1] is not FULL:
+            raise InvalidFamily(f"ray {ray} never reaches C^2")
+        (a,), v = jumps[0]
+        if len(jumps) > 2 or len(jumps) == 2 and v.dim != 1:
+            raise InvalidFamily(f"ray {ray} filtration is not reflexive rank-2 data")
+        ends.append((a, jumps[-1][0][0], v))
+    return ends
 
-    Depends only on the ray filtrations; reflexive families are fixed
-    points of this operation.  A cone's list comes from that of its facet
-    tau = cone[:-1], earlier in (dim, lex) order, and its last ray rho's.
-    A canonical ray list is a chain ZERO < L < FULL, so E^rho(y) is the
-    value of the last ray jump x <= y; meeting with a chain value is
-    monotone, so E^sigma_(m', y) = E^tau_m' & E^rho(y) is the join, over
-    the ray jumps (x, w) with x <= y, of E^tau_m' & w: E^tau itself when
-    w = FULL, and the family `_meet_line` generates on the facet list
-    when w is a line.  So the cone's list canonicalizes those generators,
-    x appended to their coordinates; the lists are one-off, so they
-    bypass the cache.  The result is valid by construction: every ray
-    value reaches C^2, and stabilizing a meet along a ray drops that
-    ray's term.
+
+def hull_of_ends(fan: Fan, ends: Sequence[tuple[int, int, Subspace]]) -> Multifiltration:
+    """The family E^sigma_m = meet of the ray values E^rho(m_rho), each
+    ray given by its ends (a, b, v): ZERO below a, v on [a, b) and C^2
+    from b on, v a line, or FULL when the ray is inactive (a = b).
+
+    Each cone's canonical list in closed form.  Take sigma's lines, the
+    distinct lines among its rays' v in order of first appearance, p_L
+    with a on the rays carrying L and b on the others, and b_sigma, the
+    b's.  The list is (p_L, L) per line, then (b_sigma, FULL) when sigma
+    has fewer than two lines.  Proof: E^sigma_m contains L exactly on
+    the up-set of p_L (off it, some ray is ZERO or another line), and is
+    C^2 exactly from b_sigma on, so the list generates the family (two
+    lines join to C^2 at b_sigma).  Each (p_L, L) is minimal: one step
+    down along a ray of L makes that ray's value ZERO, and one step down
+    along any other ray leaves ZERO or another line there, either of
+    which meets L to ZERO.  One step below b_sigma along a ray leaves
+    its v, or ZERO: with two distinct lines these join to C^2, so
+    (b_sigma, FULL) is not a canonical jump, and with fewer they do not,
+    so it is.  The list is in lex order: p_L and p_L' first differ on
+    the first ray carrying either line, where the earlier one has a <
+    b; and b_sigma is above every p_L.  So no sort, no
+    `_canonical_jumps` and no grid are needed, and the family is valid
+    by construction: stabilizing a meet along a ray drops its term.
     """
-    rays = mf.restrict_rays()
-    hull: dict[Cone, JumpList] = {(): (((), FULL),)}
-    for cone in mf.fan.all_cones(min_dim=1):
-        facet = hull[cone[:-1]]
-        raw: list[Jump] = []
-        for (x,), w in rays[cone[-1]]:
-            met = facet if w is FULL else _meet_line(facet, w)
-            raw += [(coords + (x,), v) for coords, v in met]
-        hull[cone] = _canonical_jumps.__wrapped__(raw)
-    del hull[()]
-    return Multifiltration._canonical(mf.fan, hull)
+    hull: dict[Cone, JumpList] = {}
+    for cone in fan.all_cones(min_dim=1):
+        top = [ends[ray][1] for ray in cone]
+        lines: dict[Subspace, list[int]] = {}  # line -> p_L, by first appearance
+        for i, ray in enumerate(cone):
+            a, _, v = ends[ray]
+            if v is not FULL:
+                lines.setdefault(v, top.copy())[i] = a
+        jumps = [(tuple(p), line) for line, p in lines.items()]
+        if len(lines) < 2:
+            jumps.append((tuple(top), FULL))
+        hull[cone] = tuple(jumps)
+    return Multifiltration._canonical(fan, hull)
+
+
+def reflexive_hull(mf: Multifiltration) -> Multifiltration:
+    """The hull E^sigma_m = meet of the ray values E^rho(m_rho), read
+    off the ray lists alone; reflexive families are its fixed points."""
+    return hull_of_ends(mf.fan, ray_ends(mf))
 
 
 def is_reflexive(mf: Multifiltration) -> bool:

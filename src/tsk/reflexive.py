@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 from .chern import chern_general
 from .fan import Fan
 from .linalg import FULL, ZERO, Subspace, line2
-from .multifilt import Multifiltration, reflexive_hull
+from .multifilt import Multifiltration, hull_of_ends, ray_ends
 from .ring import TruncPoly, linear_product
 
 
@@ -337,32 +337,11 @@ def bogomolov_ok(f: R2Filtration) -> bool | None:
 def to_multifiltration(f: R2Filtration) -> Multifiltration:
     """The full family E^sigma_m = meet of E^rho(m_rho) over the cone's
     rays, in jump-list encoding: the reflexive hull of the ray
-    filtrations.  The hull is valid by construction: every ray value
-    reaches C^2, and stabilizing a meet along a ray drops that ray's
-    term, which leaves the facet's meet."""
-    rays = {
-        (i,): [((x,), r.value_at(x)) for x in sorted({r.a, r.b})]
-        for i, r in enumerate(f.rays)
-    }
-    return reflexive_hull(Multifiltration(f.fan, rays, validate=False))
+    filtrations, built from each ray's ends (a, b, E^rho(a))."""
+    return hull_of_ends(f.fan, [(r.a, r.b, r.value_at(r.a)) for r in f.rays])
 
 
 def from_multifiltration(mf: Multifiltration) -> R2Filtration:
-    """Recover the ray data (a, b, L) from a reflexive family's ray
-    filtrations.  A canonical ray list holds strictly growing values, so
-    [(a, C^2)] is (a, a), [(a, L), (b, C^2)] is (a, b, L), a list that
-    is empty or ends below C^2 never reaches C^2, and any other shape is
-    not of the form 0 -> line -> C^2."""
-    data: list[RayDatum] = []
-    for ray in mf.fan.rays:
-        jumps = mf.jumps[(ray,)]
-        if not jumps or jumps[-1][1].dim != 2:
-            raise ValueError(f"ray {ray} never reaches C^2")
-        match jumps:
-            case [((a,), _)]:
-                data.append(RayDatum(a, a))
-            case [((a,), line), ((b,), _)]:
-                data.append(RayDatum(a, b, line.line_pair()))
-            case _:
-                raise ValueError(f"ray {ray} filtration is not reflexive rank-2 data")
-    return R2Filtration(mf.fan, data)
+    """Recover the ray data (a, b, L) from a family's ray filtrations;
+    `ray_ends` raises InvalidFamily on lists that are no ray data."""
+    return R2Filtration(mf.fan, [RayDatum(a, b, v.pair) for a, b, v in ray_ends(mf)])

@@ -20,7 +20,7 @@ fell, so the tests can hold the list rewrite to both.
 Both read their canonical lists off the grids with `_canonical_flat`,
 as does `grid_hull`, the reflexive hull on meet grids: each cone's grid
 is its facet's met with its last ray's values, so the tests can hold
-the hull's list meet, `_meet_line` on the facet lists, to it.
+the hull's closed form, read off the ray ends with no grid, to it.
 """
 
 from __future__ import annotations
@@ -181,13 +181,12 @@ def grid_hull(mf: Multifiltration) -> Multifiltration:
     is its facet cone[:-1]'s, met point by point with its last ray's
     values, and its list is the grid's `_canonical_flat`.
     """
-    rays = mf.restrict_rays()
     flats: dict[Cone, list[Subspace]] = {(): [FULL]}
     hull: dict[Cone, JumpList] = {}
     for cone in mf.fan.all_cones(min_dim=1):
-        flat = [_meet(v, w) for v in flats[cone[:-1]] for _, w in rays[cone[-1]]]
+        flat = [_meet(v, w) for v in flats[cone[:-1]] for _, w in mf.jumps[(cone[-1],)]]
         flats[cone] = flat
-        axes = [[c[0] for c, _ in rays[ray]] for ray in cone]
+        axes = [[c[0] for c, _ in mf.jumps[(ray,)]] for ray in cone]
         hull[cone] = _canonical_flat(axes, flat, _strides(axes))
     return Multifiltration._canonical(mf.fan, hull)
 

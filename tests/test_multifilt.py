@@ -344,11 +344,10 @@ def product_point_hull(mf):
     """The hull by its definition: the meet of the ray values at every
     point of the product of the ray levels, canonicalized by the
     constructor."""
-    rays = mf.restrict_rays()
     hull = {}
     for cone in mf.fan.all_cones(min_dim=1):
         hull[cone] = []
-        for point in product(*(rays[ray] for ray in cone)):
+        for point in product(*(mf.jumps[(ray,)] for ray in cone)):
             v = FULL
             for _, w in point:
                 v = v.meet(w)
@@ -426,6 +425,86 @@ def test_hull_matches_the_grid_oracle():
     # the torsion-free families are not their own hulls
     assert sum(reflexive_hull(mf) != mf for mf in categories["drop chains"]) > 6
     assert sum(reflexive_hull(mf) != mf for mf in categories["run-built"]) == 4
+
+
+def closed_form_data(rng):
+    """Ray data for the hull's closed form: the three samplers on P^1 to
+    P^8, and per n the edge cases: every ray inactive, every active ray
+    on one line, and lines in descending pair order (so that their first
+    appearance is not their sort order) at coordinates of +-10^40."""
+    data = []
+    for n in range(1, 9):
+        fan = Fan(n)
+        data += [
+            random_reflexive(rng, n, 4),
+            random_b_zero(rng, n, 4),
+            random_semistable(rng, n, 4),
+            R2Filtration(fan, [RayDatum(x, x) for x in rng.choices(range(-3, 4), k=n + 1)]),
+            R2Filtration(
+                fan,
+                [RayDatum(-c, 0, (2, 3) if c else None) for c in rng.choices(range(3), k=n + 1)],
+            ),
+        ]
+        for s in (10**40, -(10**40)):
+            rays = []
+            for i in range(n + 1):
+                a = s + rng.randint(-3, 3)
+                rays.append(RayDatum(a, a + rng.randint(0, 3), (1, n - i % 3)))
+            data.append(R2Filtration(fan, rays))
+    return data
+
+
+def test_hull_closed_form_is_the_canonical_family():
+    # Each cone's list comes straight from the ray ends, with no sort and
+    # no canonicalization: it must already be canonical, pass the
+    # constructor's validation unchanged, and be the hull of the ray
+    # lists alone.
+    for f in closed_form_data(random.Random(71)):
+        mf = to_multifiltration(f)
+        for jumps in mf.jumps.values():
+            assert _canonical_jumps.__wrapped__(jumps) == jumps
+        assert Multifiltration(f.fan, mf.jumps) == mf
+        rays = {
+            (i,): [((x,), r.value_at(x)) for x in sorted({r.a, r.b})]
+            for i, r in enumerate(f.rays)
+        }
+        assert reflexive_hull(Multifiltration(f.fan, rays, validate=False)) == mf
+        assert from_multifiltration(mf) == f
+
+
+def test_drop_chains_lie_in_their_hull():
+    rng = random.Random(72)
+    for n in (1, 2, 3, 4, 5):
+        for _ in range(3):
+            start = to_multifiltration(random_reflexive(rng, n, max_c=3))
+            e, _ = random_drops(rng, start, 6, range(1, n + 1))
+            hull = reflexive_hull(e)
+            assert is_contained(e, hull)
+            assert_valid_and_canonical(hull)
+
+
+@pytest.mark.parametrize(
+    "ray_jumps, message",
+    [
+        ((((0,), Subspace.line(1, 0)),), "never reaches C\\^2"),
+        ((), "never reaches C\\^2"),
+        ((((0,), FULL), ((1,), FULL)), "filtration is not reflexive rank-2 data"),
+    ],
+)
+def test_hull_rejects_ray_lists_that_are_no_ray_data(ray_jumps, message):
+    # Ray lists that are no rank-2 ray data (possible only with
+    # validate=False, or lists wrapped unchecked) have no hull: the
+    # hull names the ray instead of returning what is no family.
+    fan = Fan(2)
+    rays = {(0,): ray_jumps, (1,): (((0,), FULL),), (2,): (((0,), FULL),)}
+    if len(ray_jumps) < 2:
+        broken = Multifiltration(fan, rays, validate=False)
+    else:  # the constructor would canonicalize the list away
+        broken = Multifiltration._canonical(fan, rays)
+    with pytest.raises(InvalidFamily, match=f"^ray 0 {message}$"):
+        reflexive_hull(broken)
+    with pytest.raises(InvalidFamily, match=f"^ray 0 {message}$"):
+        from_multifiltration(broken)
 
 
 def test_apply_elementary_basic():

@@ -84,12 +84,13 @@ def test_elementary_check_only_for_given_pairs():
 
 def test_canonical_jumps_only_in_the_constructor():
     # The cached `_canonical_jumps` is for the lists the constructor
-    # keeps.  One-off lists, validate()'s projections, the cofaces
-    # `_meet_box` rewrites and the hull's meets, go through the uncached
-    # `__wrapped__`, so that they do not fill the cache.
+    # keeps.  One-off lists, validate()'s projections and the cofaces
+    # `_meet_box` rewrites, go through the uncached `__wrapped__`, so
+    # that they do not fill the cache.  The hull's lists are canonical
+    # in closed form and need neither.
     allowed = {
         False: {("Multifiltration", "__init__")},
-        True: {("Multifiltration", "validate"), ("_meet_box",), ("reflexive_hull",)},
+        True: {("Multifiltration", "validate"), ("_meet_box",)},
     }
     found = [
         f"{path.name}:{call.lineno}"
@@ -120,10 +121,10 @@ def test_no_canonical_flat_in_src():
     assert found == []
 
 
-def test_meet_line_only_in_meet_box_and_the_hull():
-    # Meeting a family with a line is one rule on jump lists, which the
-    # coface rewrite and the hull share.
-    allowed = {("_meet_box",), ("reflexive_hull",)}
+def test_meet_line_only_in_meet_box():
+    # Meeting a family with a line is one rule on jump lists, the coface
+    # rewrite's; the hull's lists come in closed form from the ray ends.
+    allowed = {("_meet_box",)}
     found = [
         f"{path.name}:{call.lineno}"
         for path in sorted(SRC.rglob("*.py"))
@@ -204,11 +205,11 @@ def test_drop_builds_no_grid():
 
 
 def test_hull_builds_no_grid():
-    # The hull meets each facet's list with its last ray's values on the
-    # lists, by the line rule the coface rewrite uses.
+    # Each cone's hull list is canonical in closed form from its rays'
+    # ends: no grid, no canonicalization and no facet meet.
     reached = _reached_in_multifilt("reflexive_hull")
-    assert {"_meet_line", "_canonical_jumps", "restrict_rays"} <= reached
-    assert reached & GRIDS == set()
+    assert {"ray_ends", "hull_of_ends"} <= reached
+    assert reached & (GRIDS | {"_canonical_jumps", "_meet_line"}) == set()
 
 
 def test_int_pow_only_in_ring():
