@@ -122,8 +122,15 @@ def _grid_flat(
         flat[k] = flat[k].join(w)
     for s, axis in zip(strides, axes):
         block = s * len(axis)
-        for start in range(0, size, block or 1):  # block is 0 only on an empty grid
-            for k in range(start + s, start + block):
+        # The loop over the offsets in a block or over the blocks, whichever
+        # is shorter, runs outside, so the inner loop is long; either way
+        # k - s is joined before k.
+        if block * block < size:
+            runs = [range(r, size, block) for r in range(s, block)]
+        else:  # block is 0 only on an empty grid
+            runs = [range(b + s, b + block) for b in range(0, size, block or 1)]
+        for run in runs:
+            for k in run:
                 u = flat[k - s]
                 if u.dim:
                     v = flat[k]

@@ -41,7 +41,6 @@ this module verifies it per instance instead of assuming it.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import factorial
 from typing import NamedTuple
 
@@ -55,6 +54,7 @@ from .reflexive import (
     normalize,
     stability,
 )
+from .ring import log_coeffs
 
 
 class TorsionProfile:
@@ -163,7 +163,10 @@ def torsion_profile(E: Multifiltration) -> TorsionProfile:
 def leading_log_check(E: Multifiltration) -> bool:
     """Verify the leading term of the log-ratio:
 
-        [H^q] log( c(F) / c(E) )  ==  (-1)^(q-1) (q-1)! p_q.
+        [H^q] log( c(F) / c(E) )  ==  (-1)^(q-1) (q-1)! p_q,
+
+    compared in integers, times q: s_q(c(F) / c(E)) == (-1)^(q-1) q! p_q
+    with s_q = q [H^q] log of `log_coeffs`.
 
     Every k-elementary step contributes 1 + O(H^k) to the ratio, so
     only the q-elementary steps reach H^q, each with the universal
@@ -172,9 +175,8 @@ def leading_log_check(E: Multifiltration) -> bool:
     hull = _proper_hull(E)
     prof = _profile(E, hull)
     ratio = chern_general(hull) * chern_general(E).inverse()
-    lhs = ratio.log()[prof.q]
-    rhs = Fraction((-1) ** (prof.q - 1) * factorial(prof.q - 1) * prof.count(prof.q))
-    return lhs == rhs
+    q = prof.q
+    return log_coeffs(ratio.coeffs)[q] == (-1) ** (q - 1) * factorial(q) * prof.count(q)
 
 
 def s_max(f: R2Filtration) -> int:

@@ -2,10 +2,11 @@
 Chern class is exactly 1 + c1 H + c2 H^2.
 
 Pipeline: start from b_zero reflexive data (c_rho) with designated
-first ray (c_0 >= 1) and pairwise distinct lines; expand the defect
-log(c_start) - log(target) into the integers tilde_c_q; solve the
-triangular system for the drop counts p_3..p_n; realize the drops as
-saturated elementary injections on the schedule
+first ray (c_0 >= 1) and pairwise distinct lines; read the defect
+log(c_start) - log(target) off the integer log coefficients of both
+(Newton's identities, `ring.log_coeffs`) as the integers tilde_c_q;
+solve the triangular system for the drop counts p_3..p_n; realize
+the drops as saturated elementary injections on the schedule
 
     sigma_k = (0, ..., k-1),
     m_{k,j} = (-c_0, 0, p_3, ..., p_{k-1}, j-1),   j = 1..p_k,
@@ -35,7 +36,7 @@ from .reflexive import (
     stability,
     to_multifiltration,
 )
-from .ring import TruncPoly, linear_product
+from .ring import TruncPoly, linear_product, log_coeffs
 
 
 class PrescriptionProblem:
@@ -165,17 +166,15 @@ def _low(c: TruncPoly) -> TruncPoly:
 
 def tilde_c(c: TruncPoly) -> tuple[int, ...]:
     """(tilde_c_3, ..., tilde_c_n):
-    tilde_c_q = -q [H^q](log c - log(1 + c1 H + c2 H^2)).
+    tilde_c_q = -q [H^q](log c - log(1 + c1 H + c2 H^2)) = s_q(low) - s_q(c),
 
-    Integral for integral Chern data (checked).
+    with s_q = q [H^q] log the integer log coefficients of `log_coeffs`.
+    Integral for integral Chern data; rational data is checked.
     """
-    n = c.n
-    if c[0] != 1:
-        raise ValueError("Chern polynomial must have constant term 1")
-    defect = c.log() - _low(c).log()
+    s, s_low = log_coeffs(c.coeffs), log_coeffs(_low(c).coeffs)
     out = []
-    for q in range(3, n + 1):
-        v = -q * Fraction(defect[q])
+    for q in range(3, c.n + 1):
+        v = Fraction(s_low[q] - s[q])
         if v.denominator != 1:
             raise ArithmeticError(f"tilde_c_{q} = {v} is not an integer")
         out.append(int(v))

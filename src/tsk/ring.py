@@ -6,23 +6,28 @@ or fractions.Fraction (always exact, never floats).  Mixed instances
 compare equal when the values do, because int and Fraction share
 equality and hash in Python.
 
-The formal log/exp pair used throughout:
+The formal log and exp of a Chern polynomial run through Newton's
+identities on its integer log coefficients s_k = k [H^k] log c:
 
-    log(P)  = -sum_{i>=1} (-1)^i R^i / i      for P = 1 + R, R in <H>,
-    exp(A)  =  sum_{i>=0} A^i / i!            for A in <H>.
+    k c_k = sum_{i=1..k} s_i c_{k-i}       (c_0 = 1, s_0 = 0).
 
-Both are polynomials mod H^(n+1), are mutually inverse there, and turn
-products into sums (log(P1 P2) = log P1 + log P2).
+If c = exp(L), then H c' = (H L') c, and the H^k terms of the two sides
+are k c_k and sum_i s_i c_{k-i}, since H L' = sum_k s_k H^k.  Read one
+way (`log_coeffs`), the identity gives every s_k with no division, so
+integral c has integral s; read the other way (`exp_coeffs`), it gives
+c_k from s with one division by k.  Both are O(n^2) and turn products
+into sums of s (log(P1 P2) = log P1 + log P2).
 
 Chern classes are products of linear factors (1 + aH)^e with integer a
-and e of either sign; `linear_product` expands and multiplies them as
-plain ints, and builds one TruncPoly at the end.
+and e of either sign.  For one factor H L' = e aH / (1 + aH), so its
+s_k = -e (-a)^k, O(n) per factor: `linear_product` sums these and
+takes one `exp_coeffs`, all in plain ints.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
@@ -62,10 +67,6 @@ class TruncPoly:
     @classmethod
     def one(cls, n: int) -> "TruncPoly":
         return cls(n, (1,))
-
-    @classmethod
-    def zero(cls, n: int) -> "TruncPoly":
-        return cls(n)
 
     @classmethod
     def linear(cls, n: int, a: Scalar, b: Scalar = 1) -> "TruncPoly":
@@ -172,28 +173,16 @@ class TruncPoly:
 
     def log(self) -> "TruncPoly":
         """Formal log of 1 + R; coefficients come back rational."""
-        if self.coeffs[0] != 1:
-            raise ValueError("log requires constant term exactly 1")
-        r = TruncPoly(self.n, (0,) + self.coeffs[1:])
-        out = TruncPoly.zero(self.n)
-        power = TruncPoly.one(self.n)
-        for i in range(1, self.n + 1):
-            power = power * r
-            out = out + power * Fraction((-1) ** (i + 1), i)
-        return out
+        s = log_coeffs(self.coeffs)
+        return TruncPoly(self.n, [0] + [Fraction(x, k) for k, x in enumerate(s[1:], 1)])
 
     def exp(self) -> "TruncPoly":
         """Formal exp of an element with constant term 0."""
         if self.coeffs[0] != 0:
             raise ValueError("exp requires constant term exactly 0")
-        out = TruncPoly.one(self.n)
-        power = TruncPoly.one(self.n)
-        factorial = 1
-        for i in range(1, self.n + 1):
-            power = power * self
-            factorial *= i
-            out = out + power * Fraction(1, factorial)
-        return out
+        return TruncPoly(
+            self.n, exp_coeffs(self.n, [k * a for k, a in enumerate(self.coeffs)])
+        )
 
     # -- rendering -------------------------------------------------------
 
@@ -229,28 +218,55 @@ def product(polys: Iterable[TruncPoly], n: int) -> TruncPoly:
     return out
 
 
+def log_coeffs(c: Sequence[Scalar]) -> list[Scalar]:
+    """s_0 = 0 and s_k = k [H^k] log c for the coefficients c_0..c_n of a
+    polynomial with c_0 = 1, by Newton's identity
+
+        s_k = k c_k - sum_{i=1..k-1} s_i c_{k-i}.
+
+    No division, so the s_k are ints when the c_k are.
+    """
+    if c[0] != 1:
+        raise ValueError("log requires constant term exactly 1")
+    s: list[Scalar] = [0] * len(c)
+    for k in range(1, len(c)):
+        s[k] = k * c[k] - sum([s[i] * c[k - i] for i in range(1, k)])
+    return s
+
+
+def exp_coeffs(n: int, s: Sequence[Scalar]) -> list[Scalar]:
+    """The coefficients c_0..c_n of exp(sum_k s_k H^k / k), the inverse of
+    `log_coeffs`: c_0 = 1 and c_k = (sum_{i=1..k} s_i c_{k-i}) / k.
+
+    The division is exact int division when k divides an int sum, and a
+    Fraction otherwise.
+    """
+    c: list[Scalar] = [1] + [0] * n
+    for k in range(1, n + 1):
+        t = sum([s[i] * c[k - i] for i in range(1, k + 1)])
+        c[k] = t // k if type(t) is int and t % k == 0 else Fraction(t, k)
+    return c
+
+
 def linear_product(n: int, factors: Iterable[tuple[int, int]]) -> TruncPoly:
     """prod (1 + a*H)^e over integer pairs (a, e), e of either sign, in
     Z[H]/<H^(n+1)>.
 
-    Each factor is the binomial series sum_k C(e, k) a^k H^k, with C(e, k)
-    the integer polynomial e(e-1)...(e-k+1)/k!, so one rule covers
-    positive and negative e.  The term C(e, k) a^k is the previous one
-    times a(e-k+1)/k, and that division is exact (C(e, k) is an integer
-    for every integer e).  The product is a convolution cut at H^n.
+    Each factor adds s_k = -e (-a)^k to the log coefficients, and one
+    `exp_coeffs` turns their sum back into the product, which lies in
+    Z[H], so every division there is exact (checked).
     """
-    out = [1] + [0] * n
+    s = [0] * (n + 1)
     for a, e in factors:
+        if type(a) is not int or type(e) is not int:
+            raise TypeError(f"linear factors need int a and e, got {(a, e)!r}")
         if not a or not e:
             continue
-        series = []
-        term = 1
+        t = -e
         for k in range(1, n + 1):
-            term = term * a * (e - k + 1) // k
-            if not term:
-                break
-            series.append(term)
-        # descending, so out[i - k] still holds its value before this factor
-        for i in range(n, 0, -1):
-            out[i] += sum(t * out[i - k] for k, t in enumerate(series[:i], 1))
-    return TruncPoly(n, out)
+            t *= -a
+            s[k] += t
+    c = exp_coeffs(n, s)
+    if any(type(x) is not int for x in c):
+        raise ArithmeticError(f"product of linear factors is not integral: {c}")
+    return TruncPoly(n, c)

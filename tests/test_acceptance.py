@@ -8,8 +8,9 @@ Every test prints a single machine-readable verdict line
 directly to the terminal (bypassing pytest capture) and then asserts,
 so the verdict survives in ``pytest -v`` output.  All arithmetic is
 exact; "agree" always means ``==`` on integer/Fraction coefficients,
-never approximate comparison.  The two stated wall-clock budgets
-(criterion 1: 60 s, criterion 2: 120 s) are enforced with asserts.
+never approximate comparison.  Every line ends with the criterion's
+elapsed time; the two stated wall-clock budgets (criterion 1: 60 s,
+criterion 2: 120 s) are enforced with asserts.
 
 Criteria 2–4 share their build artifacts with criterion 7 through the
 cached builders below.  The builds take one run per stage; criterion 7
@@ -71,7 +72,10 @@ from tsk.sampling import random_drops, random_reflexive, random_semistable
 from drop_oracle import replay_drops
 
 
-def _report(capsys, k: int, ok: bool, detail: str) -> None:
+def _report(capsys, k: int, ok: bool, detail: str, t0: float | None = None) -> None:
+    """Print the verdict line; with t0, the time since t0 ends it."""
+    if t0 is not None:
+        detail += f" in {time.perf_counter() - t0:.1f}s"
     with capsys.disabled():
         print(f"ACCEPTANCE {k}: {'PASS' if ok else 'FAIL'} — {detail}")
 
@@ -213,6 +217,7 @@ def test_criterion_02(capsys):
 
 
 def test_criterion_03(capsys):
+    t0 = time.perf_counter()
     for t in range(1, 4):
         big_t = 4 * t + 3
         sol = _even_solution(t)
@@ -229,6 +234,7 @@ def test_criterion_03(capsys):
         capsys, 3, True,
         "t=1..3 (T=4t+3) all 1+(12t+10)H+12(t+1)(4t+3)H^2 and"
         " 4(c1c3-c4)+3c3^2 == 3(T(T+1)(T+2))^2 exactly",
+        t0,
     )
 
 
@@ -237,6 +243,7 @@ def test_criterion_03(capsys):
 
 
 def test_criterion_04(capsys):
+    t0 = time.perf_counter()
     sols = _p5_solutions()
     assert set(sols) == {"c=120t", "c=12t"}
     reports = []
@@ -264,7 +271,7 @@ def test_criterion_04(capsys):
         cand = sols[label]
         assert isinstance(cand, PrescriptionSolution)
         assert res.chern_final == cand.chern, f"{label}: closed build chern"
-    _report(capsys, 4, True, "; ".join(sorted(reports)))
+    _report(capsys, 4, True, "; ".join(sorted(reports)), t0)
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +279,7 @@ def test_criterion_04(capsys):
 
 
 def test_criterion_05(capsys):
+    t0 = time.perf_counter()
     table = {
         (1, 1): -1,
         (2, 1): -1, (2, 2): 2,
@@ -283,7 +291,7 @@ def test_criterion_05(capsys):
         assert stirling_A(p, k) == want, f"A_{{{p},{k}}}"
     assert stirling_A(5, 3) == -150 and stirling_A(4, 2) == 14
     _report(capsys, 5, True, "A_{p,k} matches the 15-entry reference table"
-            " for p,k <= 5 (incl. A_{5,3}=-150, A_{4,2}=14)")
+            " for p,k <= 5 (incl. A_{5,3}=-150, A_{4,2}=14)", t0)
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +299,7 @@ def test_criterion_05(capsys):
 
 
 def test_criterion_06(capsys):
+    t0 = time.perf_counter()
     rng = Random(6)
     product_checks = 0
     for n in range(2, 6):
@@ -315,6 +324,7 @@ def test_criterion_06(capsys):
         f" a,m in [-3,3]) and identity_cone_sum {cone_checks} checks"
         " (all cones of P^3/P^4, m_rho in [-4,4], all p <= codim):"
         " zero failures",
+        t0,
     )
 
 
@@ -323,6 +333,7 @@ def test_criterion_06(capsys):
 
 
 def test_criterion_07(capsys):
+    t0 = time.perf_counter()
     builds = _all_pipeline_builds()
     count = 0
     for sol, res in builds:
@@ -335,6 +346,7 @@ def test_criterion_07(capsys):
         capsys, 7, True,
         f"ratio_saturated(k0, m_Sigma) == c(F)*c(E)^-1 and exp(log())"
         f" roundtrip exact on all {count} injections built by criteria 2-4",
+        t0,
     )
 
 
@@ -343,6 +355,7 @@ def test_criterion_07(capsys):
 
 
 def test_criterion_08(capsys):
+    t0 = time.perf_counter()
     rng = Random(88)
     done = 0
     lengths = 0
@@ -363,6 +376,7 @@ def test_criterion_08(capsys):
         capsys, 8, True,
         f"200 random drop sequences (n in 3/4, {lengths} drops total,"
         " length <= 6): factorize->recompose exact, k0 monotone",
+        t0,
     )
 
 
@@ -371,6 +385,7 @@ def test_criterion_08(capsys):
 
 
 def test_criterion_09(capsys):
+    t0 = time.perf_counter()
     rng = Random(99)
     total = 500
     worst = None
@@ -386,6 +401,7 @@ def test_criterion_09(capsys):
         capsys, 9, True,
         f"Delta >= 0 on {total}/{total} random semistable reflexive"
         f" instances (min Delta seen: {worst})",
+        t0,
     )
 
 
@@ -419,6 +435,7 @@ def _verified_not_smoothable(E: Multifiltration) -> NotSmoothable | None:
 
 
 def test_criterion_10(capsys):
+    t0 = time.perf_counter()
     rng = Random(1010)
     quotas = {"Q4@4": 80, "Q4@5": 15, "Q2@3": 120}
     got = {key: 0 for key in quotas}
@@ -453,6 +470,7 @@ def test_criterion_10(capsys):
         " witness Chern class nonzero and leading-log =="
         f" (-1)^(q-1)(q-1)!p_q in every instance;"
         f" {skipped} draws excluded (hypotheses unmet)",
+        t0,
     )
     assert ok, f"quotas unmet: {got}"
 
@@ -462,6 +480,7 @@ def test_criterion_10(capsys):
 
 
 def test_criterion_11(capsys):
+    t0 = time.perf_counter()
     rng = Random(1111)
     # split bundles O(a) (+) O(b) satisfy every congruence on every P^n
     for _ in range(200):
@@ -484,4 +503,5 @@ def test_criterion_11(capsys):
         "200 random split pairs pass all congruences for n <= 6;"
         f" mod-12 reduction c2(c2+1-3c1-2c1^2) == 0 (12) agrees with the"
         f" general formula on {agree}/{agree} random (c1,c2)",
+        t0,
     )

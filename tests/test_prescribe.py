@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -30,6 +31,7 @@ from tsk.reflexive import Stability, chern_total
 from tsk.ring import TruncPoly
 
 from drop_oracle import replay_drops
+from test_ring import series_log
 
 
 def test_problem_validation():
@@ -58,6 +60,34 @@ def test_tilde_c_oracle():
     assert tilde_c(TruncPoly(4, (1, 13, 48, 0, 0))) == (0, 0)
     with pytest.raises(ValueError):
         tilde_c(TruncPoly(4, (2, 0, 0, 0, 0)))
+
+
+def _tilde_c_by_series(c: TruncPoly) -> tuple[Fraction, ...]:
+    """-q [H^q](log c - log(1 + c1 H + c2 H^2)) with the series log."""
+    defect = series_log(c) - series_log(TruncPoly(c.n, c.coeffs[:3]))
+    return tuple(-q * defect[q] for q in range(3, c.n + 1))
+
+
+# the starts of the paper's builds: p4-odd t=1..5, p4-even t=1..3, p5
+BUILD_STARTS = (
+    [(1, 6 * t, 6 * t, 0, 0) for t in range(1, 6)]
+    + [(1, 4 * t + 3, 4 * t + 3, 4 * t + 3, 0) for t in range(1, 4)]
+    + [(1, 120, 120, 0, 0, 0), (1, 12, 12, 0, 0, 0)]
+)
+
+
+def test_tilde_c_matches_the_series_definition():
+    rng = random.Random(2610)
+    starts = list(BUILD_STARTS)
+    for _ in range(60):
+        n = rng.randint(3, 8)
+        starts.append((rng.randint(1, 15), *(rng.randint(0, 15) for _ in range(n))))
+    for c_vec in starts:
+        c = PrescriptionProblem(len(c_vec) - 1, c_vec).start_chern()
+        assert tilde_c(c) == _tilde_c_by_series(c), c_vec
+    # rational Chern data reaches the integrality check
+    with pytest.raises(ArithmeticError):
+        tilde_c(TruncPoly(3, (1, 0, 0, Fraction(1, 2))))
 
 
 def test_weight_schedule_consecutive():

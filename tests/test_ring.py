@@ -7,14 +7,14 @@ from fractions import Fraction
 
 import pytest
 
-from tsk.ring import TruncPoly, linear_product, product
+from tsk.ring import TruncPoly, exp_coeffs, linear_product, log_coeffs, product
 
 
 def test_constructors_and_padding():
     p = TruncPoly(3, (1, 2))
     assert p.coeffs == (1, 2, 0, 0)
     assert TruncPoly.one(2).coeffs == (1, 0, 0)
-    assert TruncPoly.zero(2).coeffs == (0, 0, 0)
+    assert TruncPoly(2).coeffs == (0, 0, 0)
     assert TruncPoly.linear(4, 5, -2).coeffs == (5, -2, 0, 0, 0)
     with pytest.raises(ValueError):
         TruncPoly(1, (1, 2, 3))
@@ -94,6 +94,59 @@ def test_log_exp_roundtrip():
         TruncPoly(n, (1,)).exp()
 
 
+def series_log(p: TruncPoly) -> TruncPoly:
+    """The reference log: sum_{i>=1} (-1)^(i+1) R^i / i for p = 1 + R."""
+    r = p - TruncPoly.one(p.n)
+    out, power = TruncPoly(p.n), TruncPoly.one(p.n)
+    for i in range(1, p.n + 1):
+        power = power * r
+        out = out + power * Fraction((-1) ** (i + 1), i)
+    return out
+
+
+def series_exp(a: TruncPoly) -> TruncPoly:
+    """The reference exp: sum_{i>=0} A^i / i!."""
+    out, power = TruncPoly.one(a.n), TruncPoly.one(a.n)
+    for i in range(1, a.n + 1):
+        power = power * a * Fraction(1, i)
+        out = out + power
+    return out
+
+
+def _random_coeff(rng, rational):
+    if rational and rng.random() < 0.5:
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+    return rng.randint(-20, 20)
+
+
+def test_log_exp_coeffs_are_inverse():
+    rng = random.Random(26)
+    for n in range(13):
+        for rational in (False, True):
+            for _ in range(8):
+                c = [1] + [_random_coeff(rng, rational) for _ in range(n)]
+                s = log_coeffs(c)
+                back = exp_coeffs(n, s)
+                assert s[0] == 0 and len(s) == n + 1 and back == c, c
+                if not rational:
+                    assert all(type(x) is int for x in s + back)
+    with pytest.raises(ValueError):
+        log_coeffs([2, 1])
+    # k does not divide the sum: exp(H^2/2 * 1) has c_2 = 1/2
+    assert exp_coeffs(2, [0, 0, 1]) == [1, 0, Fraction(1, 2)]
+
+
+def test_log_exp_match_the_series():
+    rng = random.Random(2026)
+    for n in range(9):
+        for rational in (False, True):
+            for _ in range(6):
+                p = TruncPoly(n, [1] + [_random_coeff(rng, rational) for _ in range(n)])
+                assert p.log() == series_log(p), p
+                a = TruncPoly(n, [0] + [_random_coeff(rng, rational) for _ in range(n)])
+                assert a.exp() == series_exp(a), a
+
+
 def test_log_oracle():
     # log(1+H) = H - H^2/2 + H^3/3 - H^4/4
     p = TruncPoly(4, (1, 1)).log()
@@ -155,3 +208,11 @@ def test_linear_product_edge_cases():
     # a factor and its inverse cancel, also as repeated a
     assert linear_product(5, [(3, 4), (-1, 2), (3, -4), (-1, -2)]) == TruncPoly.one(5)
     assert linear_product(4, [(3, 2), (3, 3)]) == linear_product(4, [(3, 5)])
+
+
+def test_linear_product_takes_int_factors_only():
+    # (1 + H/2) and (1 + 2H)^(1/2) are not products of integral linear
+    # factors; they are refused, not floored.
+    for factor in ((Fraction(1, 2), 1), (2, Fraction(1, 2)), (True, 1), (2, True), (2.0, 1)):
+        with pytest.raises(TypeError):
+            linear_product(2, [factor])

@@ -225,6 +225,20 @@ def test_int_pow_only_in_ring():
     assert found == []
 
 
+def test_log_and_exp_only_in_ring():
+    # Chern-side code reads the integer log coefficients of
+    # ring.log_coeffs; the Fraction-valued TruncPoly.log and .exp are
+    # for rational series and the tests.
+    found = [
+        f"{path.name}:{call.lineno}"
+        for path in sorted(SRC.rglob("*.py"))
+        for _, call in _calls_by_scope(ast.parse(path.read_text("utf-8")))
+        if getattr(call.func, "attr", None) in ("log", "exp")
+        and path.name != "ring.py"
+    ]
+    assert found == []
+
+
 def test_factorize_is_one_checked_walk():
     # factorize, drop_counts and delta check E c F on the cells they read,
     # so no src/ code runs a separate containment pass, there is one
