@@ -1,8 +1,12 @@
 """Chern engine: the general Klyachko product formula for
-multifiltrations, closed-form Chern ratios of elementary injections,
-rank-2 twists, and the combinatorial identities (Stirling-type
-coefficients, telescoping products, signed cone sums) that the closed
-forms rest on.
+multifiltrations, closed-form Chern ratios of elementary injections
+and of whole runs of them, rank-2 twists, and the identities
+(telescoping products, signed cone sums) that the closed forms rest on.
+
+A run's ratio has one form, `run_factors`' telescoped edge: its linear
+factors close Chern classes, and `run_log` reads its integer log
+coefficients off the same edge, through the table A_{p,k} of
+`stirling_A`.
 
 The product formulas are products of linear factors (1 - wH)^e; each
 collects its (-w, e) pairs and multiplies them in one
@@ -14,7 +18,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product as iproduct
-from math import comb, factorial
+from math import comb
 from typing import Sequence
 
 from .fan import Cone, Fan
@@ -22,7 +26,7 @@ from .multifilt import ElementaryInjection, Multifiltration, _axes, _grid_flat
 from .ring import TruncPoly, linear_product
 
 # ---------------------------------------------------------------------------
-# combinatorial tables
+# the alternating table
 
 
 @lru_cache(maxsize=None)
@@ -40,54 +44,6 @@ def stirling_A(p: int, k: int) -> int:
     if k == 0:
         return 0
     return k * (stirling_A(p - 1, k) - stirling_A(p - 1, k - 1))
-
-
-@lru_cache(maxsize=None)
-def stirling2(p: int, k: int) -> int:
-    """Stirling number of the second kind S(p,k) (partition count)."""
-    if p < 0 or k < 0:
-        raise ValueError("stirling2 needs p, k >= 0")
-    if p == 0:
-        return 1 if k == 0 else 0
-    if k == 0:
-        return 0
-    return k * stirling2(p - 1, k) + stirling2(p - 1, k - 1)
-
-
-def binom_poly(x: int, j: int) -> int:
-    """C(x, j) as the integer-valued polynomial x(x-1)...(x-j+1)/j!,
-    defined for every integer x (negative included)."""
-    if j < 0:
-        raise ValueError("binom_poly needs j >= 0")
-    num = 1
-    for t in range(j):
-        num *= x - t
-    q, r = divmod(num, factorial(j))
-    if r:
-        raise ArithmeticError(f"C({x}, {j}) is not an integer")
-    return q
-
-
-def power_sum_range(l: int, lo: int, hi: int) -> int:
-    """sum_{k=lo}^{hi} k^l exactly, in O(l^2) arithmetic operations.
-
-    Uses the Faulhaber form Q(N) = sum_j S(l,j) j! C(N+1, j+1) with the
-    binomial read as an integer polynomial, so Q(x) - Q(x-1) = x^l holds
-    for every integer x and the range sum telescopes to Q(hi) - Q(lo-1)
-    regardless of signs.  Empty ranges sum to 0.
-    """
-    if l < 0:
-        raise ValueError("power_sum_range needs l >= 0")
-    if lo > hi:
-        return 0
-
-    def q(upper: int) -> int:
-        return sum(
-            stirling2(l, j) * factorial(j) * binom_poly(upper + 1, j + 1)
-            for j in range(l + 1)
-        )
-
-    return q(hi) - q(lo - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +172,32 @@ def run_factors(k0: int, start: int, count: int) -> list[tuple[int, int]]:
         for x, sign in ((start, 1), (start + count, -1))
         for i in range(k0)
     ]
+
+
+def run_log(q: int, k0: int, start: int, count: int) -> int:
+    """s_q = q [H^q] log of the run `run_factors(k0, start, count)`, in
+    closed form:
+
+        s_q = D(start + count) - D(start),
+        D(x) = sum_{l >= k0-1} C(q,l) A_{l,k0-1} x^{q-l}.
+
+    s_q is additive over products, and one factor (1 + aH)^e has
+    s_q = -e (-a)^q.  The factors of edge(x) are (-(x+i), (-1)^i C(k0-1,i)),
+    so s_q(edge(x)) = -sum_i (-1)^i C(k0-1,i) (x+i)^q.  Expanding
+    (x+i)^q = sum_l C(q,l) x^{q-l} i^l turns the sum over i into
+    sum_i (-1)^i C(k0-1,i) i^l = A_{l,k0-1}, which vanishes for
+    l < k0-1; so s_q(edge(x)) = -D(x), and the run, the quotient
+    edge(start)/edge(start+count), has s_q = D(start+count) - D(start).
+    D has degree q - k0 + 1 in x: no terms of size x^q arise to cancel,
+    and the cost is O(q) whatever the count.
+    """
+
+    def d(x: int) -> int:
+        return sum(
+            comb(q, l) * stirling_A(l, k0 - 1) * x ** (q - l) for l in range(k0 - 1, q + 1)
+        )
+
+    return d(start + count) - d(start)
 
 
 def ratio_saturated_conewise(inj: ElementaryInjection) -> TruncPoly:

@@ -166,7 +166,8 @@ def leading_log_check(E: Multifiltration) -> bool:
         [H^q] log( c(F) / c(E) )  ==  (-1)^(q-1) (q-1)! p_q,
 
     compared in integers, times q: s_q(c(F) / c(E)) == (-1)^(q-1) q! p_q
-    with s_q = q [H^q] log of `log_coeffs`.
+    with s_q = q [H^q] log of `log_coeffs`.  s_q is additive over
+    products, so the ratio's is s_q(c(F)) - s_q(c(E)), with no division.
 
     Every k-elementary step contributes 1 + O(H^k) to the ratio, so
     only the q-elementary steps reach H^q, each with the universal
@@ -174,9 +175,9 @@ def leading_log_check(E: Multifiltration) -> bool:
     """
     hull = _proper_hull(E)
     prof = _profile(E, hull)
-    ratio = chern_general(hull) * chern_general(E).inverse()
     q = prof.q
-    return log_coeffs(ratio.coeffs)[q] == (-1) ** (q - 1) * factorial(q) * prof.count(q)
+    s_ratio = log_coeffs(chern_general(hull).coeffs)[q] - log_coeffs(chern_general(E).coeffs)[q]
+    return s_ratio == (-1) ** (q - 1) * factorial(q) * prof.count(q)
 
 
 def s_max(f: R2Filtration) -> int:

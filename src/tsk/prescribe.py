@@ -5,19 +5,29 @@ Pipeline: start from b_zero reflexive data (c_rho) with designated
 first ray (c_0 >= 1) and pairwise distinct lines; read the defect
 log(c_start) - log(target) off the integer log coefficients of both
 (Newton's identities, `ring.log_coeffs`) as the integers tilde_c_q;
-solve the triangular system for the drop counts p_3..p_n; realize
-the drops as saturated elementary injections on the schedule
+solve for the drop counts p_3..p_n; realize the drops as saturated
+elementary injections on the schedule
 
     sigma_k = (0, ..., k-1),
     m_{k,j} = (-c_0, 0, p_3, ..., p_{k-1}, j-1),   j = 1..p_k,
 
-whose weights m_Sigma^{k,j} = -c_0 + p_3 + ... + p_{k-1} + (j-1) form
-consecutive runs.  So stage k is one run, for the sheaf and for its
-Chern class: `build_sequence` takes it with one `apply_run`, however
-long, and the Chern bookkeeping of astronomically long schedules
-telescopes into one `run_factors` per stage.  The drop-by-drop chain
-of the schedule (`injection_params`, one `drop` per step) is the
-oracle the tests hold the runs to.
+whose weights m_Sigma^{k,j} = first_k + (j-1), with
+first_k = -c_0 + p_3 + ... + p_{k-1}, form consecutive runs.  So stage
+k is one run of k-elementary drops, for the sheaf and for its Chern
+class, and the run's ratio c(F)/c(E) telescopes to the edge form
+
+    edge_k(first_k) / edge_k(first_k + p_k),
+    edge_k(x) = prod_{i=0}^{k-1} (1-(x+i)H)^{(-1)^i C(k-1,i)}
+
+(`chern.run_factors`).  That one form serves both directions:
+`build_sequence` takes each stage with one `apply_run`, however long,
+and closes the Chern class with the edge's linear factors; `solve_p`
+reads the edge's integer log coefficients (`chern.run_log`), since the
+target is the start divided by every stage's ratio:
+tilde_c_q = -sum_{k<=q} s_q(stage k), where stage q enters as
+-A_{q,q} p_q, so the system is triangular.  The drop-by-drop chain of
+the schedule (`injection_params`, one `drop` per step) is the oracle
+the tests hold the runs to.
 """
 
 from __future__ import annotations
@@ -26,7 +36,7 @@ from fractions import Fraction
 from math import comb, factorial, lcm
 from typing import Iterator, NamedTuple, Sequence
 
-from .chern import chern_general, power_sum_range, run_factors, stirling_A
+from .chern import chern_general, run_factors, run_log
 from .fan import Cone, Fan, Weight
 from .multifilt import Multifiltration, apply_run, drop_counts, reflexive_hull
 from .reflexive import (
@@ -191,52 +201,39 @@ def weight_schedule(c_rho0: int, p: Sequence[int], k: int, j: int) -> int:
     return -c_rho0 + sum(p[i - 3] for i in range(3, k)) + (j - 1)
 
 
-def _schedule_power_sum(c_rho0: int, p: Sequence[int], k: int, l: int) -> int:
-    """sum_{j=1}^{p_k} (m_Sigma^{k,j})^l; the schedule is a consecutive
-    integer run, so this is a Faulhaber range sum."""
-    pk = p[k - 3]
-    if pk == 0:
-        return 0
-    first = -c_rho0 + sum(p[i - 3] for i in range(3, k))
-    return power_sum_range(l, first, first + pk - 1)
-
-
 def solve_p(problem: PrescriptionProblem) -> PrescriptionSolution | Infeasible:
-    """Triangular solve of tilde_c_q = sum_{k=3}^q sum_{l=k}^q
-    C(q,l) A_{l,k} S_k^{q-l} for q = 3..n.
+    """Triangular solve of tilde_c_q = -sum_{k=3}^q s_q(stage k) for
+    q = 3..n, with s_q(stage k) = run_log(q, k, first_k, p_k) the log
+    coefficient of stage k's telescoped edge form
+    edge_k(first_k)/edge_k(first_k + p_k).
 
-    At stage q the only new unknown is p_q, entering through
-    S_q^0 = p_q with coefficient A_{q,q} = (-1)^q q!; everything else
-    is determined by p_3..p_{q-1}.  Exact rational solve, then
-    integrality and nonnegativity checks with exact reasons.
+    At stage q the only new unknown is p_q: for k0 = q `run_log`'s D is
+    linear, so s_q(stage q) = -A_{q,q} p_q with A_{q,q} = (-1)^q q!,
+    and stages k > q do not reach H^q.  So
+
+        p_q = (tilde_c_q + sum_{k<q} run_log(q, k, first_k, p_k)) / A_{q,q},
+
+    an exact rational solve, then integrality and nonnegativity checks
+    with exact reasons.
     """
     n = problem.n
-    c0 = problem.c_rho0
     start = problem.start_chern()
     tc = tilde_c(start)
-    p: list[int] = []
+    # The solved stages as (k, first weight, p_k), `run_log`'s arguments.
+    runs: list[tuple[int, int, int]] = []
+    first = -problem.c_rho0
     for q in range(3, n + 1):
-        known = 0
-        for k in range(3, q):
-            for l in range(k, q + 1):
-                known += (
-                    comb(q, l)
-                    * stirling_A(l, k)
-                    * _schedule_power_sum(c0, p, k, q - l)
-                )
-        value = Fraction(tc[q - 3] - known, stirling_A(q, q))
+        known = sum(run_log(q, *run) for run in runs)
+        value = Fraction(tc[q - 3] + known, (-1) ** q * factorial(q))
         if value.denominator != 1:
             return Infeasible("NonInteger", q, value)
         pq = int(value)
         if pq < 0:
             return Infeasible("Negative", q, value)
-        p.append(pq)
+        runs.append((q, first, pq))
+        first += pq
         # Stage-q consistency: substituting back reproduces tilde_c_q.
-        back = sum(
-            comb(q, l) * stirling_A(l, k) * _schedule_power_sum(c0, p, k, q - l)
-            for k in range(3, q + 1)
-            for l in range(k, q + 1)
-        )
+        back = -known - run_log(q, *runs[-1])
         if back != tc[q - 3]:
             raise ArithmeticError(f"stage {q} consistency: {back} != {tc[q - 3]}")
 
@@ -244,7 +241,7 @@ def solve_p(problem: PrescriptionProblem) -> PrescriptionSolution | Infeasible:
     delta = 4 * target[2] - target[1] ** 2
     return PrescriptionSolution(
         problem=problem,
-        p=tuple(p),
+        p=tuple(pk for _, _, pk in runs),
         chern=target,
         delta=delta,
         stability=stability(problem.start_filtration()),

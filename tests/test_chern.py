@@ -11,15 +11,13 @@ import pytest
 
 from tsk import chern
 from tsk.chern import (
-    binom_poly,
     chern_general,
     identity_cone_sum,
     identity_product,
-    power_sum_range,
     ratio_saturated,
     ratio_saturated_conewise,
     run_factors,
-    stirling2,
+    run_log,
     stirling_A,
     twist_chern,
 )
@@ -41,7 +39,7 @@ from tsk.prescribe import (
     family_pn,
 )
 from tsk.reflexive import R2Filtration, RayDatum, chern_total, to_multifiltration
-from tsk.ring import TruncPoly, linear_product
+from tsk.ring import TruncPoly, linear_product, log_coeffs
 from tsk.sampling import random_drops, random_reflexive
 
 from test_multifilt import staircase
@@ -67,24 +65,11 @@ def test_stirling_numbers():
         assert stirling_A(p, p) == (-1) ** p * factorial(p)
         for k in range(p + 1, 7):
             assert stirling_A(p, k) == 0
+    # S(p,k): the surjections of a p-set onto a k-set, over k!
     for p in range(6):
         for k in range(6):
-            assert stirling_A(p, k) == (-1) ** k * factorial(k) * stirling2(p, k)
-
-
-def test_binom_poly_and_power_sums():
-    assert binom_poly(5, 2) == 10
-    assert binom_poly(-1, 3) == -1  # C(-1,3) = (-1)(-2)(-3)/6
-    assert binom_poly(2, 5) == 0
-    assert power_sum_range(2, 1, 10) == 385
-    assert power_sum_range(0, 3, 7) == 5
-    assert power_sum_range(3, -2, 2) == 0  # odd powers cancel
-    assert power_sum_range(1, 5, 4) == 0  # empty range
-    rng = random.Random(1)
-    for _ in range(25):
-        l = rng.randint(0, 5)
-        lo, hi = sorted((rng.randint(-8, 8), rng.randint(-8, 8)))
-        assert power_sum_range(l, lo, hi) == sum(k**l for k in range(lo, hi + 1))
+            onto = sum((-1) ** i * comb(k, i) * (k - i) ** p for i in range(k + 1))
+            assert stirling_A(p, k) == (-1) ** k * factorial(k) * (onto // factorial(k))
 
 
 def test_chern_general_matches_resolution():
@@ -312,6 +297,18 @@ def test_ratio_run_telescopes():
     big = linear_product(n, run_factors(3, 0, 2 * half))
     assert big[0] == 1
     assert big == linear_product(n, run_factors(3, 0, half) + run_factors(3, half, half))
+    # run_log reads the same edge form's integer log coefficients
+    for k0 in range(1, n + 1):
+        for start in (-4, 0, 3):
+            for count in (0, 1, 5):
+                s = log_coeffs(linear_product(n, run_factors(k0, start, count)).coeffs)
+                for q in range(1, n + 1):
+                    assert run_log(q, k0, start, count) == s[q], (q, k0, start, count)
+    for k0, q in product(range(1, n + 1), repeat=2):
+        for start in (-half, 0, 7):
+            assert run_log(q, k0, start, 2 * half) == (
+                run_log(q, k0, start, half) + run_log(q, k0, start + half, half)
+            )
 
 
 def test_chern_is_multiplicative_along_factorized_chains():

@@ -10,7 +10,6 @@ import pytest
 from tsk.prescribe import (
     Infeasible,
     PrescriptionProblem,
-    _schedule_power_sum,
     build_sequence,
     family_p4_even,
     family_p4_odd,
@@ -101,15 +100,6 @@ def test_weight_schedule_consecutive():
         weight_schedule(1, p, 3, 19)
 
 
-def test_schedule_power_sums():
-    p = (18, 240)
-    for k, l in [(3, 0), (3, 1), (4, 0)]:
-        expected = sum(
-            weight_schedule(1, p, k, j) ** l for j in range(1, p[k - 3] + 1)
-        )
-        assert _schedule_power_sum(1, p, k, l) == expected
-
-
 def test_solve_p_oracles():
     sol = solve_p(PrescriptionProblem(4, (1, 6, 6, 0, 0)))
     assert sol.p == (18, 240)
@@ -151,6 +141,29 @@ def test_solve_p_infeasible():
     assert bad.as_json() == {"infeasible": {"reason": "NonInteger", "q": 3, "value": "1/2"}}
     with pytest.raises(AttributeError):
         bad.q = 4
+
+
+def test_solutions_close_in_factor_form():
+    # solve_p reads each stage's log coefficients off the telescoped edge
+    # form; closing the start with the same edges' linear factors, the
+    # route build_sequence takes, lands on the solution's Chern class.
+    rng = random.Random(2711)
+    feasible = 0
+    for i in range(240):
+        n = rng.randint(3, 8)
+        if i % 2:
+            c = [rng.randint(1, 4)] + [rng.randint(0, 30) for _ in range(n)]
+        else:
+            m = rng.randint(1, 199)
+            c = [1, m, m] + [0] * (n - 2)
+        prob = PrescriptionProblem(n, c)
+        sol = solve_p(prob)
+        if isinstance(sol, Infeasible):
+            continue
+        feasible += 1
+        stages = [(k, sum(head), pk) for k, _, head, pk in sol.stages()]
+        assert prescribe._closed_chern(prob.start_chern(), stages) == sol.chern, c
+    assert feasible >= 60
 
 
 def test_solutions_are_hashable_values():
@@ -366,5 +379,6 @@ def test_family_p5(monkeypatch):
 def test_family_pn_minimal_multipliers():
     assert family_pn(3).problem.c[1] == 2
     assert family_pn(4).problem.c[1] == 4
+    assert family_pn(6).p == (162, 15120, 116069220, 6737210947516500)
     with pytest.raises(ValueError):
         family_pn(2)

@@ -365,6 +365,26 @@ def test_prescribe_builds_by_runs_only():
     assert per_drop & (imported | called) == set()
 
 
+def test_prescribe_reads_stage_logs_through_run_log():
+    # A stage's Chern ratio has one form, run_factors' telescoped edge:
+    # the solve reads its log coefficients with run_log, so prescribe
+    # imports no Stirling table or power-sum helper from chern.
+    tree = ast.parse((SRC / "prescribe.py").read_text("utf-8"))
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "chern"
+        for alias in node.names
+    }
+    assert "run_log" in imported
+    found = [
+        name
+        for name in imported
+        if any(part in name for part in ("stirling", "power_sum", "binom"))
+    ]
+    assert found == []
+
+
 def test_no_unused_imports():
     # The package's linter: every name a top-level import binds is read
     # in its module.  __init__.py binds names only to re-export them.
@@ -398,6 +418,7 @@ KEPT = {
     "PrescriptionSolution.injection_params": "drop_oracle.py::replay_drops",
     "family_p5": "test_prescribe.py::test_family_p5",
     "random_b_zero": "test_multifilt.py::test_factorize_k0_monotone_random",
+    "delta": "test_multifilt.py::test_delta_invariant",
 }
 
 
