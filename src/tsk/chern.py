@@ -22,7 +22,7 @@ from math import comb
 from typing import Sequence
 
 from .fan import Cone, Fan
-from .multifilt import ElementaryInjection, Multifiltration, _axes, _grid_flat
+from .multifilt import ElementaryInjection, Multifiltration, _axes, _grid_flat, _runs
 from .ring import TruncPoly, linear_product
 
 # ---------------------------------------------------------------------------
@@ -100,21 +100,13 @@ def chern_general(mf: Multifiltration) -> TruncPoly:
             # a block's offsets from `finite` on are its infinity index
             finite = block - s if i >= j else block
             # Descending, so box[k - s] still holds its value before this
-            # pass; the loop over the offsets in a block or over the blocks,
-            # whichever is shorter, runs outside, so the inner loop is long.
-            if block * block < size:
-                for r in range(finite - 1, s - 1, -1):
-                    for k in range(r, size, block):
-                        box[k] -= box[k - s]
-                for r in range(finite, block):
-                    for k in range(r, size, block):
-                        box[k] = -box[k]
-            else:
-                for start in range(0, size, block):
-                    for k in range(start + finite - 1, start + s - 1, -1):
-                        box[k] -= box[k - s]
-                    for k in range(start + finite, start + block):
-                        box[k] = -box[k]
+            # pass, which reads and writes finite indices only.
+            for run in _runs(size, block, range(finite - 1, s - 1, -1)):
+                for k in run:
+                    box[k] -= box[k - s]
+            for run in _runs(size, block, range(finite, block)):
+                for k in run:
+                    box[k] = -box[k]
         weights = axes[:j] + [[*a, 0] for a in axes[j:]]
         for coords, x in zip(iproduct(*weights), box):
             if x:

@@ -32,7 +32,7 @@ from typing import NoReturn
 from . import chern as chern_mod
 from . import reflexive as refl
 from .documents import SheafDocument, canonical_dumps, load_document
-from .multifilt import factorize, is_reflexive, recompose
+from .multifilt import drop_counts, factorize, is_reflexive, recompose
 from .obstruct import obstruction_verdict
 from .prescribe import (
     Infeasible,
@@ -137,11 +137,21 @@ def cmd_stability(args: argparse.Namespace) -> Result:
 # factorize
 
 
+# The steps are listed one by one, so a pair with more is refused on its
+# `drop_counts` tally, which costs what the cones hold, before any drop.
+MAX_FACTORIZE_STEPS = 10**5
+
+
 def cmd_factorize(args: argparse.Namespace) -> Result:
     if args.e == "-" and args.f == "-":
         raise CliError("at most one of E, F can come from stdin")
     e, f = (_read_document(path).as_multifiltration() for path in (args.e, args.f))
     try:
+        count = sum(drop_counts(e, f).values())
+        if count > MAX_FACTORIZE_STEPS:
+            raise ValueError(
+                f"{count} elementary steps, more than the limit of {MAX_FACTORIZE_STEPS}"
+            )
         steps = factorize(e, f)
     except ValueError as err:
         raise CliError(f"cannot factorize: {err}") from err

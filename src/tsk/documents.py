@@ -231,11 +231,7 @@ class SheafDocument(NamedTuple):
 
     @property
     def n(self) -> int:
-        return (
-            self.payload.n
-            if isinstance(self.payload, R2Filtration)
-            else self.payload.fan.n
-        )
+        return self.payload.fan.n
 
     def as_multifiltration(self) -> Multifiltration:
         if isinstance(self.payload, R2Filtration):

@@ -79,9 +79,6 @@ class Fan:
         for k in range(min_dim, self.n + 1):
             yield from self.cones(k)
 
-    def dim(self, cone: Cone) -> int:
-        return len(_check_cone(self.n, cone))
-
     def codim(self, cone: Cone) -> int:
         return self.n - len(_check_cone(self.n, cone))
 

@@ -4,12 +4,16 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
+import tsk
 from tsk import cli, multifilt
 from tsk.documents import (
     SheafDocument,
@@ -205,6 +209,55 @@ def test_factorize_mismatch_sentinel(capsys, dropped_doc, hull_doc, monkeypatch)
     code, out, _ = run(capsys, "factorize", dropped_doc, hull_doc)
     assert code == 4
     assert payload(out)["error"] == "recomposition mismatch"
+
+
+def test_factorize_step_limit(capsys, dropped_doc, hull_doc, monkeypatch):
+    # The pair has one step: a limit of one admits it, a limit of zero
+    # refuses it before any drop.
+    monkeypatch.setattr(cli, "MAX_FACTORIZE_STEPS", 1)
+    assert run(capsys, "factorize", dropped_doc, hull_doc)[0] == 0
+    monkeypatch.setattr(cli, "MAX_FACTORIZE_STEPS", 0)
+    monkeypatch.setattr(cli, "factorize", None)
+    code, out, err = run(capsys, "factorize", dropped_doc, hull_doc)
+    assert (code, out) == (1, "")
+    assert err == (
+        "tsk: error: cannot factorize: 1 elementary steps, more than the limit of 0\n"
+    )
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_factorize_refuses_the_run_built_family_pairs(tmp_path, n):
+    # The final/start pairs of the run-built family_pn(6..8) have 10^15 to
+    # 10^76 steps.  A child process under its own address-space limit
+    # runs the command, so a regression that lists the steps fails with
+    # a MemoryError instead of exhausting the host.
+    pytest.importorskip("resource")
+    sol = family_pn(n)
+    built = build_sequence(sol.problem, sol)
+    paths = []
+    for name, mf in (("final", built.final), ("start", built.start)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(canonical_dumps(multifilt_to_doc(mf)))
+        paths.append(str(path))
+    limit = 512 * 2**20
+    code = (
+        "import resource, sys\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+        "from tsk.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "factorize", *paths],
+        env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(tsk.__file__))},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == (
+        f"tsk: error: cannot factorize: {sol.injection_count} elementary steps,"
+        f" more than the limit of {cli.MAX_FACTORIZE_STEPS}\n"
+    )
 
 
 def test_prescribe(capsys):

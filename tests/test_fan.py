@@ -30,9 +30,9 @@ def test_bad_parameters():
     with pytest.raises(ValueError):
         fan.cones(3)
     with pytest.raises(ValueError):
-        fan.dim((0, 0))  # repeated ray
+        fan.codim((0, 0))  # repeated ray
     with pytest.raises(ValueError):
-        fan.dim((0, 1, 2))  # |I| = n + 1 is not a cone
+        fan.codim((0, 1, 2))  # |I| = n + 1 is not a cone
 
 
 def test_cone_counts():

@@ -26,6 +26,7 @@ from tsk.multifilt import (
     _checked_cells,
     _grid_flat,
     _meet_box,
+    _runs,
     apply_elementary,
     apply_run,
     delta,
@@ -156,6 +157,29 @@ def test_grid_kernel_matches_pointwise_evaluation():
     assert seen_empty
     with pytest.raises(TypeError):
         grid_values((((0,), (1, 0)),), [[0]])
+
+
+def test_runs_cover_each_block_in_offsets_order():
+    # Every b + r exactly once, b a block's start and r in `offsets`, in
+    # `offsets`' order within each block: ascending and descending
+    # offsets, either loop outside, and the empty grid.
+    outer = set()
+    for size, block in ((12, 12), (12, 6), (12, 4), (24, 3), (24, 2), (7, 1), (1, 1)):
+        for lo in range(block + 1):
+            for hi in range(lo, block + 1):
+                for offsets in (range(lo, hi), range(hi - 1, lo - 1, -1)):
+                    runs = list(_runs(size, block, offsets))
+                    assert all(isinstance(run, range) for run in runs)
+                    flat = [k for run in runs for k in run]
+                    for b in range(0, size, block):
+                        assert [k for k in flat if k - k % block == b] == [
+                            b + r for r in offsets
+                        ]
+                    assert len(flat) == len(offsets) * (size // block)
+                    outer.add(block * block < size)
+    assert outer == {True, False}
+    assert list(_runs(0, 0, range(0, 0))) == []
+    assert list(_runs(0, 0, range(-1, -1, -1))) == []
 
 
 def test_canonical_jumps_matches_the_grid_definition():
@@ -1258,6 +1282,32 @@ def test_drop_counts_rejects_non_containment():
             drop_counts(one, other)
 
 
+def test_drop_counts_rejects_what_factorize_rejects_with_its_error():
+    # `tsk factorize` tallies the steps first, so a pair that is no
+    # injection must fail the tally with factorize's own error: both raise
+    # from the same `_checked_cells` walk.  Pairs in both orders and
+    # unrelated pairs.
+    rng = random.Random(77)
+    rejected = 0
+    for _ in range(40):
+        n = rng.choice((2, 3, 4))
+        start = to_multifiltration(random_reflexive(rng, n, max_c=3))
+        dims = tuple(range(1, n + 1))
+        one, _ = random_drops(rng, start, rng.randint(1, 5), dims)
+        other, _ = random_drops(rng, start, rng.randint(1, 5), dims)
+        for e, f in ((one, start), (start, one), (one, other), (other, one)):
+            errors = []
+            for walk in (drop_counts, factorize):
+                try:
+                    walk(e, f)
+                    errors.append(None)
+                except ValueError as err:
+                    errors.append((type(err), str(err)))
+            assert errors[0] == errors[1]
+            rejected += errors[0] is not None
+    assert rejected > 50
+
+
 def test_drop_counts_and_the_torsion_profile_are_twist_invariant():
     # Tensoring both families by one line bundle shifts every coordinate
     # and changes no count: the rewrite runs on shifted cells.
@@ -1278,6 +1328,29 @@ def test_drop_counts_and_the_torsion_profile_are_twist_invariant():
         seen |= set(counts)
         cases += 1
     assert seen == {1, 2, 3, 4, 5}
+
+
+def test_join_below_matches_the_join_of_one_step_below_each_axis():
+    # The one scan against its definition, d evaluations, on drop chains
+    # over P^2..P^5 at classes on, between and past their jumps.
+    rng = random.Random(2828)
+    checked = lines = 0
+    for n in (2, 3, 4, 5):
+        start = to_multifiltration(random_reflexive(rng, n, max_c=3))
+        for _ in range(3):
+            f, _ = random_drops(rng, start, rng.randint(1, 6), range(1, n + 1))
+            for cone in f.fan.all_cones(min_dim=1):
+                axes = _axes(f.jumps[cone], len(cone))
+                for _ in range(6):
+                    m0 = tuple(rng.choice(ax) + rng.choice((-1, 0, 0, 1)) for ax in axes)
+                    expected = ZERO
+                    for i in range(len(cone)):
+                        pred = m0[:i] + (m0[i] - 1,) + m0[i + 1 :]
+                        expected = expected.join(f.evaluate(cone, pred))
+                    assert join_below(f, cone, m0) is expected
+                    checked += 1
+                    lines += expected.dim == 1
+    assert checked > 2000 and lines > 100
 
 
 def test_cells_are_the_differing_cells_of_the_joint_grid():

@@ -135,29 +135,16 @@ def test_meet_line_only_in_meet_box():
     assert found == []
 
 
-def test_joint_grid_only_in_delta_and_elementary_check():
-    # The cells where two families differ, for the delta invariant, the
-    # factorization, the torsion profile and locating or refuting an
-    # elementary injection, are read off their joint grid by `_cells`
-    # alone.
-    allowed = {("_cells",)}
-    found = [
-        f"{path.name}:{call.lineno}"
-        for path in sorted(SRC.rglob("*.py"))
-        for scope, call in _calls_by_scope(ast.parse(path.read_text("utf-8")))
-        if getattr(call.func, "id", getattr(call.func, "attr", None)) == "_joint_grid"
-        and not (path.name == "multifilt.py" and scope in allowed)
-    ]
-    assert found == []
-
-
 def test_grid_flat_only_in_the_kernels():
     # A coface rewrite (a drop, a run of drops, a per-cone count) is
     # `_meet_box`, on lists; a grid of one family per coface would be a
     # second rewrite.  Canonicalizing a raw list scans the list: its grid
-    # can be exponentially larger than the document.
+    # can be exponentially larger than the document.  The cells where two
+    # families differ, for the delta invariant, the factorization, the
+    # torsion profile and locating or refuting an elementary injection,
+    # are read off their joint grid by `_cells` alone.
     allowed = {
-        ("multifilt.py", ("_joint_grid",)),
+        ("multifilt.py", ("_cells",)),
         ("chern.py", ("chern_general",)),
     }
     found = [
@@ -170,7 +157,27 @@ def test_grid_flat_only_in_the_kernels():
     assert found == []
 
 
-GRIDS = {"_grid_flat", "_strides", "_joint_grid", "_cells", "_checked_cells"}
+def test_loop_order_only_in_runs():
+    # Which loop of a grid pass runs outside, the offsets in a block or
+    # the blocks, is decided in `_runs` alone; the grid passes iterate its
+    # ranges.
+    deciders, callers = set(), set()
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text("utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and any(
+                isinstance(c, ast.Compare) and "block * block" in ast.unparse(c)
+                for c in ast.walk(node)
+            ):
+                deciders.add((path.name, node.name))
+        for scope, call in _calls_by_scope(tree):
+            if getattr(call.func, "id", None) == "_runs":
+                callers.add((path.name, scope))
+    assert deciders == {("multifilt.py", "_runs")}
+    assert callers == {("multifilt.py", ("_grid_flat",)), ("chern.py", ("chern_general",))}
+
+
+GRIDS = {"_grid_flat", "_runs", "_strides", "_cells", "_checked_cells"}
 
 
 def _reached_in_multifilt(*roots):
