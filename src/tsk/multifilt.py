@@ -38,11 +38,14 @@ of sigma0 that changes only the slice g' = m0, g' the coordinates of g
 on sigma0's rays, where G^tau_g meets the hyperplane.  One rewrite,
 `_meet_box`, meets every coface with a value w over a box of sigma0's
 classes, on the jump lists (the lattice of subspaces of C^2 being
-modular) and with no grid.  `drop` is that rewrite on the unit box at
-m0, and reads the injection's invariants off the box's jumps outside
-the hyperplane; `apply_run` writes a run of drops to ZERO at
-consecutive classes along one axis as one rewrite on the run's box;
-`drop_counts` takes a cone's drops as one rewrite per differing cell.
+modular) and with no grid, reading each coface off the memoized
+`_coface_plan` of sigma0.  `drop` is that rewrite on the unit box at
+m0, checked (`_checked_drop`), and reads the injection's invariants off
+the box's jumps outside the hyperplane; `apply_elementary` is the same
+checked rewrite with no invariants, so `recompose` derives none;
+`apply_run` writes a run of drops to ZERO at consecutive classes along
+one axis as one rewrite on the run's box; `drop_counts` takes a cone's
+drops as one rewrite per differing cell.
 The cells where two families differ are read off their joint grid by
 `_cells` alone.  `factorize`, `drop_counts` and `delta` take each
 cone's cells from `_checked_cells`, which checks E c F on the cone and
@@ -57,7 +60,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import groupby, product as iproduct
-from operator import itemgetter, le, sub
+from operator import index, itemgetter, le, sub
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .fan import Cone, Fan, Weight
@@ -586,6 +589,24 @@ class ElementaryInjection(NamedTuple):
         return sum(self.m_sigma[cone])
 
 
+Coface = tuple[Cone, tuple[int, ...], itemgetter, tuple[tuple[int, int], ...]]
+
+
+@lru_cache(maxsize=1024)
+def _coface_plan(fan: Fan, sigma0: Cone) -> tuple[Coface, ...]:
+    """For each coface tau of sigma0 (sigma0 included), in (dim, lex)
+    order: tau, the positions of sigma0's rays in tau, their
+    `itemgetter` (g' off a class g of tau), and (position, ray) for
+    tau's other rays.  Fans are interned: one plan per cone, not per
+    drop."""
+    plan = []
+    for cone in fan.cofaces(sigma0):
+        pos = tuple(cone.index(r) for r in sigma0)
+        new = tuple((p, r) for p, r in enumerate(cone) if r not in sigma0)
+        plan.append((cone, pos, itemgetter(*pos), new))
+    return tuple(plan)
+
+
 def _meet_box(
     jumps: dict[Cone, JumpList],
     fan: Fan,
@@ -596,11 +617,11 @@ def _meet_box(
 ) -> dict[Cone, list[Jump]]:
     """Meet G with w over the box lo <= g' < hi of sigma0's classes.
 
-    For each coface tau of sigma0 (sigma0 included), in (dim, lex)
-    order, rewrites `jumps[tau]` in place to the canonical list of G^tau_g
-    & w on the classes g whose coordinates g' on sigma0's rays lie in
-    the box, and G^tau_g elsewhere; w is ZERO or a line.  Returns each
-    coface's `at`, its jumps (lambda, W) over the box.
+    For each coface tau of sigma0 (sigma0 included), in the order of
+    `_coface_plan`, rewrites `jumps[tau]` in place to the canonical list
+    of G^tau_g & w on the classes g whose coordinates g' on sigma0's rays
+    lie in the box, and G^tau_g elsewhere; w is ZERO or a line.  Returns
+    each coface's `at`, its jumps (lambda, W) over the box.
 
     Precondition: every jump of a coface below the box and outside it
     (lambda' < hi componentwise, lambda' not >= lo) has W <= w.  Over the
@@ -617,12 +638,10 @@ def _meet_box(
     unit = all(y - x == 1 for x, y in zip(lo, hi))
     key = lo if len(lo) > 1 else lo[0]  # what itemgetter reads off lambda
     boxes: dict[Cone, list[Jump]] = {}
-    for cone in fan.cofaces(sigma0):
-        pos = [cone.index(r) for r in sigma0]
+    for cone, pos, on_sigma0, _ in _coface_plan(fan, sigma0):
         raw: list[Jump] = []
         at: list[Jump] = []
         if unit:
-            on_sigma0 = itemgetter(*pos)
             for jump in jumps[cone]:
                 (at if on_sigma0(jump[0]) == key else raw).append(jump)
         else:
@@ -641,45 +660,14 @@ def _meet_box(
     return boxes
 
 
-def drop(
+def _checked_drop(
     f: Multifiltration, sigma0: Cone, m0: Weight, target: Subspace
-) -> ElementaryInjection:
-    """Drop F^sigma0_m0 to the hyperplane `target`, intersecting above:
-    the elementary injection E c F with its invariants.
-
-    E^sigma_m = F^sigma_m & target on the cofaces sigma >= sigma0 for
-    classes m <= m0 over sigma0 (on sigma0: target at m0, and F below it
-    by the preconditions), and F elsewhere.  Preconditions: target has
-    codimension 1 in F^sigma0_m0 and contains every value strictly below
-    m0 (otherwise monotonicity would break); violations raise ValueError.
-
-    Every cone that is not a coface keeps F's list object.  On a coface
-    tau, with g' the coordinates of a class g on sigma0's rays, only the
-    slice g' = m0 changes, and the cofaces are rewritten by `_meet_box`
-    on the unit box [m0, m0 + 1) with w = target.  Its precondition is
-    the drop's: a jump of F^tau below m0 and off the slice has lambda'
-    <= m0, lambda' != m0, so its value is at most F^sigma0_lambda'
-    (stabilization), which lies in the join below m0, so in the target.
-
-    The invariants are read off `out`, the jumps over the box (`at`)
-    whose value is not inside the target: on the slice, E^tau_g !=
-    F^tau_g exactly when some `out` jump lies below g.  The threshold a_j
-    is the least new-axis coordinate in `out` on the facet-coface sigma0
-    + ray_j, which precedes every coface that needs it.  The difference
-    lies in the region {g' = m0, new coords >= a_j} (below a_j, the
-    facet-coface value, which bounds the coface's, is inside the
-    target), and it is upward closed there, as F is monotone.  So E c F
-    is saturated, the difference filling every such region, when on
-    every coface some `out` jump lies at or below its corner (m0, a_j),
-    which is m_sigma.
-
-    E needs no facet check: stabilizing along a ray of sigma0 leaves the
-    region m <= m0, so the values are F's; stabilizing along a new ray
-    commutes with `& target`, because the union is increasing and
-    stabilizes.
-    """
+) -> tuple[Cone, Weight, dict[Cone, JumpList], dict[Cone, list[Jump]]]:
+    """The preconditions and the coface rewrite of `drop(f, sigma0, m0,
+    target)`: sigma0, m0 (its coordinates through `operator.index`), E's
+    jump lists and the `_meet_box` boxes."""
     sigma0 = tuple(sigma0)
-    m0 = tuple(m0)
+    m0 = tuple(map(index, m0))
     if sigma0 not in f.jumps:
         raise ValueError(f"{sigma0!r} is not a cone of dimension >= 1")
     value = f.evaluate(sigma0, m0)
@@ -695,26 +683,67 @@ def drop(
             f" {m0!r} is {below!r}, not inside the target {target!r};"
             f" m0 is not minimal for this drop"
         )
+    jumps = dict(f.jumps)
+    boxes = _meet_box(jumps, f.fan, sigma0, m0, tuple(x + 1 for x in m0), target)
+    return sigma0, m0, jumps, boxes
 
-    new_jumps: dict[Cone, JumpList] = dict(f.jumps)
-    hi = tuple(x + 1 for x in m0)
-    a_ray: dict[int, int] = {}
+
+def drop(
+    f: Multifiltration, sigma0: Cone, m0: Weight, target: Subspace
+) -> ElementaryInjection:
+    """Drop F^sigma0_m0 to the hyperplane `target`, intersecting above:
+    the elementary injection E c F with its invariants.
+
+    E^sigma_m = F^sigma_m & target on the cofaces sigma >= sigma0 for
+    classes m <= m0 over sigma0 (on sigma0: target at m0, and F below it
+    by the preconditions), and F elsewhere.  Preconditions: target has
+    codimension 1 in F^sigma0_m0 and contains every value strictly below
+    m0 (otherwise monotonicity would break); violations raise ValueError,
+    and a class m0 with a coordinate that is no integer raises TypeError.
+
+    Every cone that is not a coface keeps F's list object.  On a coface
+    tau, with g' the coordinates of a class g on sigma0's rays, only the
+    slice g' = m0 changes, and the cofaces are rewritten by `_meet_box`
+    on the unit box [m0, m0 + 1) with w = target (`_checked_drop`).  Its
+    precondition is the drop's: a jump of F^tau below m0 and off the
+    slice has lambda' <= m0, lambda' != m0, so its value is at most
+    F^sigma0_lambda' (stabilization), which lies in the join below m0,
+    so in the target.
+
+    The invariants are read off `out`, the jumps over the box (`at`)
+    whose value is not inside the target, that is, is not the target,
+    as the target is ZERO or a line and no canonical jump is ZERO.  On the
+    slice, E^tau_g != F^tau_g exactly when some `out` jump lies below g.
+    The threshold a_j is the least new-axis coordinate in `out` on the
+    facet-coface sigma0 + ray_j, which precedes every coface that needs
+    it in the `_coface_plan`.  The difference lies in the region {g' =
+    m0, new coords >= a_j} (below a_j, the facet-coface value, which
+    bounds the coface's, is inside the target), and it is upward closed
+    there, as F is monotone.  So E c F is saturated, the difference
+    filling every such region, when on every coface some `out` jump lies
+    at or below its corner (m0, a_j), which is m_sigma: m_rho read at
+    the coface's rays.
+
+    E needs no facet check: stabilizing along a ray of sigma0 leaves the
+    region m <= m0, so the values are F's; stabilizing along a new ray
+    commutes with `& target`, because the union is increasing and
+    stabilizes.
+    """
+    sigma0, m0, jumps, boxes = _checked_drop(f, sigma0, m0, target)
+    m_rho = dict(zip(sigma0, m0))
     m_sigma: dict[Cone, Weight] = {}
     saturated = True
-    for cone, at in _meet_box(new_jumps, f.fan, sigma0, m0, hi, target).items():
-        out = [coords for coords, w in at if not w <= target]
-        new = [(p, r) for p, r in enumerate(cone) if r not in sigma0]
+    for (cone, _, _, new), at in zip(_coface_plan(f.fan, sigma0), boxes.values()):
+        out = [coords for coords, w in at if w is not target]
         if len(new) == 1:
-            p, ray = new[0]
-            a_ray[ray] = min(coords[p] for coords in out)
-        corner = tuple(m0[sigma0.index(r)] if r in sigma0 else a_ray[r] for r in cone)
+            ((p, ray),) = new
+            m_rho[ray] = min([coords[p] for coords in out])
+        corner = tuple([m_rho[r] for r in cone])
         m_sigma[cone] = corner
         saturated = saturated and any(all(map(le, coords, corner)) for coords in out)
 
-    m_rho = dict(zip(sigma0, m0))
-    m_rho.update(a_ray)
     return ElementaryInjection(
-        e=Multifiltration._canonical(f.fan, new_jumps),
+        e=Multifiltration._canonical(f.fan, jumps),
         f=f,
         k0=len(sigma0),
         sigma0=sigma0,
@@ -779,11 +808,11 @@ def elementary_check(e: Multifiltration, f: Multifiltration) -> ElementaryInject
     # E is monotone and equals F on sigma0 off m0, so `dropped` holds
     # every value below m0: the drop's preconditions hold.
     inj = drop(f, sigma0, m0, dropped)
-    for cone in fan.cofaces(sigma0)[1:]:
+    for cone, pos, _, _ in _coface_plan(fan, sigma0)[1:]:
         if e.jumps[cone] == inj.e.jumps[cone]:
             continue
         g, _, found, expected = _cells(e, inj.e, cone)[0]
-        if all(g[cone.index(r)] <= x for r, x in zip(sigma0, m0)):
+        if all(g[p] <= x for p, x in zip(pos, m0)):
             raise NotElementary(
                 f"clause (iii): at {cone!r}, {g!r} expected"
                 f" F^sigma & E0 = {expected!r}, found {found!r}"
@@ -798,8 +827,10 @@ def elementary_check(e: Multifiltration, f: Multifiltration) -> ElementaryInject
 def apply_elementary(
     f: Multifiltration, sigma0: Cone, m0: Weight, target: Subspace
 ) -> Multifiltration:
-    """The family E of `drop(f, sigma0, m0, target)`."""
-    return drop(f, sigma0, m0, target).e
+    """The family E of `drop(f, sigma0, m0, target)`: the same checked
+    rewrite (`_checked_drop`, over the `_coface_plan` of sigma0), with
+    the same errors, and none of the invariants `drop` derives."""
+    return Multifiltration._canonical(f.fan, _checked_drop(f, sigma0, m0, target)[2])
 
 
 def apply_run(
@@ -819,10 +850,13 @@ def apply_run(
     slices of the drops before it, so its value lies in the join below m,
     which the drop at m needs to be ZERO.  Neither that nor the drops'
     invariants are checked here: the caller checks the family it builds
-    (`prescribe.build_sequence` does, after the fact).
+    (`prescribe.build_sequence` does, after the fact).  m0's coordinates
+    and count go through `operator.index`, so arithmetic stays exact: a
+    float raises TypeError.
     """
     sigma0 = tuple(sigma0)
-    m0 = tuple(m0)
+    m0 = tuple(map(index, m0))
+    count = index(count)
     if sigma0 not in f.jumps or len(m0) != len(sigma0):
         raise ValueError(f"{m0!r} is not a class of the cone {sigma0!r}")
     if count < 0:

@@ -24,6 +24,7 @@ from tsk.multifilt import (
     _canonical_jumps,
     _cells,
     _checked_cells,
+    _coface_plan,
     _grid_flat,
     _meet_box,
     _runs,
@@ -547,15 +548,79 @@ def test_apply_elementary_basic():
 
 
 def test_apply_elementary_preconditions():
+    # drop and apply_elementary share one checked rewrite: each broken
+    # precondition raises the same ValueError, word for word.
+    cases = [
+        # m0 not minimal: the value at (0, 0, 0) is C^2 and the values
+        # strictly below it join to C^2, which no line holds
+        ((0, 1, 2), (0, 0, 0), Subspace.line(1, 0), "monotonicity violated"),
+        ((0, 1, 2), (0, 0, 0), ZERO.join(Subspace.line(1, 5)), "monotonicity violated"),
+        ((0, 0), (0, 0), ZERO, "is not a cone of dimension >= 1"),
+        # the value at (-1, 0, 0) is a line, which C^2 does not lie in
+        ((0, 1, 2), (-1, 0, 0), FULL, "is not a hyperplane of"),
+    ]
     mf = start_family()
-    # not a hyperplane of the value (codim 2)
-    with pytest.raises(ValueError):
-        apply_elementary(mf, (0, 1, 2), (0, 0, 0), Subspace.line(1, 0))
-    # m0 not minimal: strictly-below values not inside the target
-    with pytest.raises(ValueError):
-        apply_elementary(mf, (0, 1, 2), (0, 0, 0), ZERO.join(Subspace.line(1, 5)))
-    with pytest.raises(ValueError):
-        apply_elementary(mf, (0, 0), (0, 0), ZERO)
+    for sigma0, m0, target, text in cases:
+        messages = []
+        for take in (drop, apply_elementary):
+            with pytest.raises(ValueError, match=text) as info:
+                take(mf, sigma0, m0, target)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+
+
+def test_apply_elementary_is_the_family_of_drop():
+    # apply_elementary derives no invariants, and its family is drop's,
+    # along seeded drop chains on P^1..P^5 over every cone dimension.
+    rng = random.Random(2929)
+    seen = set()
+    for n in (1, 2, 3, 4, 5):
+        for _ in range(4):
+            f = to_multifiltration(random_reflexive(rng, n, max_c=3))
+            for k in [*range(1, n + 1)] * 2:
+                e, applied = random_drops(rng, f, 1, (k,))
+                for sigma0, m0 in applied:
+                    target = e.evaluate(sigma0, m0)
+                    assert apply_elementary(f, sigma0, m0, target) == e
+                    assert drop(f, sigma0, m0, target).e == e
+                    seen.add((n, len(sigma0)))
+                f = e
+    assert seen == {(n, k) for n in range(1, 6) for k in range(1, n + 1)}
+
+
+def test_drops_and_runs_take_integer_classes():
+    # Arithmetic stays exact: a float coordinate or count is a TypeError,
+    # not a float written into the lists or the invariants.
+    f = start_family()
+    for take in (drop, apply_elementary):
+        with pytest.raises(TypeError):
+            take(f, (0, 1, 2), (-1.0, 0, 0), ZERO)
+    with pytest.raises(TypeError):
+        apply_run(f, (0, 1, 2), (-1.0, 0, 0), 1)
+    with pytest.raises(TypeError):
+        apply_run(f, (0, 1, 2), (-1, 0, 0), 1.5)
+    # classes given as lists of ints keep working
+    assert drop(f, [0, 1, 2], [-1, 0, 0], ZERO).m0 == (-1, 0, 0)
+    assert apply_run(f, (0, 1, 2), [-1, 0, 0], 1) == apply_elementary(
+        f, (0, 1, 2), (-1, 0, 0), ZERO
+    )
+
+
+def test_coface_plan_is_the_cofaces_with_sigma0_positions():
+    # For every cone of P^1..P^8: the cofaces in (dim, lex) order, where
+    # sigma0's rays sit in each, and the other rays with their positions.
+    for n in range(1, 9):
+        fan = Fan(n)
+        for sigma0 in fan.all_cones(min_dim=1):
+            plan = _coface_plan(fan, sigma0)
+            assert [tau for tau, _, _, _ in plan] == fan.cofaces(sigma0)
+            for tau, pos, on_sigma0, new in plan:
+                assert tuple(tau[p] for p in pos) == sigma0
+                assert new == tuple((p, r) for p, r in enumerate(tau) if r not in sigma0)
+                g = tuple(range(7, 7 + len(tau)))
+                read = on_sigma0(g)
+                assert (read if len(pos) > 1 else (read,)) == tuple(g[p] for p in pos)
+            assert _coface_plan(fan, sigma0) is plan
 
 
 def test_elementary_check_invariants():

@@ -211,6 +211,35 @@ def test_drop_builds_no_grid():
     assert reached & GRIDS == set()
 
 
+def test_cofaces_only_in_the_coface_plan():
+    # What a rewrite at sigma0 reads off its cofaces depends on (fan,
+    # sigma0) alone: inside multifilt, only the memoized `_coface_plan`
+    # lists them; the rewrite, the drop and the check iterate the plan.
+    tree = ast.parse((SRC / "multifilt.py").read_text("utf-8"))
+    callers = {
+        scope
+        for scope, call in _calls_by_scope(tree)
+        if getattr(call.func, "attr", None) == "cofaces"
+    }
+    assert callers == {("_coface_plan",)}
+
+
+def test_family_only_drops_derive_no_invariants():
+    # drop and apply_elementary share one checked rewrite; the invariants
+    # are derived in drop alone, which neither apply_elementary nor
+    # recompose, which keeps only the family, reaches.
+    tree = ast.parse((SRC / "multifilt.py").read_text("utf-8"))
+    callers = {
+        scope
+        for scope, call in _calls_by_scope(tree)
+        if getattr(call.func, "id", None) == "_checked_drop"
+    }
+    assert callers == {("drop",), ("apply_elementary",)}
+    reached = _reached_in_multifilt("apply_elementary", "recompose")
+    assert {"_checked_drop", "_meet_box", "_coface_plan"} <= reached
+    assert "drop" not in reached
+
+
 def test_hull_builds_no_grid():
     # Each cone's hull list is canonical in closed form from its rays'
     # ends: no grid, no canonicalization and no facet meet.
