@@ -36,7 +36,9 @@ there has m_Sigma = -sum of the other rays' c_rho.  Concretely, on P^3
 with hull (1+H)^2 (c = (0,1,1,0), strictly semistable, b_zero), one
 such drop yields c(E) = 1 + 2H + 2H^2 with c_3(E) = 0 while q = 2 and
 p_3 = 0 -- so the bound is a real hypothesis, not a consequence, and
-this module verifies it per instance instead of assuming it.
+this module verifies it per instance instead of assuming it.  Off
+b_zero, all of this is said of E_n = E(t), t the sum of the hull's
+b_rho, whose weights are E's m_Sigma - t.
 """
 
 from __future__ import annotations
@@ -44,14 +46,13 @@ from __future__ import annotations
 from math import factorial
 from typing import NamedTuple
 
-from .chern import chern_general
+from .chern import chern_general, twist_chern
 from .multifilt import Multifiltration, drop_counts, factorize, reflexive_hull
 from .reflexive import (
     R2Filtration,
     Stability,
     from_multifiltration,
     line_sums,
-    normalize,
     stability,
 )
 from .ring import log_coeffs
@@ -69,6 +70,9 @@ class TorsionProfile:
     def __init__(self, p: tuple[tuple[int, int], ...]) -> None:
         if not p:
             raise ValueError("empty profile: E is reflexive")
+        ks = [k for k, _ in p]
+        if not all(isinstance(k, int) for k in ks) or ks[0] < 2 or ks != sorted(set(ks)):
+            raise ValueError("profile codimensions must be strictly increasing ints >= 2")
         if any(cnt <= 0 for _, cnt in p):
             raise ValueError("profile counts must be positive")
         object.__setattr__(self, "p", p)
@@ -86,7 +90,7 @@ class TorsionProfile:
 
     @property
     def q(self) -> int:
-        return min(k for k, _ in self.p)
+        return self.p[0][0]
 
     def count(self, k: int) -> int:
         return dict(self.p).get(k, 0)
@@ -135,20 +139,17 @@ class Inconclusive(NamedTuple):
         return out
 
 
-def _proper_hull(E: Multifiltration) -> Multifiltration:
-    """The reflexive hull of E; errors on reflexive E (zero quotient,
-    torsion profile undefined)."""
+def _hull_and_profile(E: Multifiltration) -> tuple[Multifiltration, TorsionProfile]:
+    """The reflexive hull of E and the profile of E inside it.  The count
+    is empty exactly when E is its own hull: the one reflexivity check,
+    so reflexive E errors (zero quotient, profile undefined)."""
     hull = reflexive_hull(E)
-    if hull == E:
+    counts = drop_counts(E, hull)
+    if not counts:
         raise ValueError(
             "degenerate input: E is reflexive, the torsion profile is undefined"
         )
-    return hull
-
-
-def _profile(E: Multifiltration, hull: Multifiltration) -> TorsionProfile:
-    pairs = tuple(sorted(drop_counts(E, hull).items()))
-    return TorsionProfile(pairs)
+    return hull, TorsionProfile(tuple(sorted(counts.items())))
 
 
 def torsion_profile(E: Multifiltration) -> TorsionProfile:
@@ -157,7 +158,7 @@ def torsion_profile(E: Multifiltration) -> TorsionProfile:
 
     Errors on reflexive E (zero quotient, profile undefined).
     """
-    return _profile(E, _proper_hull(E))
+    return _hull_and_profile(E)[1]
 
 
 def leading_log_check(E: Multifiltration) -> bool:
@@ -173,8 +174,7 @@ def leading_log_check(E: Multifiltration) -> bool:
     only the q-elementary steps reach H^q, each with the universal
     leading coefficient (-1)^(q-1) (q-1)! independent of its weight.
     """
-    hull = _proper_hull(E)
-    prof = _profile(E, hull)
+    hull, prof = _hull_and_profile(E)
     q = prof.q
     s_ratio = log_coeffs(chern_general(hull).coeffs)[q] - log_coeffs(chern_general(E).coeffs)[q]
     return s_ratio == (-1) ** (q - 1) * factorial(q) * prof.count(q)
@@ -189,24 +189,24 @@ def s_max(f: R2Filtration) -> int:
 def obstruction_verdict(E: Multifiltration) -> NotSmoothable | Inconclusive:
     """Apply the implemented obstruction theorems to E.
 
-    The sheaf is normalized internally (twisted so its hull is b_zero
-    data) before the factorization weights and Chern-class witnesses
-    are read off; the verdict itself is normalization-free.  A
-    hypothesis match whose guaranteed witness vanishes would falsify
-    the machine-checked argument and raises RuntimeError.
+    The theorems speak of the normalized sheaf E_n = E(t), t the sum of
+    the hull's b_rho, and read it in E's frame: c(E_n) = twist_chern(c(E),
+    t), and a 2-elementary weight of E_n is E's minus t, as factorize is
+    shift-equivariant and such an m_Sigma sums all n + 1 rays' weights
+    (2 < n).  Stability and S_max read the hull's c_rho and lines, which
+    twisting keeps.  A hypothesis match whose guaranteed witness vanishes
+    would falsify the machine-checked argument and raises RuntimeError.
     """
-    hull = _proper_hull(E)
-    prof = _profile(E, hull)
+    hull, prof = _hull_and_profile(E)
     q, n = prof.q, E.fan.n
     q4 = n >= 4 and q >= 4
     if not (q4 or (n >= 3 and q == 2 and prof.count(3) == 0)):
         return Inconclusive(prof)
     hull_f = from_multifiltration(hull)
-    b = hull_f.b_vec
-    E_n = E.twist(b) if any(b) else E
+    t = hull_f.b_sum
 
     if q4:
-        c_norm = chern_general(E_n)
+        c_norm = twist_chern(chern_general(E), t)
         if c_norm[3] != 0:
             return NotSmoothable("Q4", 3, prof)
         if c_norm[q] != 0:
@@ -216,17 +216,12 @@ def obstruction_verdict(E: Multifiltration) -> NotSmoothable | Inconclusive:
             " of the normalized sheaf both vanish"
         )
 
-    hull_nf = normalize(hull_f, "b_zero")
-    if stability(hull_nf) is Stability.UNSTABLE:
+    if stability(hull_f) is Stability.UNSTABLE:
         return Inconclusive(prof)
-    # The hull commutes with twisting, so the normalized hull is a shift
-    # of the hull, and E_n c hull_n as E c hull.
-    steps = factorize(E_n, hull.twist(b) if any(b) else hull)
-    bound = -s_max(hull_nf)
-    weights = [s.m_Sigma for s in steps if s.k0 == 2]
+    bound = -s_max(hull_f)
+    weights = [s.m_Sigma - t for s in factorize(E, hull) if s.k0 == 2]
     if all(w >= bound for w in weights):
-        c_norm = chern_general(E_n)
-        if c_norm[3] == 0:
+        if twist_chern(chern_general(E), t)[3] == 0:
             raise RuntimeError(
                 "obstruction argument falsified: q=2, p_3=0,"
                 " semistable hull, weights within bound, but c_3"

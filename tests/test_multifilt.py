@@ -1214,9 +1214,9 @@ def test_factorize_steps_contain_e_and_keep_the_other_cones():
 
 
 def test_factorize_matches_the_rescanning_oracle():
-    # Seeded drop chains on P^2..P^5, each factorized inside its start and
-    # inside its reflexive hull, and obstruct's pair: both twisted so that
-    # the hull is b_zero data.  The walk must take the oracle's steps.
+    # Seeded drop chains on P^2..P^5, each factorized inside its start,
+    # inside its reflexive hull, and with both twisted so that the hull is
+    # b_zero data.  The walk must take the oracle's steps.
     rng = random.Random(2020)
     pairs = steps = 0
     while pairs < 400:
@@ -1234,6 +1234,38 @@ def test_factorize_matches_the_rescanning_oracle():
             assert chain == rescan_factorize(e, f)
             steps += len(chain)
     assert steps > 2 * pairs
+
+
+def test_factorize_is_shift_equivariant():
+    # Twisting E c F by O(sum d_rho D_rho) moves every step's class by -d
+    # on sigma0's rays and its weight by -d summed over the rays the
+    # quotient line bundle sees: all n + 1 when k0 < n, sigma0's when
+    # k0 = n.  obstruct reads the normalized sheaf's weights this way.
+    rng = random.Random(2030)
+    pairs = shifted = 0
+    top = set()
+    while pairs < 120:
+        n = rng.choice((3, 4, 5))
+        start = to_multifiltration(random_reflexive(rng, n, max_c=3))
+        dims = tuple(sorted(rng.sample(range(1, n + 1), rng.randint(1, n))))
+        final, applied = random_drops(rng, start, rng.randint(1, 4), dims)
+        if not applied:
+            continue
+        pairs += 1
+        d = tuple(rng.randint(-5, 5) for _ in range(n + 1))
+        for e, f in ((final, start), (final, reflexive_hull(final))):
+            base, twisted = factorize(e, f), factorize(e.twist(d), f.twist(d))
+            assert len(twisted) == len(base)
+            for s, t in zip(base, twisted):
+                assert (t.k0, t.sigma0, t.dropped, t.saturated) == (
+                    s.k0, s.sigma0, s.dropped, s.saturated
+                )
+                assert t.m0 == tuple(x - d[r] for x, r in zip(s.m0, s.sigma0))
+                top.add(s.k0 == n)
+                seen = s.sigma0 if s.k0 == n else range(n + 1)
+                assert t.m_Sigma == s.m_Sigma - sum(d[r] for r in seen)
+                shifted += t.m_Sigma != s.m_Sigma
+    assert shifted > pairs and top == {True, False}
 
 
 # ---------------------------------------------------------------------------

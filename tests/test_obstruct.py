@@ -51,6 +51,15 @@ def test_torsion_profile_basics():
             verdict.profile = prof
 
 
+def test_torsion_profile_rejects_what_its_docstring_rules_out():
+    # The codimensions are ints, strictly increasing and >= 2: unsorted
+    # pairs would compare unequal to their sorted twin, a repeated k would
+    # make count(k) and total disagree, and k < 2 would give q < 2.
+    for p in (((4, 1), (2, 1)), ((2, 1), (2, 3)), ((0, 5),), ((1, 1),), ((2.0, 1),)):
+        with pytest.raises(ValueError, match="strictly increasing ints >= 2"):
+            TorsionProfile(p)
+
+
 def test_torsion_profile_of_drops():
     F = hull(4, (1, 6, 6, 0, 0))
     E = drop(F, (0, 1, 2), (-1, 0, 0))

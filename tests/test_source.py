@@ -301,6 +301,27 @@ def test_factorize_is_one_checked_walk():
     assert found == []
 
 
+def test_obstruct_reads_the_normalized_sheaf_in_e_frame():
+    # The normalized sheaf's Chern class and weights are arithmetic on E's
+    # (twist_chern, m_Sigma - t): no src/ code builds a twisted family,
+    # and obstruct builds no normalized ray data.
+    found = [
+        f"{path.name}:{call.lineno} calls .twist"
+        for path in sorted(SRC.rglob("*.py"))
+        for _, call in _calls_by_scope(ast.parse(path.read_text("utf-8")))
+        if getattr(call.func, "attr", None) == "twist"
+    ]
+    tree = ast.parse((SRC / "obstruct.py").read_text("utf-8"))
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    found += [f"obstruct.py names {name}" for name in {"normalize"} & (imported | _named(tree))]
+    assert found == []
+
+
 def test_no_rank_parameter():
     # Every sheaf has rank 2, so no module takes a rank: no parameter,
     # attribute or name of one, and no rank-1 constructor.
@@ -448,7 +469,7 @@ REPO = Path(__file__).resolve().parents[1]
 KEPT = {
     "product": "test_ring.py::int_pow_product",
     "TruncPoly.linear": "test_ring.py::int_pow_product",
-    "twist_chern": "test_chern.py::test_twist_chern_matches_twisted_drop_chains",
+    "Multifiltration.twist": "test_chern.py::test_twist_chern_matches_twisted_drop_chains",
     "ratio_saturated_conewise": "test_chern.py::test_ratio_saturated_oracle",
     "weight_schedule": "drop_oracle.py::replay_drops",
     "PrescriptionSolution.injection_params": "drop_oracle.py::replay_drops",
