@@ -84,21 +84,35 @@ def chern_general(mf: Multifiltration) -> TruncPoly:
     weight 0, which `linear_product` skips.  Exponents are summed per
     weight <u_sigma, m> first, so each distinct weight is one linear
     factor.
+
+    An axis above j on which all of sigma_j's jumps share one
+    coordinate x factors out.  Along it the family is a step at x times
+    the list with that axis dropped, so the mixed difference is the
+    dropped list's at x and its negation at infinity: each exponent e
+    at weight w of the rest becomes +e at w + x and -e at w.  So such an
+    axis keeps its one point x and no infinity (its difference pass is
+    empty), and the -e at w joins sigma_j's summed exponents, one step
+    per factored axis; x = 0 cancels them all, and sigma_j builds no
+    grid.  The axes of the rays below j get no infinity, so a one-point
+    one there stays in the grid as it is.
     """
     n = mf.fan.n
     exps: dict[int, int] = {}
     for j in range(n + 1):
         jumps = mf.jumps[tuple(ray for ray in range(n + 1) if ray != j)]
         axes = _axes(jumps, n)
-        # the axes of the rays above j, positions j.. of sigma_j, get infinity
-        grid = axes[:j] + [[*a, a[-1] + 1] for a in axes[j:]]
+        steps = [a[0] for a in axes[j:] if len(a) == 1]
+        if 0 in steps:
+            continue
+        # the other axes of the rays above j, positions j.. of sigma_j, get infinity
+        grid = axes[:j] + [a if len(a) == 1 else [*a, a[-1] + 1] for a in axes[j:]]
         flat, strides = _grid_flat(jumps, grid)
         box = [v.dim for v in flat]
         size = len(box)
-        for i, (s, axis) in enumerate(zip(strides, grid)):
+        for s, axis, a in zip(strides, grid, axes):
             block = s * len(axis)
             # a block's offsets from `finite` on are its infinity index
-            finite = block - s if i >= j else block
+            finite = block - s if len(axis) > len(a) else block
             # Descending, so box[k - s] still holds its value before this
             # pass, which reads and writes finite indices only.
             for run in _runs(size, block, range(finite - 1, s - 1, -1)):
@@ -107,11 +121,18 @@ def chern_general(mf: Multifiltration) -> TruncPoly:
             for run in _runs(size, block, range(finite, block)):
                 for k in run:
                     box[k] = -box[k]
-        weights = axes[:j] + [[*a, 0] for a in axes[j:]]
+        top: dict[int, int] = {}
+        weights = axes[:j] + [a if len(a) == 1 else [*a, 0] for a in axes[j:]]
         for coords, x in zip(iproduct(*weights), box):
             if x:
                 w = sum(coords)
-                exps[w] = exps.get(w, 0) + x
+                top[w] = top.get(w, 0) + x
+        for x in steps:
+            # weights so far include x; its infinity is -e at w - x
+            for w, e in list(top.items()):
+                top[w - x] = top.get(w - x, 0) - e
+        for w, e in top.items():
+            exps[w] = exps.get(w, 0) + e
     return linear_product(n, [(-w, x) for w, x in exps.items()])
 
 

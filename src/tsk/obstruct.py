@@ -193,9 +193,12 @@ def obstruction_verdict(E: Multifiltration) -> NotSmoothable | Inconclusive:
     the hull's b_rho, and read it in E's frame: c(E_n) = twist_chern(c(E),
     t), and a 2-elementary weight of E_n is E's minus t, as factorize is
     shift-equivariant and such an m_Sigma sums all n + 1 rays' weights
-    (2 < n).  Stability and S_max read the hull's c_rho and lines, which
-    twisting keeps.  A hypothesis match whose guaranteed witness vanishes
-    would falsify the machine-checked argument and raises RuntimeError.
+    (2 < n).  c_3 needs no twist: in rank 2 the H^3 coefficient of
+    sum_k c_k H^k (1 + tH)^(2-k) is c_3, so c_3(E_n) = c_3(E), and only
+    Q4's c_q with c_3 = 0 is read off the twist.  Stability and S_max
+    read the hull's c_rho and lines, which twisting keeps.  A hypothesis
+    match whose guaranteed witness vanishes would falsify the
+    machine-checked argument and raises RuntimeError.
     """
     hull, prof = _hull_and_profile(E)
     q, n = prof.q, E.fan.n
@@ -206,10 +209,10 @@ def obstruction_verdict(E: Multifiltration) -> NotSmoothable | Inconclusive:
     t = hull_f.b_sum
 
     if q4:
-        c_norm = twist_chern(chern_general(E), t)
-        if c_norm[3] != 0:
+        c = chern_general(E)
+        if c[3] != 0:
             return NotSmoothable("Q4", 3, prof)
-        if c_norm[q] != 0:
+        if twist_chern(c, t)[q] != 0:
             return NotSmoothable("Q4", q, prof)
         raise RuntimeError(
             f"obstruction argument falsified: q={q} >= 4 but c_3 and c_{q}"
@@ -221,7 +224,7 @@ def obstruction_verdict(E: Multifiltration) -> NotSmoothable | Inconclusive:
     bound = -s_max(hull_f)
     weights = [s.m_Sigma - t for s in factorize(E, hull) if s.k0 == 2]
     if all(w >= bound for w in weights):
-        if twist_chern(chern_general(E), t)[3] == 0:
+        if chern_general(E)[3] == 0:
             raise RuntimeError(
                 "obstruction argument falsified: q=2, p_3=0,"
                 " semistable hull, weights within bound, but c_3"

@@ -38,7 +38,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 from .chern import chern_general, run_factors, run_log
 from .fan import Cone, Fan, Weight
-from .multifilt import Multifiltration, apply_run, drop_counts, reflexive_hull
+from .multifilt import Multifiltration, apply_run, drop_counts
 from .reflexive import (
     R2Filtration,
     Stability,
@@ -377,15 +377,19 @@ def build_sequence(
     the stage where the limit falls becomes a shorter run.  The built
     sheaf E is checked against the schedule on every build:
 
-    - its reflexive hull is the start (the runs touch only cones of
-      dim >= 3, so the ray filtrations stay the start's);
+    - its reflexive hull is the start: the hull is a closed form in the
+      ray lists (`hull_of_ends(ray_ends(E))`) and the reflexive start is
+      its own, so the check compares E's n + 1 ray lists with the
+      start's (the runs touch only cones of dim >= 3, so they stay);
     - `drop_counts(E, start)` is the built count of each stage;
     - `chern_general(E)` is the start's Chern class divided by the
       built runs' telescoped ratios (for a full build, the solution's).
 
     The Chern check reads the n + 1 top cones' grids, which hold every
-    cone's values since the built sheaf is a valid family; the hull
-    check reads the rays, and `drop_counts` every cone.
+    cone's values since the built sheaf is a valid family (a top cone
+    whose jumps all sit at 0 on an axis above its missing ray adds
+    nothing and builds no grid); the hull check reads the rays, and
+    `drop_counts` every cone.
 
     A failed check is an internal consistency error (impossible for
     valid solutions).  The Chern class of the whole schedule is then
@@ -415,7 +419,7 @@ def build_sequence(
         if pk:
             stages.append((k, sum(head), pk))
 
-    if reflexive_hull(current) != start:
+    if any(current.jumps[(ray,)] != start.jumps[(ray,)] for ray in start.fan.rays):
         raise RuntimeError(
             "internal consistency error: reflexive hull of the built"
             " sheaf differs from the start"

@@ -299,6 +299,26 @@ def test_off_by_one_run_bound_is_caught(monkeypatch, shift, limit):
             build_sequence(sol.problem, sol, limit=limit)
 
 
+@pytest.mark.parametrize("limit", [None, 5])
+def test_moved_rays_fail_the_hull_check(monkeypatch, limit):
+    # The hull check compares the built sheaf's ray lists with the
+    # start's; a twisted run moves ray 0's list, so its hull is no longer
+    # the start.  (pn(3) is one run; the limit keeps p4_odd(1) to one.)
+    run = prescribe.apply_run
+    monkeypatch.setattr(
+        prescribe,
+        "apply_run",
+        lambda f, sigma, m0, count: run(f, sigma, m0, count).twist((1,) + (0,) * f.fan.n),
+    )
+    for sol in (family_pn(3), family_p4_odd(1)) if limit else (family_pn(3),):
+        with pytest.raises(
+            RuntimeError,
+            match="^internal consistency error: reflexive hull of the built sheaf"
+            " differs from the start$",
+        ):
+            build_sequence(sol.problem, sol, limit=limit)
+
+
 PAPER_FAMILIES = (
     [(f"p4_odd({t})", family_p4_odd, t) for t in range(1, 6)]
     + [(f"p4_even({t})", family_p4_even, t) for t in range(1, 4)]
