@@ -59,7 +59,8 @@ drop on the `_cells`.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import groupby, product as iproduct
+from heapq import merge
+from itertools import groupby, product as iproduct, repeat
 from operator import index, itemgetter, le, sub
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -871,6 +872,19 @@ def apply_run(
 # factorization
 
 
+def _box_classes(lo: Weight, hi: Weight) -> Iterator[Weight]:
+    """The classes lo <= m < hi in lex order, one at a time.  Unlike
+    `itertools.product`, which lists every axis before its first item,
+    it holds no axis, so a walk that stops early pays only for what it
+    reads, however long the cell."""
+    if not lo:
+        yield ()
+        return
+    for x in range(lo[0], hi[0]):
+        for rest in _box_classes(lo[1:], hi[1:]):
+            yield (x, *rest)
+
+
 def factorize(
     e: Multifiltration, f: Multifiltration
 ) -> list[ElementaryInjection]:
@@ -879,47 +893,61 @@ def factorize(
     Returns the chain peeled off F outward-in: the first entry is the
     elementary injection into F itself, and the k0 sequence is
     non-decreasing along the list.  Re-applying the drops to F in list
-    order reproduces E; `recompose` checks that.
+    order reproduces E; `recompose` checks that.  The list is the whole
+    walk of `factor_steps`.
+    """
+    return list(factor_steps(e, f))
+
+
+def factor_steps(
+    e: Multifiltration, f: Multifiltration
+) -> Iterator[ElementaryInjection]:
+    """The steps of `factorize(e, f)`, each taken when it is asked for,
+    so a caller that needs only a prefix (the steps with k0 <= k, say)
+    stops the walk there; the pair is checked only on the cones walked.
 
     One walk over the cones in (dim, lex) order, with G = F.  On a cone
     sigma0 where G differs from E, it reads the `_checked_cells(E, G,
-    sigma0)` once and, class by class in lex order, takes dim G - dim E
-    drops with `drop`, which derives each step's invariants: each lowers
-    G^sigma0_m0 to the echelon hyperplane H >= E^sigma0_m0.  A drop at
-    sigma0 changes sigma0 only at m0, and otherwise only sigma0's proper
-    cofaces, all later in the walk.  So each step is at the (dim,
-    lex)-minimal cone and the lex-first class where G and E differ, and
-    its preconditions hold: the classes below m0 come earlier, where G
-    is E by now, so their join lies in E^sigma0_m0 <= H.
+    sigma0)` once and, class by class in lex order (the cells' classes
+    merged lazily, so none is listed before the walk reaches it),
+    takes dim G - dim E drops with `drop`, which derives each step's
+    invariants: each lowers G^sigma0_m0 to the echelon hyperplane
+    H >= E^sigma0_m0.  A drop at sigma0 changes sigma0 only at m0, and
+    otherwise only sigma0's proper cofaces, all later in the walk.  So
+    each step is at the (dim, lex)-minimal cone and the lex-first class
+    where G and E differ, and its preconditions hold: the classes below
+    m0 come earlier, where G is E by now, so their join lies in
+    E^sigma0_m0 <= H.
 
     A drop keeps E c G: on a coface tau, at a class g whose coordinates
     g' on sigma0's rays are <= m0, E^tau_g <= E^sigma0_g' (stabilization)
     <= E^sigma0_m0 <= H, and elsewhere the drop keeps G's values.  G ends
     equal to E, which is then valid and inside F; so a pair that is not
     one (E not in F, or an E built with validate=False that is no family)
-    fails a check of `_checked_cells` on some cone: E above G on a cell
-    (ValueError) or a divergent unbounded cell (InvalidFamily).
+    fails, by the walk's end, a check of `_checked_cells` on some cone:
+    E above G on a cell (ValueError) or a divergent unbounded cell
+    (InvalidFamily).
     """
     if e.fan != f.fan:
         raise ValueError("families live on different fans")
-    steps: list[ElementaryInjection] = []
     current = f
     for sigma0 in f.fan.all_cones(min_dim=1):
         if current.jumps[sigma0] == e.jumps[sigma0]:
             continue
         cells, _ = _checked_cells(e, current, sigma0)
-        classes = [
-            (m0, inner, value)
-            for lo, hi, inner, value in cells
-            for m0 in iproduct(*map(range, lo, hi))
-        ]
-        for m0, inner, value in sorted(classes, key=itemgetter(0)):
+        classes = merge(
+            *(
+                zip(_box_classes(lo, hi), repeat(inner), repeat(value))
+                for lo, hi, inner, value in cells
+            ),
+            key=itemgetter(0),
+        )
+        for m0, inner, value in classes:
             for _ in range(value.dim - inner.dim):
                 value = echelon_hyperplane(value, inner)
                 step = drop(current, sigma0, m0, value)
-                steps.append(step)
+                yield step
                 current = step.e
-    return steps
 
 
 def drop_counts(e: Multifiltration, f: Multifiltration) -> dict[int, int]:

@@ -8,8 +8,9 @@ the k-elementary injections, so the profile (q, p_k) with
 q = min{k : p_k > 0} is intrinsic.  The profile is counted per cone
 (`multifilt.drop_counts`), so its cost is bounded by the cones, not by
 the number of drops, which reaches 10^76 in the paper's families; only
-the Q2 regime below, which needs each 2-elementary weight, factorizes
-(`multifilt.factorize`, the same per-cone walk taken drop by drop).
+the Q2 regime below, which needs each 2-elementary weight, walks the
+factorization (`multifilt.factor_steps`, the same per-cone walk taken
+drop by drop), and only up to its first step of k0 > 2.
 Two obstruction regimes are machine-checkable:
 
   Q4: q >= 4 on P^n with n >= 4 forces c_3 or c_q of the normalized
@@ -20,6 +21,21 @@ Two obstruction regimes are machine-checkable:
 
 Everything else is reported Inconclusive (the q = 3 and mixed regimes
 are genuinely open here and no verdict is extrapolated).
+
+Q4 needs c(E) only up to H^q, and there it is the hull's class with one
+correction, so no Klyachko grid is built over E.  c(F) = c(E) c(Q) with
+Q = F/E, and c(Q) = c(F)/c(E) is the product of the factorization's
+step ratios, each 1 + O(H^k) with k >= q, as Q is supported in
+codimension q.  So c(Q) = 1 + a H^q mod H^(q+1), and a is the H^q
+coefficient of log c(Q), the leading-log coefficient
+a = (-1)^(q-1) (q-1)! p_q that `leading_log_check` verifies.  Hence
+
+    c(E) = c(F) (1 - a H^q)   mod H^(q+1):
+
+c_k(E) = c_k(F) for k < q and c_q(E) = c_q(F) - a, with c(F) the closed
+class of the hull's ray data (`reflexive.chern_class`).  The Q2 guard
+below keeps `chern_general(E)`, so its c_3 stays independent of the
+weight formula it guards.
 
 The weight bound in Q2 deserves a note.  With c = c(hull) of b_zero
 data, the H^2/H^3 layers of log(c(F)/c(E)) give
@@ -43,19 +59,21 @@ b_rho, whose weights are E's m_Sigma - t.
 
 from __future__ import annotations
 
+from itertools import takewhile
 from math import factorial
 from typing import NamedTuple
 
 from .chern import chern_general, twist_chern
-from .multifilt import Multifiltration, drop_counts, factorize, reflexive_hull
+from .multifilt import Multifiltration, drop_counts, factor_steps, reflexive_hull
 from .reflexive import (
     R2Filtration,
     Stability,
+    chern_class,
     from_multifiltration,
     line_sums,
     stability,
 )
-from .ring import log_coeffs
+from .ring import TruncPoly, log_coeffs
 
 
 class TorsionProfile:
@@ -195,9 +213,12 @@ def obstruction_verdict(E: Multifiltration) -> NotSmoothable | Inconclusive:
     shift-equivariant and such an m_Sigma sums all n + 1 rays' weights
     (2 < n).  c_3 needs no twist: in rank 2 the H^3 coefficient of
     sum_k c_k H^k (1 + tH)^(2-k) is c_3, so c_3(E_n) = c_3(E), and only
-    Q4's c_q with c_3 = 0 is read off the twist.  Stability and S_max
-    read the hull's c_rho and lines, which twisting keeps.  A hypothesis
-    match whose guaranteed witness vanishes would falsify the
+    Q4's c_q with c_3 = 0 is read off the twist, which needs c_0..c_q
+    alone: Q4 reads them off the hull's class and p_q (module
+    docstring).  Q2 reads the 2-elementary steps, which lead the walk
+    (its k0 never falls), and stops at the first other one.  Stability
+    and S_max read the hull's c_rho and lines, which twisting keeps.  A
+    hypothesis match whose guaranteed witness vanishes would falsify the
     machine-checked argument and raises RuntimeError.
     """
     hull, prof = _hull_and_profile(E)
@@ -209,10 +230,12 @@ def obstruction_verdict(E: Multifiltration) -> NotSmoothable | Inconclusive:
     t = hull_f.b_sum
 
     if q4:
-        c = chern_general(E)
+        # c(E) mod H^(q+1): the hull's class, its c_q less the leading log
+        c = list(chern_class(hull_f).coeffs[: q + 1])
+        c[q] -= (-1) ** (q - 1) * factorial(q - 1) * prof.count(q)
         if c[3] != 0:
             return NotSmoothable("Q4", 3, prof)
-        if twist_chern(c, t)[q] != 0:
+        if twist_chern(TruncPoly(n, c), t)[q] != 0:
             return NotSmoothable("Q4", q, prof)
         raise RuntimeError(
             f"obstruction argument falsified: q={q} >= 4 but c_3 and c_{q}"
@@ -222,7 +245,8 @@ def obstruction_verdict(E: Multifiltration) -> NotSmoothable | Inconclusive:
     if stability(hull_f) is Stability.UNSTABLE:
         return Inconclusive(prof)
     bound = -s_max(hull_f)
-    weights = [s.m_Sigma - t for s in factorize(E, hull) if s.k0 == 2]
+    steps = takewhile(lambda s: s.k0 == 2, factor_steps(E, hull))
+    weights = [s.m_Sigma - t for s in steps]
     if all(w >= bound for w in weights):
         if chern_general(E)[3] == 0:
             raise RuntimeError(

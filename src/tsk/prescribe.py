@@ -217,7 +217,8 @@ def solve_p(problem: PrescriptionProblem) -> PrescriptionSolution | Infeasible:
     with exact reasons.
     """
     n = problem.n
-    start = problem.start_chern()
+    f0 = problem.start_filtration()
+    start = chern_total(f0)
     tc = tilde_c(start)
     # The solved stages as (k, first weight, p_k), `run_log`'s arguments.
     runs: list[tuple[int, int, int]] = []
@@ -244,7 +245,7 @@ def solve_p(problem: PrescriptionProblem) -> PrescriptionSolution | Infeasible:
         p=tuple(pk for _, _, pk in runs),
         chern=target,
         delta=delta,
-        stability=stability(problem.start_filtration()),
+        stability=stability(f0),
         schwarzenberger=schwarzenberger(target[1], target[2], n),
     )
 
@@ -401,7 +402,8 @@ def build_sequence(
     """
     if isinstance(solution, Infeasible):
         raise ValueError(f"cannot build an infeasible solution: {solution}")
-    start = to_multifiltration(problem.start_filtration())
+    f0 = problem.start_filtration()
+    start = to_multifiltration(f0)
     total = solution.injection_count
     cap = total if limit is None else max(0, min(limit, total))
 
@@ -431,7 +433,7 @@ def build_sequence(
             f"internal consistency error: the built sheaf has drop counts"
             f" {found}, scheduled {counts}"
         )
-    c_start = problem.start_chern()
+    c_start = chern_total(f0)
     c_built, c_runs = chern_general(current), _closed_chern(c_start, runs)
     if c_built != c_runs:
         raise RuntimeError(

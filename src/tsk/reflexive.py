@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .chern import chern_general
 from .fan import Fan
@@ -299,27 +299,35 @@ CHERN_ROUTES: dict[str, Callable[[R2Filtration], TruncPoly]] = {
 }
 
 
-def chern_routes(f: R2Filtration) -> dict[str, TruncPoly]:
-    """Every route of CHERN_ROUTES whose hypothesis holds, in table order."""
-    out: dict[str, TruncPoly] = {}
+def _route_classes(f: R2Filtration) -> Iterator[tuple[str, TruncPoly]]:
+    """(name, class) of every route of CHERN_ROUTES whose hypothesis
+    holds, in table order, each computed when it is reached."""
     for name, route in CHERN_ROUTES.items():
         try:
-            out[name] = route(f)
+            c = route(f)
         except ValueError:
             continue
-    return out
+        yield name, c
+
+
+def chern_routes(f: R2Filtration) -> dict[str, TruncPoly]:
+    """Every route of CHERN_ROUTES whose hypothesis holds, in table order."""
+    return dict(_route_classes(f))
+
+
+def chern_class(f: R2Filtration) -> TruncPoly:
+    """The total Chern class by the first route of CHERN_ROUTES whose
+    hypothesis holds: the closed formula when it applies, else the
+    general one, which covers every sheaf."""
+    return next(_route_classes(f))[1]
 
 
 def discriminant(f: R2Filtration) -> int:
-    """Delta = 4c_2 - c_1^2; invariant under both normalizations.  The
-    closed formula gives c when its hypothesis holds, else the general
-    formula does."""
+    """Delta = 4c_2 - c_1^2 of `chern_class`; invariant under both
+    normalizations."""
     if f.n < 2:
         raise ValueError("discriminant needs n >= 2")
-    try:
-        c = chern_total(f)
-    except ValueError:
-        c = chern_general(to_multifiltration(f))
+    c = chern_class(f)
     return 4 * c[2] - c[1] ** 2
 
 

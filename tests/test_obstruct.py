@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+from math import factorial
+from random import Random
+
 import pytest
 
-from tsk.chern import chern_general
+from tsk import multifilt, obstruct, reflexive
+from tsk.chern import chern_general, twist_chern
 from tsk.fan import Fan
 from tsk.linalg import ZERO, Subspace
-from tsk.multifilt import apply_elementary, drop_counts
+from tsk.multifilt import apply_elementary, apply_run, drop_counts, reflexive_hull
 from tsk.obstruct import (
     Inconclusive,
     NotSmoothable,
@@ -18,8 +22,18 @@ from tsk.obstruct import (
     torsion_profile,
 )
 from tsk.prescribe import build_sequence, family_p4_odd, family_pn
-from tsk.reflexive import R2Filtration, RayDatum, Stability, stability, to_multifiltration
+from tsk.reflexive import (
+    R2Filtration,
+    RayDatum,
+    Stability,
+    chern_class,
+    chern_total,
+    from_multifiltration,
+    stability,
+    to_multifiltration,
+)
 from tsk.ring import TruncPoly
+from tsk.sampling import random_drops, random_reflexive
 
 
 def hull(n, c):
@@ -178,3 +192,121 @@ def test_verdict_twist_invariance():
 def test_verdict_input_errors():
     with pytest.raises(ValueError, match="E is reflexive"):
         obstruction_verdict(hull(3, (1, 1, 1, 0)))
+
+
+def q4_draws(seed, count, ns=(4, 5, 6)):
+    """Seeded drop chains on P^4..P^6 whose drops all have k0 >= 4."""
+    rng = Random(seed)
+    for i in range(count):
+        n = ns[i % len(ns)]
+        start = to_multifiltration(random_reflexive(rng, n, max_c=2))
+        E, applied = random_drops(rng, start, rng.randint(1, 3), range(4, n + 1))
+        if applied:
+            yield E
+
+
+def low_chern(E):
+    """c(E) mod H^(q+1) from the hull's class and p_q (obstruct's module
+    docstring), as (c_0, ..., c_q)."""
+    prof = torsion_profile(E)
+    q = prof.q
+    c = list(chern_class(from_multifiltration(reflexive_hull(E))).coeffs[: q + 1])
+    c[q] -= (-1) ** (q - 1) * factorial(q - 1) * prof.count(q)
+    return tuple(c)
+
+
+def test_q4_class_is_the_hulls_up_to_h_q():
+    # c(E) = c(F) (1 - (-1)^(q-1) (q-1)! p_q H^q) mod H^(q+1), held to the
+    # Klyachko grid over E; q = n and mixed profiles are among the draws.
+    shapes = set()
+    for E in q4_draws(32, 90):
+        prof = torsion_profile(E)
+        assert chern_general(E).coeffs[: prof.q + 1] == low_chern(E)
+        shapes.add((E.fan.n, tuple(k for k, _ in prof.p)))
+    assert {(4, (4,)), (5, (5,)), (6, (6,))} <= shapes
+    assert any(len(ks) > 1 for _, ks in shapes)
+
+
+def reference_q4_witness(E):
+    """The Q4 witness by the general formula over E itself."""
+    prof = torsion_profile(E)
+    c = chern_general(E)
+    if c[3] != 0:
+        return 3
+    t = from_multifiltration(reflexive_hull(E)).b_sum
+    return prof.q if twist_chern(c, t)[prof.q] != 0 else None
+
+
+def test_q4_verdicts_match_the_general_formula():
+    witnesses = set()
+    for E in q4_draws(4, 60):
+        v = obstruction_verdict(E)
+        assert isinstance(v, NotSmoothable) and v.case == "Q4"
+        assert v.witness == reference_q4_witness(E)
+        witnesses.add(v.witness)
+    assert witnesses == {3, 4, 5}  # the c_q witness is exercised
+
+
+def test_q4_builds_no_grid_over_e(monkeypatch):
+    seen = []
+
+    def recording(mf):
+        seen.append(mf)
+        return chern_general(mf)
+
+    monkeypatch.setattr(obstruct, "chern_general", recording)
+    monkeypatch.setattr(reflexive, "chern_general", recording)
+    for E in q4_draws(4, 30):
+        assert obstruction_verdict(E).case == "Q4"
+        assert all(mf != E for mf in seen)
+
+
+def test_q4_hull_outside_the_closed_route():
+    # Rays 0 and 4 share the line (1, 0) among three active lines: the
+    # resolution formula does not apply, and the hull's class falls back to
+    # the general formula over the hull, not over E.
+    lines = [(1, 0), (1, 1), (1, 2), None, (1, 0)]
+    f = R2Filtration(Fan(4), [RayDatum(-c, 0, li) for c, li in zip((1, 1, 1, 0, 1), lines)])
+    with pytest.raises(ValueError, match="resolution formula"):
+        chern_total(f)
+    F = to_multifiltration(f)
+    E = drop(F, (0, 1, 2, 3), (-1, 0, 0, 0))
+    seen = []
+
+    def recording(mf):
+        seen.append(mf)
+        return chern_general(mf)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(obstruct, "chern_general", recording)
+        mp.setattr(reflexive, "chern_general", recording)
+        v = obstruction_verdict(E)
+    assert seen == [F]
+    assert v.case == "Q4" and v.witness == reference_q4_witness(E)
+    assert chern_general(E).coeffs[:5] == low_chern(E)
+
+
+@pytest.mark.parametrize("N", [400, 10**15])
+def test_q2_walks_the_two_cones_only(monkeypatch, N):
+    # Profile {2: 1, 4: N}: the 2-elementary step leads the walk, and the
+    # verdict stops at the first 4-elementary one, whatever N is.  The walk
+    # lists no class ahead of its step, so N past any memory is no cost.
+    F = hull(4, (1, 1, 1, 1, 0))
+    E = multifilt.drop(apply_run(F, (0, 1, 2, 3), (-1, 0, 0, 0), N), (3, 4), (-1, 0), ZERO).e
+    calls = []
+    real = multifilt.drop
+
+    def counting(*args):
+        calls.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(multifilt, "drop", counting)
+    v = obstruction_verdict(E)
+    assert calls == [(3, 4), (0, 1, 2, 3)]
+    assert v.as_json() == {
+        "verdict": "NotSmoothable",
+        "case": "Q2",
+        "witness": 3,
+        "q": 2,
+        "profile": {"2": 1, "4": N},
+    }

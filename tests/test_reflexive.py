@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from tsk import reflexive
 from tsk.fan import Fan
 from tsk.linalg import ZERO, FULL, Subspace
 from tsk.chern import chern_general
@@ -16,6 +17,7 @@ from tsk.reflexive import (
     RayDatum,
     Stability,
     bogomolov_ok,
+    chern_class,
     chern_routes,
     chern_symmetric,
     chern_total,
@@ -191,9 +193,26 @@ def test_route_table_matches_the_hypotheses():
         ]
         assert len(set(routes.values())) == 1
         c = routes["klyachko"]
+        assert chern_class(f) == c
         assert discriminant(f) == 4 * c[2] - c[1] ** 2
         outside += not (general or free)
     assert outside >= 40  # 48 of the 300 draws lie outside both closed routes
+
+
+def test_chern_class_takes_the_closed_route_when_it_holds(monkeypatch):
+    # The general formula runs only where the closed one cannot.
+    seen = []
+
+    def recording(mf):
+        seen.append(mf)
+        return chern_general(mf)
+
+    monkeypatch.setattr(reflexive, "chern_general", recording)
+    f = b_zero(4, (1, 6, 6, 0, 0))
+    assert chern_class(f) == chern_total(f) and seen == []
+    rep = b_zero(3, (1, 2, 1, 3), lines=[(1, 0), (1, 0), (1, 1), (1, 2)])
+    assert chern_class(rep).render() == "1 + 7*H + 15*H^2 + 9*H^3"
+    assert seen == [to_multifiltration(rep)]
 
 
 def test_chern_line_bundle_split():

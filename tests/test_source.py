@@ -322,6 +322,19 @@ def test_obstruct_reads_the_normalized_sheaf_in_e_frame():
     assert found == []
 
 
+def test_obstruct_builds_one_grid_over_e():
+    # Q4 reads c(E) up to H^q off the hull's class and p_q; the one
+    # chern_general call in obstruction_verdict is Q2's independent c_3.
+    tree = ast.parse((SRC / "obstruct.py").read_text("utf-8"))
+    calls = [
+        call.lineno
+        for scope, call in _calls_by_scope(tree)
+        if scope == ("obstruction_verdict",)
+        and getattr(call.func, "id", getattr(call.func, "attr", None)) == "chern_general"
+    ]
+    assert len(calls) == 1, calls
+
+
 def test_no_rank_parameter():
     # Every sheaf has rank 2, so no module takes a rank: no parameter,
     # attribute or name of one, and no rank-1 constructor.
