@@ -36,6 +36,7 @@ from .multifilt import (
     apply_run,
     drop,
     drop_counts,
+    drop_profile,
     elementary_check,
     factorize,
     recompose,
@@ -109,6 +110,7 @@ __all__ = [
     "discriminant",
     "drop",
     "drop_counts",
+    "drop_profile",
     "dump_document",
     "elementary_check",
     "factorize",

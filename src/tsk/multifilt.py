@@ -44,16 +44,17 @@ m0, checked (`_checked_drop`), and reads the injection's invariants off
 the box's jumps outside the hyperplane; `apply_elementary` is the same
 checked rewrite with no invariants, so `recompose` derives none;
 `apply_run` writes a run of drops to ZERO at consecutive classes along
-one axis as one rewrite on the run's box; `drop_counts` takes a cone's
-drops as one rewrite per differing cell.
+one axis as one rewrite on the run's box; `drop_profile` takes a cone's
+drops as one rewrite per differing cell, and reads the least weight of
+a cell's drops off the rewrite's boxes with `drop`'s rule.
 The cells where two families differ are read off their joint grid by
-`_cells` alone.  `factorize`, `drop_counts` and `delta` take each
+`_cells` alone.  `factorize`, `drop_profile` and `delta` take each
 cone's cells from `_checked_cells`, which checks E c F on the cone and
 sums the dim differences: `factorize` walks the cones once and drops
-each differing class in lex order, `drop_counts` walks them the same
-way, and `delta` sums, checking E c F on the cones it leaves out too
-(`_contained_cells`).  `elementary_check` locates or refutes a single
-drop on the `_cells`.
+each differing class in lex order, `drop_profile` walks them the same
+way (`drop_counts` is its count view), and `delta` sums, checking E c F
+on the cones it leaves out too (`_contained_cells`).  `elementary_check`
+locates or refutes a single drop on the `_cells`.
 """
 
 from __future__ import annotations
@@ -950,10 +951,50 @@ def factor_steps(
                 current = step.e
 
 
-def drop_counts(e: Multifiltration, f: Multifiltration) -> dict[int, int]:
-    """The torsion profile of E c F: {k: p_k} for every k with p_k > 0,
-    p_k the number of k-elementary injections in `factorize(e, f)`, with
-    work bounded by the cones, not by the drops.
+def _least_weight(
+    ats: Sequence[tuple[Sequence[Jump], tuple[int, ...], int]],
+    target: Subspace,
+    lo: Weight,
+    hi: Weight,
+) -> int:
+    """The least m_Sigma of the drops to `target` at the classes lo <= g
+    < hi of sigma0: sum(g) + sum_j a_j(g), a_j(g) the least new-axis
+    coordinate (position p) of the jumps of facet-coface j in `ats`
+    (its jumps over the box, sigma0's positions in it, p) whose value is
+    not the target and whose sigma0-coordinates are <= g.
+
+    Each facet list is read once.  a_j is constant on the pieces of the
+    box cut at those jumps' sigma0-coordinates, so the least sum lies at
+    a piece's low corner: a unit box has one, lo, and so has a top cone
+    (k0 = n), which has no facet-coface, and reads sum(lo).
+    """
+    outs = [([c for c, w in at if w is not target], pos, p) for at, pos, p in ats]
+    if all(y - x == 1 for x, y in zip(lo, hi)):
+        return sum(lo) + sum([min([c[p] for c in out]) for out, _, p in outs])
+    cuts = [{x} for x in lo]
+    for out, pos, _ in outs:
+        for c in out:
+            for cut, q in zip(cuts, pos):
+                cut.add(c[q])
+    return min(
+        sum(g)
+        + sum(
+            [
+                min([c[p] for c in out if all([c[q] <= y for q, y in zip(pos, g)])])
+                for out, pos, p in outs
+            ]
+        )
+        for g in iproduct(*map(sorted, cuts))
+    )
+
+
+def drop_profile(
+    e: Multifiltration, f: Multifiltration
+) -> dict[int, tuple[int, int]]:
+    """The torsion profile of E c F with each level's least weight: {k:
+    (p_k, w_k)} for every k with p_k > 0, p_k the number of k-elementary
+    injections in `factorize(e, f)` and w_k the least m_Sigma among them,
+    with work bounded by the cones, not by the drops.
 
     `factorize`'s walk, with its checks, taking each cell's drops as one
     rewrite.  On sigma0 their number is the count of the `_checked_cells
@@ -971,22 +1012,61 @@ def drop_counts(e: Multifiltration, f: Multifiltration) -> dict[int, int]:
     G^sigma0_lambda' (stabilization; each row-major prefix of the cells
     is closed downward, so G stays a family) = E^sigma0_lambda' <= u, as
     E is monotone and u on the cell.
+
+    The weights are read off the boxes `at` that each cell's `_meet_box`
+    returns, with `drop`'s rule.  Drops at other classes change other
+    slices only, so when `factorize` drops at a class m0 of the cell, G
+    on the slice g' = m0 is G on the box before the cell's rewrite.  A
+    drop to the hyperplane H there has m_Sigma = sum(m0) + sum_j a_j(m0)
+    (sum(m0) alone when k0 = n: sigma0 has no facet-coface), a_j(m0)
+    the least x with G^(sigma0 + j)_(m0, x) not inside H on the
+    facet-coface sigma0 + j.  Each value is the join of the jumps below
+    it; those below the box and outside it lie in u (the precondition
+    above), so a_j(m0) is the least new-axis coordinate of the `at`
+    jumps whose value is not H and whose sigma0-coordinates are <= m0.
+    H is u when the cell takes one drop.  A FULL -> ZERO cell takes two:
+    to H_1 = `echelon_hyperplane(FULL, ZERO)`, then to ZERO, when G on
+    the slice is G & H_1, generated by `_meet_line(at, H_1)` (no jump
+    below the box and outside it is nonzero).  `_least_weight` takes the
+    least over the cell's classes.
     """
     if e.fan != f.fan:
         raise ValueError("families live on different fans")
     fan = f.fan
     jumps = dict(f.jumps)
     g = Multifiltration._canonical(fan, jumps)  # G, rewritten in place
-    counts: dict[int, int] = {}
+    h1 = echelon_hyperplane(FULL, ZERO)
+    profile: dict[int, tuple[int, int]] = {}
     for sigma0 in fan.all_cones(min_dim=1):
         if e.jumps[sigma0] == jumps[sigma0]:
             continue
         cells, count = _checked_cells(e, g, sigma0)
-        k0 = len(sigma0)
-        counts[k0] = counts.get(k0, 0) + count
-        for lo, hi, u, _ in cells:
-            _meet_box(jumps, fan, sigma0, lo, hi, u)
-    return counts
+        facets = [
+            (cone, pos, new[0][0])
+            for cone, pos, _, new in _coface_plan(fan, sigma0)
+            if len(new) == 1
+        ]
+        weights = []
+        for lo, hi, u, v in cells:
+            boxes = _meet_box(jumps, fan, sigma0, lo, hi, u)
+            ats = [(boxes[cone], pos, p) for cone, pos, p in facets]
+            if v is FULL and u is ZERO:
+                meets = [(_meet_line(at, h1), pos, p) for at, pos, p in ats]
+                weights.append(_least_weight(ats, h1, lo, hi))
+                weights.append(_least_weight(meets, ZERO, lo, hi))
+            else:
+                weights.append(_least_weight(ats, u, lo, hi))
+        k0, least = len(sigma0), min(weights)
+        before, low = profile.get(k0, (0, least))
+        profile[k0] = (before + count, min(low, least))
+    return profile
+
+
+def drop_counts(e: Multifiltration, f: Multifiltration) -> dict[int, int]:
+    """The torsion profile of E c F: {k: p_k} for every k with p_k > 0,
+    p_k the number of k-elementary injections in `factorize(e, f)`: the
+    counts of `drop_profile`."""
+    return {k: count for k, (count, _) in drop_profile(e, f).items()}
 
 
 def recompose(

@@ -6,11 +6,11 @@ The torsion filtration of Q = F/E is read off the elementary
 factorization of E -> F: the codimension-k graded pieces correspond to
 the k-elementary injections, so the profile (q, p_k) with
 q = min{k : p_k > 0} is intrinsic.  The profile is counted per cone
-(`multifilt.drop_counts`), so its cost is bounded by the cones, not by
-the number of drops, which reaches 10^76 in the paper's families; only
-the Q2 regime below, which needs each 2-elementary weight, walks the
-factorization (`multifilt.factor_steps`, the same per-cone walk taken
-drop by drop), and only up to its first step of k0 > 2.
+(`multifilt.drop_profile`), so its cost is bounded by the cones, not by
+the number of drops, which reaches 10^76 in the paper's families.  The
+same walk reads each level's least weight m_Sigma off the cells it
+rewrites, which is all the Q2 regime below needs of the 2-elementary
+steps, so no verdict takes a drop.
 Two obstruction regimes are machine-checkable:
 
   Q4: q >= 4 on P^n with n >= 4 forces c_3 or c_q of the normalized
@@ -59,12 +59,11 @@ b_rho, whose weights are E's m_Sigma - t.
 
 from __future__ import annotations
 
-from itertools import takewhile
 from math import factorial
 from typing import NamedTuple
 
 from .chern import chern_general, twist_chern
-from .multifilt import Multifiltration, drop_counts, factor_steps, reflexive_hull
+from .multifilt import Multifiltration, drop_profile, reflexive_hull
 from .reflexive import (
     R2Filtration,
     Stability,
@@ -91,8 +90,8 @@ class TorsionProfile:
         ks = [k for k, _ in p]
         if not all(isinstance(k, int) for k in ks) or ks[0] < 2 or ks != sorted(set(ks)):
             raise ValueError("profile codimensions must be strictly increasing ints >= 2")
-        if any(cnt <= 0 for _, cnt in p):
-            raise ValueError("profile counts must be positive")
+        if not all(type(cnt) is int and cnt > 0 for _, cnt in p):
+            raise ValueError("profile counts must be positive ints")
         object.__setattr__(self, "p", p)
 
     def __setattr__(self, *_: object) -> None:
@@ -157,17 +156,21 @@ class Inconclusive(NamedTuple):
         return out
 
 
-def _hull_and_profile(E: Multifiltration) -> tuple[Multifiltration, TorsionProfile]:
-    """The reflexive hull of E and the profile of E inside it.  The count
-    is empty exactly when E is its own hull: the one reflexivity check,
-    so reflexive E errors (zero quotient, profile undefined)."""
+def _hull_and_profile(
+    E: Multifiltration,
+) -> tuple[Multifiltration, TorsionProfile, dict[int, int]]:
+    """The reflexive hull of E, the profile of E inside it and each
+    level's least weight m_Sigma.  The profile is empty exactly when E
+    is its own hull: the one reflexivity check, so reflexive E errors
+    (zero quotient, profile undefined)."""
     hull = reflexive_hull(E)
-    counts = drop_counts(E, hull)
-    if not counts:
+    levels = sorted(drop_profile(E, hull).items())
+    if not levels:
         raise ValueError(
             "degenerate input: E is reflexive, the torsion profile is undefined"
         )
-    return hull, TorsionProfile(tuple(sorted(counts.items())))
+    profile = TorsionProfile(tuple((k, count) for k, (count, _) in levels))
+    return hull, profile, {k: least for k, (_, least) in levels}
 
 
 def torsion_profile(E: Multifiltration) -> TorsionProfile:
@@ -192,7 +195,7 @@ def leading_log_check(E: Multifiltration) -> bool:
     only the q-elementary steps reach H^q, each with the universal
     leading coefficient (-1)^(q-1) (q-1)! independent of its weight.
     """
-    hull, prof = _hull_and_profile(E)
+    hull, prof, _ = _hull_and_profile(E)
     q = prof.q
     s_ratio = log_coeffs(chern_general(hull).coeffs)[q] - log_coeffs(chern_general(E).coeffs)[q]
     return s_ratio == (-1) ** (q - 1) * factorial(q) * prof.count(q)
@@ -215,13 +218,13 @@ def obstruction_verdict(E: Multifiltration) -> NotSmoothable | Inconclusive:
     sum_k c_k H^k (1 + tH)^(2-k) is c_3, so c_3(E_n) = c_3(E), and only
     Q4's c_q with c_3 = 0 is read off the twist, which needs c_0..c_q
     alone: Q4 reads them off the hull's class and p_q (module
-    docstring).  Q2 reads the 2-elementary steps, which lead the walk
-    (its k0 never falls), and stops at the first other one.  Stability
+    docstring).  Q2 reads the least 2-elementary weight off the profile
+    walk (`multifilt.drop_profile`), so it takes no drop.  Stability
     and S_max read the hull's c_rho and lines, which twisting keeps.  A
     hypothesis match whose guaranteed witness vanishes would falsify the
     machine-checked argument and raises RuntimeError.
     """
-    hull, prof = _hull_and_profile(E)
+    hull, prof, least = _hull_and_profile(E)
     q, n = prof.q, E.fan.n
     q4 = n >= 4 and q >= 4
     if not (q4 or (n >= 3 and q == 2 and prof.count(3) == 0)):
@@ -244,10 +247,8 @@ def obstruction_verdict(E: Multifiltration) -> NotSmoothable | Inconclusive:
 
     if stability(hull_f) is Stability.UNSTABLE:
         return Inconclusive(prof)
-    bound = -s_max(hull_f)
-    steps = takewhile(lambda s: s.k0 == 2, factor_steps(E, hull))
-    weights = [s.m_Sigma - t for s in steps]
-    if all(w >= bound for w in weights):
+    bound, weight = -s_max(hull_f), least[2] - t
+    if weight >= bound:
         if chern_general(E)[3] == 0:
             raise RuntimeError(
                 "obstruction argument falsified: q=2, p_3=0,"
@@ -259,7 +260,7 @@ def obstruction_verdict(E: Multifiltration) -> NotSmoothable | Inconclusive:
         prof,
         reason=(
             "2-elementary weight below -S_max"
-            f" (min {min(weights)} < {bound}); the c_3 != 0"
+            f" (min {weight} < {bound}); the c_3 != 0"
             " guarantee does not apply to such degenerate hulls"
         ),
     )

@@ -38,7 +38,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 from .chern import chern_general, run_factors, run_log
 from .fan import Cone, Fan, Weight
-from .multifilt import Multifiltration, apply_run, drop_counts
+from .multifilt import Multifiltration, apply_run, drop_profile
 from .reflexive import (
     R2Filtration,
     Stability,
@@ -382,7 +382,8 @@ def build_sequence(
       ray lists (`hull_of_ends(ray_ends(E))`) and the reflexive start is
       its own, so the check compares E's n + 1 ray lists with the
       start's (the runs touch only cones of dim >= 3, so they stay);
-    - `drop_counts(E, start)` is the built count of each stage;
+    - `drop_profile(E, start)` is the built count of each stage with
+      its first weight, the least m_Sigma of its drops;
     - `chern_general(E)` is the start's Chern class divided by the
       built runs' telescoped ratios (for a full build, the solution's).
 
@@ -390,7 +391,7 @@ def build_sequence(
     cone's values since the built sheaf is a valid family (a top cone
     whose jumps all sit at 0 on an axis above its missing ray adds
     nothing and builds no grid); the hull check reads the rays, and
-    `drop_counts` every cone.
+    `drop_profile` every cone.
 
     A failed check is an internal consistency error (impossible for
     valid solutions).  The Chern class of the whole schedule is then
@@ -426,12 +427,12 @@ def build_sequence(
             "internal consistency error: reflexive hull of the built"
             " sheaf differs from the start"
         )
-    counts = {k: count for k, _, count in runs}
-    found = drop_counts(current, start)
-    if found != counts:
+    scheduled = {k: (count, first) for k, first, count in runs}
+    found = drop_profile(current, start)
+    if found != scheduled:
         raise RuntimeError(
-            f"internal consistency error: the built sheaf has drop counts"
-            f" {found}, scheduled {counts}"
+            f"internal consistency error: the built sheaf has drop profile"
+            f" {found}, scheduled {scheduled}"
         )
     c_start = chern_total(f0)
     c_built, c_runs = chern_general(current), _closed_chern(c_start, runs)

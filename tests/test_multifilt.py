@@ -33,6 +33,7 @@ from tsk.multifilt import (
     delta,
     drop,
     drop_counts,
+    drop_profile,
     elementary_check,
     eval_jumps,
     factorize,
@@ -1425,6 +1426,85 @@ def test_drop_counts_and_the_torsion_profile_are_twist_invariant():
         seen |= set(counts)
         cases += 1
     assert seen == {1, 2, 3, 4, 5}
+
+
+def factorize_profile(e, f):
+    """{k: (p_k, least m_Sigma)} over the steps of `factorize(e, f)`, and
+    the number of classes dropped twice (a cell dropped FULL -> ZERO)."""
+    profile, steps = {}, factorize(e, f)
+    for step in steps:
+        count, least = profile.get(step.k0, (0, step.m_Sigma))
+        profile[step.k0] = (count + 1, min(least, step.m_Sigma))
+    twice = sum((a.sigma0, a.m0) == (b.sigma0, b.m0) for a, b in zip(steps, steps[1:]))
+    return profile, twice
+
+
+def test_drop_profile_matches_factorize():
+    # Seeded drop chains F -> M -> E on P^2..P^5, E read inside the start
+    # F, inside the family M halfway (not reflexive) and inside E's
+    # reflexive hull: each level's count and least weight.
+    rng = random.Random(11)
+    seen, twice, pairs = set(), 0, 0
+    while pairs < 1500:
+        n = rng.choice((2, 3, 4, 5))
+        start = to_multifiltration(random_reflexive(rng, n, max_c=3))
+        mid, _ = random_drops(rng, start, rng.randint(0, 3), range(1, n + 1))
+        final, _ = random_drops(rng, mid, rng.randint(1, 3), range(1, n + 1))
+        for f in {start, mid, reflexive_hull(final)} - {final}:
+            expected, cells = factorize_profile(final, f)
+            assert drop_profile(final, f) == expected
+            seen |= set(expected)
+            twice += cells
+            pairs += 1
+    assert seen == {1, 2, 3, 4, 5} and twice >= 20, (seen, twice)
+
+
+def test_drop_profile_finds_the_least_weight_off_the_low_corner():
+    # On ray 0 of this P^2 pair one cell, classes -2 and -1, drops FULL
+    # to Line(1, 0).  On the facet-coface (0, 1) the first jump outside
+    # that line lies at new coordinate 3 over class -2 and at 1 over
+    # class -1, so the weights are -2 + 3 - 1 = 0 and -1 + 1 - 1 = -1:
+    # the least lies at the piece cut at -1, not at the cell's low corner.
+    line0, line2 = Subspace.line(1, 0), Subspace.line(1, 2)
+    f = Multifiltration(
+        Fan(2),
+        {
+            (0,): [((-2,), FULL)],
+            (1,): [((1,), FULL)],
+            (2,): [((-1,), line2), ((2,), FULL)],
+            (0, 1): [((-2, 2), line0), ((-2, 3), FULL), ((-1, 1), FULL)],
+            (0, 2): [((-2, -1), line2), ((-2, 2), FULL)],
+            (1, 2): [((1, -1), line2), ((1, 2), FULL)],
+        },
+    )
+    e = drop(drop(f, (0,), (-2,), line0).e, (0,), (-1,), line0).e
+    steps = factorize(e, f)
+    assert [s.m_Sigma for s in steps] == [0, -1]
+    assert drop_profile(e, f) == factorize_profile(e, f)[0] == {1: (2, -1)}
+
+
+def test_drop_profile_on_the_staircase_and_the_hazard_pair():
+    # The P^5 staircase, 216 drops over cells wider than one class, and
+    # the P^4 hazard pair, one 2-elementary drop after a run of N
+    # 4-elementary ones.
+    e = staircase(4)
+    assert drop_profile(e, reflexive_hull(e)) == factorize_profile(e, reflexive_hull(e))[0]
+    assert drop_profile(e, reflexive_hull(e)) == {2: (216, -6)}
+    f = to_multifiltration(R2Filtration.b_zero_data(Fan(4), (1, 1, 1, 1, 0)))
+    for n in (3, 40):
+        e = drop(apply_run(f, (0, 1, 2, 3), (-1, 0, 0, 0), n), (3, 4), (-1, 0), ZERO).e
+        assert drop_profile(e, f) == factorize_profile(e, f)[0] == {2: (1, -1), 4: (n, -1)}
+
+
+def test_drop_profile_reads_the_stages_of_the_built_families():
+    # A stage of a run-built family drops p_k consecutive classes whose
+    # weights rise by one from the stage's first, the sum of its head.
+    for n in range(3, 10):
+        sol = family_pn(n)
+        res = build_sequence(sol.problem, sol)
+        assert drop_profile(res.final, res.start) == {
+            k: (pk, sum(head)) for k, _, head, pk in sol.stages() if pk
+        }
 
 
 def test_join_below_matches_the_join_of_one_step_below_each_axis():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import time
 from math import factorial
 from random import Random
 
@@ -71,6 +72,11 @@ def test_torsion_profile_rejects_what_its_docstring_rules_out():
     # make count(k) and total disagree, and k < 2 would give q < 2.
     for p in (((4, 1), (2, 1)), ((2, 1), (2, 3)), ((0, 5),), ((1, 1),), ((2.0, 1),)):
         with pytest.raises(ValueError, match="strictly increasing ints >= 2"):
+            TorsionProfile(p)
+    # A count is a plain positive int: 1.5 would make `total` 1.5, and
+    # True is an int that is no count.
+    for p in (((2, 1.5),), ((2, True),), ((2, 1), (4, 2.0)), ((2, 0),), ((2, -1),)):
+        with pytest.raises(ValueError, match="counts must be positive ints"):
             TorsionProfile(p)
 
 
@@ -286,13 +292,8 @@ def test_q4_hull_outside_the_closed_route():
     assert chern_general(E).coeffs[:5] == low_chern(E)
 
 
-@pytest.mark.parametrize("N", [400, 10**15])
-def test_q2_walks_the_two_cones_only(monkeypatch, N):
-    # Profile {2: 1, 4: N}: the 2-elementary step leads the walk, and the
-    # verdict stops at the first 4-elementary one, whatever N is.  The walk
-    # lists no class ahead of its step, so N past any memory is no cost.
-    F = hull(4, (1, 1, 1, 1, 0))
-    E = multifilt.drop(apply_run(F, (0, 1, 2, 3), (-1, 0, 0, 0), N), (3, 4), (-1, 0), ZERO).e
+def verdict_taking_no_drop(monkeypatch, E):
+    """obstruction_verdict(E), which must make no `multifilt.drop` call."""
     calls = []
     real = multifilt.drop
 
@@ -302,11 +303,46 @@ def test_q2_walks_the_two_cones_only(monkeypatch, N):
 
     monkeypatch.setattr(multifilt, "drop", counting)
     v = obstruction_verdict(E)
-    assert calls == [(3, 4), (0, 1, 2, 3)]
-    assert v.as_json() == {
+    assert calls == []
+    return v
+
+
+@pytest.mark.parametrize("N", [400, 10**15])
+def test_q2_walks_the_two_cones_only(monkeypatch, N):
+    # Profile {2: 1, 4: N}: the least 2-elementary weight is read off the
+    # profile walk, so the verdict takes no drop, whatever N is.
+    F = hull(4, (1, 1, 1, 1, 0))
+    E = multifilt.drop(apply_run(F, (0, 1, 2, 3), (-1, 0, 0, 0), N), (3, 4), (-1, 0), ZERO).e
+    assert verdict_taking_no_drop(monkeypatch, E).as_json() == {
         "verdict": "NotSmoothable",
         "case": "Q2",
         "witness": 3,
         "q": 2,
         "profile": {"2": 1, "4": N},
+    }
+
+
+def test_q2_verdict_is_bounded_by_the_cones(monkeypatch):
+    # N 2-elementary drops on one 2-cone of a stable P^3 hull: the verdict
+    # reads their least weight per cell, so it takes no drop and its time
+    # does not grow with N, as a walk drop by drop would.
+    f = R2Filtration.b_zero_data(Fan(3), (2, 2, 2, 0))
+    assert stability(f) is Stability.STABLE
+    F = to_multifiltration(f)
+    small = apply_run(F, (0, 1), (-2, 0), 50)
+    steps = multifilt.factorize(small, reflexive_hull(small))
+    assert multifilt.drop_profile(small, reflexive_hull(small)) == {
+        2: (50, min(s.m_Sigma for s in steps))
+    }
+    E = apply_run(F, (0, 1), (-2, 0), 10**15)
+    start = time.perf_counter()
+    v = verdict_taking_no_drop(monkeypatch, E)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 0.05, elapsed
+    assert v.as_json() == {
+        "verdict": "NotSmoothable",
+        "case": "Q2",
+        "witness": 3,
+        "q": 2,
+        "profile": {"2": 10**15},
     }

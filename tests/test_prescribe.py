@@ -319,6 +319,27 @@ def test_moved_rays_fail_the_hull_check(monkeypatch, limit):
             build_sequence(sol.problem, sol, limit=limit)
 
 
+@pytest.mark.parametrize("limit", [None, 5])
+def test_a_weight_off_by_one_fails_the_profile_check(monkeypatch, limit):
+    # The build holds each stage's least weight, read by the profile walk,
+    # to its first scheduled weight: one weight off by one must fail it.
+    walk = prescribe.drop_profile
+
+    def shifted(e, f):
+        profile = walk(e, f)
+        k = max(profile)
+        count, least = profile[k]
+        return {**profile, k: (count, least + 1)}
+
+    monkeypatch.setattr(prescribe, "drop_profile", shifted)
+    for sol in (family_pn(3), family_p4_odd(1)):
+        with pytest.raises(
+            RuntimeError,
+            match="^internal consistency error: the built sheaf has drop profile",
+        ):
+            build_sequence(sol.problem, sol, limit=limit)
+
+
 PAPER_FAMILIES = (
     [(f"p4_odd({t})", family_p4_odd, t) for t in range(1, 6)]
     + [(f"p4_even({t})", family_p4_even, t) for t in range(1, 4)]

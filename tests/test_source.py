@@ -123,8 +123,10 @@ def test_no_canonical_flat_in_src():
 
 def test_meet_line_only_in_meet_box():
     # Meeting a family with a line is one rule on jump lists, the coface
-    # rewrite's; the hull's lists come in closed form from the ray ends.
-    allowed = {("_meet_box",)}
+    # rewrite's, which the profile walk's weight read reuses for the second
+    # drop of a FULL -> ZERO cell; the hull's lists come in closed form
+    # from the ray ends.
+    allowed = {("_meet_box",), ("drop_profile",)}
     found = [
         f"{path.name}:{call.lineno}"
         for path in sorted(SRC.rglob("*.py"))
@@ -299,6 +301,19 @@ def test_factorize_is_one_checked_walk():
                     if alias.name.startswith("_")
                 ]
     assert found == []
+
+
+def test_obstruct_takes_no_drops():
+    # Every verdict reads the profile and Q2's least weight off one walk
+    # over the cones, so obstruct imports no drop-by-drop walk.
+    tree = ast.parse((SRC / "obstruct.py").read_text("utf-8"))
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    assert imported & {"factor_steps", "factorize", "drop"} == set()
 
 
 def test_obstruct_reads_the_normalized_sheaf_in_e_frame():
