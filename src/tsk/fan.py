@@ -72,7 +72,7 @@ class Fan:
         """All k-dimensional cones, lexicographically sorted."""
         if not 0 <= k <= self.n:
             raise ValueError(f"no {k}-cones in the fan of P^{self.n}")
-        return [tuple(c) for c in combinations(range(self.n + 1), k)]
+        return list(combinations(range(self.n + 1), k))
 
     def all_cones(self, min_dim: int = 0) -> Iterator[Cone]:
         """All cones of dimension >= min_dim, by (dimension, lex) order."""

@@ -30,15 +30,16 @@ class Subspace:
 
     Immutable and interned: use the module constants ZERO and FULL and
     build lines with `line`, never by calling the class.  `pair` is the
-    canonical coprime (p, q) of a line and None otherwise.
+    canonical coprime (p, q) of a line and None otherwise.  Equality is
+    identity, so the hash is object's, computed in C: the caches keyed
+    by jump lists hash their subspaces without a Python call.
     """
 
-    __slots__ = ("dim", "pair", "_hash")
+    __slots__ = ("dim", "pair")
 
     def __init__(self, dim: int, pair: tuple[int, int] | None = None) -> None:
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "pair", pair)
-        object.__setattr__(self, "_hash", hash((dim, pair)))
 
     def __setattr__(self, *_: object) -> None:
         raise AttributeError("Subspace is immutable")
@@ -53,9 +54,6 @@ class Subspace:
             return _LINE.setdefault(key, cls(1, key))
 
     # -- basic protocol -------------------------------------------------
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __repr__(self) -> str:
         if self.pair is not None:

@@ -19,7 +19,7 @@ list comparison, and so facet compatibility too: stabilizing E^sigma
 along a ray deletes that coordinate from its jumps, and the result
 must canonicalize to the facet's list.
 
-The constructor and the coface rewrite `_meet_box` canonicalize raw
+The constructor and the coface rewrite `_meet_coface` canonicalize raw
 lists with `_canonical_jumps` (cached for the lists the constructor
 keeps), which builds no grid: only jump coordinates can be canonical
 jumps, so it scans the list, and parsing a document costs what its
@@ -36,17 +36,22 @@ one dimension at a single class m0 of a single cone sigma0 and
 intersects everything above with the dropped hyperplane.  On a coface
 of sigma0 that changes only the slice g' = m0, g' the coordinates of g
 on sigma0's rays, where G^tau_g meets the hyperplane.  One rewrite,
-`_meet_box`, meets every coface with a value w over a box of sigma0's
-classes, on the jump lists (the lattice of subspaces of C^2 being
-modular) and with no grid, reading each coface off the memoized
-`_coface_plan` of sigma0.  `drop` is that rewrite on the unit box at
-m0, checked (`_checked_drop`), and reads the injection's invariants off
-the box's jumps outside the hyperplane; `apply_elementary` is the same
-checked rewrite with no invariants, so `recompose` derives none;
-`apply_run` writes a run of drops to ZERO at consecutive classes along
-one axis as one rewrite on the run's box; `drop_profile` takes a cone's
-drops as one rewrite per differing cell, and reads the least weight of
-a cell's drops off the rewrite's boxes with `drop`'s rule.
+`_meet_coface`, meets a coface with a value w over a box of sigma0's
+classes, on its jump list (the lattice of subspaces of C^2 being
+modular) and with no grid; `_meet_box` applies it to every coface,
+read off the memoized `_coface_plan` of sigma0.
+
+A unit drop is the rewrite on the unit box at m0, through the bounded
+memo `_meet_unit`: `_checked_drop` checks the drop and rewrites each
+coface there, and `drop` reads the injection's invariants off the box's
+jumps outside the hyperplane (`_injection`); `apply_elementary` is the
+same checked rewrite with no invariants.  So `recompose`, replaying the
+drops that `factorize` has just taken on the same lists, costs a lookup
+per coface.  `apply_run` writes a run of drops to ZERO at consecutive
+classes along one axis as one `_meet_box` on the run's box, and
+`drop_profile` takes a cone's drops as one `_meet_box` per differing
+cell, reading the least weight of a cell's drops off its boxes with
+`drop`'s rule; their boxes are not replayed, so they bypass the memo.
 The cells where two families differ are read off their joint grid by
 `_cells` alone.  `factorize`, `drop_profile` and `delta` take each
 cone's cells from `_checked_cells`, which checks E c F on the cone and
@@ -60,8 +65,7 @@ locates or refutes a single drop on the `_cells`.
 from __future__ import annotations
 
 from functools import lru_cache
-from heapq import merge
-from itertools import groupby, product as iproduct, repeat
+from itertools import groupby, product as iproduct
 from operator import index, itemgetter, le, sub
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -591,22 +595,74 @@ class ElementaryInjection(NamedTuple):
         return sum(self.m_sigma[cone])
 
 
-Coface = tuple[Cone, tuple[int, ...], itemgetter, tuple[tuple[int, int], ...]]
+Coface = tuple[Cone, tuple[int, ...], tuple[tuple[int, int], ...]]
 
 
 @lru_cache(maxsize=1024)
 def _coface_plan(fan: Fan, sigma0: Cone) -> tuple[Coface, ...]:
     """For each coface tau of sigma0 (sigma0 included), in (dim, lex)
-    order: tau, the positions of sigma0's rays in tau, their
-    `itemgetter` (g' off a class g of tau), and (position, ray) for
-    tau's other rays.  Fans are interned: one plan per cone, not per
-    drop."""
+    order: tau, the positions of sigma0's rays in tau, and (position,
+    ray) for tau's other rays.  Fans are interned: one plan per cone,
+    not per drop."""
     plan = []
     for cone in fan.cofaces(sigma0):
         pos = tuple(cone.index(r) for r in sigma0)
         new = tuple((p, r) for p, r in enumerate(cone) if r not in sigma0)
-        plan.append((cone, pos, itemgetter(*pos), new))
+        plan.append((cone, pos, new))
     return tuple(plan)
+
+
+def _meet_coface(
+    jumps: JumpList, pos: tuple[int, ...], lo: Weight, hi: Weight, w: Subspace
+) -> tuple[JumpList, JumpList]:
+    """Meet a coface tau of sigma0 with w over the box lo <= g' < hi of
+    sigma0's classes, g' the coordinates of a class g of tau at the
+    positions `pos` of sigma0's rays in tau.
+
+    Returns the canonical list of G^tau_g & w on the classes g whose g'
+    lies in the box, and G^tau_g elsewhere, G^tau the family of `jumps`
+    and w ZERO or a line; and `at`, the jumps (lambda, W) over the box.
+
+    Precondition: every jump below the box and outside it (lambda' < hi
+    componentwise, lambda' not >= lo) has W <= w.  Over the box, G^tau_g
+    = J_<(g) v J_=(g), the joins of the other jumps and of `at` below g,
+    and J_< <= w.  The lattice of subspaces of C^2 is modular, so G^tau_g
+    & w = J_< v (J_= & w).  The new list is the canonicalization of: the
+    other jumps; each `at` jump again on the box's upper face along each
+    axis of sigma0 (coordinate hi_p), so that nothing changes off the
+    box; and, when w is a line, the generators `_meet_line(at, w)` of
+    J_= & w.  No grid is built, and the raw list is one-off, so it
+    bypasses `_canonical_jumps`' cache, as in `validate`.  A unit box
+    keeps one comparison per jump: lambda' == lo.  Both lists are
+    tuples, so that the memo `_meet_unit` can hand them out again.
+    """
+    raw: list[Jump] = []
+    at: list[Jump] = []
+    if all(y - x == 1 for x, y in zip(lo, hi)):
+        on_sigma0 = itemgetter(*pos)
+        key = lo if len(lo) > 1 else lo[0]  # what itemgetter reads off lambda
+        for jump in jumps:
+            (at if on_sigma0(jump[0]) == key else raw).append(jump)
+    else:
+        spans = list(zip(pos, lo, hi))
+        for jump in jumps:
+            coords = jump[0]
+            inside = all(x <= coords[p] < y for p, x, y in spans)
+            (at if inside else raw).append(jump)
+    for coords, v in at:
+        for p, y in zip(pos, hi):
+            raw.append((coords[:p] + (y,) + coords[p + 1 :], v))
+    if w is not ZERO:
+        raw += _meet_line(at, w)
+    return _canonical_jumps.__wrapped__(raw), tuple(at)
+
+
+# The unit-drop rewrite, memoized for `_checked_drop`: `recompose` after
+# `factorize` replays every drop on the lists the walk has just written,
+# so each of its rewrites is a hit.  A key is (coface list, sigma0's
+# positions, m0, m0 + 1, target); it hashes in C, subspaces by identity.
+# Bounded, since each entry keeps its lists alive.
+_meet_unit = lru_cache(maxsize=4096)(_meet_coface)
 
 
 def _meet_box(
@@ -616,78 +672,97 @@ def _meet_box(
     lo: Weight,
     hi: Weight,
     w: Subspace,
-) -> dict[Cone, list[Jump]]:
-    """Meet G with w over the box lo <= g' < hi of sigma0's classes.
+) -> dict[Cone, JumpList]:
+    """Meet G with w over the box lo <= g' < hi of sigma0's classes:
+    `_meet_coface` on each coface tau of sigma0 (sigma0 included), in the
+    order of `_coface_plan`, rewriting `jumps[tau]` in place.  Returns
+    each coface's `at`, its jumps over the box.
 
-    For each coface tau of sigma0 (sigma0 included), in the order of
-    `_coface_plan`, rewrites `jumps[tau]` in place to the canonical list
-    of G^tau_g & w on the classes g whose coordinates g' on sigma0's rays
-    lie in the box, and G^tau_g elsewhere; w is ZERO or a line.  Returns
-    each coface's `at`, its jumps (lambda, W) over the box.
-
-    Precondition: every jump of a coface below the box and outside it
-    (lambda' < hi componentwise, lambda' not >= lo) has W <= w.  Over the
-    box, G^tau_g = J_<(g) v J_=(g), the joins of the other jumps and of
-    `at` below g, and J_< <= w.  The lattice of subspaces of C^2 is
-    modular, so G^tau_g & w = J_< v (J_= & w).  The new list is the
-    canonicalization of: the other jumps; each `at` jump again on the
-    box's upper face along each axis of sigma0 (coordinate hi_p), so that
-    nothing changes off the box; and, when w is a line, the generators
-    `_meet_line(at, w)` of J_= & w.  No grid is built, and the lists are
-    one-off, so they bypass the cache, as in `validate`.  A unit box keeps
-    its one-comparison membership test: lambda' == lo.
+    Its callers, `apply_run` (a run's box) and `drop_profile` (a cell's),
+    rewrite boxes that no later call rewrites again on the same lists, so
+    they bypass the memo `_meet_unit`, which would only fill with them.
     """
-    unit = all(y - x == 1 for x, y in zip(lo, hi))
-    key = lo if len(lo) > 1 else lo[0]  # what itemgetter reads off lambda
-    boxes: dict[Cone, list[Jump]] = {}
-    for cone, pos, on_sigma0, _ in _coface_plan(fan, sigma0):
-        raw: list[Jump] = []
-        at: list[Jump] = []
-        if unit:
-            for jump in jumps[cone]:
-                (at if on_sigma0(jump[0]) == key else raw).append(jump)
-        else:
-            spans = list(zip(pos, lo, hi))
-            for jump in jumps[cone]:
-                coords = jump[0]
-                inside = all(x <= coords[p] < y for p, x, y in spans)
-                (at if inside else raw).append(jump)
-        for coords, v in at:
-            for p, y in zip(pos, hi):
-                raw.append((coords[:p] + (y,) + coords[p + 1 :], v))
-        if w is not ZERO:
-            raw += _meet_line(at, w)
-        jumps[cone] = _canonical_jumps.__wrapped__(raw)
-        boxes[cone] = at
+    boxes: dict[Cone, JumpList] = {}
+    for cone, pos, _ in _coface_plan(fan, sigma0):
+        jumps[cone], boxes[cone] = _meet_coface(jumps[cone], pos, lo, hi, w)
     return boxes
 
 
 def _checked_drop(
-    f: Multifiltration, sigma0: Cone, m0: Weight, target: Subspace
-) -> tuple[Cone, Weight, dict[Cone, JumpList], dict[Cone, list[Jump]]]:
+    f: Multifiltration,
+    sigma0: Cone,
+    m0: Weight,
+    target: Subspace,
+    check: bool = True,
+) -> tuple[Cone, Weight, dict[Cone, JumpList], list[JumpList]]:
     """The preconditions and the coface rewrite of `drop(f, sigma0, m0,
     target)`: sigma0, m0 (its coordinates through `operator.index`), E's
-    jump lists and the `_meet_box` boxes."""
+    jump lists and each coface's `at`, in the order of `_coface_plan`.
+    Each coface is rewritten on the unit box at m0 through the memo
+    `_meet_unit`.  `factorize` passes check=False: its steps meet the
+    preconditions by construction."""
     sigma0 = tuple(sigma0)
     m0 = tuple(map(index, m0))
-    if sigma0 not in f.jumps:
-        raise ValueError(f"{sigma0!r} is not a cone of dimension >= 1")
-    value = f.evaluate(sigma0, m0)
-    if not target <= value or value.dim - target.dim != 1:
-        raise ValueError(
-            f"target {target!r} is not a hyperplane of F^{sigma0!r}_{m0!r}"
-            f" = {value!r}"
-        )
-    below = join_below(f, sigma0, m0)
-    if not below <= target:
-        raise ValueError(
-            f"monotonicity violated: the join of values strictly below"
-            f" {m0!r} is {below!r}, not inside the target {target!r};"
-            f" m0 is not minimal for this drop"
-        )
+    if check:
+        if sigma0 not in f.jumps:
+            raise ValueError(f"{sigma0!r} is not a cone of dimension >= 1")
+        value = f.evaluate(sigma0, m0)
+        if not target <= value or value.dim - target.dim != 1:
+            raise ValueError(
+                f"target {target!r} is not a hyperplane of F^{sigma0!r}_{m0!r}"
+                f" = {value!r}"
+            )
+        below = join_below(f, sigma0, m0)
+        if not below <= target:
+            raise ValueError(
+                f"monotonicity violated: the join of values strictly below"
+                f" {m0!r} is {below!r}, not inside the target {target!r};"
+                f" m0 is not minimal for this drop"
+            )
     jumps = dict(f.jumps)
-    boxes = _meet_box(jumps, f.fan, sigma0, m0, tuple(x + 1 for x in m0), target)
+    hi = tuple([x + 1 for x in m0])
+    boxes = []
+    for cone, pos, _ in _coface_plan(f.fan, sigma0):
+        jumps[cone], at = _meet_unit(jumps[cone], pos, m0, hi, target)
+        boxes.append(at)
     return sigma0, m0, jumps, boxes
+
+
+def _injection(
+    f: Multifiltration,
+    target: Subspace,
+    sigma0: Cone,
+    m0: Weight,
+    jumps: dict[Cone, JumpList],
+    boxes: Sequence[JumpList],
+) -> ElementaryInjection:
+    """The elementary injection of a drop of F at (sigma0, m0) to
+    `target`, E's lists `jumps` and the boxes from `_checked_drop`: its
+    invariants read off the boxes as `drop` derives them."""
+    m_rho = dict(zip(sigma0, m0))
+    m_sigma: dict[Cone, Weight] = {}
+    saturated = True
+    for (cone, _, new), at in zip(_coface_plan(f.fan, sigma0), boxes):
+        out = [coords for coords, w in at if w is not target]
+        if len(new) == 1:
+            ((p, ray),) = new
+            m_rho[ray] = min([coords[p] for coords in out])
+        corner = tuple([m_rho[r] for r in cone])
+        m_sigma[cone] = corner
+        saturated = saturated and any(all(map(le, coords, corner)) for coords in out)
+
+    return ElementaryInjection(
+        e=Multifiltration._canonical(f.fan, jumps),
+        f=f,
+        k0=len(sigma0),
+        sigma0=sigma0,
+        m0=m0,
+        dropped=target,
+        m_sigma=m_sigma,
+        m_rho=m_rho,
+        m_Sigma=sum(m_rho.values()),
+        saturated=saturated,
+    )
 
 
 def drop(
@@ -705,9 +780,9 @@ def drop(
 
     Every cone that is not a coface keeps F's list object.  On a coface
     tau, with g' the coordinates of a class g on sigma0's rays, only the
-    slice g' = m0 changes, and the cofaces are rewritten by `_meet_box`
-    on the unit box [m0, m0 + 1) with w = target (`_checked_drop`).  Its
-    precondition is the drop's: a jump of F^tau below m0 and off the
+    slice g' = m0 changes, and each coface is rewritten by `_meet_coface`
+    on the unit box [m0, m0 + 1) with w = target, through its memo
+    (`_checked_drop`).  Its precondition is the drop's: a jump of F^tau below m0 and off the
     slice has lambda' <= m0, lambda' != m0, so its value is at most
     F^sigma0_lambda' (stabilization), which lies in the join below m0,
     so in the target.
@@ -731,31 +806,7 @@ def drop(
     commutes with `& target`, because the union is increasing and
     stabilizes.
     """
-    sigma0, m0, jumps, boxes = _checked_drop(f, sigma0, m0, target)
-    m_rho = dict(zip(sigma0, m0))
-    m_sigma: dict[Cone, Weight] = {}
-    saturated = True
-    for (cone, _, _, new), at in zip(_coface_plan(f.fan, sigma0), boxes.values()):
-        out = [coords for coords, w in at if w is not target]
-        if len(new) == 1:
-            ((p, ray),) = new
-            m_rho[ray] = min([coords[p] for coords in out])
-        corner = tuple([m_rho[r] for r in cone])
-        m_sigma[cone] = corner
-        saturated = saturated and any(all(map(le, coords, corner)) for coords in out)
-
-    return ElementaryInjection(
-        e=Multifiltration._canonical(f.fan, jumps),
-        f=f,
-        k0=len(sigma0),
-        sigma0=sigma0,
-        m0=m0,
-        dropped=target,
-        m_sigma=m_sigma,
-        m_rho=m_rho,
-        m_Sigma=sum(m_rho.values()),
-        saturated=saturated,
-    )
+    return _injection(f, target, *_checked_drop(f, sigma0, m0, target))
 
 
 def elementary_check(e: Multifiltration, f: Multifiltration) -> ElementaryInjection:
@@ -810,7 +861,7 @@ def elementary_check(e: Multifiltration, f: Multifiltration) -> ElementaryInject
     # E is monotone and equals F on sigma0 off m0, so `dropped` holds
     # every value below m0: the drop's preconditions hold.
     inj = drop(f, sigma0, m0, dropped)
-    for cone, pos, _, _ in _coface_plan(fan, sigma0)[1:]:
+    for cone, pos, _ in _coface_plan(fan, sigma0)[1:]:
         if e.jumps[cone] == inj.e.jumps[cone]:
             continue
         g, _, found, expected = _cells(e, inj.e, cone)[0]
@@ -830,8 +881,9 @@ def apply_elementary(
     f: Multifiltration, sigma0: Cone, m0: Weight, target: Subspace
 ) -> Multifiltration:
     """The family E of `drop(f, sigma0, m0, target)`: the same checked
-    rewrite (`_checked_drop`, over the `_coface_plan` of sigma0), with
-    the same errors, and none of the invariants `drop` derives."""
+    and memoized rewrite (`_checked_drop`, over the `_coface_plan` of
+    sigma0), with the same errors, and none of the invariants `drop`
+    derives (`_injection`)."""
     return Multifiltration._canonical(f.fan, _checked_drop(f, sigma0, m0, target)[2])
 
 
@@ -873,19 +925,6 @@ def apply_run(
 # factorization
 
 
-def _box_classes(lo: Weight, hi: Weight) -> Iterator[Weight]:
-    """The classes lo <= m < hi in lex order, one at a time.  Unlike
-    `itertools.product`, which lists every axis before its first item,
-    it holds no axis, so a walk that stops early pays only for what it
-    reads, however long the cell."""
-    if not lo:
-        yield ()
-        return
-    for x in range(lo[0], hi[0]):
-        for rest in _box_classes(lo[1:], hi[1:]):
-            yield (x, *rest)
-
-
 def factorize(
     e: Multifiltration, f: Multifiltration
 ) -> list[ElementaryInjection]:
@@ -894,61 +933,55 @@ def factorize(
     Returns the chain peeled off F outward-in: the first entry is the
     elementary injection into F itself, and the k0 sequence is
     non-decreasing along the list.  Re-applying the drops to F in list
-    order reproduces E; `recompose` checks that.  The list is the whole
-    walk of `factor_steps`.
-    """
-    return list(factor_steps(e, f))
-
-
-def factor_steps(
-    e: Multifiltration, f: Multifiltration
-) -> Iterator[ElementaryInjection]:
-    """The steps of `factorize(e, f)`, each taken when it is asked for,
-    so a caller that needs only a prefix (the steps with k0 <= k, say)
-    stops the walk there; the pair is checked only on the cones walked.
+    order reproduces E; `recompose` checks that.
 
     One walk over the cones in (dim, lex) order, with G = F.  On a cone
     sigma0 where G differs from E, it reads the `_checked_cells(E, G,
-    sigma0)` once and, class by class in lex order (the cells' classes
-    merged lazily, so none is listed before the walk reaches it),
-    takes dim G - dim E drops with `drop`, which derives each step's
-    invariants: each lowers G^sigma0_m0 to the echelon hyperplane
-    H >= E^sigma0_m0.  A drop at sigma0 changes sigma0 only at m0, and
-    otherwise only sigma0's proper cofaces, all later in the walk.  So
-    each step is at the (dim, lex)-minimal cone and the lex-first class
-    where G and E differ, and its preconditions hold: the classes below
-    m0 come earlier, where G is E by now, so their join lies in
-    E^sigma0_m0 <= H.
+    sigma0)` once, sorts the classes of the cells in lex order and, class
+    by class, takes dim G - dim E drops, each lowering G^sigma0_m0 to the
+    echelon hyperplane H >= E^sigma0_m0.  Each drop is `drop`'s memoized
+    rewrite and invariants (`_checked_drop`, `_injection`) without its
+    re-checks of the preconditions, which hold: H has codimension 1 in
+    G^sigma0_m0 by its choice, and a drop at sigma0 changes sigma0 only
+    at m0, and otherwise only sigma0's proper cofaces, all later in the
+    walk.  So each step is at the (dim, lex)-minimal cone and the
+    lex-first class where G and E differ, the classes below m0 come
+    earlier, where G is E by now, and their join lies in E^sigma0_m0 <= H.
 
     A drop keeps E c G: on a coface tau, at a class g whose coordinates
     g' on sigma0's rays are <= m0, E^tau_g <= E^sigma0_g' (stabilization)
     <= E^sigma0_m0 <= H, and elsewhere the drop keeps G's values.  G ends
     equal to E, which is then valid and inside F; so a pair that is not
     one (E not in F, or an E built with validate=False that is no family)
-    fails, by the walk's end, a check of `_checked_cells` on some cone:
-    E above G on a cell (ValueError) or a divergent unbounded cell
-    (InvalidFamily).
+    fails a check of `_checked_cells` on some cone: E above G on a cell
+    (ValueError) or a divergent unbounded cell (InvalidFamily).  The
+    argument above uses only that E's values are monotone and lie in G's
+    on the cells, so it holds for such an E up to that cone.
     """
     if e.fan != f.fan:
         raise ValueError("families live on different fans")
+    steps: list[ElementaryInjection] = []
     current = f
     for sigma0 in f.fan.all_cones(min_dim=1):
         if current.jumps[sigma0] == e.jumps[sigma0]:
             continue
         cells, _ = _checked_cells(e, current, sigma0)
-        classes = merge(
-            *(
-                zip(_box_classes(lo, hi), repeat(inner), repeat(value))
+        classes = sorted(
+            [
+                (m0, inner, value)
                 for lo, hi, inner, value in cells
-            ),
+                for m0 in iproduct(*map(range, lo, hi))
+            ],
             key=itemgetter(0),
         )
         for m0, inner, value in classes:
             for _ in range(value.dim - inner.dim):
                 value = echelon_hyperplane(value, inner)
-                step = drop(current, sigma0, m0, value)
-                yield step
+                rewrite = _checked_drop(current, sigma0, m0, value, check=False)
+                step = _injection(current, value, *rewrite)
+                steps.append(step)
                 current = step.e
+    return steps
 
 
 def _least_weight(
@@ -1043,7 +1076,7 @@ def drop_profile(
         cells, count = _checked_cells(e, g, sigma0)
         facets = [
             (cone, pos, new[0][0])
-            for cone, pos, _, new in _coface_plan(fan, sigma0)
+            for cone, pos, new in _coface_plan(fan, sigma0)
             if len(new) == 1
         ]
         weights = []

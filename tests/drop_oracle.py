@@ -11,7 +11,8 @@ current family's list for the first jump where E differs, so the tests
 can hold the walk to it step for step.
 
 `drop`, `apply_run` and `drop_counts` rewrite each coface's jump list
-over a box of sigma0's classes with `_meet_box`.  `grid_meet` takes the
+over a box of sigma0's classes with `_meet_coface` (`_meet_box` for
+runs and cells, its memo `_meet_unit` for drops).  `grid_meet` takes the
 same rewrite on a whole grid, and `grid_drop` takes a drop that way: it
 meets each coface's grid with the target on the one cell of the drop
 and reads the invariants off the gaps, the grid points where the value
@@ -197,8 +198,8 @@ def grid_meet(
     """The canonical list of G^cone_g & w on the classes g whose
     coordinates on sigma0's rays lie in the box lo <= g' < hi, and of
     G^cone_g elsewhere, read off G's grid widened by the box's corners:
-    what `_meet_box` must write on the coface.  Unlike `_meet_box`, it
-    needs no precondition on the jumps below the box."""
+    what `_meet_coface` must write on the coface, but with no
+    precondition on the jumps below the box."""
     axes, values, strides, ranges = _box_grid(jumps, cone, sigma0, lo, hi)
     for idx in iproduct(*ranges):
         k = sum(map(mul, idx, strides))

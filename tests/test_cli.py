@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -24,7 +25,7 @@ from tsk.documents import (
 )
 from tsk.fan import Fan
 from tsk.linalg import ZERO
-from tsk.multifilt import apply_elementary
+from tsk.multifilt import apply_elementary, reflexive_hull
 from tsk.prescribe import (
     Infeasible,
     PrescriptionProblem,
@@ -33,6 +34,7 @@ from tsk.prescribe import (
     solve_p,
 )
 from tsk.reflexive import R2Filtration, to_multifiltration
+from tsk.sampling import random_drops, random_reflexive
 from tsk.ring import TruncPoly
 
 
@@ -652,6 +654,41 @@ def test_determinism(capsys, start_doc):
         _, out, _ = run(capsys, "chern", start_doc)
         outs.add(out)
     assert len(outs) == 1
+
+
+def test_stdout_is_the_same_under_any_hash_seed(tmp_path, start_doc, dropped_doc, hull_doc):
+    # Subspaces hash by identity and strings by PYTHONHASHSEED, so two
+    # processes order a set or a hash table differently: neither order
+    # may reach stdout.  A seeded drop chain on P^3 carries several lines.
+    rng = random.Random(4343)
+    start = to_multifiltration(random_reflexive(rng, 3, max_c=3))
+    chain, applied = random_drops(rng, start, 6, (1, 2, 3))
+    assert applied
+    paths = {}
+    for name, mf in (("chain", chain), ("start", start), ("hull", reflexive_hull(chain))):
+        paths[name] = tmp_path / f"chain-{name}.json"
+        paths[name].write_text(dump_document(SheafDocument("multifiltration", mf)))
+    commands = [
+        ["chern", start_doc],
+        ["chern", paths["chain"]],
+        ["factorize", dropped_doc, hull_doc],
+        ["factorize", paths["chain"], paths["start"]],
+        ["factorize", paths["chain"], paths["hull"]],
+        ["obstruct", dropped_doc],
+        ["obstruct", paths["chain"]],
+    ]
+    src = os.path.dirname(os.path.dirname(tsk.__file__))
+    for argv in commands:
+        outs = {
+            subprocess.run(
+                [sys.executable, "-m", "tsk.cli", *map(str, argv)],
+                env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+                capture_output=True,
+                timeout=120,
+            ).stdout
+            for seed in ("0", "4242")
+        }
+        assert len(outs) == 1 and outs != {b""}, argv
 
 
 def _scattered_p5_doc(count):

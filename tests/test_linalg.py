@@ -47,6 +47,9 @@ def test_canonical_equality():
     assert hash(a) == hash(b)
     assert a != Subspace.line(1, 2)
     assert ZERO != FULL and hash(ZERO) != hash(FULL)
+    # interned, so the identity hash agrees with equality
+    assert hash(Subspace.line(2, 4)) == hash(Subspace.line(1, 2))
+    assert hash(a) == object.__hash__(a)
     assert repr(a) == "Subspace.line(1, 3)"
     assert repr(ZERO) == "ZERO"
     assert repr(FULL) == "FULL"

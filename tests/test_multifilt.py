@@ -24,9 +24,11 @@ from tsk.multifilt import (
     _canonical_jumps,
     _cells,
     _checked_cells,
+    _checked_drop,
     _coface_plan,
     _grid_flat,
     _meet_box,
+    _meet_unit,
     _runs,
     apply_elementary,
     apply_run,
@@ -614,13 +616,10 @@ def test_coface_plan_is_the_cofaces_with_sigma0_positions():
         fan = Fan(n)
         for sigma0 in fan.all_cones(min_dim=1):
             plan = _coface_plan(fan, sigma0)
-            assert [tau for tau, _, _, _ in plan] == fan.cofaces(sigma0)
-            for tau, pos, on_sigma0, new in plan:
+            assert [tau for tau, _, _ in plan] == fan.cofaces(sigma0)
+            for tau, pos, new in plan:
                 assert tuple(tau[p] for p in pos) == sigma0
                 assert new == tuple((p, r) for p, r in enumerate(tau) if r not in sigma0)
-                g = tuple(range(7, 7 + len(tau)))
-                read = on_sigma0(g)
-                assert (read if len(pos) > 1 else (read,)) == tuple(g[p] for p in pos)
             assert _coface_plan(fan, sigma0) is plan
 
 
@@ -813,9 +812,9 @@ def meet_box_against_the_grid(jumps, fan, sigma0, lo, hi, w, seen):
             continue
         assert jumps[tau] == grid_meet(jumps_tau, tau, sigma0, lo, hi, w), (tau, lo, hi, w)
         pos = [tau.index(r) for r in sigma0]
-        assert boxes[tau] == [
+        assert boxes[tau] == tuple(
             (c, v) for c, v in jumps_tau if all(x <= c[p] < y for p, x, y in zip(pos, lo, hi))
-        ]
+        )
         others = {v for _, v in boxes[tau] if v is not FULL and v is not w}
         seen["pairs"] += w is not ZERO and len(others) >= 2
     seen["wide"] += any(y - x > 1 for x, y in zip(lo, hi))
@@ -1267,6 +1266,84 @@ def test_factorize_is_shift_equivariant():
                 assert t.m_Sigma == s.m_Sigma - sum(d[r] for r in seen)
                 shifted += t.m_Sigma != s.m_Sigma
     assert shifted > pairs and top == {True, False}
+
+
+def drop_chain_pairs(seed, count):
+    """Seeded drop chains on P^2..P^5, each as (chain, start) and (chain,
+    hull of the chain)."""
+    rng = random.Random(seed)
+    pairs = []
+    while len(pairs) < 2 * count:
+        n = rng.choice((2, 3, 4, 5))
+        start = to_multifiltration(random_reflexive(rng, n, max_c=3))
+        dims = tuple(sorted(rng.sample(range(1, n + 1), rng.randint(1, n))))
+        final, applied = random_drops(rng, start, rng.randint(1, 4), dims)
+        if applied:
+            pairs += [(final, start), (final, reflexive_hull(final))]
+    return pairs
+
+
+def test_the_unit_drop_memo_changes_no_result():
+    # factorize and recompose with the memo cleared before each call, and
+    # again with it warm from a first factorize of the same pair, which
+    # the second takes entirely from the memo.
+    pairs = drop_chain_pairs(4040, 60)
+    cold = []
+    for e, f in pairs:
+        _meet_unit.cache_clear()
+        steps = factorize(e, f)
+        _meet_unit.cache_clear()
+        cold.append((steps, recompose(f, steps)))
+    replayed = 0
+    for (e, f), (steps, family) in zip(pairs, cold):
+        factorize(e, f)
+        before = _meet_unit.cache_info()
+        warm = factorize(e, f)
+        after = _meet_unit.cache_info()
+        assert after.misses == before.misses
+        replayed += after.hits - before.hits
+        assert warm == steps
+        assert recompose(f, warm) == family == e
+    assert replayed > 0 and sum(len(steps) for steps, _ in cold) > len(pairs)
+    assert {f.fan.n for _, f in pairs} == {2, 3, 4, 5}
+
+
+def test_recompose_after_factorize_only_hits_the_memo():
+    # recompose replays factorize's drops on the same lists: one hit per
+    # coface of each step, no miss.  The memo is bounded, and every box
+    # the unit-drop path returns is a tuple, so a hit can hand it out.
+    info = _meet_unit.cache_info()
+    assert isinstance(info.maxsize, int) and 0 < info.maxsize <= 10**5
+    for e, f in drop_chain_pairs(4041, 40):
+        steps = factorize(e, f)
+        rewrites = sum(len(_coface_plan(f.fan, step.sigma0)) for step in steps)
+        assert rewrites <= info.maxsize
+        before = _meet_unit.cache_info()
+        assert recompose(f, steps) == e
+        after = _meet_unit.cache_info()
+        assert (after.hits - before.hits, after.misses) == (rewrites, before.misses)
+        for step in steps:
+            _, _, jumps, boxes = _checked_drop(step.f, step.sigma0, step.m0, step.dropped)
+            assert len(boxes) == len(_coface_plan(f.fan, step.sigma0))
+            assert all(type(at) is tuple for at in boxes)
+            assert all(type(jumps[cone]) is tuple for cone in jumps)
+            assert jumps == step.e.jumps
+
+
+def test_profile_walks_and_runs_bypass_the_memo():
+    # The boxes of drop_profile and apply_run are not replayed: they go
+    # through `_meet_box`, and leave the memo as they found it.
+    pairs = drop_chain_pairs(4042, 20)
+    factorize(*pairs[0])
+    info = _meet_unit.cache_info()
+    assert info.currsize > 0
+    for e, f in pairs:
+        drop_profile(e, f)
+    for sol in (family_p4_odd(1), family_pn(5)):
+        build_sequence(sol.problem, sol)
+    f = start_family()
+    apply_run(f, (0, 1, 2), (-1, 0, 0), 3)
+    assert _meet_unit.cache_info() == info
 
 
 # ---------------------------------------------------------------------------

@@ -85,12 +85,13 @@ def test_elementary_check_only_for_given_pairs():
 def test_canonical_jumps_only_in_the_constructor():
     # The cached `_canonical_jumps` is for the lists the constructor
     # keeps.  One-off lists, validate()'s projections and the cofaces
-    # `_meet_box` rewrites, go through the uncached `__wrapped__`, so
-    # that they do not fill the cache.  The hull's lists are canonical
+    # `_meet_coface` rewrites, go through the uncached `__wrapped__`, so
+    # that they do not fill the cache (the unit drops' rewrites have a
+    # memo of their own, `_meet_unit`).  The hull's lists are canonical
     # in closed form and need neither.
     allowed = {
         False: {("Multifiltration", "__init__")},
-        True: {("Multifiltration", "validate"), ("_meet_box",)},
+        True: {("Multifiltration", "validate"), ("_meet_coface",)},
     }
     found = [
         f"{path.name}:{call.lineno}"
@@ -123,10 +124,10 @@ def test_no_canonical_flat_in_src():
 
 def test_meet_line_only_in_meet_box():
     # Meeting a family with a line is one rule on jump lists, the coface
-    # rewrite's, which the profile walk's weight read reuses for the second
-    # drop of a FULL -> ZERO cell; the hull's lists come in closed form
-    # from the ray ends.
-    allowed = {("_meet_box",), ("drop_profile",)}
+    # rewrite's (`_meet_coface`), which the profile walk's weight read
+    # reuses for the second drop of a FULL -> ZERO cell; the hull's lists
+    # come in closed form from the ray ends.
+    allowed = {("_meet_coface",), ("drop_profile",)}
     found = [
         f"{path.name}:{call.lineno}"
         for path in sorted(SRC.rglob("*.py"))
@@ -139,7 +140,7 @@ def test_meet_line_only_in_meet_box():
 
 def test_grid_flat_only_in_the_kernels():
     # A coface rewrite (a drop, a run of drops, a per-cone count) is
-    # `_meet_box`, on lists; a grid of one family per coface would be a
+    # `_meet_coface`, on lists; a grid of one family per coface would be a
     # second rewrite.  Canonicalizing a raw list scans the list: its grid
     # can be exponentially larger than the document.  The cells where two
     # families differ, for the delta invariant, the factorization, the
@@ -185,19 +186,29 @@ GRIDS = {"_grid_flat", "_runs", "_strides", "_cells", "_checked_cells"}
 def _reached_in_multifilt(*roots):
     """The multifilt definitions that the roots call, transitively: a
     call reaches every name in its callee expression, so that
-    `_canonical_jumps.__wrapped__(...)` reaches `_canonical_jumps`."""
+    `_canonical_jumps.__wrapped__(...)` reaches `_canonical_jumps`, and
+    a module-level alias reaches every name in its value, so that
+    `_meet_unit = lru_cache(...)(_meet_coface)` reaches `_meet_coface`."""
     tree = ast.parse((SRC / "multifilt.py").read_text("utf-8"))
     defs = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.FunctionDef):
             defs.setdefault(node.name, []).append(node)
+    aliases = {
+        target.id: _named(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    }
     reached, todo = set(), list(roots)
     while todo:
         name = todo.pop()
-        if name in reached or name not in defs:
+        if name in reached or name not in defs and name not in aliases:
             continue
         reached.add(name)
-        for node in defs[name]:
+        todo.extend(aliases.get(name, ()))
+        for node in defs.get(name, ()):
             for call in ast.walk(node):
                 if isinstance(call, ast.Call):
                     todo.extend(_named(call.func))
@@ -206,11 +217,15 @@ def _reached_in_multifilt(*roots):
 
 def test_drop_builds_no_grid():
     # A drop and a run rewrite each coface's jump list over the box they
-    # change with `_meet_box`; none of them, nor anything they call in
-    # multifilt, builds or reads a grid.
-    reached = _reached_in_multifilt("drop", "apply_run", "_meet_box")
-    assert {"_meet_box", "_meet_line", "_canonical_jumps", "evaluate", "eval_jumps"} <= reached
-    assert reached & GRIDS == set()
+    # change with `_meet_coface`, the drop through its memo `_meet_unit`
+    # and the run through `_meet_box`; none of them, nor anything they
+    # call in multifilt, builds or reads a grid.
+    for root in ("drop", "apply_run"):
+        reached = _reached_in_multifilt(root)
+        assert {"_meet_coface", "_meet_line", "_canonical_jumps"} <= reached, root
+        assert reached & GRIDS == set(), root
+    assert {"_meet_unit", "evaluate", "eval_jumps"} <= _reached_in_multifilt("drop")
+    assert "_meet_box" in _reached_in_multifilt("apply_run")
 
 
 def test_cofaces_only_in_the_coface_plan():
@@ -226,20 +241,36 @@ def test_cofaces_only_in_the_coface_plan():
     assert callers == {("_coface_plan",)}
 
 
-def test_family_only_drops_derive_no_invariants():
-    # drop and apply_elementary share one checked rewrite; the invariants
-    # are derived in drop alone, which neither apply_elementary nor
-    # recompose, which keeps only the family, reaches.
+def _callers_in_multifilt(name):
     tree = ast.parse((SRC / "multifilt.py").read_text("utf-8"))
-    callers = {
+    return {
         scope
         for scope, call in _calls_by_scope(tree)
-        if getattr(call.func, "id", None) == "_checked_drop"
+        if getattr(call.func, "id", None) == name
     }
-    assert callers == {("drop",), ("apply_elementary",)}
+
+
+def test_family_only_drops_derive_no_invariants():
+    # drop, apply_elementary and factorize's steps share one rewrite; the
+    # invariants are derived in `_injection`, for drop and factorize
+    # alone, which neither apply_elementary nor recompose, which keeps
+    # only the family, reaches.
+    assert _callers_in_multifilt("_checked_drop") == {
+        ("drop",), ("apply_elementary",), ("factorize",)
+    }
+    assert _callers_in_multifilt("_injection") == {("drop",), ("factorize",)}
     reached = _reached_in_multifilt("apply_elementary", "recompose")
-    assert {"_checked_drop", "_meet_box", "_coface_plan"} <= reached
-    assert "drop" not in reached
+    assert {"_checked_drop", "_meet_unit", "_meet_coface", "_coface_plan"} <= reached
+    assert reached & {"drop", "_injection"} == set()
+
+
+def test_only_unit_drops_fill_the_memo():
+    # The memo `_meet_unit` holds unit-drop rewrites, which recompose
+    # replays after factorize: only `_checked_drop` calls it.  The boxes
+    # of runs and of the profile walk are not replayed, so `_meet_box`
+    # calls the uncached `_meet_coface`.
+    assert _callers_in_multifilt("_meet_unit") == {("_checked_drop",)}
+    assert _callers_in_multifilt("_meet_coface") == {("_meet_box",)}
 
 
 def test_hull_builds_no_grid():
@@ -313,7 +344,7 @@ def test_obstruct_takes_no_drops():
         if isinstance(node, (ast.Import, ast.ImportFrom))
         for alias in node.names
     }
-    assert imported & {"factor_steps", "factorize", "drop"} == set()
+    assert imported & {"factorize", "drop"} == set()
 
 
 def test_obstruct_reads_the_normalized_sheaf_in_e_frame():
