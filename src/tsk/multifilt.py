@@ -42,11 +42,14 @@ modular) and with no grid; `_meet_box` applies it to every coface,
 read off the memoized `_coface_plan` of sigma0.
 
 A unit drop is the rewrite on the unit box at m0, through the bounded
-memo `_meet_unit`: `_checked_drop` checks the drop and rewrites each
-coface there, and `drop` reads the injection's invariants off the box's
-jumps outside the hyperplane (`_injection`); `apply_elementary` is the
-same checked rewrite with no invariants.  So `recompose`, replaying the
-drops that `factorize` has just taken on the same lists, costs a lookup
+memo `_meet_unit`: `_checked_drop` checks the drop, reading the value
+at m0 and the join below it off one scan of sigma0's list
+(`_value_and_below`), and rewrites each coface there, and `drop` reads
+the injection's invariants off the box's jumps outside the hyperplane
+(`_injection`); `apply_elementary` is the same checked rewrite with no
+invariants, and `factorize`'s steps are `drop`'s, checks included.  So
+`recompose`, replaying the drops that `factorize` has just taken on
+the same lists, costs per step one scan of sigma0's list and a lookup
 per coface.  `apply_run` writes a run of drops to ZERO at consecutive
 classes along one axis as one `_meet_box` on the run's box, and
 `drop_profile` takes a cone's drops as one `_meet_box` per differing
@@ -71,6 +74,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .fan import Cone, Fan, Weight
 from .linalg import FULL, ZERO, Subspace, echelon_hyperplane, join_all
+from .record import Frozen
 
 Jump = tuple[Weight, Subspace]
 JumpList = tuple[Jump, ...]
@@ -230,13 +234,13 @@ def _meet_line(jumps: Iterable[Jump], w: Subspace) -> list[Jump]:
 # the family container
 
 
-class Multifiltration:
+class Multifiltration(Frozen):
     """Rank-2 multifiltration on the fan of P^n, canonical jump lists.
 
     `jumps` maps every cone of dimension >= 1 to its canonical jump
     list; the zero cone is implicit (single class, value C^2).
-    Instances are immutable; equality is equality of the families as
-    functions (== of canonical lists).
+    Equality is equality of the families as functions (== of canonical
+    lists); the hash is its own, as the jumps dict is unhashable.
     """
 
     __slots__ = ("fan", "jumps")
@@ -274,14 +278,6 @@ class Multifiltration:
         object.__setattr__(mf, "fan", fan)
         object.__setattr__(mf, "jumps", jumps)
         return mf
-
-    def __setattr__(self, *_: object) -> None:
-        raise AttributeError("Multifiltration is immutable")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Multifiltration):
-            return NotImplemented
-        return self.fan == other.fan and self.jumps == other.jumps
 
     def __hash__(self) -> int:
         return hash((self.fan, tuple(sorted(self.jumps.items()))))
@@ -353,12 +349,20 @@ class Multifiltration:
         return Multifiltration._canonical(self.fan, moved)
 
 
-def join_below(f: Multifiltration, cone: Cone, m0: Weight) -> Subspace:
-    """The join of the values of F^cone one step below m0 along each axis:
-    one scan, since a jump lies one step below m0 along some axis exactly
-    when it is <= m0 and not m0."""
-    m0 = tuple(m0)
-    return eval_jumps(tuple(j for j in f.jumps[cone] if j[0] != m0), m0)
+def _value_and_below(jumps: JumpList, m0: Weight) -> tuple[Subspace, Subspace]:
+    """The value at m0 of the family of a canonical list, and the join of
+    its values one step below m0 along each axis, in one scan.  A jump
+    lies one step below m0 along some axis exactly when it is <= m0 and
+    not m0, and the canonical jump at m0, when there is one, carries the
+    value there; otherwise the value is the join below."""
+    value: Subspace | None = None
+    below = ZERO
+    for coords, w in jumps:
+        if coords == m0:
+            value = w
+        elif all(map(le, coords, m0)):
+            below = below.join(w)
+    return below if value is None else value, below
 
 
 # ---------------------------------------------------------------------------
@@ -689,36 +693,33 @@ def _meet_box(
 
 
 def _checked_drop(
-    f: Multifiltration,
-    sigma0: Cone,
-    m0: Weight,
-    target: Subspace,
-    check: bool = True,
+    f: Multifiltration, sigma0: Cone, m0: Weight, target: Subspace
 ) -> tuple[Cone, Weight, dict[Cone, JumpList], list[JumpList]]:
     """The preconditions and the coface rewrite of `drop(f, sigma0, m0,
     target)`: sigma0, m0 (its coordinates through `operator.index`), E's
     jump lists and each coface's `at`, in the order of `_coface_plan`.
-    Each coface is rewritten on the unit box at m0 through the memo
-    `_meet_unit`.  `factorize` passes check=False: its steps meet the
-    preconditions by construction."""
+    The preconditions are read off one scan of sigma0's list
+    (`_value_and_below`), and each coface is rewritten on the unit box at
+    m0 through the memo `_meet_unit`.  Every unit drop runs the checks,
+    `factorize`'s steps included, though they never fire there."""
     sigma0 = tuple(sigma0)
     m0 = tuple(map(index, m0))
-    if check:
-        if sigma0 not in f.jumps:
-            raise ValueError(f"{sigma0!r} is not a cone of dimension >= 1")
-        value = f.evaluate(sigma0, m0)
-        if not target <= value or value.dim - target.dim != 1:
-            raise ValueError(
-                f"target {target!r} is not a hyperplane of F^{sigma0!r}_{m0!r}"
-                f" = {value!r}"
-            )
-        below = join_below(f, sigma0, m0)
-        if not below <= target:
-            raise ValueError(
-                f"monotonicity violated: the join of values strictly below"
-                f" {m0!r} is {below!r}, not inside the target {target!r};"
-                f" m0 is not minimal for this drop"
-            )
+    if sigma0 not in f.jumps:
+        raise ValueError(f"{sigma0!r} is not a cone of dimension >= 1")
+    if len(m0) != len(sigma0):
+        raise ValueError(f"class {m0!r} has wrong arity for cone {sigma0!r}")
+    value, below = _value_and_below(f.jumps[sigma0], m0)
+    if not target <= value or value.dim - target.dim != 1:
+        raise ValueError(
+            f"target {target!r} is not a hyperplane of F^{sigma0!r}_{m0!r}"
+            f" = {value!r}"
+        )
+    if not below <= target:
+        raise ValueError(
+            f"monotonicity violated: the join of values strictly below"
+            f" {m0!r} is {below!r}, not inside the target {target!r};"
+            f" m0 is not minimal for this drop"
+        )
     jumps = dict(f.jumps)
     hi = tuple([x + 1 for x in m0])
     boxes = []
@@ -939,14 +940,15 @@ def factorize(
     sigma0 where G differs from E, it reads the `_checked_cells(E, G,
     sigma0)` once, sorts the classes of the cells in lex order and, class
     by class, takes dim G - dim E drops, each lowering G^sigma0_m0 to the
-    echelon hyperplane H >= E^sigma0_m0.  Each drop is `drop`'s memoized
-    rewrite and invariants (`_checked_drop`, `_injection`) without its
-    re-checks of the preconditions, which hold: H has codimension 1 in
-    G^sigma0_m0 by its choice, and a drop at sigma0 changes sigma0 only
-    at m0, and otherwise only sigma0's proper cofaces, all later in the
-    walk.  So each step is at the (dim, lex)-minimal cone and the
-    lex-first class where G and E differ, the classes below m0 come
-    earlier, where G is E by now, and their join lies in E^sigma0_m0 <= H.
+    echelon hyperplane H >= E^sigma0_m0.  Each drop is `drop`'s checked
+    and memoized rewrite and its invariants (`_checked_drop`,
+    `_injection`).  Its checks never fire here, as the preconditions
+    hold: H has codimension 1 in G^sigma0_m0 by its choice, and a drop
+    at sigma0 changes sigma0 only at m0, and otherwise only sigma0's
+    proper cofaces, all later in the walk.  So each step is at the
+    (dim, lex)-minimal cone and the lex-first class where G and E
+    differ, the classes below m0 come earlier, where G is E by now, and
+    their join lies in E^sigma0_m0 <= H.
 
     A drop keeps E c G: on a coface tau, at a class g whose coordinates
     g' on sigma0's rays are <= m0, E^tau_g <= E^sigma0_g' (stabilization)
@@ -977,8 +979,7 @@ def factorize(
         for m0, inner, value in classes:
             for _ in range(value.dim - inner.dim):
                 value = echelon_hyperplane(value, inner)
-                rewrite = _checked_drop(current, sigma0, m0, value, check=False)
-                step = _injection(current, value, *rewrite)
+                step = _injection(current, value, *_checked_drop(current, sigma0, m0, value))
                 steps.append(step)
                 current = step.e
     return steps

@@ -64,6 +64,7 @@ from typing import NamedTuple
 
 from .chern import chern_general, twist_chern
 from .multifilt import Multifiltration, drop_profile, reflexive_hull
+from .record import Frozen
 from .reflexive import (
     R2Filtration,
     Stability,
@@ -75,12 +76,11 @@ from .reflexive import (
 from .ring import TruncPoly, log_coeffs
 
 
-class TorsionProfile:
+class TorsionProfile(Frozen):
     """Codimension profile of the quotient F/E: p maps k to the number
     of k-elementary injections in the factorization, and
     q = min{k : p_k > 0} >= 2 is the codimension of the quotient.
-    `p` holds the sorted (k, count) pairs, counts > 0.  Immutable;
-    equal profiles compare and hash equal."""
+    `p` holds the sorted (k, count) pairs, counts > 0."""
 
     __slots__ = ("p",)
 
@@ -93,17 +93,6 @@ class TorsionProfile:
         if not all(type(cnt) is int and cnt > 0 for _, cnt in p):
             raise ValueError("profile counts must be positive ints")
         object.__setattr__(self, "p", p)
-
-    def __setattr__(self, *_: object) -> None:
-        raise AttributeError("TorsionProfile is immutable")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TorsionProfile):
-            return NotImplemented
-        return self.p == other.p
-
-    def __hash__(self) -> int:
-        return hash(self.p)
 
     @property
     def q(self) -> int:

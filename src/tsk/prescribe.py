@@ -34,11 +34,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial, lcm
+from operator import index
 from typing import Iterator, NamedTuple, Sequence
 
 from .chern import chern_general, run_factors, run_log
 from .fan import Cone, Fan, Weight
 from .multifilt import Multifiltration, apply_run, drop_profile
+from .record import Frozen
 from .reflexive import (
     R2Filtration,
     Stability,
@@ -49,15 +51,15 @@ from .reflexive import (
 from .ring import TruncPoly, linear_product, log_coeffs
 
 
-class PrescriptionProblem:
+class PrescriptionProblem(Frozen):
     """Start data for the prescription: (c_rho) on P^n, ray 0 designated
-    (c_0 >= 1), lines pairwise distinct (line(1, i) on ray i).
-    Immutable; equal data compare and hash equal."""
+    (c_0 >= 1), lines pairwise distinct (line(1, i) on ray i).  n and
+    each c_rho go through `operator.index`, so a float raises TypeError."""
 
     __slots__ = ("n", "c")
 
     def __init__(self, n: int, c: Sequence[int]) -> None:
-        c = tuple(c)
+        n, c = index(n), tuple(map(index, c))
         if n < 3:
             raise ValueError("prescription needs n >= 3")
         if len(c) != n + 1:
@@ -68,17 +70,6 @@ class PrescriptionProblem:
             raise ValueError("the designated ray needs c_0 >= 1")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "c", c)
-
-    def __setattr__(self, *_: object) -> None:
-        raise AttributeError("PrescriptionProblem is immutable")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PrescriptionProblem):
-            return NotImplemented
-        return (self.n, self.c) == (other.n, other.c)
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.c))
 
     @property
     def c_rho0(self) -> int:

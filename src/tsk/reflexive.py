@@ -18,12 +18,14 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
+from operator import index
 from typing import Callable, Iterator, Sequence
 
 from .chern import chern_general
 from .fan import Fan
 from .linalg import FULL, ZERO, Subspace, line2
 from .multifilt import Multifiltration, hull_of_ends, ray_ends
+from .record import Frozen
 from .ring import TruncPoly, linear_product
 
 
@@ -33,14 +35,15 @@ class Stability(str, Enum):
     UNSTABLE = "unstable"
 
 
-class RayDatum:
+class RayDatum(Frozen):
     """Filtration of one ray: (a, b, line), with line the subspace on
-    [a, b); the line is meaningless and stored as None when a = b.
-    Immutable; equal data compare and hash equal."""
+    [a, b); the line is meaningless and stored as None when a = b.  a
+    and b go through `operator.index`, so a float raises TypeError."""
 
     __slots__ = ("a", "b", "line")
 
     def __init__(self, a: int, b: int, line: tuple[int, int] | None = None) -> None:
+        a, b = index(a), index(b)
         if a > b:
             raise ValueError(f"need a <= b, got ({a}, {b})")
         if a == b:
@@ -52,17 +55,6 @@ class RayDatum:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "line", line)
-
-    def __setattr__(self, *_: object) -> None:
-        raise AttributeError("RayDatum is immutable")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RayDatum):
-            return NotImplemented
-        return (self.a, self.b, self.line) == (other.a, other.b, other.line)
-
-    def __hash__(self) -> int:
-        return hash((self.a, self.b, self.line))
 
     @property
     def c(self) -> int:
@@ -77,9 +69,8 @@ class RayDatum:
         return FULL
 
 
-class R2Filtration:
-    """One RayDatum per ray of the fan of P^n.  Immutable; equal data
-    compare and hash equal."""
+class R2Filtration(Frozen):
+    """One RayDatum per ray of the fan of P^n."""
 
     __slots__ = ("fan", "rays")
 
@@ -91,17 +82,6 @@ class R2Filtration:
             )
         object.__setattr__(self, "fan", fan)
         object.__setattr__(self, "rays", rays)
-
-    def __setattr__(self, *_: object) -> None:
-        raise AttributeError("R2Filtration is immutable")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, R2Filtration):
-            return NotImplemented
-        return self.fan is other.fan and self.rays == other.rays
-
-    def __hash__(self) -> int:
-        return hash((self.fan, self.rays))
 
     @classmethod
     def b_zero_data(cls, fan: Fan, c: Sequence[int]) -> "R2Filtration":

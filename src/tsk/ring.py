@@ -29,6 +29,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
+from .record import Frozen
+
 Scalar = Union[int, Fraction]
 
 
@@ -41,10 +43,10 @@ def _exact(value: Scalar) -> Scalar:
     return value
 
 
-class TruncPoly:
+class TruncPoly(Frozen):
     """An element of Z[H]/<H^(n+1)> or Q[H]/<H^(n+1)>.
 
-    Immutable; `coeffs` has exactly n+1 entries, coeffs[k] multiplying H^k.
+    `coeffs` has exactly n+1 entries, coeffs[k] multiplying H^k.
     """
 
     __slots__ = ("n", "coeffs")
@@ -59,9 +61,6 @@ class TruncPoly:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "coeffs", tuple(cs))
 
-    def __setattr__(self, *_: object) -> None:
-        raise AttributeError("TruncPoly is immutable")
-
     # -- constructors ---------------------------------------------------
 
     @classmethod
@@ -74,14 +73,6 @@ class TruncPoly:
         return cls(n, (a, b) if n >= 1 else (a,))
 
     # -- basic protocol -------------------------------------------------
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TruncPoly):
-            return NotImplemented
-        return self.n == other.n and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.coeffs))
 
     def __repr__(self) -> str:
         return f"TruncPoly({self.n}, {list(self.coeffs)!r})"

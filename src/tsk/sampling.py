@@ -13,7 +13,7 @@ from typing import Sequence
 
 from .fan import Cone, Fan, Weight
 from .linalg import Subspace, echelon_hyperplane
-from .multifilt import Multifiltration, _axes, apply_elementary, join_below
+from .multifilt import Multifiltration, _axes, _value_and_below, apply_elementary
 from .reflexive import R2Filtration, RayDatum, Stability, stability
 
 
@@ -75,10 +75,7 @@ def random_drops(
         cone = rng.choice(pool[rng.choice(list(dims))])
         axes = _axes(cur.jumps[cone], len(cone))
         m0 = tuple(rng.choice(ax) + rng.choice((-1, 0, 0, 1)) for ax in axes)
-        value = cur.evaluate(cone, m0)
-        if value.dim == 0:
-            continue
-        below = join_below(cur, cone, m0)
+        value, below = _value_and_below(cur.jumps[cone], m0)
         if not below.dim < value.dim:
             continue
         if value.dim - below.dim == 1 or rng.random() < 0.5:

@@ -31,7 +31,7 @@ from operator import mul
 from typing import Iterator, Sequence
 
 from tsk.fan import Cone, Weight
-from tsk.linalg import FULL, ZERO, Subspace, echelon_hyperplane
+from tsk.linalg import FULL, ZERO, Subspace, echelon_hyperplane, join_all
 from tsk.multifilt import (
     ElementaryInjection,
     Jump,
@@ -42,7 +42,6 @@ from tsk.multifilt import (
     _strides,
     drop,
     eval_jumps,
-    join_below,
 )
 from tsk.prescribe import PrescriptionSolution, weight_schedule
 from tsk.reflexive import to_multifiltration
@@ -228,7 +227,10 @@ def grid_drop(
     value = f.evaluate(sigma0, m0)
     if not target <= value or value.dim - target.dim != 1:
         raise ValueError(f"target {target!r} is not a hyperplane of {value!r}")
-    if not join_below(f, sigma0, m0) <= target:
+    below = join_all(
+        f.evaluate(sigma0, m0[:i] + (x - 1,) + m0[i + 1 :]) for i, x in enumerate(m0)
+    )
+    if not below <= target:
         raise ValueError(f"the values strictly below {m0!r} are not inside {target!r}")
 
     new_jumps: dict[Cone, JumpList] = dict(f.jumps)

@@ -10,6 +10,7 @@ from itertools import product
 
 import pytest
 
+from tsk import multifilt
 from tsk.chern import chern_general, ratio_saturated_conewise
 from tsk.documents import SheafDocument, dump_document, load_document
 from tsk.fan import Fan
@@ -30,6 +31,7 @@ from tsk.multifilt import (
     _meet_box,
     _meet_unit,
     _runs,
+    _value_and_below,
     apply_elementary,
     apply_run,
     delta,
@@ -41,7 +43,6 @@ from tsk.multifilt import (
     factorize,
     is_contained,
     is_reflexive,
-    join_below,
     recompose,
     reflexive_hull,
 )
@@ -937,7 +938,7 @@ def test_elementary_check_names_the_broken_clause():
     m1 = next(
         m
         for m in product(*_axes(e.jumps[tau], len(tau)))
-        if e.evaluate(tau, m).dim == 1 and join_below(e, tau, m).dim == 0
+        if [w.dim for w in _value_and_below(e.jumps[tau], m)] == [1, 0]
     )
     e2 = drop(e, tau, m1, ZERO).e
     for bigger, smaller in ((mf, e2), (e2, mf), (e, mf)):
@@ -1122,6 +1123,21 @@ def test_factorize_rejects_non_containment():
         one, other = (apply_elementary(f, cone, m0, Subspace.line(1, k)) for k in (0, 1))
         with pytest.raises(ValueError, match="not pointwise contained"):
             factorize(one, other)
+
+
+def test_factorize_runs_the_drop_checks(monkeypatch):
+    # Each step of factorize is a checked drop: a hyperplane rule that
+    # returns the value itself, no hyperplane of it, is refused at the
+    # first step, on a line dropped to ZERO and on FULL dropped twice.
+    mf = start_family()
+    one = apply_elementary(mf, (0, 1, 2), (-1, 0, 0), ZERO)
+    two = apply_elementary(mf, (3,), (0,), Subspace.line(1, 0))
+    two = apply_elementary(two, (3,), (0,), ZERO)
+    assert [len(factorize(e, mf)) for e in (one, two)] == [1, 2]
+    monkeypatch.setattr(multifilt, "echelon_hyperplane", lambda value, inner: value)
+    for e in (one, two):
+        with pytest.raises(ValueError, match="is not a hyperplane of F"):
+            factorize(e, mf)
 
 
 @contextmanager
@@ -1584,9 +1600,9 @@ def test_drop_profile_reads_the_stages_of_the_built_families():
         }
 
 
-def test_join_below_matches_the_join_of_one_step_below_each_axis():
-    # The one scan against its definition, d evaluations, on drop chains
-    # over P^2..P^5 at classes on, between and past their jumps.
+def test_value_and_below_match_evaluate_and_the_join_one_step_below():
+    # The one scan against its definitions, d + 1 evaluations, on drop
+    # chains over P^2..P^5 at classes on, between and past their jumps.
     rng = random.Random(2828)
     checked = lines = 0
     for n in (2, 3, 4, 5):
@@ -1601,7 +1617,8 @@ def test_join_below_matches_the_join_of_one_step_below_each_axis():
                     for i in range(len(cone)):
                         pred = m0[:i] + (m0[i] - 1,) + m0[i + 1 :]
                         expected = expected.join(f.evaluate(cone, pred))
-                    assert join_below(f, cone, m0) is expected
+                    value, below = _value_and_below(f.jumps[cone], m0)
+                    assert value is f.evaluate(cone, m0) and below is expected
                     checked += 1
                     lines += expected.dim == 1
     assert checked > 2000 and lines > 100

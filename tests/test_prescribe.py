@@ -52,6 +52,18 @@ def test_problem_validation():
         prob.c = (1, 1, 1, 0, 0)
 
 
+def test_prescription_problem_refuses_a_float_n():
+    # n and each c_rho go through operator.index, as a drop's m0 does.
+    with pytest.raises(TypeError):
+        PrescriptionProblem(4.0, (1, 6, 6, 0, 0))
+
+
+def test_prescription_problem_refuses_a_float_c_rho():
+    for c in ((1.0, 6, 6, 0, 0), (1, 6, 6, 0, 0.5)):
+        with pytest.raises(TypeError):
+            PrescriptionProblem(4, c)
+
+
 def test_tilde_c_oracle():
     prob = PrescriptionProblem(4, (1, 6, 6, 0, 0))
     assert tilde_c(prob.start_chern()) == (-108, 1872)

@@ -77,6 +77,20 @@ def test_ray_data_are_values():
         R2Filtration(Fan(3), f.rays[:3])
 
 
+def test_ray_datum_refuses_a_float_a():
+    # With a = -1.0 stability() answered STABLE while slope() failed
+    # inside fractions; a goes through operator.index, so the datum is
+    # refused when it is built, a Fraction too.
+    for a in (-1.0, Fraction(-1)):
+        with pytest.raises(TypeError):
+            RayDatum(a, 0, (1, 0))
+
+
+def test_ray_datum_refuses_a_float_b():
+    with pytest.raises(TypeError):
+        RayDatum(-1, 0.0, (1, 0))
+
+
 def test_filtration_basics():
     f = b_zero(4, (1, 6, 6, 0, 0))
     assert f.n == 4

@@ -219,13 +219,65 @@ def test_drop_builds_no_grid():
     # A drop and a run rewrite each coface's jump list over the box they
     # change with `_meet_coface`, the drop through its memo `_meet_unit`
     # and the run through `_meet_box`; none of them, nor anything they
-    # call in multifilt, builds or reads a grid.
+    # call in multifilt, builds or reads a grid.  A drop reads its
+    # preconditions off one scan of sigma0's list, `_value_and_below`,
+    # and evaluates nothing.
     for root in ("drop", "apply_run"):
         reached = _reached_in_multifilt(root)
         assert {"_meet_coface", "_meet_line", "_canonical_jumps"} <= reached, root
         assert reached & GRIDS == set(), root
-    assert {"_meet_unit", "evaluate", "eval_jumps"} <= _reached_in_multifilt("drop")
+    reached = _reached_in_multifilt("drop")
+    assert {"_meet_unit", "_value_and_below"} <= reached
+    assert reached & {"evaluate", "eval_jumps"} == set()
     assert "_meet_box" in _reached_in_multifilt("apply_run")
+
+
+def test_every_unit_drop_runs_the_checks():
+    # drop, apply_elementary and factorize's steps share `_checked_drop`,
+    # which has no switch to skip its checks, and `_value_and_below` is
+    # the one reading of the value at m0 and the join below it.
+    tree = ast.parse((SRC / "multifilt.py").read_text("utf-8"))
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    args = defs["_checked_drop"].args
+    assert [a.arg for a in args.args] == ["f", "sigma0", "m0", "target"]
+    assert (args.vararg, args.kwonlyargs, args.kwarg) == (None, [], None)
+    assert "join_below" not in defs
+    assert _callers_in_multifilt("_value_and_below") == {("_checked_drop",)}
+
+
+RECORDS = {
+    "RayDatum",
+    "R2Filtration",
+    "TorsionProfile",
+    "PrescriptionProblem",
+    "TruncPoly",
+    "Multifiltration",
+}
+
+
+def test_records_share_one_frozen_base():
+    # The value records take immutability, equality and hashing from
+    # `record.Frozen`; Multifiltration keeps its own hash, as its jumps
+    # dict is unhashable.  Fan and Subspace are interned, so equality is
+    # identity there, and they keep only their own __setattr__.
+    classes = {node.name: node for _, node in _nodes() if isinstance(node, ast.ClassDef)}
+    for name in RECORDS:
+        assert [_named(base) for base in classes[name].bases] == [{"Frozen"}], name
+    own = {
+        (cls.name, node.name)
+        for cls in classes.values()
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef)
+        and node.name in ("__setattr__", "__eq__", "__hash__")
+    }
+    assert own == {
+        ("Frozen", "__setattr__"),
+        ("Frozen", "__eq__"),
+        ("Frozen", "__hash__"),
+        ("Multifiltration", "__hash__"),
+        ("Fan", "__setattr__"),
+        ("Subspace", "__setattr__"),
+    }
 
 
 def test_cofaces_only_in_the_coface_plan():
@@ -535,6 +587,9 @@ KEPT = {
     "family_p5": "test_prescribe.py::test_family_p5",
     "random_b_zero": "test_multifilt.py::test_factorize_k0_monotone_random",
     "delta": "test_multifilt.py::test_delta_invariant",
+    "Multifiltration.evaluate": (
+        "test_multifilt.py::test_value_and_below_match_evaluate_and_the_join_one_step_below"
+    ),
 }
 
 
