@@ -44,10 +44,10 @@ read off the memoized `_coface_plan` of sigma0.
 A unit drop is the rewrite on the unit box at m0, through the bounded
 memo `_meet_unit`: `_checked_drop` checks the drop, reading the value
 at m0 and the join below it off one scan of sigma0's list
-(`_value_and_below`), and rewrites each coface there, and `drop` reads
-the injection's invariants off the box's jumps outside the hyperplane
-(`_injection`); `apply_elementary` is the same checked rewrite with no
-invariants, and `factorize`'s steps are `drop`'s, checks included.  So
+(`_value_and_below`), and rewrites each coface there.  `drop` reads the
+injection's invariants off the box's jumps outside the hyperplane,
+`apply_elementary` is the same checked rewrite with no invariants, and
+`factorize`'s steps are calls to `drop`, checks included.  So
 `recompose`, replaying the drops that `factorize` has just taken on
 the same lists, costs per step one scan of sigma0's list and a lookup
 per coface.  `apply_run` writes a run of drops to ZERO at consecutive
@@ -62,7 +62,8 @@ sums the dim differences: `factorize` walks the cones once and drops
 each differing class in lex order, `drop_profile` walks them the same
 way (`drop_counts` is its count view), and `delta` sums, checking E c F
 on the cones it leaves out too (`_contained_cells`).  `elementary_check`
-locates or refutes a single drop on the `_cells`.
+is the one-step factorization: a `drop_counts` total of 1, then
+`factorize`'s single step.
 """
 
 from __future__ import annotations
@@ -240,7 +241,9 @@ class Multifiltration(Frozen):
     `jumps` maps every cone of dimension >= 1 to its canonical jump
     list; the zero cone is implicit (single class, value C^2).
     Equality is equality of the families as functions (== of canonical
-    lists); the hash is its own, as the jumps dict is unhashable.
+    lists); the hash is its own, as the jumps dict is unhashable.  Jump
+    coordinates go through `operator.index`, so arithmetic on them stays
+    exact: a float raises TypeError.
     """
 
     __slots__ = ("fan", "jumps")
@@ -253,7 +256,8 @@ class Multifiltration(Frozen):
     ) -> None:
         canonical: dict[Cone, JumpList] = {}
         for cone in fan.all_cones(min_dim=1):
-            raw = tuple(sorted(jumps.get(cone, ()), key=lambda jw: jw[0]))
+            given = [(tuple(map(index, c)), w) for c, w in jumps.get(cone, ())]
+            raw = tuple(sorted(given, key=itemgetter(0)))
             for coords, w in raw:
                 if len(coords) != len(cone):
                     raise InvalidFamily(
@@ -339,9 +343,11 @@ class Multifiltration(Frozen):
 
         Ray filtrations shift to E'^rho(i) = E^rho(i + d_rho): every
         jump coordinate moves by -d_rho on its ray's axis; lists stay canonical.
+        The shifts go through `operator.index`, as the coordinates do.
         """
         if len(d) != self.fan.n + 1:
             raise ValueError("need one twist integer per ray")
+        d = tuple(map(index, d))
         moved = {}
         for cone, jumps in self.jumps.items():
             shift = [d[ray] for ray in cone]
@@ -729,43 +735,6 @@ def _checked_drop(
     return sigma0, m0, jumps, boxes
 
 
-def _injection(
-    f: Multifiltration,
-    target: Subspace,
-    sigma0: Cone,
-    m0: Weight,
-    jumps: dict[Cone, JumpList],
-    boxes: Sequence[JumpList],
-) -> ElementaryInjection:
-    """The elementary injection of a drop of F at (sigma0, m0) to
-    `target`, E's lists `jumps` and the boxes from `_checked_drop`: its
-    invariants read off the boxes as `drop` derives them."""
-    m_rho = dict(zip(sigma0, m0))
-    m_sigma: dict[Cone, Weight] = {}
-    saturated = True
-    for (cone, _, new), at in zip(_coface_plan(f.fan, sigma0), boxes):
-        out = [coords for coords, w in at if w is not target]
-        if len(new) == 1:
-            ((p, ray),) = new
-            m_rho[ray] = min([coords[p] for coords in out])
-        corner = tuple([m_rho[r] for r in cone])
-        m_sigma[cone] = corner
-        saturated = saturated and any(all(map(le, coords, corner)) for coords in out)
-
-    return ElementaryInjection(
-        e=Multifiltration._canonical(f.fan, jumps),
-        f=f,
-        k0=len(sigma0),
-        sigma0=sigma0,
-        m0=m0,
-        dropped=target,
-        m_sigma=m_sigma,
-        m_rho=m_rho,
-        m_Sigma=sum(m_rho.values()),
-        saturated=saturated,
-    )
-
-
 def drop(
     f: Multifiltration, sigma0: Cone, m0: Weight, target: Subspace
 ) -> ElementaryInjection:
@@ -783,8 +752,9 @@ def drop(
     tau, with g' the coordinates of a class g on sigma0's rays, only the
     slice g' = m0 changes, and each coface is rewritten by `_meet_coface`
     on the unit box [m0, m0 + 1) with w = target, through its memo
-    (`_checked_drop`).  Its precondition is the drop's: a jump of F^tau below m0 and off the
-    slice has lambda' <= m0, lambda' != m0, so its value is at most
+    (`_checked_drop`, which `apply_elementary` shares).  Its precondition
+    is the drop's: a jump of F^tau below m0 and off the slice has
+    lambda' <= m0, lambda' != m0, so its value is at most
     F^sigma0_lambda' (stabilization), which lies in the join below m0,
     so in the target.
 
@@ -807,75 +777,30 @@ def drop(
     commutes with `& target`, because the union is increasing and
     stabilizes.
     """
-    return _injection(f, target, *_checked_drop(f, sigma0, m0, target))
-
-
-def elementary_check(e: Multifiltration, f: Multifiltration) -> ElementaryInjection:
-    """Verify that E c F is elementary and derive its invariants.
-
-    Locates sigma0 and m0 from the differences (clause (ii)), redoes the
-    drop of F there to E's value with `drop`, which derives the
-    invariants, and compares E's lists with the drop's (clause (iii)).
-    Raises NotElementary with the violated clause, naming the first
-    differing class, otherwise.  This is the explicit check for given
-    pairs; the drops tsk takes are elementary by construction.
-    """
-    if e.fan != f.fan:
-        raise NotElementary("families live on different fans")
-    fan = e.fan
-    differing = [c for c in fan.all_cones(min_dim=1) if e.jumps[c] != f.jumps[c]]
-    if not differing:
-        raise NotElementary("the families are equal")
-    k0 = min(len(c) for c in differing)
-    at_k0 = [c for c in differing if len(c) == k0]
-    if len(at_k0) != 1:
-        raise NotElementary(
-            f"clause (ii): {len(at_k0)} cones of minimal dimension {k0} differ"
-        )
-    sigma0 = at_k0[0]
-    for cone in differing:
-        if not set(sigma0) <= set(cone):
-            raise NotElementary(
-                f"clause (iii): families differ at {cone!r},"
-                f" not a coface of {sigma0!r}"
-            )
-
-    # The distinguished class: exactly one unit cell of difference.
-    cells = _cells(e, f, sigma0)
-    if len(cells) != 1:
-        raise NotElementary(f"clause (ii): {len(cells)} classes of {sigma0!r} differ")
-    m0, hi, dropped, value = cells[0]
-    if hi is None:
-        raise NotElementary(f"clause (ii): difference region of {sigma0!r} is unbounded")
-    for x, y in zip(m0, hi):
-        if y != x + 1:
-            raise NotElementary(
-                f"clause (ii): more than one class of {sigma0!r} differs"
-                f" (cell of width {y - x} at {m0!r})"
-            )
-    if not dropped <= value or value.dim - dropped.dim != 1:
-        raise NotElementary(
-            f"clause (ii): at {sigma0!r}, {m0!r} the dimensions drop by"
-            f" {value.dim - dropped.dim}, not 1"
-        )
-
-    # E is monotone and equals F on sigma0 off m0, so `dropped` holds
-    # every value below m0: the drop's preconditions hold.
-    inj = drop(f, sigma0, m0, dropped)
-    for cone, pos, _ in _coface_plan(fan, sigma0)[1:]:
-        if e.jumps[cone] == inj.e.jumps[cone]:
-            continue
-        g, _, found, expected = _cells(e, inj.e, cone)[0]
-        if all(g[p] <= x for p, x in zip(pos, m0)):
-            raise NotElementary(
-                f"clause (iii): at {cone!r}, {g!r} expected"
-                f" F^sigma & E0 = {expected!r}, found {found!r}"
-            )
-        raise NotElementary(
-            f"clause (iii): families differ at {cone!r}, {g!r}"
-            f" outside the region below {m0!r}"
-        )
-    return inj
+    sigma0, m0, jumps, boxes = _checked_drop(f, sigma0, m0, target)
+    m_rho = dict(zip(sigma0, m0))
+    m_sigma: dict[Cone, Weight] = {}
+    saturated = True
+    for (cone, _, new), at in zip(_coface_plan(f.fan, sigma0), boxes):
+        out = [coords for coords, w in at if w is not target]
+        if len(new) == 1:
+            ((p, ray),) = new
+            m_rho[ray] = min([coords[p] for coords in out])
+        corner = tuple([m_rho[r] for r in cone])
+        m_sigma[cone] = corner
+        saturated = saturated and any(all(map(le, coords, corner)) for coords in out)
+    return ElementaryInjection(
+        e=Multifiltration._canonical(f.fan, jumps),
+        f=f,
+        k0=len(sigma0),
+        sigma0=sigma0,
+        m0=m0,
+        dropped=target,
+        m_sigma=m_sigma,
+        m_rho=m_rho,
+        m_Sigma=sum(m_rho.values()),
+        saturated=saturated,
+    )
 
 
 def apply_elementary(
@@ -884,7 +809,7 @@ def apply_elementary(
     """The family E of `drop(f, sigma0, m0, target)`: the same checked
     and memoized rewrite (`_checked_drop`, over the `_coface_plan` of
     sigma0), with the same errors, and none of the invariants `drop`
-    derives (`_injection`)."""
+    derives."""
     return Multifiltration._canonical(f.fan, _checked_drop(f, sigma0, m0, target)[2])
 
 
@@ -940,9 +865,8 @@ def factorize(
     sigma0 where G differs from E, it reads the `_checked_cells(E, G,
     sigma0)` once, sorts the classes of the cells in lex order and, class
     by class, takes dim G - dim E drops, each lowering G^sigma0_m0 to the
-    echelon hyperplane H >= E^sigma0_m0.  Each drop is `drop`'s checked
-    and memoized rewrite and its invariants (`_checked_drop`,
-    `_injection`).  Its checks never fire here, as the preconditions
+    echelon hyperplane H >= E^sigma0_m0.  Each step is `drop(G, sigma0,
+    m0, H)`, checks included.  They never fire here, as the preconditions
     hold: H has codimension 1 in G^sigma0_m0 by its choice, and a drop
     at sigma0 changes sigma0 only at m0, and otherwise only sigma0's
     proper cofaces, all later in the walk.  So each step is at the
@@ -979,7 +903,7 @@ def factorize(
         for m0, inner, value in classes:
             for _ in range(value.dim - inner.dim):
                 value = echelon_hyperplane(value, inner)
-                step = _injection(current, value, *_checked_drop(current, sigma0, m0, value))
+                step = drop(current, sigma0, m0, value)
                 steps.append(step)
                 current = step.e
     return steps
@@ -1101,6 +1025,36 @@ def drop_counts(e: Multifiltration, f: Multifiltration) -> dict[int, int]:
     p_k the number of k-elementary injections in `factorize(e, f)`: the
     counts of `drop_profile`."""
     return {k: count for k, (count, _) in drop_profile(e, f).items()}
+
+
+def elementary_check(e: Multifiltration, f: Multifiltration) -> ElementaryInjection:
+    """Verify that E c F is elementary and derive its invariants: the
+    single step of `factorize(e, f)`.
+
+    A pair whose `drop_counts` total is not 1 is refused on that tally,
+    at the cost of its cones (equal families count 0); a pair that is no
+    injection (E not in F, or a divergent cell) on the walk's error,
+    which names the cone and the class.  Every refusal raises
+    NotElementary.  This is the explicit check for given pairs; the
+    drops tsk takes are elementary by construction.
+
+    A one-step factorization is a drop, as the walk ends at E.
+    Conversely, take E = drop(F, sigma0, m0, H).  E and F agree off the
+    cofaces of sigma0, and its proper cofaces come later in (dim, lex)
+    order, so the walk's first differing cone is sigma0; there the only
+    cell is the unit class m0, one dimension lower, where
+    `echelon_hyperplane` returns H.  So the step is `drop(F, sigma0, m0,
+    H)`, with the same invariants.
+    """
+    if e.fan != f.fan:
+        raise NotElementary("families live on different fans")
+    try:
+        profile = drop_counts(e, f)
+        if sum(profile.values()) == 1:
+            return factorize(e, f)[0]
+    except ValueError as err:
+        raise NotElementary(str(err)) from err
+    raise NotElementary(f"{sum(profile.values())} steps, not 1 (profile {profile})")
 
 
 def recompose(

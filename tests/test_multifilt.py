@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 import signal
 import time
 from contextlib import contextmanager
@@ -323,6 +324,24 @@ def test_validate_matches_pointwise_facet_axiom():
             assert accepted == expected
             outcomes[accepted] += 1
     assert outcomes[True] > 0 and outcomes[False] > 0
+
+
+def test_families_and_twists_take_integer_coordinates():
+    # A float copy of a family would compare and hash equal to it, and
+    # then fail in chern_general: the constructor and twist refuse it.
+    f = start_family()
+    floats = {
+        cone: [(tuple(map(float, coords)), w) for coords, w in jumps]
+        for cone, jumps in f.jumps.items()
+    }
+    with pytest.raises(TypeError):
+        Multifiltration(f.fan, floats)
+    with pytest.raises(TypeError):
+        f.twist((0.5, 0, 0, 0, 0))
+    # coordinates given as lists of ints keep working
+    as_lists = {cone: [(list(c), w) for c, w in jumps] for cone, jumps in f.jumps.items()}
+    assert Multifiltration(f.fan, as_lists) == f
+    assert f.twist([0, 0, 0, 0, 0]) == f
 
 
 def test_twist_roundtrip():
@@ -725,6 +744,28 @@ def test_drop_equals_elementary_check():
         pinned[0].k0 = 2
 
 
+def test_elementary_check_is_the_one_step_factorization():
+    # A single drop checks as factorize's only step, field by field; a
+    # chain of 2-4 drops is refused on its drop_counts total.
+    rng = random.Random(64)
+    for f, e, _, _ in seeded_drops(rng):
+        checked, (step,) = elementary_check(e, f), factorize(e, f)
+        for name in ElementaryInjection._fields:
+            assert getattr(checked, name) == getattr(step, name), name
+    refused = 0
+    for _ in range(12):
+        n = rng.choice((3, 4))
+        f = to_multifiltration(random_reflexive(rng, n, max_c=3))
+        e, applied = random_drops(rng, f, rng.randint(2, 4), range(1, n + 1))
+        if len(applied) < 2:
+            continue
+        total = sum(drop_counts(e, f).values())
+        with pytest.raises(NotElementary, match=rf"^{total} steps, not 1 \(profile "):
+            elementary_check(e, f)
+        refused += 1
+    assert refused >= 8
+
+
 def assert_drop_matches_the_grid_oracle(inj):
     """`drop`'s list rewrite is the grid rewrite, field by field."""
     ref = grid_drop(inj.f, inj.sigma0, inj.m0, inj.dropped)
@@ -919,20 +960,20 @@ def test_elementary_check_names_the_broken_clause():
     sigma0, m0 = (0, 1, 2), (-1, 0, 0)
     e = drop(mf, sigma0, m0, ZERO).e
     line = Subspace.line(1, 7)
-    # one class inside the region on a proper coface, below every jump
-    inside = with_jump(e, (0, 1, 2, 3), (-1, 0, 0, -50), line)
-    with pytest.raises(NotElementary, match=r"clause \(iii\): at \(0, 1, 2, 3\),"
-                       r" \(-1, 0, 0, -50\) expected F\^sigma & E0 ="):
-        elementary_check(inside, mf)
-    # one class outside the region: its first coordinate is above m0's
-    outside = with_jump(e, (0, 1, 2, 3), (0, -50, -50, -50), line)
-    with pytest.raises(NotElementary, match=r"clause \(iii\): families differ at"
-                       r" \(0, 1, 2, 3\), \(0, -50, -50, -50\) outside the region"):
-        elementary_check(outside, mf)
-    # a second class of sigma0
-    second = with_jump(e, sigma0, (-50, -50, -50), line)
-    with pytest.raises(NotElementary, match=r"clause \(ii\)"):
-        elementary_check(second, mf)
+    # An extra line on a proper coface, in the dropped slice or outside
+    # it, or on sigma0 at a second class, is no longer inside F: the
+    # walk's error names the cone and the class.
+    for cone, coords in (
+        ((0, 1, 2, 3), (-1, 0, 0, -50)),
+        ((0, 1, 2, 3), (0, -50, -50, -50)),
+        (sigma0, (-50, -50, -50)),
+    ):
+        with pytest.raises(
+            NotElementary,
+            match=re.escape(f"not pointwise contained in F on {cone} at class {coords}"),
+        ) as caught:
+            elementary_check(with_jump(e, cone, coords, line), mf)
+        assert isinstance(caught.value.__cause__, ValueError)
     # two composed drops, the second on a coface, and swapped E and F
     tau = (0, 1, 2, 3)
     m1 = next(
@@ -941,6 +982,8 @@ def test_elementary_check_names_the_broken_clause():
         if [w.dim for w in _value_and_below(e.jumps[tau], m)] == [1, 0]
     )
     e2 = drop(e, tau, m1, ZERO).e
+    with pytest.raises(NotElementary, match=re.escape("2 steps, not 1 (profile {3: 1, 4: 1})")):
+        elementary_check(e2, mf)
     for bigger, smaller in ((mf, e2), (e2, mf), (e, mf)):
         with pytest.raises(NotElementary):
             elementary_check(smaller, bigger)

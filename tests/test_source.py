@@ -303,17 +303,22 @@ def _callers_in_multifilt(name):
 
 
 def test_family_only_drops_derive_no_invariants():
-    # drop, apply_elementary and factorize's steps share one rewrite; the
-    # invariants are derived in `_injection`, for drop and factorize
-    # alone, which neither apply_elementary nor recompose, which keeps
-    # only the family, reaches.
-    assert _callers_in_multifilt("_checked_drop") == {
-        ("drop",), ("apply_elementary",), ("factorize",)
-    }
-    assert _callers_in_multifilt("_injection") == {("drop",), ("factorize",)}
+    # drop and apply_elementary share one checked rewrite, and only drop
+    # derives invariants; factorize's steps are calls to drop, and
+    # neither apply_elementary nor recompose, which keep only the
+    # family, reach it.  elementary_check is the one-step factorization:
+    # it reads the drop_counts tally and factorize's step, and locates
+    # no drop on the cells itself.
+    assert _callers_in_multifilt("_checked_drop") == {("drop",), ("apply_elementary",)}
+    assert ("factorize",) in _callers_in_multifilt("drop")
+    tree = ast.parse((SRC / "multifilt.py").read_text("utf-8"))
+    defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert "_injection" not in defined
     reached = _reached_in_multifilt("apply_elementary", "recompose")
     assert {"_checked_drop", "_meet_unit", "_meet_coface", "_coface_plan"} <= reached
-    assert reached & {"drop", "_injection"} == set()
+    assert "drop" not in reached
+    assert {"drop_counts", "factorize"} <= _reached_in_multifilt("elementary_check")
+    assert ("elementary_check",) not in _callers_in_multifilt("_cells")
 
 
 def test_only_unit_drops_fill_the_memo():
