@@ -11,7 +11,7 @@ coefficients off the same edge, through the table A_{p,k} of
 The product formulas are products of linear factors (1 - wH)^e; each
 collects its (-w, e) pairs and multiplies them in one
 `ring.linear_product` call, which is integral with constant term 1 by
-construction.  All arithmetic is exact (big integers / Fractions).
+construction.  All arithmetic is in exact Python integers.
 """
 
 from __future__ import annotations

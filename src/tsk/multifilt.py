@@ -293,15 +293,17 @@ class Multifiltration(Frozen):
     # -- evaluation -----------------------------------------------------
 
     def evaluate(self, cone: Cone, mu: Weight) -> Subspace:
-        """E^cone at the class with ray-ordered coordinates mu."""
-        cone = tuple(cone)
+        """E^cone at the class with ray-ordered coordinates mu.  They go
+        through `operator.index`, as the coordinates do: a float raises
+        TypeError."""
+        cone, mu = tuple(cone), tuple(map(index, mu))
         if len(cone) == 0:
             return FULL
         if cone not in self.jumps:
             raise ValueError(f"{cone!r} is not a cone of the fan of P^{self.fan.n}")
         if len(mu) != len(cone):
             raise ValueError(f"class {mu!r} has wrong arity for cone {cone!r}")
-        return eval_jumps(self.jumps[cone], tuple(mu))
+        return eval_jumps(self.jumps[cone], mu)
 
     # -- validation -----------------------------------------------------
 

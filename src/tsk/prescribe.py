@@ -170,16 +170,9 @@ def tilde_c(c: TruncPoly) -> tuple[int, ...]:
     tilde_c_q = -q [H^q](log c - log(1 + c1 H + c2 H^2)) = s_q(low) - s_q(c),
 
     with s_q = q [H^q] log the integer log coefficients of `log_coeffs`.
-    Integral for integral Chern data; rational data is checked.
     """
     s, s_low = log_coeffs(c.coeffs), log_coeffs(_low(c).coeffs)
-    out = []
-    for q in range(3, c.n + 1):
-        v = Fraction(s_low[q] - s[q])
-        if v.denominator != 1:
-            raise ArithmeticError(f"tilde_c_{q} = {v} is not an integer")
-        out.append(int(v))
-    return tuple(out)
+    return tuple(s_low[q] - s[q] for q in range(3, c.n + 1))
 
 
 def weight_schedule(c_rho0: int, p: Sequence[int], k: int, j: int) -> int:

@@ -7,6 +7,7 @@ import re
 import signal
 import time
 from contextlib import contextmanager
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -114,6 +115,19 @@ def test_evaluate():
         mf.evaluate((0, 1), (0,))
     with pytest.raises(ValueError):
         mf.evaluate((9,), (0,))
+
+
+def test_evaluate_takes_integer_classes_only():
+    # Only integer classes have a value: on ray 0 the class (0.5,) must
+    # not read as (1,) (FULL), nor (-0.5,) as (0,) (a line).
+    mf = start_family()
+    for mu in ((0.5,), (-0.5,), (Fraction(1, 2),), (1.0,)):
+        with pytest.raises(TypeError):
+            mf.evaluate((0,), mu)
+    with pytest.raises(TypeError):
+        mf.evaluate((0, 1), (0, 0.5))
+    with pytest.raises(TypeError):
+        mf.evaluate((), (0.5,))
 
 
 def random_jump_list(rng, d):

@@ -351,18 +351,28 @@ def test_int_pow_only_in_ring():
     assert found == []
 
 
-def test_log_and_exp_only_in_ring():
-    # Chern-side code reads the integer log coefficients of
-    # ring.log_coeffs; the Fraction-valued TruncPoly.log and .exp are
-    # for rational series and the tests.
-    found = [
-        f"{path.name}:{call.lineno}"
-        for path in sorted(SRC.rglob("*.py"))
-        for _, call in _calls_by_scope(ast.parse(path.read_text("utf-8")))
-        if getattr(call.func, "attr", None) in ("log", "exp")
-        and path.name != "ring.py"
-    ]
-    assert found == []
+def test_ring_is_the_integer_ring_only():
+    # Chern classes are integer vectors: ring.py imports no fractions, and
+    # TruncPoly keeps construction, [k], rendering, the product, the
+    # inverse of a unit and int_pow (the reference linear_product is held
+    # to, and a method the tracer wraps).  Log and exp are the integer
+    # ring.log_coeffs and exp_coeffs.
+    tree = ast.parse((SRC / "ring.py").read_text("utf-8"))
+    imported = {
+        alias.name.split(".")[0] for node in ast.walk(tree) if isinstance(node, ast.Import)
+        for alias in node.names
+    } | {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert "fractions" not in imported
+    (cls,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "TruncPoly"]
+    defined = {n.name for n in cls.body if isinstance(n, ast.FunctionDef)}
+    # an alias such as `__rmul__ = __mul__` is a method too
+    defined |= {
+        t.id for n in cls.body if isinstance(n, ast.Assign) and isinstance(n.value, ast.Name)
+        for t in n.targets
+    }
+    assert defined == {
+        "__init__", "__repr__", "__str__", "__getitem__", "__mul__", "inverse", "int_pow", "render",
+    }
 
 
 def test_factorize_is_one_checked_walk():
@@ -583,8 +593,6 @@ REPO = Path(__file__).resolve().parents[1]
 # function that reads it: a paper formula held to a second route, the
 # reference a faster routine must reproduce, or a sampler of test data.
 KEPT = {
-    "product": "test_ring.py::int_pow_product",
-    "TruncPoly.linear": "test_ring.py::int_pow_product",
     "Multifiltration.twist": "test_chern.py::test_twist_chern_matches_twisted_drop_chains",
     "ratio_saturated_conewise": "test_chern.py::test_ratio_saturated_oracle",
     "weight_schedule": "drop_oracle.py::replay_drops",
