@@ -57,7 +57,6 @@ from .prescribe import (
     build_sequence,
     family_p4_even,
     family_p4_odd,
-    family_p5,
     family_p5_candidates,
     family_pn,
     schwarzenberger,
@@ -116,7 +115,6 @@ __all__ = [
     "factorize",
     "family_p4_even",
     "family_p4_odd",
-    "family_p5",
     "family_p5_candidates",
     "family_pn",
     "from_multifiltration",

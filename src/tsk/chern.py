@@ -229,7 +229,7 @@ def ratio_saturated_conewise(inj: ElementaryInjection) -> TruncPoly:
     return linear_product(
         fan.n,
         [
-            (-(inj.weight_sum(sigma) + i), (-1) ** (fan.codim(sigma) + i) * comb(k0, i))
+            (-(sum(inj.m_sigma[sigma]) + i), (-1) ** (fan.codim(sigma) + i) * comb(k0, i))
             for sigma in fan.cofaces(inj.sigma0)
             for i in range(k0 + 1)
         ],

@@ -214,7 +214,7 @@ def multifilt_from_doc(doc: Any) -> Multifiltration:
                 raise ValueError(f"jump 'coords' must be integers: {coords!r}")
             parsed.append((tuple(coords), subspace_from_doc(j.get("subspace"))))
         jumps[cone] = parsed
-    return Multifiltration(Fan(n), jumps, validate=True)
+    return Multifiltration(Fan(n), jumps)
 
 
 # ---------------------------------------------------------------------------

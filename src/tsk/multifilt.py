@@ -248,12 +248,7 @@ class Multifiltration(Frozen):
 
     __slots__ = ("fan", "jumps")
 
-    def __init__(
-        self,
-        fan: Fan,
-        jumps: Mapping[Cone, Iterable[Jump]],
-        validate: bool = True,
-    ) -> None:
+    def __init__(self, fan: Fan, jumps: Mapping[Cone, Iterable[Jump]]) -> None:
         canonical: dict[Cone, JumpList] = {}
         for cone in fan.all_cones(min_dim=1):
             given = [(tuple(map(index, c)), w) for c, w in jumps.get(cone, ())]
@@ -271,8 +266,7 @@ class Multifiltration(Frozen):
             raise InvalidFamily(f"jump lists for non-cones: {sorted(unknown)!r}")
         object.__setattr__(self, "fan", fan)
         object.__setattr__(self, "jumps", canonical)
-        if validate:
-            self.validate()
+        self.validate()
 
     @classmethod
     def _canonical(cls, fan: Fan, jumps: dict[Cone, JumpList]) -> Multifiltration:
@@ -312,9 +306,10 @@ class Multifiltration(Frozen):
 
         Monotonicity and boundedness below hold by construction (join
         encoding); this checks that the deep value of every cone is all
-        of C^2 and facet compatibility.  It runs on parsed documents
-        (hence `tsk validate`) and in the tests; the families tsk builds
-        are valid by construction and are not re-checked.
+        of C^2 and facet compatibility.  The constructor runs it, so
+        parsed documents (hence `tsk validate`) are checked; the families
+        tsk builds are valid by construction, and `_canonical` wraps them
+        unchecked.
         """
         fan = self.fan
         for cone, jumps in self.jumps.items():
@@ -380,8 +375,8 @@ def _value_and_below(jumps: JumpList, m0: Weight) -> tuple[Subspace, Subspace]:
 def ray_ends(mf: Multifiltration) -> list[tuple[int, int, Subspace]]:
     """The ends (a, b, v) of each ray filtration, v its value at a: a
     canonical ray list is [(a, C^2)], so (a, a, FULL), or [(a, v), (b,
-    C^2)] with v a line.  Any other list (a family built with
-    validate=False) raises InvalidFamily, naming the ray."""
+    C^2)] with v a line.  Any other list (lists wrapped unchecked by
+    `Multifiltration._canonical`) raises InvalidFamily, naming the ray."""
     ends = []
     for ray in mf.fan.rays:
         jumps = mf.jumps[(ray,)]
@@ -601,10 +596,6 @@ class ElementaryInjection(NamedTuple):
     m_rho: Mapping[int, int]
     m_Sigma: int
     saturated: bool
-
-    def weight_sum(self, cone: Cone) -> int:
-        """m_sigma as an integer: <u_sigma, m_sigma> = sum of coordinates."""
-        return sum(self.m_sigma[cone])
 
 
 Coface = tuple[Cone, tuple[int, ...], tuple[tuple[int, int], ...]]
@@ -880,7 +871,7 @@ def factorize(
     g' on sigma0's rays are <= m0, E^tau_g <= E^sigma0_g' (stabilization)
     <= E^sigma0_m0 <= H, and elsewhere the drop keeps G's values.  G ends
     equal to E, which is then valid and inside F; so a pair that is not
-    one (E not in F, or an E built with validate=False that is no family)
+    one (E not in F, or an E wrapped unchecked that is no family)
     fails a check of `_checked_cells` on some cone: E above G on a cell
     (ValueError) or a divergent unbounded cell (InvalidFamily).  The
     argument above uses only that E's values are monotone and lie in G's

@@ -491,15 +491,6 @@ def family_p5_candidates(t: int) -> dict[str, PrescriptionSolution | Infeasible]
     return out
 
 
-def family_p5(t: int) -> PrescriptionSolution:
-    """The P^5 family with (c_rho) = (1, 120t, 120t, 0, 0, 0)."""
-    if t < 1:
-        raise ValueError("t >= 1")
-    return _solved(
-        PrescriptionProblem(5, (1, 120 * t, 120 * t, 0, 0, 0)), f"family_p5({t})"
-    )
-
-
 def family_pn(n: int) -> PrescriptionSolution:
     """Minimal multiplier m such that (1, m, m, 0, ..., 0) on P^n is
     feasible with all Schwarzenberger congruences satisfied.

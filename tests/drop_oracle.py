@@ -22,12 +22,16 @@ Both read their canonical lists off the grids with `_canonical_flat`,
 as does `grid_hull`, the reflexive hull on meet grids: each cone's grid
 is its facet's met with its last ray's values, so the tests can hold
 the hull's closed form, read off the ray ends with no grid, to it.
+
+`unchecked` builds the broken families the tests feed to the checks:
+the constructor's canonical lists, wrapped by `_canonical` with no
+validation.
 """
 
 from __future__ import annotations
 
 from itertools import islice, product as iproduct
-from operator import mul
+from operator import itemgetter, mul
 from typing import Iterator, Sequence
 
 from tsk.fan import Cone, Weight
@@ -38,6 +42,7 @@ from tsk.multifilt import (
     JumpList,
     Multifiltration,
     _axes,
+    _canonical_jumps,
     _grid_flat,
     _strides,
     drop,
@@ -45,6 +50,17 @@ from tsk.multifilt import (
 )
 from tsk.prescribe import PrescriptionSolution, weight_schedule
 from tsk.reflexive import to_multifiltration
+
+
+def unchecked(fan, jumps) -> Multifiltration:
+    """The family of `jumps` (missing cones empty), each list sorted and
+    canonicalized as the constructor does, but not validated."""
+    lists = {}
+    for cone in fan.all_cones(min_dim=1):
+        raw = tuple(sorted(jumps.get(cone, ()), key=itemgetter(0)))
+        lists[cone] = _canonical_jumps.__wrapped__(raw)
+    return Multifiltration._canonical(fan, lists)
+
 
 # Per solution: the start, the steps replayed so far, and the rest of
 # the schedule, so every prefix a test asks for comes from one replay.

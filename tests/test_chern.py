@@ -34,10 +34,10 @@ from tsk.prescribe import (
     build_sequence,
     family_p4_even,
     family_p4_odd,
-    family_p5,
+    family_p5_candidates,
     family_pn,
 )
-from tsk.reflexive import R2Filtration, RayDatum, chern_total, to_multifiltration
+from tsk.reflexive import R2Filtration, RayDatum, Stability, chern_total, to_multifiltration
 from tsk.ring import TruncPoly, linear_product, log_coeffs
 from tsk.sampling import random_drops, random_reflexive
 
@@ -177,7 +177,9 @@ def test_chern_general_matches_the_per_cone_oracle():
         assert chern_general(mf) == chern_per_cone(mf)
     # The paper's families, built one run per stage.
     solutions = [family_pn(n) for n in range(5, 9)]
-    solutions += [family_p4_odd(1), family_p4_odd(3), family_p4_even(2), family_p5(1)]
+    p5 = family_p5_candidates(1)["c=120t"]
+    assert p5.stability is Stability.STABLE
+    solutions += [family_p4_odd(1), family_p4_odd(3), family_p4_even(2), p5]
     for sol in solutions:
         final = build_sequence(sol.problem, sol).final
         assert chern_general(final) == chern_per_cone(final)

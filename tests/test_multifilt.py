@@ -60,6 +60,7 @@ from drop_oracle import (
     grid_meet,
     replay_drops,
     rescan_factorize,
+    unchecked,
     widened_axes,
 )
 
@@ -314,7 +315,7 @@ def perturbed(rng, mf):
     else:
         w = rng.choice([FULL] + [Subspace.line(1, k) for k in range(4)])
     jumps[i] = (coords, w)
-    return Multifiltration(mf.fan, {**mf.jumps, cone: jumps}, validate=False)
+    return unchecked(mf.fan, {**mf.jumps, cone: jumps})
 
 
 def test_validate_matches_pointwise_facet_axiom():
@@ -530,7 +531,7 @@ def test_hull_closed_form_is_the_canonical_family():
             (i,): [((x,), r.value_at(x)) for x in sorted({r.a, r.b})]
             for i, r in enumerate(f.rays)
         }
-        assert reflexive_hull(Multifiltration(f.fan, rays, validate=False)) == mf
+        assert reflexive_hull(unchecked(f.fan, rays)) == mf
         assert from_multifiltration(mf) == f
 
 
@@ -554,14 +555,14 @@ def test_drop_chains_lie_in_their_hull():
     ],
 )
 def test_hull_rejects_ray_lists_that_are_no_ray_data(ray_jumps, message):
-    # Ray lists that are no rank-2 ray data (possible only with
-    # validate=False, or lists wrapped unchecked) have no hull: the
-    # hull names the ray instead of returning what is no family.
+    # Ray lists that are no rank-2 ray data (possible only in lists wrapped
+    # unchecked) have no hull: the hull names the ray instead of returning
+    # what is no family.
     fan = Fan(2)
     rays = {(0,): ray_jumps, (1,): (((0,), FULL),), (2,): (((0,), FULL),)}
     if len(ray_jumps) < 2:
-        broken = Multifiltration(fan, rays, validate=False)
-    else:  # the constructor would canonicalize the list away
+        broken = unchecked(fan, rays)
+    else:  # canonicalizing would take the list away
         broken = Multifiltration._canonical(fan, rays)
     with pytest.raises(InvalidFamily, match=f"^ray 0 {message}$"):
         reflexive_hull(broken)
@@ -966,7 +967,7 @@ def test_apply_run_rejects_malformed_runs():
 def with_jump(family, cone, coords, w):
     """family with one more jump (coords, w) on `cone`, unchecked."""
     jumps = {**family.jumps, cone: family.jumps[cone] + ((coords, w),)}
-    return Multifiltration(family.fan, jumps, validate=False)
+    return unchecked(family.fan, jumps)
 
 
 def test_elementary_check_names_the_broken_clause():
@@ -1214,7 +1215,7 @@ def deadline(seconds):
 
 
 def test_factorize_rejects_invalid_e_at_once():
-    # E built with validate=False: a drop chain on P^2 with one ray-(0,)
+    # E wrapped unchecked: a drop chain on P^2 with one ray-(0,)
     # jump shifted by +-1, contained in the chain or in its start.  Without
     # the walk's checks on the cells, some such E would send m0 along an
     # axis without end.
@@ -1229,7 +1230,7 @@ def test_factorize_rejects_invalid_e_at_once():
             for shift in (-1, 1):
                 jumps = dict(chain.jumps)
                 jumps[(0,)] = ray[:i] + (((c + shift,), w),) + ray[i + 1 :]
-                e = Multifiltration(chain.fan, jumps, validate=False)
+                e = unchecked(chain.fan, jumps)
                 with pytest.raises(InvalidFamily):
                     e.validate()
                 for f in (chain, start):

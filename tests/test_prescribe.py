@@ -13,7 +13,6 @@ from tsk.prescribe import (
     build_sequence,
     family_p4_even,
     family_p4_odd,
-    family_p5,
     family_p5_candidates,
     family_pn,
     schwarzenberger,
@@ -352,7 +351,7 @@ def test_a_weight_off_by_one_fails_the_profile_check(monkeypatch, limit):
 PAPER_FAMILIES = (
     [(f"p4_odd({t})", family_p4_odd, t) for t in range(1, 6)]
     + [(f"p4_even({t})", family_p4_even, t) for t in range(1, 4)]
-    + [(f"p5({t})", family_p5, t) for t in range(1, 4)]
+    + [(f"p5({t})", lambda t: family_p5_candidates(t)["c=120t"], t) for t in range(1, 4)]
     + [(f"pn({n})", family_pn, n) for n in (6, 7, 8)]
 )
 
@@ -364,6 +363,7 @@ def test_every_paper_family_builds_in_full(family, arg):
     # Up to 1.6e76 drops (pn(8)), one run per stage; each final sheaf is
     # checked here independently of build_sequence's own checks.
     sol = family(arg)
+    assert not isinstance(sol, Infeasible) and sol.stability is Stability.STABLE
     res = build_sequence(sol.problem, sol)
     assert res.full and res.built == sol.injection_count
     res.final.validate()
@@ -404,21 +404,17 @@ def test_family_p4_even():
     assert lhs == 3 * (big_t * (big_t + 1) * (big_t + 2)) ** 2
 
 
-def test_family_p5(monkeypatch):
+def test_family_p5():
     cands = family_p5_candidates(1)
     assert set(cands) == {"c=120t", "c=12t"}
-    # family_p5 solves the printed recipe alone
-    solved = []
-    monkeypatch.setattr(
-        prescribe, "solve_p", lambda problem: solved.append(problem.c) or solve_p(problem)
-    )
-    sol = family_p5(1)
-    assert solved == [(1, 120, 120, 0, 0, 0)]
-    assert sol == cands["c=120t"]
+    # the printed recipe gives the stable P^5 family
+    sol = cands["c=120t"]
+    assert sol.problem.c == (1, 120, 120, 0, 0, 0)
+    assert sol.stability is Stability.STABLE
     assert sol.chern == TruncPoly(5, (1, 241, 14640, 0, 0, 0))
     assert sol.p == (7200, 26498400, 351211221073200)
     with pytest.raises(ValueError, match="t >= 1"):
-        family_p5(0)
+        family_p5_candidates(0)
     small = cands["c=12t"]
     assert not isinstance(small, Infeasible)
     assert small.chern == TruncPoly(5, (1, 25, 168, 0, 0, 0))
