@@ -9,8 +9,6 @@ by scheduled drops, and smoothability obstructions.
 
 from .chern import (
     chern_general,
-    identity_cone_sum,
-    identity_product,
     ratio_saturated,
     stirling_A,
     twist_chern,
@@ -118,8 +116,6 @@ __all__ = [
     "family_p5_candidates",
     "family_pn",
     "from_multifiltration",
-    "identity_cone_sum",
-    "identity_product",
     "is_locally_free",
     "load_document",
     "multifilt_from_doc",

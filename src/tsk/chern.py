@@ -1,7 +1,6 @@
 """Chern engine: the general Klyachko product formula for
 multifiltrations, closed-form Chern ratios of elementary injections
-and of whole runs of them, rank-2 twists, and the identities
-(telescoping products, signed cone sums) that the closed forms rest on.
+and of whole runs of them, and rank-2 twists.
 
 A run's ratio has one form, `run_factors`' telescoped edge: its linear
 factors close Chern classes, and `run_log` reads its integer log
@@ -19,10 +18,8 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product as iproduct
 from math import comb
-from typing import Sequence
 
-from .fan import Cone, Fan
-from .multifilt import ElementaryInjection, Multifiltration, _axes, _grid_flat, _runs
+from .multifilt import Multifiltration, _axes, _grid_flat, _runs
 from .ring import TruncPoly, linear_product
 
 # ---------------------------------------------------------------------------
@@ -211,85 +208,3 @@ def run_log(q: int, k0: int, start: int, count: int) -> int:
         )
 
     return d(start + count) - d(start)
-
-
-def ratio_saturated_conewise(inj: ElementaryInjection) -> TruncPoly:
-    """c(F)/c(E) as the product over cofaces of sigma0:
-
-        prod_{sigma0 <= sigma} prod_{i=0}^{k0}
-            (1 - (m_sigma + i)H)^{(-1)^{codim sigma + i} C(k0,i)}
-
-    with m_sigma = <u_sigma, m_sigma>.  Requires saturation; must equal
-    ratio_saturated(k0, m_Sigma, n).
-    """
-    if not inj.saturated:
-        raise ValueError("conewise ratio formula requires a saturated injection")
-    fan = inj.f.fan
-    k0 = inj.k0
-    return linear_product(
-        fan.n,
-        [
-            (-(sum(inj.m_sigma[sigma]) + i), (-1) ** (fan.codim(sigma) + i) * comb(k0, i))
-            for sigma in fan.cofaces(inj.sigma0)
-            for i in range(k0 + 1)
-        ],
-    )
-
-
-# ---------------------------------------------------------------------------
-# combinatorial identities (verification helpers)
-
-
-def identity_product(a: int, m: int, d: int, n: int) -> bool:
-    """The telescoping identity behind the saturated ratio formula:
-
-        prod_{m' >= a} prod_{i=0}^{d} (1-(m+m'+i)H)^{(-1)^{n-d+i} C(d,i)}
-          = prod_{i=0}^{d-1} (1-(m+a+i)H)^{(-1)^{n-d+i} C(d-1,i)}
-
-    in Z[H]/<H^{n+1}>.  The infinite left side is evaluated by grouping
-    equal linear factors 1-(m+a+j)H: factor j accumulates the exponent
-    alpha_j = sum_{i=0}^{min(j,d)} (-1)^{n-d+i} C(d,i), which is checked
-    to vanish for j >= d (stabilization) -- a truncated product of whole
-    m'-terms would NOT converge.  Window j in [0, n+2].
-    """
-    if not 2 <= d <= n:
-        raise ValueError(f"need 2 <= d <= n, got d={d}, n={n}")
-    sign = (-1) ** (n - d)
-    window = n + 2
-    alpha = [
-        sign * sum((-1) ** i * comb(d, i) for i in range(min(j, d) + 1))
-        for j in range(window + 1)
-    ]
-    bad = [j for j in range(d, window + 1) if alpha[j] != 0]
-    if bad:
-        raise ArithmeticError(
-            f"exponent stabilization failed at offsets {bad} (d={d}, n={n})"
-        )
-    lhs = linear_product(n, [(-(m + a + j), alpha[j]) for j in range(d)])
-    rhs = linear_product(
-        n, [(-(m + a + i), (-1) ** (n - d + i) * comb(d - 1, i)) for i in range(d)]
-    )
-    return lhs == rhs
-
-
-def identity_cone_sum(fan: Fan, sigma0: Cone, m_rho: Sequence[int], p: int) -> bool:
-    """The signed cone sum identity: with m_sigma = sum_{rho in sigma} m_rho
-    and m_Sigma = sum over all rays,
-
-        sum_{sigma0 <= sigma} (-1)^{codim sigma} m_sigma^p = m_Sigma^p
-
-    for 0 <= p <= codim(sigma0).  Brute-force check over the cofaces.
-    """
-    sigma0 = tuple(sigma0)
-    if len(m_rho) != fan.n + 1:
-        raise ValueError("need one integer per ray")
-    if not 0 <= p <= fan.codim(sigma0):
-        raise ValueError(
-            f"need 0 <= p <= codim(sigma0) = {fan.codim(sigma0)}, got {p}"
-        )
-    total = 0
-    for sigma in fan.cofaces(sigma0):
-        m_s = sum(m_rho[r] for r in sigma)
-        term = m_s**p
-        total += term if fan.codim(sigma) % 2 == 0 else -term
-    return total == sum(m_rho) ** p

@@ -29,8 +29,8 @@ Grids, flat lists in row-major order (`_grid_flat`), serve only
 `chern_general`'s mixed difference, once per top cone, and `_cells`,
 which reads where two families differ.
 
-The elementary-injection machinery (delta invariant, drop,
-elementary_check, factorize) follows the equal-rank factorization
+The elementary-injection machinery (drop, elementary_check,
+factorize) follows the equal-rank factorization
 theory: an elementary injection E c F drops exactly one jump value by
 one dimension at a single class m0 of a single cone sigma0 and
 intersects everything above with the dropped hyperplane.  On a coface
@@ -56,13 +56,12 @@ classes along one axis as one `_meet_box` on the run's box, and
 cell, reading the least weight of a cell's drops off its boxes with
 `drop`'s rule; their boxes are not replayed, so they bypass the memo.
 The cells where two families differ are read off their joint grid by
-`_cells` alone.  `factorize`, `drop_profile` and `delta` take each
-cone's cells from `_checked_cells`, which checks E c F on the cone and
-sums the dim differences: `factorize` walks the cones once and drops
-each differing class in lex order, `drop_profile` walks them the same
-way (`drop_counts` is its count view), and `delta` sums, checking E c F
-on the cones it leaves out too (`_contained_cells`).  `elementary_check`
-is the one-step factorization: a `drop_counts` total of 1, then
+`_cells` alone.  `factorize` and `drop_profile` take each cone's
+cells from `_checked_cells`, which checks E c F on the cone and sums
+the dim differences: `factorize` walks the cones once and drops each
+differing class in lex order, and `drop_profile` walks them the same
+way (`drop_counts` is its count view).  `elementary_check` is the
+one-step factorization: a `drop_counts` total of 1, then
 `factorize`'s single step.
 """
 
@@ -439,7 +438,7 @@ def is_reflexive(mf: Multifiltration) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# containment and the delta invariant
+# containment and the cells where two families differ
 
 
 def is_contained(e: Multifiltration, f: Multifiltration) -> bool:
@@ -479,29 +478,23 @@ def _cells(e: Multifiltration, f: Multifiltration, cone: Cone) -> list[Cell]:
     return cells
 
 
-def _contained_cells(e: Multifiltration, f: Multifiltration, cone: Cone) -> list[Cell]:
-    """The `_cells(e, f, cone)`, each holding E's value inside F's:
-    ValueError otherwise."""
+def _checked_cells(
+    e: Multifiltration, f: Multifiltration, cone: Cone
+) -> tuple[list[Cell], int]:
+    """The `_cells(e, f, cone)` of a pair with E c F on the cone, and
+    the sum over all its classes of dim F - dim E.
+
+    Any cell where E's value is not inside F's is a ValueError, checked
+    on all the cells before the sum starts.  The values differ on every cell, so the dim difference is positive,
+    and a cell unbounded above makes the sum diverge: InvalidFamily.  A
+    bounded cell adds its dim difference times its (integer) volume.
+    """
     cells = _cells(e, f, cone)
     for lo, _, u, v in cells:
         if not u <= v:
             raise ValueError(
                 f"E is not pointwise contained in F on {cone!r} at class {lo!r}"
             )
-    return cells
-
-
-def _checked_cells(
-    e: Multifiltration, f: Multifiltration, cone: Cone
-) -> tuple[list[Cell], int]:
-    """The `_contained_cells(e, f, cone)` of a pair with E c F on the
-    cone, and the sum over all its classes of dim F - dim E.
-
-    The values differ on every cell, so the dim difference is positive,
-    and a cell unbounded above makes the sum diverge: InvalidFamily.  A
-    bounded cell adds its dim difference times its (integer) volume.
-    """
-    cells = _contained_cells(e, f, cone)
     total = 0
     for lo, hi, u, v in cells:
         if hi is None:
@@ -514,60 +507,6 @@ def _checked_cells(
             volume *= y - x
         total += (v.dim - u.dim) * volume
     return cells, total
-
-
-class Infinity:
-    """Sentinel: delta_k when Sigma*(k) is empty (the invariant is
-    infinite there); exact, unlike the float math.inf."""
-
-    _instance: "Infinity | None" = None
-
-    def __new__(cls) -> "Infinity":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "INFINITY"
-
-
-INFINITY = Infinity()
-
-
-def delta(e: Multifiltration, f: Multifiltration) -> tuple[int | Infinity, ...]:
-    """The invariant (delta_1, ..., delta_n) of an injection E c F.
-
-    delta_1 sums dim F - dim E over all ray classes; for k >= 2 the sum
-    runs over Sigma*(k), the k-cones all of whose facets carry a
-    defined and vanishing facet-level delta; when Sigma*(k) is empty,
-    delta_k = INFINITY (and stays INFINITY above).  Each summed cone
-    comes from `_checked_cells`, and each cone left out of the sum from
-    `_contained_cells`, as its difference may be unbounded; so a pair
-    with E not in F raises ValueError.
-    """
-    if e.fan != f.fan:
-        raise ValueError("families live on different fans")
-    fan = e.fan
-    per_cone: dict[Cone, int | None] = {}
-    out: list[int | Infinity] = []
-    for k in range(1, fan.n + 1):
-        level_total = 0
-        level_defined = False
-        for cone in fan.cones(k):
-            if k == 1:
-                ok = True
-            else:
-                ok = all(per_cone.get(facet) == 0 for facet in fan.facets(cone))
-            if not ok:
-                per_cone[cone] = None
-                _contained_cells(e, f, cone)
-                continue
-            value = _checked_cells(e, f, cone)[1]
-            per_cone[cone] = value
-            level_defined = True
-            level_total += value
-        out.append(level_total if level_defined else INFINITY)
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

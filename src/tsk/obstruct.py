@@ -28,7 +28,8 @@ Q = F/E, and c(Q) = c(F)/c(E) is the product of the factorization's
 step ratios, each 1 + O(H^k) with k >= q, as Q is supported in
 codimension q.  So c(Q) = 1 + a H^q mod H^(q+1), and a is the H^q
 coefficient of log c(Q), the leading-log coefficient
-a = (-1)^(q-1) (q-1)! p_q that `leading_log_check` verifies.  Hence
+a = (-1)^(q-1) (q-1)! p_q: only the q-elementary steps reach H^q, each
+with that leading coefficient whatever its weight.  Hence
 
     c(E) = c(F) (1 - a H^q)   mod H^(q+1):
 
@@ -73,7 +74,7 @@ from .reflexive import (
     line_sums,
     stability,
 )
-from .ring import TruncPoly, log_coeffs
+from .ring import TruncPoly
 
 
 class TorsionProfile(Frozen):
@@ -169,25 +170,6 @@ def torsion_profile(E: Multifiltration) -> TorsionProfile:
     Errors on reflexive E (zero quotient, profile undefined).
     """
     return _hull_and_profile(E)[1]
-
-
-def leading_log_check(E: Multifiltration) -> bool:
-    """Verify the leading term of the log-ratio:
-
-        [H^q] log( c(F) / c(E) )  ==  (-1)^(q-1) (q-1)! p_q,
-
-    compared in integers, times q: s_q(c(F) / c(E)) == (-1)^(q-1) q! p_q
-    with s_q = q [H^q] log of `log_coeffs`.  s_q is additive over
-    products, so the ratio's is s_q(c(F)) - s_q(c(E)), with no division.
-
-    Every k-elementary step contributes 1 + O(H^k) to the ratio, so
-    only the q-elementary steps reach H^q, each with the universal
-    leading coefficient (-1)^(q-1) (q-1)! independent of its weight.
-    """
-    hull, prof, _ = _hull_and_profile(E)
-    q = prof.q
-    s_ratio = log_coeffs(chern_general(hull).coeffs)[q] - log_coeffs(chern_general(E).coeffs)[q]
-    return s_ratio == (-1) ** (q - 1) * factorial(q) * prof.count(q)
 
 
 def s_max(f: R2Filtration) -> int:

@@ -25,9 +25,8 @@ and closes the Chern class with the edge's linear factors; `solve_p`
 reads the edge's integer log coefficients (`chern.run_log`), since the
 target is the start divided by every stage's ratio:
 tilde_c_q = -sum_{k<=q} s_q(stage k), where stage q enters as
--A_{q,q} p_q, so the system is triangular.  The drop-by-drop chain of
-the schedule (`injection_params`, one `drop` per step) is the oracle
-the tests hold the runs to.
+-A_{q,q} p_q, so the system is triangular.  The tests hold the runs
+to the drop-by-drop chain of the schedule, one `drop` per step.
 """
 
 from __future__ import annotations
@@ -125,15 +124,6 @@ class PrescriptionSolution(NamedTuple):
             yield k, tuple(range(k)), head, self.p_k(k)
             head += (self.p_k(k),)
 
-    def injection_params(self) -> Iterator[tuple[int, int, Cone, Weight]]:
-        """The drop schedule (k, j, sigma_k, m_{k,j}), stage by stage.
-
-        Lazy: the count can be astronomically large.
-        """
-        for k, sigma, head, pk in self.stages():
-            for j in range(1, pk + 1):
-                yield k, j, sigma, head + (j - 1,)
-
     def certificate(self) -> dict:
         """JSON-able summary; the smoothability flag is a pure function
         of (verdict, delta): a small semistable deformation of a sheaf
@@ -173,16 +163,6 @@ def tilde_c(c: TruncPoly) -> tuple[int, ...]:
     """
     s, s_low = log_coeffs(c.coeffs), log_coeffs(_low(c).coeffs)
     return tuple(s_low[q] - s[q] for q in range(3, c.n + 1))
-
-
-def weight_schedule(c_rho0: int, p: Sequence[int], k: int, j: int) -> int:
-    """m_Sigma^{k,j} = -c_rho0 + sum_{3 <= i < k} p_i + (j - 1)."""
-    n = len(p) + 2
-    if not 3 <= k <= n:
-        raise ValueError(f"k must be in [3, {n}], got {k}")
-    if not 1 <= j <= p[k - 3]:
-        raise ValueError(f"j must be in [1, p_{k}] = [1, {p[k - 3]}], got {j}")
-    return -c_rho0 + sum(p[i - 3] for i in range(3, k)) + (j - 1)
 
 
 def solve_p(problem: PrescriptionProblem) -> PrescriptionSolution | Infeasible:
@@ -382,8 +362,8 @@ def build_sequence(
     closed from the start with every stage's telescoped ratio, however
     many drops were built, and checked against `solution.chern`.  The
     tests hold the runs to the drop-by-drop chain of
-    `solution.injection_params()`, each step checked for saturation and
-    its scheduled (k0, sigma0, m0, m_Sigma).
+    `solution.stages()`, each step checked for saturation and its
+    scheduled (k0, sigma0, m0, m_Sigma).
     """
     if isinstance(solution, Infeasible):
         raise ValueError(f"cannot build an infeasible solution: {solution}")

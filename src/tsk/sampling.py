@@ -1,4 +1,6 @@
-"""Random instance generation for property sweeps.
+"""Random instance generation for property sweeps: the three
+generators that `perfbench/gen.py` imports to regenerate the benchmark
+inputs; the tests draw from them too.
 
 Everything is driven by an explicit random.Random so sweeps are
 reproducible from a seed.  Drop sampling is rejection-based: candidate
@@ -15,15 +17,6 @@ from .fan import Cone, Fan, Weight
 from .linalg import Subspace, echelon_hyperplane
 from .multifilt import Multifiltration, _axes, _value_and_below, apply_elementary
 from .reflexive import R2Filtration, RayDatum, Stability, stability
-
-
-def random_b_zero(rng: Random, n: int, max_c: int = 6) -> R2Filtration:
-    """Random b_zero reflexive data with the default pairwise-distinct
-    lines and at least one active ray."""
-    while True:
-        c = tuple(rng.randint(0, max_c) for _ in range(n + 1))
-        if any(c):
-            return R2Filtration.b_zero_data(Fan(n), c)
 
 
 def random_reflexive(rng: Random, n: int, max_c: int = 6, spread: int = 3) -> R2Filtration:

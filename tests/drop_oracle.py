@@ -1,8 +1,10 @@
 """Drop-by-drop references for the constructions that skip steps.
 
 `build_sequence` takes each stage of the schedule as one run.
-`replay_drops` takes the same schedule one elementary injection at a
-time with `drop`, and asserts each step's schedule invariants, so the
+`replay_drops` takes the same schedule, `drop_schedule`'s expansion of
+`PrescriptionSolution.stages()`, one elementary injection at a time
+with `drop`, and asserts each step's schedule invariants, the weight
+among them against the paper's formula (`weight_schedule`), so the
 tests can hold the runs to the chain of drops the paper iterates.
 
 `factorize` reads each cone's differing cells once and drops them class
@@ -48,7 +50,7 @@ from tsk.multifilt import (
     drop,
     eval_jumps,
 )
-from tsk.prescribe import PrescriptionSolution, weight_schedule
+from tsk.prescribe import PrescriptionSolution
 from tsk.reflexive import to_multifiltration
 
 
@@ -60,6 +62,27 @@ def unchecked(fan, jumps) -> Multifiltration:
         raw = tuple(sorted(jumps.get(cone, ()), key=itemgetter(0)))
         lists[cone] = _canonical_jumps.__wrapped__(raw)
     return Multifiltration._canonical(fan, lists)
+
+
+def weight_schedule(c_rho0: int, p: Sequence[int], k: int, j: int) -> int:
+    """m_Sigma^{k,j} = -c_rho0 + sum_{3 <= i < k} p_i + (j - 1)."""
+    n = len(p) + 2
+    if not 3 <= k <= n:
+        raise ValueError(f"k must be in [3, {n}], got {k}")
+    if not 1 <= j <= p[k - 3]:
+        raise ValueError(f"j must be in [1, p_{k}] = [1, {p[k - 3]}], got {j}")
+    return -c_rho0 + sum(p[i - 3] for i in range(3, k)) + (j - 1)
+
+
+def drop_schedule(solution: PrescriptionSolution) -> Iterator[tuple[int, int, Cone, Weight]]:
+    """The drop schedule (k, j, sigma_k, m_{k,j}), stage by stage: each
+    stage of `solution.stages()` expanded into its p_k classes.
+
+    Lazy: the count can be astronomically large.
+    """
+    for k, sigma, head, pk in solution.stages():
+        for j in range(1, pk + 1):
+            yield k, j, sigma, head + (j - 1,)
 
 
 # Per solution: the start, the steps replayed so far, and the rest of
@@ -74,7 +97,7 @@ def replay_drops(
     solution: PrescriptionSolution, limit: int | None = None
 ) -> tuple[Multifiltration, tuple[ElementaryInjection, ...]]:
     """Replay the first `limit` steps (all with None) of
-    `solution.injection_params()` with `drop` from the start sheaf.
+    `drop_schedule(solution)` with `drop` from the start sheaf.
 
     Every step must come back saturated with the scheduled k0, sigma0,
     m0 and m_Sigma.  Returns the final sheaf and the injections, in
@@ -82,7 +105,7 @@ def replay_drops(
     """
     if solution not in _REPLAYS:
         start = to_multifiltration(solution.problem.start_filtration())
-        _REPLAYS[solution] = (start, [], solution.injection_params())
+        _REPLAYS[solution] = (start, [], drop_schedule(solution))
     start, injections, schedule = _REPLAYS[solution]
     c0, p = solution.problem.c_rho0, solution.p
     more = None if limit is None else max(0, limit - len(injections))

@@ -28,19 +28,12 @@ from random import Random
 
 import pytest
 
-from tsk.chern import (
-    chern_general,
-    identity_cone_sum,
-    identity_product,
-    ratio_saturated,
-    stirling_A,
-)
+from tsk.chern import chern_general, ratio_saturated, stirling_A
 from tsk.fan import Fan
 from tsk.multifilt import Multifiltration, factorize, recompose, reflexive_hull
 from tsk.obstruct import (
     Inconclusive,
     NotSmoothable,
-    leading_log_check,
     obstruction_verdict,
     torsion_profile,
 )
@@ -69,6 +62,7 @@ from tsk.ring import TruncPoly, exp_coeffs, log_coeffs
 from tsk.sampling import random_drops, random_reflexive, random_semistable
 
 from drop_oracle import replay_drops
+from oracles import identity_cone_sum, identity_product, leading_log_check
 
 
 def _report(capsys, k: int, ok: bool, detail: str, t0: float | None = None) -> None:

@@ -11,10 +11,7 @@ import pytest
 from tsk import chern
 from tsk.chern import (
     chern_general,
-    identity_cone_sum,
-    identity_product,
     ratio_saturated,
-    ratio_saturated_conewise,
     run_factors,
     run_log,
     stirling_A,
@@ -41,6 +38,7 @@ from tsk.reflexive import R2Filtration, RayDatum, Stability, chern_total, to_mul
 from tsk.ring import TruncPoly, linear_product, log_coeffs
 from tsk.sampling import random_drops, random_reflexive
 
+from oracles import identity_cone_sum, identity_product, ratio_saturated_conewise
 from test_multifilt import staircase
 
 

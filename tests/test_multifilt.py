@@ -13,12 +13,11 @@ from itertools import product
 import pytest
 
 from tsk import multifilt
-from tsk.chern import chern_general, ratio_saturated_conewise
+from tsk.chern import chern_general
 from tsk.documents import SheafDocument, dump_document, load_document
 from tsk.fan import Fan
 from tsk.linalg import FULL, ZERO, Subspace
 from tsk.multifilt import (
-    INFINITY,
     ElementaryInjection,
     InvalidFamily,
     Multifiltration,
@@ -36,7 +35,6 @@ from tsk.multifilt import (
     _value_and_below,
     apply_elementary,
     apply_run,
-    delta,
     drop,
     drop_counts,
     drop_profile,
@@ -51,7 +49,7 @@ from tsk.multifilt import (
 from tsk.obstruct import torsion_profile
 from tsk.prescribe import build_sequence, family_p4_odd, family_pn
 from tsk.reflexive import R2Filtration, RayDatum, from_multifiltration, to_multifiltration
-from tsk.sampling import random_b_zero, random_drops, random_reflexive, random_semistable
+from tsk.sampling import random_drops, random_reflexive, random_semistable
 
 from drop_oracle import (
     _canonical_flat,
@@ -63,6 +61,7 @@ from drop_oracle import (
     unchecked,
     widened_axes,
 )
+from oracles import INFINITY, delta, random_b_zero, ratio_saturated_conewise
 
 
 def start_family(n=4, c=(1, 6, 6, 0, 0)):
@@ -553,6 +552,7 @@ def test_drop_chains_lie_in_their_hull():
         ((), "never reaches C\\^2"),
         ((((0,), FULL), ((1,), FULL)), "filtration is not reflexive rank-2 data"),
     ],
+    ids=["one-line", "empty", "two-full"],
 )
 def test_hull_rejects_ray_lists_that_are_no_ray_data(ray_jumps, message):
     # Ray lists that are no rank-2 ray data (possible only in lists wrapped

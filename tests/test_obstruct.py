@@ -17,7 +17,6 @@ from tsk.obstruct import (
     Inconclusive,
     NotSmoothable,
     TorsionProfile,
-    leading_log_check,
     obstruction_verdict,
     s_max,
     torsion_profile,
@@ -35,6 +34,8 @@ from tsk.reflexive import (
 )
 from tsk.ring import TruncPoly
 from tsk.sampling import random_drops, random_reflexive
+
+from oracles import leading_log_check
 
 
 def hull(n, c):

@@ -20,7 +20,6 @@ from tsk.prescribe import (
     solve_p_closed_p4,
     solve_p_closed_p5,
     tilde_c,
-    weight_schedule,
 )
 from tsk import prescribe
 from tsk.chern import chern_general
@@ -28,7 +27,7 @@ from tsk.multifilt import drop_counts, is_reflexive, reflexive_hull
 from tsk.reflexive import Stability, chern_total
 from tsk.ring import TruncPoly
 
-from drop_oracle import replay_drops
+from drop_oracle import drop_schedule, replay_drops, weight_schedule
 from oracles import series_log
 
 
@@ -186,7 +185,7 @@ def test_solutions_are_hashable_values():
 
 def test_injection_params_schedule():
     sol = solve_p(PrescriptionProblem(4, (1, 6, 6, 0, 0)))
-    params = list(sol.injection_params())
+    params = list(drop_schedule(sol))
     assert len(params) == 258
     assert params[0] == (3, 1, (0, 1, 2), (-1, 0, 0))
     assert params[17] == (3, 18, (0, 1, 2), (-1, 0, 17))

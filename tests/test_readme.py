@@ -1,11 +1,16 @@
-"""The README's command-line examples, run as written."""
+"""The README's command-line examples and library quick start, run as
+written."""
 
 from __future__ import annotations
 
+import ast
+import io
 import re
 import shlex
+import tokenize
 from pathlib import Path
 
+import tsk
 from tsk import cli
 from tsk.documents import SheafDocument, dump_document, load_document
 from tsk.linalg import ZERO
@@ -46,3 +51,47 @@ def test_readme_examples(tmp_path, monkeypatch, capsys):
     assert len(examples) == 9 and [c for _, _, c in examples].count(2) == 1
     for argv, stdout, code in examples:
         assert (cli.main(argv), capsys.readouterr().out) == (code, stdout), argv
+
+
+def quick_start():
+    """(source, tree) for each statement of the Python block under
+    "Library quick start", in order: lines are joined until they parse,
+    so a statement may span lines, and blank lines are left out."""
+    block = README.split("## Library quick start", 1)[1].split("```python\n", 1)[1]
+    statements, source = [], ""
+    for line in block.split("```", 1)[0].splitlines(keepends=True):
+        source += line
+        try:
+            tree = ast.parse(source)
+        except SyntaxError:
+            continue
+        if tree.body:
+            statements.append((source, tree))
+        source = ""
+    assert source == ""
+    return statements
+
+
+def test_readme_library_quick_start():
+    # An expression line's comment starts with the literal it evaluates to
+    # (prose may follow); every other line is only run, its comment prose.
+    namespace: dict = {}
+    shown = []
+    for source, tree in quick_start():
+        (stmt,) = tree.body
+        if not isinstance(stmt, ast.Expr):
+            exec(compile(tree, "README.md", "exec"), namespace)
+            continue
+        (comment,) = [
+            t.string for t in tokenize.generate_tokens(io.StringIO(source).readline)
+            if t.type == tokenize.COMMENT
+        ]
+        first = next(tokenize.generate_tokens(io.StringIO(comment[1:].strip()).readline))
+        want = ast.literal_eval(first.string)
+        got = eval(compile(ast.Expression(stmt.value), "README.md", "eval"), namespace)
+        assert (type(got), got) == (type(want), want), source
+        shown.append(want)
+    assert shown == [
+        "1 + 13*H + 48*H^2 + 36*H^3", "stable", 23, "1 + 13*H + 48*H^2", True
+    ]
+    assert [name for name in tsk.__all__ if not hasattr(tsk, name)] == []

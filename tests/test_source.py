@@ -110,18 +110,15 @@ CALLS = {
     "_grid_flat": {"multifilt.py:_cells": 2, "chern.py:chern_general": 1},
     "_runs": {"multifilt.py:_grid_flat": 1, "chern.py:chern_general": 2},
     # A rewrite's cofaces depend on (fan, sigma0) alone: multifilt lists them
-    # in the memoized `_coface_plan`; chern sums over them as the paper does.
-    ".cofaces": {
-        "multifilt.py:_coface_plan": 1, "chern.py:ratio_saturated_conewise": 1,
-        "chern.py:identity_cone_sum": 1,
-    },
+    # in the memoized `_coface_plan`, and no other src/ code walks them.
+    ".cofaces": {"multifilt.py:_coface_plan": 1},
     # One reading of the value at m0 and the join below it.
     "_value_and_below": {"multifilt.py:_checked_drop": 1, "sampling.py:random_drops": 1},
     # drop and apply_elementary share one checked rewrite; only drop derives
     # invariants, factorize steps by drop, and elementary_check reads no cells.
     "_checked_drop": {"multifilt.py:drop": 1, "multifilt.py:apply_elementary": 1},
     "drop": {"multifilt.py:factorize": 1},
-    "_cells": {"multifilt.py:_contained_cells": 1},
+    "_cells": {"multifilt.py:_checked_cells": 1},
     # The memo holds the unit drops recompose replays after factorize; the
     # boxes of runs and of the profile walk are not replayed.
     "_meet_unit": {"multifilt.py:_checked_drop": 1},
@@ -129,7 +126,7 @@ CALLS = {
     # Products of linear factors go through ring.linear_product; int_pow
     # stays a public ring operation, the tests' independent reference.
     "int_pow": {},
-    # factorize, drop_counts and delta check E c F on the cells they read.
+    # factorize and drop_counts check E c F on the cells they read.
     "is_contained": {},
     # The normalized sheaf's class and weights are arithmetic on E's
     # (twist_chern, m_Sigma - t): no src/ code builds a twisted family.
@@ -137,8 +134,8 @@ CALLS = {
     # Q4 reads c(E) up to H^q off the hull's class and p_q; the one call
     # in obstruction_verdict is Q2's independent c_3.
     "chern_general": {
-        "obstruct.py:obstruction_verdict": 1, "obstruct.py:leading_log_check": 2,
-        "cli.py:cmd_chern": 1, "prescribe.py:build_sequence": 1, "reflexive.py:<module>": 1,
+        "obstruct.py:obstruction_verdict": 1, "cli.py:cmd_chern": 1,
+        "prescribe.py:build_sequence": 1, "reflexive.py:<module>": 1,
     },
     # A stage's Chern ratio has one form, run_factors' telescoped edge,
     # whose log the solve reads with chern's run_log.
@@ -175,7 +172,22 @@ ABSENT = {
     # factorization loop, one reading of the join below m0; and no
     # `dataclasses`, which costs every tsk process more than the whole
     # record layer (each @dataclass execs its methods).
-    "src": {"_canonical_flat", "_factorize", "_injection", "join_below", "dataclasses"},
+    "src": {
+        "_canonical_flat", "_factorize", "_injection", "join_below", "dataclasses",
+        # What only the tests call lives in tests/oracles.py and
+        # tests/drop_oracle.py, which src/ never imports: the identities and
+        # the conewise form of the saturated ratio, the leading-log check,
+        # the schedule's weights and expansion, b_zero sampling, and the
+        # delta invariant with its sentinel.
+        "identity_*", "ratio_saturated_conewise", "leading_log_check", "weight_schedule",
+        "injection_params", "random_b_zero", "Infinity", "INFINITY", "_contained_cells",
+        "oracles", "drop_oracle",
+    },
+    # A row matches a name whatever it names, so `delta` is kept out of
+    # multifilt alone (PrescriptionSolution has a `delta` field), and
+    # `facets`, which delta reads off the fan, is no row (drop_profile has
+    # a local `facets`).
+    "multifilt.py": {"delta"},
     # Every verdict reads the profile and Q2's least weight off one walk:
     # no drops, multifilt through its public names, no normalized data.
     "obstruct.py": {"factorize", "drop", "multifilt._*", "normalize"},
@@ -329,6 +341,11 @@ test_cli_reads_the_route_table = _rows(
     "cli.py:in_general_position cli.py:is_locally_free cli.py:is_b_zero"
 )
 test_no_dataclasses = _rows("src:dataclasses")
+test_test_oracles_stay_in_tests = _rows(
+    "src:identity_* src:ratio_saturated_conewise src:leading_log_check src:weight_schedule"
+    " src:injection_params src:random_b_zero src:Infinity src:INFINITY src:_contained_cells"
+    " src:oracles src:drop_oracle multifilt.py:delta"
+)
 _runs_callers = _rows("_runs")
 _value_readers = _rows("_value_and_below src:join_below")
 
@@ -371,9 +388,10 @@ MUTATIONS = [
     ("_value_and_below", "m_rho = dict(", "_value_and_below(f, m0); m_rho = dict("),
     ("_value_and_below", "_value_and_below(cur.jumps[cone], m0)", "cur.evaluate(m0), ZERO"),
     (".cofaces", "_ in _coface_plan(fan, sigma0)", "_ in fan.cofaces(sigma0)"),
-    (".cofaces", "fan = inj.f.fan", "fan = inj.f.fan; fan.cofaces(inj.sigma0)"),
+    (".cofaces", "n = mf.fan.n\n", "n = mf.fan.n; mf.fan.cofaces(())\n"),
     ("_checked_drop drop", "step = drop(", "step = _checked_drop("),
     ("_cells reach:elementary_check", "profile = drop_counts(e, f)", "profile = _cells(e, f)"),
+    ("_cells src:_contained_cells", "cells = _cells(e, f, cone)", "cells = _contained_cells()"),
     ("src:_injection", "def drop(", "def _injection(): pass\ndef drop("),
     ("drop reach:recompose", "current = apply_elementary(", "current = drop("),
     ("drop reach:elementary_check", "return factorize(e, f)[0]", "return drop(f, *_locate(e, f))"),
@@ -391,6 +409,19 @@ MUTATIONS = [
     ("cli.py:is_locally_free", "polys = refl.chern_routes(f)", "polys = refl.is_locally_free(f)"),
     ("src:dataclasses",
      "from operator import attrgetter", "import dataclasses\nfrom operator import attrgetter"),
+    ("multifilt.py:delta src:Infinity",
+     "def is_contained(", "class Infinity: pass\ndef delta(): pass\ndef is_contained("),
+    ("src:oracles src:identity_* src:leading_log_check src:INFINITY",
+     "from .multifilt import Multifiltration, _axes, _grid",
+     "from oracles import INFINITY, identity_product, leading_log_check\n"
+     "from .multifilt import Multifiltration, _axes, _grid"),
+    ("src:ratio_saturated_conewise",
+     "def run_factors(", "def ratio_saturated_conewise(): pass\ndef run_factors("),
+    ("src:weight_schedule", "def solve_p(", "def weight_schedule(): pass\ndef solve_p("),
+    ("src:injection_params",
+     "    def certificate(self)", "    def injection_params(self): pass\n    def certificate(self)"),
+    ("src:drop_oracle src:random_b_zero",
+     "def random_reflexive(", "def random_b_zero(): import drop_oracle\ndef random_reflexive("),
 ]
 
 
@@ -540,12 +571,6 @@ REPO = Path(__file__).resolve().parents[1]
 # function that reads it: a paper formula held to a second route, the
 # reference a faster routine must reproduce, or a sampler of test data.
 KEPT = {
-    "Multifiltration.twist": "test_chern.py::test_twist_chern_matches_twisted_drop_chains",
-    "ratio_saturated_conewise": "test_chern.py::test_ratio_saturated_oracle",
-    "weight_schedule": "drop_oracle.py::replay_drops",
-    "PrescriptionSolution.injection_params": "drop_oracle.py::replay_drops",
-    "random_b_zero": "test_multifilt.py::test_factorize_k0_monotone_random",
-    "delta": "test_multifilt.py::test_delta_invariant",
     "Multifiltration.evaluate": (
         "test_multifilt.py::test_value_and_below_match_evaluate_and_the_join_one_step_below"
     ),
