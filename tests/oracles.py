@@ -11,19 +11,30 @@ computes: the telescoping product and the signed cone sum behind the
 saturated ratio, the ratio as a product over the cofaces of sigma0,
 the leading-log coefficient behind the Q4 obstruction, and the delta
 invariant of an injection E c F.  `random_b_zero` samples b_zero data
-for the sweeps.
+for the sweeps.  `validate_all_edges` checks a family on every facet
+edge, the differential oracle of the constructor's top-down walk.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial
+from operator import index
 from random import Random
-from typing import Sequence
+from typing import Iterable, Mapping, Sequence
 
 from tsk.chern import chern_general
 from tsk.fan import Cone, Fan
-from tsk.multifilt import ElementaryInjection, InvalidFamily, Multifiltration, _checked_cells
+from tsk.linalg import FULL, Subspace, join_all
+from tsk.multifilt import (
+    ElementaryInjection,
+    InvalidFamily,
+    Jump,
+    JumpList,
+    Multifiltration,
+    _canonical_jumps,
+    _checked_cells,
+)
 from tsk.obstruct import _hull_and_profile
 from tsk.reflexive import R2Filtration
 from tsk.ring import TruncPoly, linear_product, log_coeffs
@@ -241,3 +252,55 @@ def random_b_zero(rng: Random, n: int, max_c: int = 6) -> R2Filtration:
         c = tuple(rng.randint(0, max_c) for _ in range(n + 1))
         if any(c):
             return R2Filtration.b_zero_data(Fan(n), c)
+
+
+def validate_all_edges(fan: Fan, jumps: Mapping[Cone, Iterable[Jump]]) -> dict[Cone, JumpList]:
+    """The canonical lists of the family of `jumps`, checked as the
+    constructor did before its top-down walk: every given list
+    canonicalized, the deep value of every cone, and every facet edge,
+    (n + 1)(2^n - 2) projections.  The same checks raise the same
+    InvalidFamily messages, though on an invalid family the two may
+    name different failing edges.  No cache is read or filled.
+    """
+    canonical: dict[Cone, JumpList] = {}
+    for cone in fan.all_cones(min_dim=1):
+        raw = [(tuple(map(index, c)), w) for c, w in jumps.get(cone, ())]
+        for coords, w in raw:
+            if len(coords) != len(cone):
+                raise InvalidFamily(f"jump {coords!r} has wrong arity for cone {cone!r}")
+            if not isinstance(w, Subspace):
+                raise InvalidFamily(f"jump value {w!r} is not a subspace of C^2")
+        canonical[cone] = _canonical_jumps.__wrapped__(raw)
+    unknown = set(jumps) - set(canonical)
+    if unknown:
+        raise InvalidFamily(f"jump lists for non-cones: {sorted(unknown)!r}")
+    for cone, lst in canonical.items():
+        deep = join_all(w for _, w in lst)
+        if deep is not FULL:
+            raise InvalidFamily(f"deep value at cone {cone!r} is {deep!r}, not C^2")
+    for cone in fan.all_cones(min_dim=2):
+        for pos in range(len(cone)):
+            facet = cone[:pos] + cone[pos + 1 :]
+            stabilized = _canonical_jumps.__wrapped__(
+                [(c[:pos] + c[pos + 1 :], w) for c, w in canonical[cone]]
+            )
+            if stabilized != canonical[facet]:
+                raise InvalidFamily(
+                    f"facet compatibility fails: cone {cone!r} stabilized along ray"
+                    f" {cone[pos]} has jumps {stabilized!r}, but its facet {facet!r}"
+                    f" stores {canonical[facet]!r}"
+                )
+    return canonical
+
+
+def walk_and_all_edges(fan: Fan, jumps: Mapping[Cone, Iterable[Jump]]) -> tuple[object, object]:
+    """The verdicts of the constructor and of `validate_all_edges` on
+    `jumps`: each one's canonical lists, or the class of what it raised."""
+    verdicts = []
+    for check in (Multifiltration, validate_all_edges):
+        try:
+            family = check(fan, jumps)
+            verdicts.append(family.jumps if check is Multifiltration else family)
+        except ValueError as err:
+            verdicts.append(type(err))
+    return verdicts[0], verdicts[1]

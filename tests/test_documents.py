@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import copy
 import json
 import random
 import sys
+from collections import Counter
+from math import comb
 
 import pytest
 
-from tsk import cli
+from tsk import cli, multifilt
 from tsk.documents import (
     SheafDocument,
     canonical_dumps,
@@ -25,6 +28,7 @@ from tsk.documents import (
 from tsk.fan import Fan
 from tsk.linalg import FULL, ZERO, Subspace
 from tsk.multifilt import apply_elementary
+from tsk.prescribe import build_sequence, family_pn
 from tsk.reflexive import R2Filtration, RayDatum, to_multifiltration
 from tsk.sampling import random_drops, random_reflexive
 
@@ -257,3 +261,85 @@ def test_deterministic_output():
     text = dump_document(SheafDocument("reflexive", f))
     scrambled = json.dumps(json.loads(text), indent=2, sort_keys=False)
     assert dump_document(load_document(scrambled)) == text
+
+
+def _family_pn_text(n):
+    """The dumped run-built family_pn(n) sheaf: canonical lists."""
+    sol = family_pn(n)
+    return dump_document(SheafDocument("multifiltration", build_sequence(sol.problem, sol).final))
+
+
+@pytest.fixture
+def canonicalizations(monkeypatch):
+    """Counts the canonicalizer's calls: "cached" through its cache,
+    "one-off" through `__wrapped__`."""
+    calls = Counter()
+    canonical = multifilt._canonical_jumps
+
+    def counted(jumps):
+        calls["cached"] += 1
+        return canonical(jumps)
+
+    def one_off(jumps):
+        calls["one-off"] += 1
+        return canonical.__wrapped__(jumps)
+
+    counted.__wrapped__ = one_off
+    monkeypatch.setattr(multifilt, "_canonical_jumps", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_parse_canonicalizes_the_top_cones_only(canonicalizations, n):
+    # A canonical document costs the walk n + 1 canonicalizations, of the
+    # top cones, and one projection per facet edge it checks: two under
+    # each (n - 1)-cone, one under each lower cone.  Checking every edge
+    # costs 2^(n+1) - 2 and (n + 1)(2^n - 2).
+    text = _family_pn_text(n)
+    canonicalizations.clear()
+    load_document(text)
+    edges = n * (n + 1) + sum(comb(n + 1, k) for k in range(1, n - 1))
+    assert canonicalizations == {"cached": n + 1, "one-off": edges}
+
+
+def _redundant(jumps):
+    """A FULL jump one step above every jump: the value there is C^2."""
+    top = [max(c) + 1 for c in zip(*(j["coords"] for j in jumps))]
+    return jumps + [{"coords": top, "subspace": {"kind": "full"}}]
+
+
+NOT_CANONICAL = {
+    "redundant": _redundant,
+    "disorder": lambda jumps: jumps[::-1],
+    "repeated": lambda jumps: jumps + [copy.deepcopy(jumps[0])],
+}
+
+
+@pytest.mark.parametrize("cone", [(0, 1, 2, 3), (0, 1, 2), (0,)], ids=("top", "n-1", "ray"))
+@pytest.mark.parametrize("edit", sorted(NOT_CANONICAL))
+def test_lists_that_are_not_canonical_load_to_their_family(canonicalizations, cone, edit):
+    # A valid list that is not canonical, on a top cone, an (n - 1)-cone or
+    # a ray, loads to the family of the canonical dump, and dumps to the
+    # same bytes; off the top cones the walk canonicalizes it once more.
+    text = _family_pn_text(4)
+    doc = json.loads(text)
+    entry = next(e for e in doc["cones"] if tuple(e["rays"]) == cone)
+    assert len(entry["jumps"]) >= 2
+    entry["jumps"] = NOT_CANONICAL[edit](entry["jumps"])
+    edited = json.dumps(doc)
+    canonicalizations.clear()
+    loaded = load_document(edited)
+    assert canonicalizations["cached"] == 5 + (len(cone) < 4)
+    assert loaded == load_document(text)
+    assert dump_document(loaded) == text
+
+
+def test_a_ray_list_wrong_by_one_jump_is_refused():
+    # A ray is checked under one coface only: moving its C^2 jump by one
+    # step, and touching no other list, is still refused.
+    doc = json.loads(_family_pn_text(4))
+    ray = next(e for e in doc["cones"] if e["rays"] == [0])
+    assert ray["jumps"][-1]["subspace"] == {"kind": "full"}
+    ray["jumps"][-1]["coords"][0] += 1
+    with pytest.raises(ValueError, match=r"facet compatibility fails: .* its facet \(0,\)"):
+        load_document(json.dumps(doc))

@@ -9,7 +9,9 @@ mutated too (bit flips, inserted and deleted bytes, truncation).  Each
 document command must keep the contract: an exit code in 0-4, no
 traceback, one error line and no stdout on exit 1, and every accepted
 document reads back byte-identically from its dump, with `tsk chern`
-exiting 0: its Chern routes agree.
+exiting 0: its Chern routes agree.  The jump-payload mutants also go to
+the family constructor and to the check of every facet edge
+(`oracles.validate_all_edges`), which must agree on each.
 """
 
 from __future__ import annotations
@@ -19,14 +21,17 @@ import copy
 import io
 import json
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from tsk import cli  # noqa: E402
+from tsk import cli, documents  # noqa: E402
 from tsk.documents import dump_document, load_document  # noqa: E402
+
+from oracles import walk_and_all_edges  # noqa: E402
 
 CLI_DOCS = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "cli-docs"
 SOURCES = {
@@ -212,6 +217,43 @@ def test_mutated_documents_keep_the_exit_code_contract(doc_path, name, data):
     for _ in range(data.draw(st.integers(1, 3))):
         _mutate(doc, data.draw)
     _assert_contract(doc_path, json.dumps(doc).encode(), COMMANDS)
+
+
+class _Handed(Exception):
+    """The (fan, jumps) a document hands the family constructor."""
+
+
+def _constructor_input(text: str):
+    """What parsing `text` hands `Multifiltration`, or None when the
+    document layer refuses it first."""
+
+    def capture(fan, jumps):
+        raise _Handed(fan, jumps)
+
+    with mock.patch.object(documents, "Multifiltration", capture):
+        try:
+            load_document(text)
+        except _Handed as handed:
+            return handed.args
+        except ValueError:
+            return None
+    raise AssertionError("a cones document parsed without the constructor")
+
+
+@pytest.mark.parametrize("name", sorted(SOURCES))
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_mutants_meet_the_all_edges_oracle(name, data):
+    # The constructor's top-down walk accepts the mutants that a check of
+    # every facet edge accepts, with the same canonical lists, and refuses
+    # the others.
+    doc = copy.deepcopy(SOURCES[name])
+    for _ in range(data.draw(st.integers(1, 3))):
+        _mutate(doc, data.draw)
+    handed = _constructor_input(json.dumps(doc))
+    if handed is not None:
+        walk, all_edges = walk_and_all_edges(*handed)
+        assert walk == all_edges
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

@@ -87,19 +87,21 @@ def _named(tree, dotted_strings=False):
 # and, where v is the module that defines or imports f, `f(...)`.
 CALLS = {
     # What tsk builds is valid by construction: only the constructor,
-    # which parsed documents go through, checks a family.
-    ".validate": {"multifilt.py:Multifiltration.__init__": 1},
+    # which parsed documents go through, checks a family, by the top-down
+    # walk that validate() runs for the tests; no src/ code calls validate().
+    ".validate": {},
+    "_checked_lists": {
+        "multifilt.py:Multifiltration.__init__": 1, "multifilt.py:Multifiltration.validate": 1
+    },
     # The drops tsk takes derive their invariants in `drop`; elementary_check
     # is the explicit check for given pairs and for the tests.
     "elementary_check": {},
-    # The cache is for the lists the constructor keeps; one-off lists
-    # (validate()'s projections, `_meet_coface`'s rewrites) bypass it.
-    "_canonical_jumps": {
-        "multifilt.py:Multifiltration.__init__": 1, "multifilt.py:Multifiltration.validate": 1,
-        "multifilt.py:_meet_coface": 1,
-    },
+    # The cache is for the lists the constructor keeps: the walk's top
+    # cones and the given lists it must canonicalize.  One-off lists (the
+    # walk's projections, `_meet_coface`'s rewrites) bypass it.
+    "_canonical_jumps": {"multifilt.py:_checked_lists": 3, "multifilt.py:_meet_coface": 1},
     "_canonical_jumps.__wrapped__": {
-        "multifilt.py:Multifiltration.validate": 1, "multifilt.py:_meet_coface": 1
+        "multifilt.py:_checked_lists": 1, "multifilt.py:_meet_coface": 1
     },
     # Meeting a family with a line is one rule, the coface rewrite's, which
     # the profile walk reuses for the second drop of a FULL -> ZERO cell.
@@ -311,7 +313,7 @@ def _rows(rows):
 
 
 # The rules the tables replaced keep their names; each row is in one rule.
-test_validate_only_in_the_constructor = _rows(".validate")
+test_validate_only_in_the_constructor = _rows(".validate _checked_lists")
 test_elementary_check_only_for_given_pairs = _rows("elementary_check")
 test_canonical_jumps_only_in_the_constructor = _rows(
     "_canonical_jumps _canonical_jumps.__wrapped__"
