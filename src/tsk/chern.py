@@ -11,6 +11,13 @@ The product formulas are products of linear factors (1 - wH)^e; each
 collects its (-w, e) pairs and multiplies them in one
 `ring.linear_product` call, which is integral with constant term 1 by
 construction.  All arithmetic is in exact Python integers.
+
+The general formula is tsk's one grid user, so the grid kernel lives
+here: `_grid_flat` evaluates a jump list at every point of a product of
+axes, flat in row-major order, and `_runs` orders the loops of its
+passes and of the formula's difference passes.  `multifilt` builds no
+grid: it reads canonical lists, drops and the cells where two families
+differ off the jump lists.
 """
 
 from __future__ import annotations
@@ -18,8 +25,10 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product as iproduct
 from math import comb
+from typing import Iterator, Sequence
 
-from .multifilt import Multifiltration, _axes, _grid_flat, _runs
+from .linalg import FULL, ZERO, Subspace
+from .multifilt import JumpList, Multifiltration, _axes
 from .ring import TruncPoly, linear_product
 
 # ---------------------------------------------------------------------------
@@ -41,6 +50,73 @@ def stirling_A(p: int, k: int) -> int:
     if k == 0:
         return 0
     return k * (stirling_A(p - 1, k) - stirling_A(p - 1, k - 1))
+
+
+# ---------------------------------------------------------------------------
+# the grid kernel
+
+
+def _strides(axes: Sequence[Sequence[int]]) -> list[int]:
+    """Row-major strides of the grid over the axes."""
+    strides = [1] * len(axes)
+    for i in range(len(axes) - 1, 0, -1):
+        strides[i - 1] = strides[i] * len(axes[i])
+    return strides
+
+
+def _runs(size: int, block: int, offsets: range) -> Iterator[range]:
+    """The flat indices b + r, b the start of each block of `block`
+    points in a grid of `size` and r in `offsets`, as ranges, in
+    `offsets`' order within each block.  The loop over the offsets or
+    over the blocks, whichever is shorter, runs outside, so the ranges
+    are long; block is 0 only on an empty grid.  Lazy: a list of the
+    ranges cost `chern_general` a tenth of its time on small grids.
+    """
+    if block * block < size:
+        for r in offsets:
+            yield range(r, size, block)
+    else:
+        start, stop, step = offsets.start, offsets.stop, offsets.step
+        for b in range(0, size, block or 1):
+            yield range(b + start, b + stop, step)
+
+
+def _grid_flat(
+    jumps: JumpList, axes: Sequence[Sequence[int]]
+) -> tuple[list[Subspace], list[int]]:
+    """Evaluate the family at every point of the axes grid, flattened.
+
+    `flat` holds the values in row-major order over the axes (the order
+    of `iproduct(*axes)`), and `strides` are the row-major strides, so
+    the predecessor of flat index k one grid step down axis i is
+    k - strides[i].  Each jump is seeded at its own grid point with a
+    checked `Subspace.join`, so a value that is no Subspace raises.  The
+    value at a point is the join of the seeds componentwise below it,
+    a prefix join along every axis, so it is d passes, one per axis:
+    with stride s, the grid splits into contiguous blocks of s * len(axis)
+    points, and in each block every point past the first s joins its
+    predecessor k - s, in ascending order (`_runs`) so that the join runs
+    along the whole axis.  The passes join by case analysis (two
+    distinct nonzero values join to FULL), since every operand is an
+    already checked value.
+    """
+    strides = _strides(axes)
+    size = strides[0] * len(axes[0]) if axes else 1
+    flat = [ZERO] * size
+    index_of = [{x: j for j, x in enumerate(a)} for a in axes]
+    for coords, w in jumps:
+        k = sum([ix[x] * s for ix, x, s in zip(index_of, coords, strides)])
+        flat[k] = flat[k].join(w)
+    for s, axis in zip(strides, axes):
+        block = s * len(axis)
+        for run in _runs(size, block, range(s, block)):
+            for k in run:
+                u = flat[k - s]
+                if u.dim:
+                    v = flat[k]
+                    if u is not v:
+                        flat[k] = u if v.dim == 0 else FULL
+    return flat, strides
 
 
 # ---------------------------------------------------------------------------

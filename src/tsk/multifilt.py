@@ -39,9 +39,8 @@ which builds no grid: only jump coordinates can be canonical jumps, so
 it scans the list, and parsing a document costs what its lists hold,
 not what their grids do.  The reflexive hull needs none:
 each cone's list is a closed form in its rays' ends (`hull_of_ends`).
-Grids, flat lists in row-major order (`_grid_flat`), serve only
-`chern_general`'s mixed difference, once per top cone, and `_cells`,
-which reads where two families differ.
+Nothing in this module builds a grid; `chern`'s mixed difference is
+the one grid user.
 
 The elementary-injection machinery (drop, elementary_check,
 factorize) follows the equal-rank factorization
@@ -69,14 +68,16 @@ classes along one axis as one `_meet_box` on the run's box, and
 `drop_profile` takes a cone's drops as one `_meet_box` per differing
 cell, reading the least weight of a cell's drops off its boxes with
 `drop`'s rule; their boxes are not replayed, so they bypass the memo.
-The cells where two families differ are read off their joint grid by
-`_cells` alone.  `factorize` and `drop_profile` take each cone's
-cells from `_checked_cells`, which checks E c F on the cone and sums
-the dim differences: `factorize` walks the cones once and drops each
-differing class in lex order, and `drop_profile` walks them the same
-way (`drop_counts` is its count view).  `elementary_check` is the
-one-step factorization: a `drop_counts` total of 1, then
-`factorize`'s single step.
+The cells where two families differ are the cells of their joint
+grid, but `_cells`, which alone reads them, builds no grid: it walks
+out from the jumps that one list has and the other has not, so it
+costs the differing region times the list length.  `factorize` and
+`drop_profile` take each cone's cells from `_checked_cells`, which
+checks E c F on the cone and sums the dim differences: `factorize`
+walks the cones once and drops each differing class in lex order, and
+`drop_profile` walks them the same way (`drop_counts` is its count
+view).  `elementary_check` is the one-step factorization: a
+`drop_counts` total of 1, then `factorize`'s single step.
 """
 
 from __future__ import annotations
@@ -84,7 +85,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import groupby, product as iproduct
 from operator import index, itemgetter, le, sub
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .fan import Cone, Fan, Weight
 from .linalg import FULL, ZERO, Subspace, echelon_hyperplane, join_all
@@ -103,7 +104,7 @@ class NotElementary(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# jump lists: evaluation, grids and canonical lists
+# jump lists: evaluation and canonical lists
 
 
 def _axes(jumps: JumpList, d: int) -> list[list[int]]:
@@ -111,69 +112,6 @@ def _axes(jumps: JumpList, d: int) -> list[list[int]]:
     if not jumps:
         return [[] for _ in range(d)]
     return [sorted(set(xs)) for xs in zip(*(coords for coords, _ in jumps))]
-
-
-def _strides(axes: Sequence[Sequence[int]]) -> list[int]:
-    """Row-major strides of the grid over the axes."""
-    strides = [1] * len(axes)
-    for i in range(len(axes) - 1, 0, -1):
-        strides[i - 1] = strides[i] * len(axes[i])
-    return strides
-
-
-def _runs(size: int, block: int, offsets: range) -> Iterator[range]:
-    """The flat indices b + r, b the start of each block of `block`
-    points in a grid of `size` and r in `offsets`, as ranges, in
-    `offsets`' order within each block.  The loop over the offsets or
-    over the blocks, whichever is shorter, runs outside, so the ranges
-    are long; block is 0 only on an empty grid.  Lazy: a list of the
-    ranges cost `chern_general` a tenth of its time on small grids.
-    """
-    if block * block < size:
-        for r in offsets:
-            yield range(r, size, block)
-    else:
-        start, stop, step = offsets.start, offsets.stop, offsets.step
-        for b in range(0, size, block or 1):
-            yield range(b + start, b + stop, step)
-
-
-def _grid_flat(
-    jumps: JumpList, axes: Sequence[Sequence[int]]
-) -> tuple[list[Subspace], list[int]]:
-    """Evaluate the family at every point of the axes grid, flattened.
-
-    `flat` holds the values in row-major order over the axes (the order
-    of `iproduct(*axes)`), and `strides` are the row-major strides, so
-    the predecessor of flat index k one grid step down axis i is
-    k - strides[i].  Each jump is seeded at its own grid point with a
-    checked `Subspace.join`, so a value that is no Subspace raises.  The
-    value at a point is the join of the seeds componentwise below it,
-    a prefix join along every axis, so it is d passes, one per axis:
-    with stride s, the grid splits into contiguous blocks of s * len(axis)
-    points, and in each block every point past the first s joins its
-    predecessor k - s, in ascending order (`_runs`) so that the join runs
-    along the whole axis.  The passes join by case analysis (two
-    distinct nonzero values join to FULL), since every operand is an
-    already checked value.
-    """
-    strides = _strides(axes)
-    size = strides[0] * len(axes[0]) if axes else 1
-    flat = [ZERO] * size
-    index_of = [{x: j for j, x in enumerate(a)} for a in axes]
-    for coords, w in jumps:
-        k = sum([ix[x] * s for ix, x, s in zip(index_of, coords, strides)])
-        flat[k] = flat[k].join(w)
-    for s, axis in zip(strides, axes):
-        block = s * len(axis)
-        for run in _runs(size, block, range(s, block)):
-            for k in run:
-                u = flat[k - s]
-                if u.dim:
-                    v = flat[k]
-                    if u is not v:
-                        flat[k] = u if v.dim == 0 else FULL
-    return flat, strides
 
 
 def eval_jumps(jumps: JumpList, mu: Weight) -> Subspace:
@@ -184,7 +122,7 @@ def eval_jumps(jumps: JumpList, mu: Weight) -> Subspace:
     """
     out = ZERO
     for coords, w in jumps:
-        if all(x <= y for x, y in zip(coords, mu)):
+        if all(map(le, coords, mu)):
             out = out.join(w)
             if out is FULL:
                 break
@@ -525,18 +463,46 @@ def _cells(e: Multifiltration, f: Multifiltration, cone: Cone) -> list[Cell]:
     Both families are constant on the cells lo <= g < hi of their joint
     grid, one per grid point lo, with hi the next grid point along each
     axis.  Returns (lo, hi, E's value, F's value) for each cell where the
-    values differ, in row-major order; hi is None for a cell unbounded
-    above (lo is the last grid point along some axis).
+    values differ, in row-major (lex) order; hi is None for a cell
+    unbounded above (lo is the last grid point along some axis).
+
+    No grid is built: the differing points are read off the two lists.
+    Call D the joint grid's points where E and F differ.  At a point g,
+    each family's value is the join of its jumps at g with its values at
+    g's grid predecessors, one grid step down each axis (ZERO off the
+    grid), since a jump below g and not at g lies below one of them.  So
+    a point of D where the two lists carry the same jumps has a
+    predecessor in D: every point of D is the coordinate of a jump that
+    one list has and the other has not, or a grid successor of a point
+    of D.  The walk seeds a stack with the coordinates of those unshared
+    jumps, evaluates both lists (`eval_jumps`, whose join is checked) at
+    each point it pops for the first time, and pushes the grid
+    successors of each point of D; the cells are then sorted by lo.
+    That reaches all of D and keeps nothing else: with r jumps on each
+    side, at most 2r + |D| * d points, each evaluated in O(r * d), not
+    the grid's prod |axis_i|.  The argument uses neither canonical lists
+    nor E c F, so it holds for any pair of lists, the broken ones
+    `_checked_cells` refuses included.
     """
     je, jf = e.jumps[cone], f.jumps[cone]
     axes = _axes(je + jf, len(cone))
-    ve, vf = _grid_flat(je, axes)[0], _grid_flat(jf, axes)[0]
     following = [dict(zip(axis, axis[1:])) for axis in axes]
+    todo = [coords for coords, _ in set(je).symmetric_difference(jf)]
+    seen: set[Weight] = set()
     cells: list[Cell] = []
-    for lo, u, v in zip(iproduct(*axes), ve, vf):
+    while todo:
+        lo = todo.pop()
+        if lo in seen:
+            continue
+        seen.add(lo)
+        u, v = eval_jumps(je, lo), eval_jumps(jf, lo)
         if u is not v:
             hi = tuple(map(dict.get, following, lo))
             cells.append((lo, None if None in hi else hi, u, v))
+            for i, y in enumerate(hi):
+                if y is not None:
+                    todo.append(lo[:i] + (y,) + lo[i + 1 :])
+    cells.sort(key=itemgetter(0))
     return cells
 
 
@@ -547,9 +513,12 @@ def _checked_cells(
     the sum over all its classes of dim F - dim E.
 
     Any cell where E's value is not inside F's is a ValueError, checked
-    on all the cells before the sum starts.  The values differ on every cell, so the dim difference is positive,
-    and a cell unbounded above makes the sum diverge: InvalidFamily.  A
-    bounded cell adds its dim difference times its (integer) volume.
+    on all the cells before the sum starts, so the first such lo in
+    row-major order is named.  The values differ on every cell, so the
+    dim difference is positive, and a cell unbounded above makes the sum
+    diverge: InvalidFamily, at the first such lo.  A bounded cell adds
+    its dim difference times its (integer) volume.  The cells are the
+    joint grid's, in its row-major order, though `_cells` builds no grid.
     """
     cells = _cells(e, f, cone)
     for lo, _, u, v in cells:
@@ -955,15 +924,15 @@ def drop_profile(
     coface (see `drop`), so they compose to the meet with E^sigma0_m0
     there, and the drops of a cell (lo, hi, u, v) to one `_meet_box` over
     lo <= g' < hi with w = u.  The cells are disjoint, so taking them in
-    row-major order, one `_meet_box` each, leaves the G that `factorize`
-    leaves, E^sigma0 on sigma0 included.  The cell order gives each box
-    its precondition: a jump of a coface below the cell and outside it
-    has lambda' over a componentwise-earlier, hence row-major earlier,
-    cell of the joint grid (or below the grid, where G^sigma0 is ZERO),
-    where G^sigma0 already equals E^sigma0.  So its value is at most
-    G^sigma0_lambda' (stabilization; each row-major prefix of the cells
-    is closed downward, so G stays a family) = E^sigma0_lambda' <= u, as
-    E is monotone and u on the cell.
+    row-major order (`_cells` sorts them so), one `_meet_box` each,
+    leaves the G that `factorize` leaves, E^sigma0 on sigma0 included.
+    The cell order gives each box its precondition: a jump of a coface
+    below the cell and outside it has lambda' over a componentwise-
+    earlier, hence row-major earlier, cell of the joint grid (or below
+    the grid, where G^sigma0 is ZERO), where G^sigma0 already equals
+    E^sigma0.  So its value is at most G^sigma0_lambda' (stabilization;
+    each row-major prefix of the cells is closed downward, so G stays a
+    family) = E^sigma0_lambda' <= u, as E is monotone and u on the cell.
 
     The weights are read off the boxes `at` that each cell's `_meet_box`
     returns, with `drop`'s rule.  Drops at other classes change other

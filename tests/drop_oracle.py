@@ -25,6 +25,10 @@ as does `grid_hull`, the reflexive hull on meet grids: each cone's grid
 is its facet's met with its last ray's values, so the tests can hold
 the hull's closed form, read off the ray ends with no grid, to it.
 
+`_cells` reads where two families differ off their jump lists, with
+no grid.  `grid_cells` reads the same cells off both families' values
+on their whole joint grid, so the tests can hold the walk to it.
+
 `unchecked` builds the broken families the tests feed to the checks:
 the constructor's canonical lists, wrapped by `_canonical` with no
 validation.
@@ -36,17 +40,17 @@ from itertools import islice, product as iproduct
 from operator import itemgetter, mul
 from typing import Iterator, Sequence
 
+from tsk.chern import _grid_flat, _strides
 from tsk.fan import Cone, Weight
 from tsk.linalg import FULL, ZERO, Subspace, echelon_hyperplane, join_all
 from tsk.multifilt import (
+    Cell,
     ElementaryInjection,
     Jump,
     JumpList,
     Multifiltration,
     _axes,
     _canonical_jumps,
-    _grid_flat,
-    _strides,
     drop,
     eval_jumps,
 )
@@ -154,6 +158,27 @@ def rescan_factorize(e: Multifiltration, f: Multifiltration) -> list[ElementaryI
             steps.append(step)
             current = step.e
     return steps
+
+
+def grid_cells(e: Multifiltration, f: Multifiltration, cone: Cone) -> list[Cell]:
+    """The cells of the cone where E and F differ, with both values.
+
+    Both families are constant on the cells lo <= g < hi of their joint
+    grid, one per grid point lo, with hi the next grid point along each
+    axis.  Returns (lo, hi, E's value, F's value) for each cell where the
+    values differ, in row-major order; hi is None for a cell unbounded
+    above (lo is the last grid point along some axis).
+    """
+    je, jf = e.jumps[cone], f.jumps[cone]
+    axes = _axes(je + jf, len(cone))
+    ve, vf = _grid_flat(je, axes)[0], _grid_flat(jf, axes)[0]
+    following = [dict(zip(axis, axis[1:])) for axis in axes]
+    cells: list[Cell] = []
+    for lo, u, v in zip(iproduct(*axes), ve, vf):
+        if u is not v:
+            hi = tuple(map(dict.get, following, lo))
+            cells.append((lo, None if None in hi else hi, u, v))
+    return cells
 
 
 def widened_axes(jumps: JumpList, d: int, extra) -> list[list[int]]:

@@ -10,6 +10,7 @@ import pytest
 
 from tsk import chern
 from tsk.chern import (
+    _grid_flat,
     chern_general,
     ratio_saturated,
     run_factors,
@@ -21,7 +22,6 @@ from tsk.fan import Fan
 from tsk.linalg import ZERO
 from tsk.multifilt import (
     _axes,
-    _grid_flat,
     apply_elementary,
     elementary_check,
     factorize,

@@ -15,7 +15,7 @@ from fractions import Fraction
 import pytest
 
 import tsk
-from tsk import cli, multifilt
+from tsk import chern, cli
 from tsk.documents import (
     SheafDocument,
     canonical_dumps,
@@ -710,9 +710,9 @@ def test_parse_work_is_bounded_by_the_list(capsys, monkeypatch, tmp_path):
     # Canonicalizing and validating a document builds no grid: 20 jumps
     # whose grid has 3.2e6 points are rejected after a scan of the list.
     calls = []
-    grid_flat = multifilt._grid_flat
+    grid_flat = chern._grid_flat
     monkeypatch.setattr(
-        multifilt, "_grid_flat", lambda *args: calls.append(args) or grid_flat(*args)
+        chern, "_grid_flat", lambda *args: calls.append(args) or grid_flat(*args)
     )
     text = _scattered_p5_doc(20)
     with pytest.raises(ValueError, match="facet compatibility fails: cone \\(0, 1, 2, 3, 4\\)"):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 import re
 import signal
@@ -13,8 +14,8 @@ from itertools import product
 
 import pytest
 
-from tsk import multifilt
-from tsk.chern import chern_general
+from tsk import chern, cli, multifilt
+from tsk.chern import _grid_flat, _runs, chern_general
 from tsk.documents import SheafDocument, dump_document, load_document
 from tsk.fan import Fan
 from tsk.linalg import FULL, ZERO, Subspace
@@ -29,10 +30,8 @@ from tsk.multifilt import (
     _checked_cells,
     _checked_drop,
     _coface_plan,
-    _grid_flat,
     _meet_box,
     _meet_unit,
-    _runs,
     _value_and_below,
     apply_elementary,
     apply_run,
@@ -54,6 +53,7 @@ from tsk.sampling import random_drops, random_reflexive, random_semistable
 
 from drop_oracle import (
     _canonical_flat,
+    grid_cells,
     grid_drop,
     grid_hull,
     grid_meet,
@@ -1753,3 +1753,97 @@ def test_cells_are_the_differing_cells_of_the_joint_grid():
                     cells_seen += 1
                     unbounded += hi is None
     assert cells_seen > 0 and unbounded > 0
+
+
+def redundant_lists(rng, mf):
+    """`mf`'s lists, each padded with jumps that change no value or
+    change the family: a repeated jump, a copy one step up an axis (a
+    redundant jump), another value at a jump's coordinate and a ZERO
+    jump; wrapped unchecked, with no sort or canonicalization."""
+    values = [ZERO, FULL, Subspace.line(1, 0), Subspace.line(1, 1)]
+    lists = {}
+    for cone, jumps in mf.jumps.items():
+        raw = list(jumps)
+        for _ in range(rng.randint(0, 3)):
+            coords, w = rng.choice(jumps)
+            i = rng.randrange(len(coords))
+            raw += rng.choice(
+                [
+                    [(coords, w)],
+                    [(coords[:i] + (coords[i] + 1,) + coords[i + 1 :], w)],
+                    [(coords, rng.choice(values))],
+                    [(tuple(x - 1 for x in coords), ZERO)],
+                ]
+            )
+        rng.shuffle(raw)
+        lists[cone] = tuple(raw)
+    return Multifiltration._canonical(mf.fan, lists)
+
+
+def test_cells_match_the_joint_grid_oracle():
+    # The walk out from the unshared jumps against the whole joint grid,
+    # on every cone: seeded drop chains in both orders (so E c F fails),
+    # twisted pairs, pairs with unbounded differing cells, lists wrapped
+    # unchecked, the staircase and the built families.
+    seen = Counter()
+
+    def check(e, f):
+        for cone in e.fan.all_cones(min_dim=1):
+            cells = _cells(e, f, cone)
+            assert cells == grid_cells(e, f, cone), cone
+            seen["cells"] += len(cells)
+            seen["unbounded"] += sum(hi is None for _, hi, _, _ in cells)
+            seen["not contained"] += any(not u <= v for _, _, u, v in cells)
+
+    rng = random.Random(4343)
+    for n in (2, 3, 4, 5):
+        for _ in range(3):
+            start = to_multifiltration(random_reflexive(rng, n, max_c=3))
+            dims = tuple(range(1, n + 1))
+            one, _ = random_drops(rng, start, rng.randint(1, 4), dims)
+            other, _ = random_drops(rng, start, rng.randint(1, 4), dims)
+            d = tuple(rng.randint(-3, 3) for _ in range(n + 1))
+            for e, f in ((one, start), (start, one), (one, other)):
+                check(e, f)
+                check(e.twist(d), f.twist(d))
+            padded = redundant_lists(rng, one)
+            for e, f in ((padded, one), (one, padded), (padded, start), (start, padded)):
+                check(e, f)
+            seen["padded"] += padded.jumps != one.jumps
+    for r in range(2, 7):
+        e = staircase(r)
+        check(e, reflexive_hull(e))
+        check(reflexive_hull(e), e)
+    for n in range(3, 8):
+        sol = family_pn(n)
+        res = build_sequence(sol.problem, sol)
+        check(res.final, res.start)
+    assert seen["unbounded"] and seen["not contained"] and seen["padded"], seen
+    assert seen["cells"] > 1000, seen
+
+
+def test_pair_work_is_bounded_by_the_lists(capsys, monkeypatch, tmp_path):
+    # The staircase at r = 20 dropped once at one class of its top cone:
+    # that cone's joint grid has 20^5 = 3.2e6 points, of which one
+    # differs.  Reading the pair builds no grid, and each read costs what
+    # the lists hold: filling that grid takes seconds.
+    calls = []
+    grid_flat = chern._grid_flat
+    monkeypatch.setattr(
+        chern, "_grid_flat", lambda *args: calls.append(args) or grid_flat(*args)
+    )
+    f = staircase(20)
+    e = drop(f, (0, 1, 2, 3, 4), (1, -1, 2, -2, 3), Subspace.line(1, 0)).e
+    paths = []
+    for name, mf in (("e", e), ("f", f)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(dump_document(SheafDocument("multifiltration", mf)))
+        paths.append(str(path))
+    with deadline(2.0):
+        assert drop_counts(e, f) == {5: 1}
+        steps = factorize(e, f)
+        assert len(steps) == 1 and recompose(f, steps) == e
+        code = cli.main(["factorize", *paths])
+    out = json.loads(capsys.readouterr().out)
+    assert (code, out["count"], out["recomposition"]) == (0, 1, "ok")
+    assert calls == []

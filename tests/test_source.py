@@ -106,11 +106,12 @@ CALLS = {
     # Meeting a family with a line is one rule, the coface rewrite's, which
     # the profile walk reuses for the second drop of a FULL -> ZERO cell.
     "_meet_line": {"multifilt.py:_meet_coface": 1, "multifilt.py:drop_profile": 1},
-    # A coface rewrite is `_meet_coface`, on lists: a list's grid can be
-    # exponentially larger than the document.  `_cells` alone reads two
-    # families' joint grid, chern_general a grid per top cone, via `_runs`.
-    "_grid_flat": {"multifilt.py:_cells": 2, "chern.py:chern_general": 1},
-    "_runs": {"multifilt.py:_grid_flat": 1, "chern.py:chern_general": 2},
+    # A list's grid can be exponentially larger than the document, so
+    # multifilt builds none: a coface rewrite is `_meet_coface`, and
+    # `_cells` walks two families' lists.  chern_general alone builds a
+    # grid, one per top cone, with the kernel's passes run by `_runs`.
+    "_grid_flat": {"chern.py:chern_general": 1},
+    "_runs": {"chern.py:_grid_flat": 1, "chern.py:chern_general": 2},
     # A rewrite's cofaces depend on (fan, sigma0) alone: multifilt lists them
     # in the memoized `_coface_plan`, and no other src/ code walks them.
     ".cofaces": {"multifilt.py:_coface_plan": 1},
@@ -144,7 +145,8 @@ CALLS = {
     "chern.run_log": {"prescribe.py:solve_p": 2},
 }
 
-GRIDS = {"_grid_flat", "_runs", "_strides", "_cells", "_checked_cells"}
+# What reads where two families differ; the grid kernel is chern's.
+GRIDS = {"_cells", "_checked_cells"}
 UNIT_DROP = {"_checked_drop", "_meet_unit", "_meet_coface", "_coface_plan"}
 
 # A multifilt root: (names it must reach, names it must not reach).
@@ -359,7 +361,7 @@ def test_loop_order_only_in_runs():
         (name, node.name) for name, node in _nodes() if isinstance(node, ast.FunctionDef)
         for c in ast.walk(node) if isinstance(c, ast.Compare) and "block * block" in ast.unparse(c)
     }
-    assert deciders == {("multifilt.py", "_runs")}
+    assert deciders == {("chern.py", "_runs")}
     _runs_callers()
 
 
@@ -385,7 +387,7 @@ MUTATIONS = [
     ("src:_canonical_flat", "hull_of_ends(mf.fan", "_canonical_flat(mf.fan"),
     ("_meet_line reach:reflexive_hull", "tuple(jumps)\n", "tuple(_meet_line(jumps, FULL))\n"),
     ("_grid_flat reach:drop reach:apply_run",
-     "raw: list[Jump] = []", "raw = list(_grid_flat(jumps, []))"),
+     "raw: list[Jump] = []", "raw = list(_grid_flat(jumps, _cells(jumps, jumps, pos)))"),
     ("_runs", "following = [", "list(_runs(1, 1, range(1))); following = ["),
     ("_value_and_below", "m_rho = dict(", "_value_and_below(f, m0); m_rho = dict("),
     ("_value_and_below", "_value_and_below(cur.jumps[cone], m0)", "cur.evaluate(m0), ZERO"),
@@ -414,9 +416,9 @@ MUTATIONS = [
     ("multifilt.py:delta src:Infinity",
      "def is_contained(", "class Infinity: pass\ndef delta(): pass\ndef is_contained("),
     ("src:oracles src:identity_* src:leading_log_check src:INFINITY",
-     "from .multifilt import Multifiltration, _axes, _grid",
+     "from .multifilt import JumpList, Multifiltration, _axes\n",
      "from oracles import INFINITY, identity_product, leading_log_check\n"
-     "from .multifilt import Multifiltration, _axes, _grid"),
+     "from .multifilt import JumpList, Multifiltration, _axes\n"),
     ("src:ratio_saturated_conewise",
      "def run_factors(", "def ratio_saturated_conewise(): pass\ndef run_factors("),
     ("src:weight_schedule", "def solve_p(", "def weight_schedule(): pass\ndef solve_p("),
