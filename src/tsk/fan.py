@@ -82,12 +82,6 @@ class Fan:
     def codim(self, cone: Cone) -> int:
         return self.n - len(_check_cone(self.n, cone))
 
-    def facets(self, cone: Cone) -> list[Cone]:
-        """Codimension-one faces of the cone, one per omitted ray, in
-        the cone's ray order."""
-        cone = _check_cone(self.n, cone)
-        return [cone[:i] + cone[i + 1 :] for i in range(len(cone))]
-
     def cofaces(self, cone: Cone) -> list[Cone]:
         """All cones containing `cone` (itself included), by (dim, lex)."""
         cone = _check_cone(self.n, cone)

@@ -115,10 +115,12 @@ def _axes(jumps: JumpList, d: int) -> list[list[int]]:
 
 
 def eval_jumps(jumps: JumpList, mu: Weight) -> Subspace:
-    """E^sigma at the class with coordinates mu (join semantics).
+    """E^sigma at the class with coordinates mu (join semantics): the
+    one reader of a value E^sigma_mu, on `mf.jumps[sigma]` or any list.
 
     Any list of jumps, in any order: the join of the values at the jumps
-    componentwise <= mu, stopping at FULL.
+    componentwise <= mu, stopping at FULL.  mu is an integer class by
+    contract, with one coordinate per axis; nothing is checked.
     """
     out = ZERO
     for coords, w in jumps:
@@ -292,21 +294,6 @@ class Multifiltration(Frozen):
     def __repr__(self) -> str:
         total = sum(len(v) for v in self.jumps.values())
         return f"<Multifiltration on P^{self.fan.n}, {total} jumps>"
-
-    # -- evaluation -----------------------------------------------------
-
-    def evaluate(self, cone: Cone, mu: Weight) -> Subspace:
-        """E^cone at the class with ray-ordered coordinates mu.  They go
-        through `operator.index`, as the coordinates do: a float raises
-        TypeError."""
-        cone, mu = tuple(cone), tuple(map(index, mu))
-        if len(cone) == 0:
-            return FULL
-        if cone not in self.jumps:
-            raise ValueError(f"{cone!r} is not a cone of the fan of P^{self.fan.n}")
-        if len(mu) != len(cone):
-            raise ValueError(f"class {mu!r} has wrong arity for cone {cone!r}")
-        return eval_jumps(self.jumps[cone], mu)
 
     # -- validation -----------------------------------------------------
 

@@ -5,7 +5,8 @@ inputs; the tests draw from them too.
 Everything is driven by an explicit random.Random so sweeps are
 reproducible from a seed.  Drop sampling is rejection-based: candidate
 (sigma0, m0, target) triples that violate the elementary-injection
-preconditions are simply discarded.
+preconditions are discarded, up to `MAX_TRIES` per requested drop.
+`SPREAD` bounds the reflexive data's b.
 """
 
 from __future__ import annotations
@@ -18,15 +19,18 @@ from .linalg import Subspace, echelon_hyperplane
 from .multifilt import Multifiltration, _axes, _value_and_below, apply_elementary
 from .reflexive import R2Filtration, RayDatum, Stability, stability
 
+SPREAD = 3
+MAX_TRIES = 400
 
-def random_reflexive(rng: Random, n: int, max_c: int = 6, spread: int = 3) -> R2Filtration:
-    """Random reflexive data with general b in [-spread, spread],
+
+def random_reflexive(rng: Random, n: int, max_c: int = 6) -> R2Filtration:
+    """Random reflexive data with general b in [-SPREAD, SPREAD],
     c_rho in [0, max_c], pairwise-distinct lines, >= 1 active ray."""
     while True:
         rays = []
         active = False
         for i in range(n + 1):
-            b = rng.randint(-spread, spread)
+            b = rng.randint(-SPREAD, SPREAD)
             c = rng.randint(0, max_c)
             active = active or c > 0
             rays.append(
@@ -50,7 +54,6 @@ def random_drops(
     start: Multifiltration,
     count: int,
     dims: Sequence[int],
-    max_tries: int = 400,
 ) -> tuple[Multifiltration, tuple[tuple[Cone, Weight], ...]]:
     """Apply up to `count` random legal elementary drops whose cones
     have dimension in `dims` and return (result, applied (cone, m0)).
@@ -62,7 +65,7 @@ def random_drops(
     pool = {d: [c for c in fan.all_cones(min_dim=1) if len(c) == d] for d in dims}
     cur = start
     applied: list[tuple[Cone, Weight]] = []
-    budget = max_tries * count
+    budget = MAX_TRIES * count
     while len(applied) < count and budget > 0:
         budget -= 1
         cone = rng.choice(pool[rng.choice(list(dims))])

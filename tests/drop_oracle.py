@@ -37,7 +37,7 @@ validation.
 from __future__ import annotations
 
 from itertools import islice, product as iproduct
-from operator import itemgetter, mul
+from operator import index, itemgetter, mul
 from typing import Iterator, Sequence
 
 from tsk.chern import _grid_flat, _strides
@@ -285,14 +285,17 @@ def grid_drop(
     coords == m0, new coords >= a_j} has grid points.
     """
     sigma0 = tuple(sigma0)
-    m0 = tuple(m0)
+    m0 = tuple(map(index, m0))
     if sigma0 not in f.jumps:
         raise ValueError(f"{sigma0!r} is not a cone of dimension >= 1")
-    value = f.evaluate(sigma0, m0)
+    if len(m0) != len(sigma0):
+        raise ValueError(f"class {m0!r} has wrong arity for cone {sigma0!r}")
+    jumps = f.jumps[sigma0]
+    value = eval_jumps(jumps, m0)
     if not target <= value or value.dim - target.dim != 1:
         raise ValueError(f"target {target!r} is not a hyperplane of {value!r}")
     below = join_all(
-        f.evaluate(sigma0, m0[:i] + (x - 1,) + m0[i + 1 :]) for i, x in enumerate(m0)
+        eval_jumps(jumps, m0[:i] + (x - 1,) + m0[i + 1 :]) for i, x in enumerate(m0)
     )
     if not below <= target:
         raise ValueError(f"the values strictly below {m0!r} are not inside {target!r}")

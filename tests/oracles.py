@@ -224,7 +224,7 @@ def delta(e: Multifiltration, f: Multifiltration) -> tuple[int | Infinity, ...]:
             if k == 1:
                 ok = True
             else:
-                ok = all(per_cone.get(facet) == 0 for facet in fan.facets(cone))
+                ok = all(per_cone.get(cone[:i] + cone[i + 1 :]) == 0 for i in range(k))
             if not ok:
                 per_cone[cone] = None
                 try:

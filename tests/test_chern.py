@@ -24,6 +24,7 @@ from tsk.multifilt import (
     _axes,
     apply_elementary,
     elementary_check,
+    eval_jumps,
     factorize,
     reflexive_hull,
 )
@@ -116,7 +117,7 @@ def chern_general_per_point(mf):
         for coords in product(*_axes(mf.jumps[cone], d)):
             m_box = sum(
                 (-1) ** sum(mu)
-                * mf.evaluate(cone, tuple(x - s for x, s in zip(coords, mu))).dim
+                * eval_jumps(mf.jumps[cone], tuple(x - s for x, s in zip(coords, mu))).dim
                 for mu in product((0, 1), repeat=d)
             )
             if m_box:

@@ -57,12 +57,6 @@ def test_all_cones_order():
     ]
 
 
-def test_facets():
-    fan = Fan(3)
-    assert fan.facets((0, 1, 3)) == [(1, 3), (0, 3), (0, 1)]
-    assert fan.facets((2,)) == [()]
-
-
 def test_cofaces_order_and_membership():
     fan = Fan(3)
     cofs = fan.cofaces((1, 2))

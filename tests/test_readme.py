@@ -8,13 +8,16 @@ import io
 import re
 import shlex
 import tokenize
+from functools import reduce
+from itertools import product
 from pathlib import Path
 
 import tsk
-from tsk import cli
+from tsk import cli, multifilt
 from tsk.documents import SheafDocument, dump_document, load_document
-from tsk.linalg import ZERO
+from tsk.linalg import ZERO, Subspace
 from tsk.multifilt import apply_elementary
+from tsk.reflexive import to_multifiltration
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
 
@@ -95,3 +98,23 @@ def test_readme_library_quick_start():
         "1 + 13*H + 48*H^2 + 36*H^3", "stable", 23, "1 + 13*H + 48*H^2", True
     ]
     assert [name for name in tsk.__all__ if not hasattr(tsk, name)] == []
+
+
+def test_readme_eval_jumps_note():
+    # The API note's reading of a value, run on the quick start's family
+    # (rays jump at -6, -1 and 0): on every cone, at classes below, on,
+    # between and past the jumps, the meet of its rays' filtrations.
+    (expr,) = re.findall(r"`(multifilt\.eval_jumps\([^`]*\))`", README)
+    code = compile(expr, "README.md", "eval")
+    namespace: dict = {}
+    for _, tree in quick_start():
+        if "f" in namespace:
+            break
+        exec(compile(tree, "README.md", "exec"), namespace)
+    f = namespace["f"]
+    mf = to_multifiltration(f)
+    for cone in mf.jumps:
+        for mu in product((-7, -6, -3, -1, 0, 1), repeat=len(cone)):
+            rays = [f.rays[r].value_at(x) for r, x in zip(cone, mu)]
+            got = eval(code, {"multifilt": multifilt, "mf": mf, "cone": cone, "mu": mu})
+            assert got is reduce(Subspace.meet, rays), (cone, mu)

@@ -145,8 +145,8 @@ CALLS = {
     "chern.run_log": {"prescribe.py:solve_p": 2},
 }
 
-# What reads where two families differ; the grid kernel is chern's.
-GRIDS = {"_cells", "_checked_cells"}
+# What reads where two families differ, off their lists (no grid).
+CELL_READERS = {"_cells", "_checked_cells"}
 UNIT_DROP = {"_checked_drop", "_meet_unit", "_meet_coface", "_coface_plan"}
 
 # A multifilt root: (names it must reach, names it must not reach).
@@ -157,11 +157,13 @@ REACH = {
     # scan of sigma0's list and evaluates nothing.
     "drop": (
         {"_meet_unit", "_meet_coface", "_meet_line", "_canonical_jumps", "_value_and_below"},
-        GRIDS | {"evaluate", "eval_jumps"},
+        CELL_READERS | {"eval_jumps"},
     ),
-    "apply_run": ({"_meet_box", "_meet_coface", "_meet_line", "_canonical_jumps"}, GRIDS),
+    "apply_run": ({"_meet_box", "_meet_coface", "_meet_line", "_canonical_jumps"}, CELL_READERS),
     # Each cone's hull list is canonical in closed form from its rays' ends.
-    "reflexive_hull": ({"ray_ends", "hull_of_ends"}, GRIDS | {"_canonical_jumps", "_meet_line"}),
+    "reflexive_hull": (
+        {"ray_ends", "hull_of_ends"}, CELL_READERS | {"_canonical_jumps", "_meet_line"}
+    ),
     # These keep only the family: drop derives the invariants.
     "apply_elementary": (UNIT_DROP, {"drop"}),
     "recompose": (UNIT_DROP, {"drop"}),
@@ -188,9 +190,7 @@ ABSENT = {
         "oracles", "drop_oracle",
     },
     # A row matches a name whatever it names, so `delta` is kept out of
-    # multifilt alone (PrescriptionSolution has a `delta` field), and
-    # `facets`, which delta reads off the fan, is no row (drop_profile has
-    # a local `facets`).
+    # multifilt alone (PrescriptionSolution has a `delta` field).
     "multifilt.py": {"delta"},
     # Every verdict reads the profile and Q2's least weight off one walk:
     # no drops, multifilt through its public names, no normalized data.
@@ -390,7 +390,8 @@ MUTATIONS = [
      "raw: list[Jump] = []", "raw = list(_grid_flat(jumps, _cells(jumps, jumps, pos)))"),
     ("_runs", "following = [", "list(_runs(1, 1, range(1))); following = ["),
     ("_value_and_below", "m_rho = dict(", "_value_and_below(f, m0); m_rho = dict("),
-    ("_value_and_below", "_value_and_below(cur.jumps[cone], m0)", "cur.evaluate(m0), ZERO"),
+    ("_value_and_below",
+     "_value_and_below(cur.jumps[cone], m0)", "eval_jumps(cur.jumps[cone], m0), ZERO"),
     (".cofaces", "_ in _coface_plan(fan, sigma0)", "_ in fan.cofaces(sigma0)"),
     (".cofaces", "n = mf.fan.n\n", "n = mf.fan.n; mf.fan.cofaces(())\n"),
     ("_checked_drop drop", "step = drop(", "step = _checked_drop("),
@@ -571,69 +572,94 @@ def test_no_unused_imports():
 
 REPO = Path(__file__).resolve().parents[1]
 
-# Source definitions that only the tests call, each mapped to a test
-# function that reads it: a paper formula held to a second route, the
-# reference a faster routine must reproduce, or a sampler of test data.
-KEPT = {
-    "Multifiltration.evaluate": (
-        "test_multifilt.py::test_value_and_below_match_evaluate_and_the_join_one_step_below"
-    ),
-}
+
+def _read(tree, names, attrs, dotted_strings=False):
+    """Add what a tree reads to names, each Name in Load context, and to
+    attrs, each attribute read (`x.f`) and, when asked, each part of a
+    dotted-path string such as "Multifiltration.validate"."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            attrs.add(node.attr)
+        elif (
+            dotted_strings
+            and isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and re.fullmatch(r"[A-Za-z_][\w.]*", node.value)
+        ):
+            attrs.update(node.value.split("."))
 
 
-def _src_definitions():
-    """(label, name, names its body reads) for every top-level function
-    and class and every public method in src/tsk, and the names read by
-    module-level code outside them."""
-    defs, module_level = [], set()
-    for name, tree in TREES.items():
+# The code that calls into src/tsk: the acceptance gate, and the
+# benchmark, whose tracer names what it wraps by dotted paths.
+ROOTS = [(ast.parse((REPO / "tests" / "test_acceptance.py").read_text("utf-8")), False)] + [
+    (ast.parse(path.read_text("utf-8")), True) for path in sorted((REPO / "perfbench").glob("*.py"))
+]
+
+
+def unreached(trees):
+    """The top-level functions and classes and the public methods of the
+    trees that nothing reaches from the module-level code outside them
+    or from ROOTS, directly or through other reached code.  A function
+    or class is reached by a name read or an attribute read, a method by
+    an attribute read only: a local variable, parameter or assignment
+    target that shares its name is no caller."""
+    defs, names, attrs = [], set(), set()
+    for tree, dotted_strings in ROOTS:
+        _read(tree, names, attrs, dotted_strings)
+    for name, tree in trees.items():
         if name == "__init__.py":
             continue
         for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                module_level |= _named(node)
+                _read(node, names, attrs)
                 continue
             label = f"{name}:{node.lineno} {node.name}"
             if isinstance(node, ast.FunctionDef):
-                defs.append((label, node.name, _named(node)))
+                defs.append((label, node.name, False, [node]))
                 continue
             methods = [
                 m for m in node.body
                 if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")
             ]
-            body = set()
-            for child in node.body:
-                if child not in methods:
-                    body |= _named(child)
-            body |= {n for base in node.bases for n in _named(base)}
-            defs.append((label, node.name, body))
+            body = [child for child in node.body if child not in methods] + node.bases
+            defs.append((label, node.name, False, body))
             for m in methods:
-                defs.append((f"{name}:{m.lineno} {node.name}.{m.name}", m.name, _named(m)))
-    return defs, module_level
+                defs.append((f"{name}:{m.lineno} {node.name}.{m.name}", m.name, True, [m]))
+    reached = set()
+    while True:
+        new = [
+            d for d in defs
+            if d[0] not in reached and (d[1] in attrs or not d[2] and d[1] in names)
+        ]
+        if not new:
+            return [label for label, _, _, _ in defs if label not in reached]
+        for label, _, _, body in new:
+            reached.add(label)
+            for node in body:
+                _read(node, names, attrs)
 
 
 def test_every_src_function_has_a_caller():
-    # What src/tsk defines is reached from the CLI's module-level code,
-    # the acceptance gate, the benchmark (its tracer's attribute paths
-    # included) or a KEPT oracle, directly or through other reached code.
-    defs, live = _src_definitions()
-    # Each KEPT entry names a definition and a test function reading it.
-    labels = {label.split(" ")[1] for label, _, _ in defs}
-    for name, test in KEPT.items():
-        module, func = test.split("::")
-        tree = ast.parse((REPO / "tests" / module).read_text("utf-8"))
-        fn = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == func]
-        assert name in labels and fn and name.split(".")[-1] in _named(fn[0]), (name, test)
-    live |= _named(ast.parse((REPO / "tests" / "test_acceptance.py").read_text("utf-8")))
-    for path in sorted((REPO / "perfbench").glob("*.py")):
-        live |= _named(ast.parse(path.read_text("utf-8")), dotted_strings=True)
-    live |= {name.split(".")[-1] for name in KEPT}
-    reached = set()
-    while True:
-        new = [d for d in defs if d[0] not in reached and d[1] in live]
-        if not new:
-            break
-        for label, _, body in new:
-            reached.add(label)
-            live |= body
-    assert [label for label, _, _ in defs if label not in reached] == []
+    # What src/tsk defines is reached from its module-level code, the
+    # acceptance gate or the benchmark, with no table of exemptions.
+    assert unreached(TREES) == []
+
+
+def test_a_namesake_local_is_no_caller():
+    # Fan gains a public method `probe` that nothing calls, and
+    # drop_profile's local `facets` is renamed `probe`: the local is no
+    # attribute read, so Fan.probe is reported.
+    edits = {
+        "fan.py": [("    def cofaces(", "    def probe(self):\n        pass\n\n    def cofaces(")],
+        "multifilt.py": [("facets = [", "probe = ["), ("p in facets]", "p in probe]")],
+    }
+    trees = dict(TREES)
+    for name, pairs in edits.items():
+        source = (SRC / name).read_text("utf-8")
+        for text, replacement in pairs:
+            assert source.count(text) == 1
+            source = source.replace(text, replacement)
+        trees[name] = ast.parse(source)
+    assert [label.split(" ")[1] for label in unreached(trees)] == ["Fan.probe"]
