@@ -45,7 +45,6 @@ from .prescribe import (
     solve_p_closed_p4,
     solve_p_closed_p5,
 )
-from .reflexive import R2Filtration
 
 OK, INVALID, INFEASIBLE, DISAGREEMENT, MISMATCH = 0, 1, 2, 3, 4
 
@@ -109,21 +108,17 @@ def cmd_chern(args: argparse.Namespace) -> Result:
 # stability
 
 
-def _as_reflexive(doc: SheafDocument, what: str) -> R2Filtration:
-    """Reflexive ray data from either encoding; errors on genuinely
-    non-reflexive multifiltrations."""
-    if doc.kind == "reflexive":
-        return doc.reflexive()
-    if not is_reflexive(doc.payload):
-        raise CliError(
-            f"{what} is defined for reflexive data; this multifiltration"
-            " is not reflexive (factor through its hull first)"
-        )
-    return refl.from_multifiltration(doc.payload)
-
-
 def cmd_stability(args: argparse.Namespace) -> Result:
-    f = _as_reflexive(_read_document(args.input), "the stability verdict")
+    doc = _read_document(args.input)
+    if doc.kind == "reflexive":
+        f = doc.reflexive()
+    elif is_reflexive(doc.payload):
+        f = refl.from_multifiltration(doc.payload)
+    else:
+        raise CliError(
+            "the stability verdict is defined for reflexive data; this"
+            " multifiltration is not reflexive (factor through its hull first)"
+        )
     bg = refl.bogomolov_ok(f)
     return OK, {
         "verdict": refl.stability(f).value,
@@ -284,7 +279,7 @@ def build_parser() -> _Parser:
     p.add_argument("input", help="document path or - for stdin")
     p.add_argument(
         "--method",
-        choices=("auto", "resolution", "klyachko", "symmetric"),
+        choices=("auto", *refl.CHERN_ROUTES),
         default="auto",
         help="formula to use; auto runs every applicable one and compares",
     )

@@ -78,7 +78,7 @@ def subspace_to_doc(w: Subspace) -> dict:
         return {"kind": "zero"}
     if w is FULL:
         return {"kind": "full"}
-    return {"kind": "line", "line": list(w.line_pair())}
+    return {"kind": "line", "line": list(w.pair)}
 
 
 def subspace_from_doc(doc: Any) -> Subspace:

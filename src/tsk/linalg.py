@@ -60,12 +60,6 @@ class Subspace:
             return f"Subspace.line({self.pair[0]}, {self.pair[1]})"
         return "ZERO" if self.dim == 0 else "FULL"
 
-    def line_pair(self) -> tuple[int, int]:
-        """The canonical coprime (p, q) of a line in C^2."""
-        if self.pair is None:
-            raise ValueError(f"{self!r} is not a line in C^2")
-        return self.pair
-
     # -- lattice operations ----------------------------------------------
 
     def _match(self, other: "Subspace") -> None:

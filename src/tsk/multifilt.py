@@ -648,6 +648,17 @@ def _meet_box(
     return boxes
 
 
+def _checked_class(f: Multifiltration, sigma0: Cone, m0: Weight) -> tuple[Cone, Weight]:
+    """sigma0 and m0 (through `operator.index`), checked to be a class of
+    a cone of F: the one class check of a drop and of a run."""
+    sigma0, m0 = tuple(sigma0), tuple(map(index, m0))
+    if sigma0 not in f.jumps:
+        raise ValueError(f"{sigma0!r} is not a cone of dimension >= 1")
+    if len(m0) != len(sigma0):
+        raise ValueError(f"class {m0!r} has wrong arity for cone {sigma0!r}")
+    return sigma0, m0
+
+
 def _checked_drop(
     f: Multifiltration, sigma0: Cone, m0: Weight, target: Subspace
 ) -> tuple[Cone, Weight, dict[Cone, JumpList], list[JumpList]]:
@@ -658,12 +669,7 @@ def _checked_drop(
     (`_value_and_below`), and each coface is rewritten on the unit box at
     m0 through the memo `_meet_unit`.  Every unit drop runs the checks,
     `factorize`'s steps included, though they never fire there."""
-    sigma0 = tuple(sigma0)
-    m0 = tuple(map(index, m0))
-    if sigma0 not in f.jumps:
-        raise ValueError(f"{sigma0!r} is not a cone of dimension >= 1")
-    if len(m0) != len(sigma0):
-        raise ValueError(f"class {m0!r} has wrong arity for cone {sigma0!r}")
+    sigma0, m0 = _checked_class(f, sigma0, m0)
     value, below = _value_and_below(f.jumps[sigma0], m0)
     if not target <= value or value.dim - target.dim != 1:
         raise ValueError(
@@ -780,15 +786,12 @@ def apply_run(
     slices of the drops before it, so its value lies in the join below m,
     which the drop at m needs to be ZERO.  Neither that nor the drops'
     invariants are checked here: the caller checks the family it builds
-    (`prescribe.build_sequence` does, after the fact).  m0's coordinates
-    and count go through `operator.index`, so arithmetic stays exact: a
-    float raises TypeError.
+    (`prescribe.build_sequence` does, after the fact).  The class is
+    checked as a drop's (`_checked_class`); m0 and count go through
+    `operator.index`, so arithmetic stays exact: a float is a TypeError.
     """
-    sigma0 = tuple(sigma0)
-    m0 = tuple(map(index, m0))
+    sigma0, m0 = _checked_class(f, sigma0, m0)
     count = index(count)
-    if sigma0 not in f.jumps or len(m0) != len(sigma0):
-        raise ValueError(f"{m0!r} is not a class of the cone {sigma0!r}")
     if count < 0:
         raise ValueError(f"a run has a nonnegative count, got {count}")
     hi = tuple(x + 1 for x in m0[:-1]) + (m0[-1] + count,)
@@ -984,9 +987,9 @@ def elementary_check(e: Multifiltration, f: Multifiltration) -> ElementaryInject
     A pair whose `drop_counts` total is not 1 is refused on that tally,
     at the cost of its cones (equal families count 0); a pair that is no
     injection (E not in F, or a divergent cell) on the walk's error,
-    which names the cone and the class.  Every refusal raises
-    NotElementary.  This is the explicit check for given pairs; the
-    drops tsk takes are elementary by construction.
+    which names the cone and the class, or on two fans.  Every refusal
+    raises NotElementary.  This is the explicit check for given pairs;
+    the drops tsk takes are elementary by construction.
 
     A one-step factorization is a drop, as the walk ends at E.
     Conversely, take E = drop(F, sigma0, m0, H).  E and F agree off the
@@ -996,8 +999,6 @@ def elementary_check(e: Multifiltration, f: Multifiltration) -> ElementaryInject
     `echelon_hyperplane` returns H.  So the step is `drop(F, sigma0, m0,
     H)`, with the same invariants.
     """
-    if e.fan != f.fan:
-        raise NotElementary("families live on different fans")
     try:
         profile = drop_counts(e, f)
         if sum(profile.values()) == 1:

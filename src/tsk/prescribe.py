@@ -367,6 +367,8 @@ def build_sequence(
     """
     if isinstance(solution, Infeasible):
         raise ValueError(f"cannot build an infeasible solution: {solution}")
+    if solution.problem != problem:
+        raise ValueError(f"the solution is for start {solution.problem.c}, not {problem.c}")
     f0 = problem.start_filtration()
     start = to_multifiltration(f0)
     total = solution.injection_count

@@ -4,8 +4,8 @@ inputs; the tests draw from them too.
 
 Everything is driven by an explicit random.Random so sweeps are
 reproducible from a seed.  Drop sampling is rejection-based: candidate
-(sigma0, m0, target) triples that violate the elementary-injection
-preconditions are discarded, up to `MAX_TRIES` per requested drop.
+(sigma0, m0, target) triples that `apply_elementary` refuses are
+discarded, up to `MAX_TRIES` per requested drop.
 `SPREAD` bounds the reflexive data's b.
 """
 
@@ -58,8 +58,8 @@ def random_drops(
     """Apply up to `count` random legal elementary drops whose cones
     have dimension in `dims` and return (result, applied (cone, m0)).
 
-    Fewer than `count` drops are possible when the rejection budget is
-    exhausted; callers that need an exact count must check the length.
+    A candidate that `apply_elementary` refuses is skipped; callers that
+    need exactly `count` drops check the length, as the budget may end.
     """
     fan = start.fan
     pool = {d: [c for c in fan.all_cones(min_dim=1) if len(c) == d] for d in dims}
@@ -78,8 +78,6 @@ def random_drops(
             target = echelon_hyperplane(value, below)
         else:
             target = Subspace.line(1, rng.randint(0, 3))
-            if not (below <= target and target <= value):
-                continue
         try:
             cur = apply_elementary(cur, cone, m0, target)
         except ValueError:

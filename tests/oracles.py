@@ -13,6 +13,7 @@ the leading-log coefficient behind the Q4 obstruction, and the delta
 invariant of an injection E c F.  `random_b_zero` samples b_zero data
 for the sweeps.  `validate_all_edges` checks a family on every facet
 edge, the differential oracle of the constructor's top-down walk.
+`relabel` renames the rays by a permutation, a symmetry of the fan.
 """
 
 from __future__ import annotations
@@ -304,3 +305,16 @@ def walk_and_all_edges(fan: Fan, jumps: Mapping[Cone, Iterable[Jump]]) -> tuple[
         except ValueError as err:
             verdicts.append(type(err))
     return verdicts[0], verdicts[1]
+
+
+def relabel(x: Multifiltration | R2Filtration, pi: Sequence[int]):
+    """x with ray i renamed pi[i], pi a permutation of the n + 1 rays: a
+    cone sigma goes to the sorted pi(sigma), and each jump coordinate and
+    each ray datum goes with its ray."""
+    if isinstance(x, R2Filtration):
+        return R2Filtration(x.fan, tuple(datum for _, datum in sorted(zip(pi, x.rays))))
+    jumps = {}
+    for cone, cone_jumps in x.jumps.items():
+        image, order = zip(*sorted((pi[ray], j) for j, ray in enumerate(cone)))
+        jumps[image] = [(tuple([coords[j] for j in order]), w) for coords, w in cone_jumps]
+    return Multifiltration(x.fan, jumps)

@@ -37,6 +37,8 @@ from tsk.reflexive import R2Filtration, to_multifiltration
 from tsk.sampling import random_drops, random_reflexive
 from tsk.ring import TruncPoly
 
+from oracles import relabel
+
 
 @pytest.fixture()
 def start_doc(tmp_path):
@@ -174,8 +176,11 @@ def test_stability_reflexive_multifilt_accepted(capsys, hull_doc):
 
 def test_stability_rejects_non_reflexive(capsys, dropped_doc):
     code, out, err = run(capsys, "stability", dropped_doc)
-    assert code == 1
-    assert "hull" in err
+    assert (code, out) == (1, "")
+    assert err == (
+        "tsk: error: the stability verdict is defined for reflexive data; this"
+        " multifiltration is not reflexive (factor through its hull first)\n"
+    )
 
 
 def test_factorize(capsys, dropped_doc, hull_doc):
@@ -204,6 +209,17 @@ def test_factorize_wrong_order(capsys, dropped_doc, hull_doc):
     code, out, err = run(capsys, "factorize", hull_doc, dropped_doc)
     assert code == 1
     assert "cannot factorize" in err
+
+
+def test_factorize_refuses_a_pair_on_two_fans(capsys, tmp_path, hull_doc):
+    # A P^3 document against a P^4 one, in both orders: exit 1, one line.
+    path = tmp_path / "p3.json"
+    f = R2Filtration.b_zero_data(Fan(3), (1, 1, 1, 0))
+    path.write_text(dump_document(SheafDocument("reflexive", f)))
+    for pair in ((path, hull_doc), (hull_doc, path)):
+        code, out, err = run(capsys, "factorize", *pair)
+        assert (code, out) == (1, "")
+        assert err == "tsk: error: cannot factorize: families live on different fans\n"
 
 
 def test_factorize_mismatch_sentinel(capsys, dropped_doc, hull_doc, monkeypatch):
@@ -654,6 +670,26 @@ def test_determinism(capsys, start_doc):
         _, out, _ = run(capsys, "chern", start_doc)
         outs.add(out)
     assert len(outs) == 1
+
+
+def test_relabeled_documents_print_the_same(capsys, tmp_path):
+    # Renaming the rays by a permutation, a symmetry of the fan, changes
+    # nothing that chern, stability or validate print: on reflexive data,
+    # its multifiltration, and a drop chain (which stability refuses).
+    rng = random.Random(13)
+    for i in range(15):
+        n = (2, 3, 4)[i % 3]
+        f0 = random_reflexive(rng, n, max_c=3)
+        start = to_multifiltration(f0)
+        chain, _ = random_drops(rng, start, rng.randint(1, 3), range(1, n + 1))
+        pi = rng.sample(range(n + 1), n + 1)
+        for kind, x in (("reflexive", f0), ("multifiltration", start), ("multifiltration", chain)):
+            outputs = []
+            for name, y in (("given", x), ("relabeled", relabel(x, pi))):
+                path = tmp_path / f"{name}.json"
+                path.write_text(dump_document(SheafDocument(kind, y)))
+                outputs.append([run(capsys, cmd, path) for cmd in ("chern", "stability", "validate")])
+            assert outputs[0] == outputs[1]
 
 
 def test_stdout_is_the_same_under_any_hash_seed(tmp_path, start_doc, dropped_doc, hull_doc):

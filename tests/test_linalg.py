@@ -34,7 +34,7 @@ def test_constructors():
     assert FULL.dim == 2 and FULL.pair is None
     w = Subspace.line(2, 4)
     assert w.dim == 1
-    assert w.line_pair() == (1, 2)
+    assert w.pair == (1, 2) and Subspace.line(-2, -3).pair == (2, 3)
     # the lattice is that of C^2 alone: no rank-indexed constructors
     assert not hasattr(Subspace, "zero") and not hasattr(Subspace, "full")
     assert not hasattr(w, "r")
@@ -53,14 +53,6 @@ def test_canonical_equality():
     assert repr(a) == "Subspace.line(1, 3)"
     assert repr(ZERO) == "ZERO"
     assert repr(FULL) == "FULL"
-
-
-def test_line_pair():
-    assert Subspace.line(-2, -3).line_pair() == (2, 3)
-    with pytest.raises(ValueError):
-        FULL.line_pair()
-    with pytest.raises(ValueError):
-        ZERO.line_pair()
 
 
 def test_containment():

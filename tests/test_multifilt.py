@@ -47,7 +47,13 @@ from tsk.multifilt import (
 )
 from tsk.obstruct import torsion_profile
 from tsk.prescribe import build_sequence, family_p4_odd, family_pn
-from tsk.reflexive import R2Filtration, RayDatum, from_multifiltration, to_multifiltration
+from tsk.reflexive import (
+    R2Filtration,
+    RayDatum,
+    from_multifiltration,
+    stability,
+    to_multifiltration,
+)
 from tsk.sampling import random_drops, random_reflexive, random_semistable
 
 from drop_oracle import (
@@ -66,6 +72,7 @@ from oracles import (
     delta,
     random_b_zero,
     ratio_saturated_conewise,
+    relabel,
     walk_and_all_edges,
 )
 
@@ -385,6 +392,33 @@ def test_twist_roundtrip():
     assert eval_jumps(tw.jumps[(1,)], (-6 + 2,)) == eval_jumps(mf.jumps[(1,)], (-6,))
     with pytest.raises(ValueError):
         mf.twist((1, 2))
+
+
+def test_relabeling_the_rays_commutes_with_the_invariants():
+    # A permutation pi of the n + 1 rays is a symmetry of the fan of P^n,
+    # and the relabeled sheaf is isomorphic: its Chern class, hull, hull
+    # stability, torsion profile and factorization length are the same.
+    # obstruct's least Q2 weight is not: the walk order follows the labels.
+    rng = random.Random(7)
+    moved = steps = 0
+    for i in range(100):
+        n = (2, 3, 4, 5)[i % 4]
+        f0 = random_reflexive(rng, n, max_c=3)
+        start = to_multifiltration(f0)
+        e, _ = random_drops(rng, start, rng.randint(1, 4), range(1, n + 1))
+        pi = rng.sample(range(n + 1), n + 1)
+        e_pi, start_pi = relabel(e, pi), relabel(start, pi)
+        assert start_pi == to_multifiltration(relabel(f0, pi))
+        assert chern_general(e_pi) == chern_general(e)
+        hull, hull_pi = reflexive_hull(e), reflexive_hull(e_pi)
+        assert hull_pi == relabel(hull, pi)
+        assert stability(from_multifiltration(hull_pi)) == stability(from_multifiltration(hull))
+        assert drop_counts(e_pi, start_pi) == drop_counts(e, start)
+        count = len(factorize(e, start))
+        assert len(factorize(e_pi, start_pi)) == count
+        moved += e_pi != e
+        steps += count
+    assert moved > 50 and steps > 100
 
 
 def line_bundle_pair(fan, d):
@@ -972,13 +1006,14 @@ def test_apply_run_equals_drop_by_drop():
 
 
 def test_apply_run_rejects_malformed_runs():
+    # The class is checked as a drop's, with the drop's two messages.
     f = start_family()
-    with pytest.raises(ValueError):
-        apply_run(f, (0, 1, 2), (-1, 0), 1)  # m0 of the wrong arity
-    with pytest.raises(ValueError):
-        apply_run(f, (0, 1, 2), (-1, 0, 0), -1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^class \(-1, 0\) has wrong arity for cone \(0, 1, 2"):
+        apply_run(f, (0, 1, 2), (-1, 0), 1)
+    with pytest.raises(ValueError, match=r"^\(0, 0\) is not a cone of dimension >= 1$"):
         apply_run(f, (0, 0), (0, 0), 1)
+    with pytest.raises(ValueError, match="nonnegative count"):
+        apply_run(f, (0, 1, 2), (-1, 0, 0), -1)
 
 
 def with_jump(family, cone, coords, w):
@@ -1547,6 +1582,18 @@ def test_drop_counts_rejects_non_containment():
         assert not is_contained(one, other)
         with pytest.raises(ValueError):
             drop_counts(one, other)
+
+
+def test_pairs_on_two_fans_are_refused():
+    # A P^3 and a P^4 family, in both orders: elementary_check refuses on
+    # the profile's error, factorize raises, and neither contains the other.
+    p3, p4 = start_family(n=3, c=(1, 1, 1, 0)), start_family()
+    for e, f in ((p3, p4), (p4, p3)):
+        with pytest.raises(NotElementary, match="^families live on different fans$"):
+            elementary_check(e, f)
+        with pytest.raises(ValueError, match="^families live on different fans$"):
+            factorize(e, f)
+        assert not is_contained(e, f)
 
 
 def test_drop_counts_rejects_what_factorize_rejects_with_its_error():

@@ -378,6 +378,18 @@ def test_build_rejects_infeasible():
         build_sequence(prob, bad)
 
 
+def test_build_rejects_a_solution_of_another_problem(monkeypatch):
+    # The P^3 solution against the P^4 problem is refused before any run
+    # is built, not after the build on the schedule's closure.
+    def no_run(*args):
+        raise RuntimeError("a run was built")
+
+    monkeypatch.setattr(prescribe, "apply_run", no_run)
+    sol = solve_p(PrescriptionProblem(3, (1, 2, 2, 0)))
+    with pytest.raises(ValueError, match=r"start \(1, 2, 2, 0\), not \(1, 6, 6, 0, 0\)"):
+        build_sequence(PrescriptionProblem(4, (1, 6, 6, 0, 0)), sol)
+
+
 def test_family_p4_odd():
     for t in (1, 2):
         sol = family_p4_odd(t)

@@ -3,6 +3,7 @@ of three tables, each read by one checker over parsed modules."""
 
 from __future__ import annotations
 
+import argparse
 import ast
 import os
 import re
@@ -16,6 +17,8 @@ from pathlib import Path
 import pytest
 
 import tsk
+from tsk.cli import build_parser
+from tsk.reflexive import CHERN_ROUTES
 
 SRC = Path(tsk.__file__).resolve().parent
 TREES = {
@@ -120,6 +123,8 @@ CALLS = {
     # drop and apply_elementary share one checked rewrite; only drop derives
     # invariants, factorize steps by drop, and elementary_check reads no cells.
     "_checked_drop": {"multifilt.py:drop": 1, "multifilt.py:apply_elementary": 1},
+    # A drop and a run check their class once, with the same two messages.
+    "_checked_class": {"multifilt.py:_checked_drop": 1, "multifilt.py:apply_run": 1},
     "drop": {"multifilt.py:factorize": 1},
     "_cells": {"multifilt.py:_checked_cells": 1},
     # The memo holds the unit drops recompose replays after factorize; the
@@ -188,6 +193,9 @@ ABSENT = {
         "identity_*", "ratio_saturated_conewise", "leading_log_check", "weight_schedule",
         "injection_params", "random_b_zero", "Infinity", "INFINITY", "_contained_cells",
         "oracles", "drop_oracle",
+        # A line's (p, q) is its slot `pair`, None off lines: no method
+        # restates that check.
+        "line_pair",
     },
     # A row matches a name whatever it names, so `delta` is kept out of
     # multifilt alone (PrescriptionSolution has a `delta` field).
@@ -350,6 +358,8 @@ test_test_oracles_stay_in_tests = _rows(
     " src:injection_params src:random_b_zero src:Infinity src:INFINITY src:_contained_cells"
     " src:oracles src:drop_oracle multifilt.py:delta"
 )
+test_drops_and_runs_share_one_class_check = _rows("_checked_class")
+test_a_line_is_read_off_its_pair = _rows("src:line_pair")
 _runs_callers = _rows("_runs")
 _value_readers = _rows("_value_and_below src:join_below")
 
@@ -395,6 +405,9 @@ MUTATIONS = [
     (".cofaces", "_ in _coface_plan(fan, sigma0)", "_ in fan.cofaces(sigma0)"),
     (".cofaces", "n = mf.fan.n\n", "n = mf.fan.n; mf.fan.cofaces(())\n"),
     ("_checked_drop drop", "step = drop(", "step = _checked_drop("),
+    ("_checked_class",
+     "m0 = _checked_class(f, sigma0, m0)\n    count", "m0 = tuple(sigma0), tuple(m0)\n    count"),
+    ("src:line_pair", "list(w.pair)", "list(w.line_pair())"),
     ("_cells reach:elementary_check", "profile = drop_counts(e, f)", "profile = _cells(e, f)"),
     ("_cells src:_contained_cells", "cells = _cells(e, f, cone)", "cells = _contained_cells()"),
     ("src:_injection", "def drop(", "def _injection(): pass\ndef drop("),
@@ -518,6 +531,16 @@ def test_no_rank_parameter():
         elif isinstance(node, ast.FunctionDef) and node.name == "line_bundle":
             found.append(f"{name}:{node.lineno} def line_bundle")
     assert found == []
+
+
+def test_method_choices_are_the_route_table():
+    # `tsk chern --method` offers auto and the routes of CHERN_ROUTES, in
+    # table order, which keeps the usage and error lines as they were.
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    (method,) = [a for a in sub.choices["chern"]._actions if "--method" in a.option_strings]
+    assert method.choices == ("auto", *CHERN_ROUTES) == (
+        "auto", "resolution", "klyachko", "symmetric"
+    )
 
 
 def test_cli_cold_start_leaves_out_dataclasses():
