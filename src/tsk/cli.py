@@ -20,6 +20,10 @@ input, 2 infeasible / search exhausted, 3 method disagreement or
 internal error, 4 recomposition mismatch (3 and 4 are internal
 cross-check sentinels whose disagreement or mismatch payload goes to
 stdout).
+
+The module imports what `build_parser` and `main` read; each `cmd_*`
+imports the modules it calls when it runs, so a command compiles only
+its own part of the library.
 """
 
 from __future__ import annotations
@@ -27,24 +31,13 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import NoReturn
+from typing import TYPE_CHECKING, NoReturn
 
-from . import chern as chern_mod
 from . import reflexive as refl
 from .documents import SheafDocument, canonical_dumps, load_document
-from .multifilt import drop_counts, factorize, is_reflexive, recompose
-from .obstruct import obstruction_verdict
-from .prescribe import (
-    Infeasible,
-    PrescriptionProblem,
-    family_p4_even,
-    family_p4_odd,
-    family_p5_candidates,
-    family_pn,
-    solve_p,
-    solve_p_closed_p4,
-    solve_p_closed_p5,
-)
+
+if TYPE_CHECKING:
+    from .prescribe import PrescriptionProblem
 
 OK, INVALID, INFEASIBLE, DISAGREEMENT, MISMATCH = 0, 1, 2, 3, 4
 
@@ -93,7 +86,9 @@ def cmd_chern(args: argparse.Namespace) -> Result:
         else:
             polys = {method: refl.CHERN_ROUTES[method](f)}
     elif method in ("auto", "klyachko"):
-        polys = {"klyachko": chern_mod.chern_general(doc.payload)}
+        from .chern import chern_general
+
+        polys = {"klyachko": chern_general(doc.payload)}
     else:
         raise CliError(f"method {method!r} does not apply to a {doc.kind} document")
     rendered = {name: poly.render() for name, poly in polys.items()}
@@ -112,13 +107,15 @@ def cmd_stability(args: argparse.Namespace) -> Result:
     doc = _read_document(args.input)
     if doc.kind == "reflexive":
         f = doc.reflexive()
-    elif is_reflexive(doc.payload):
-        f = refl.from_multifiltration(doc.payload)
     else:
-        raise CliError(
-            "the stability verdict is defined for reflexive data; this"
-            " multifiltration is not reflexive (factor through its hull first)"
-        )
+        from .multifilt import is_reflexive
+
+        if not is_reflexive(doc.payload):
+            raise CliError(
+                "the stability verdict is defined for reflexive data; this"
+                " multifiltration is not reflexive (factor through its hull first)"
+            )
+        f = refl.from_multifiltration(doc.payload)
     bg = refl.bogomolov_ok(f)
     return OK, {
         "verdict": refl.stability(f).value,
@@ -138,6 +135,8 @@ MAX_FACTORIZE_STEPS = 10**5
 
 
 def cmd_factorize(args: argparse.Namespace) -> Result:
+    from .multifilt import drop_counts, factorize, recompose
+
     if args.e == "-" and args.f == "-":
         raise CliError("at most one of E, F can come from stdin")
     e, f = (_read_document(path).as_multifiltration() for path in (args.e, args.f))
@@ -173,6 +172,8 @@ def cmd_factorize(args: argparse.Namespace) -> Result:
 
 
 def _closed_form_report(problem: PrescriptionProblem) -> dict:
+    from .prescribe import solve_p_closed_p4, solve_p_closed_p5
+
     start = problem.start_chern()
     if problem.n == 4:
         p = solve_p_closed_p4(start.coeffs, problem.c_rho0)
@@ -187,6 +188,8 @@ def _closed_form_report(problem: PrescriptionProblem) -> dict:
 
 
 def cmd_prescribe(args: argparse.Namespace) -> Result:
+    from .prescribe import Infeasible, PrescriptionProblem, solve_p
+
     try:
         c = tuple(int(x) for x in args.start.split(","))
     except ValueError as e:
@@ -209,12 +212,18 @@ def cmd_prescribe(args: argparse.Namespace) -> Result:
 # family
 
 
-_FAMILIES = {"pn": family_pn, "p4-odd": family_p4_odd, "p4-even": family_p4_even}
-
-
 def cmd_family(args: argparse.Namespace) -> Result:
     """pn takes --n, the others --t; p5 reports both start-data
     candidates and selects c=120t unless it is infeasible."""
+    from .prescribe import (
+        Infeasible,
+        family_p4_even,
+        family_p4_odd,
+        family_p5_candidates,
+        family_pn,
+    )
+
+    families = {"pn": family_pn, "p4-odd": family_p4_odd, "p4-even": family_p4_even}
     param = "n" if args.which == "pn" else "t"
     value = getattr(args, param)
     if value is None:
@@ -223,7 +232,7 @@ def cmd_family(args: argparse.Namespace) -> Result:
         if args.which == "p5":
             candidates = family_p5_candidates(value)
         else:
-            sol = _FAMILIES[args.which](value)
+            sol = families[args.which](value)
     except RuntimeError as e:
         return INFEASIBLE, {"error": str(e)}
     if args.which == "pn":
@@ -246,6 +255,8 @@ def cmd_family(args: argparse.Namespace) -> Result:
 
 
 def cmd_obstruct(args: argparse.Namespace) -> Result:
+    from .obstruct import obstruction_verdict
+
     doc = _read_document(args.input)
     return OK, obstruction_verdict(doc.as_multifiltration()).as_json()
 

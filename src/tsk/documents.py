@@ -21,12 +21,14 @@ from __future__ import annotations
 
 import json
 import sys
-from typing import Any, NamedTuple
+from typing import TYPE_CHECKING, Any, NamedTuple
 
 from .fan import Fan
 from .linalg import FULL, ZERO, Subspace
-from .multifilt import Multifiltration
 from .reflexive import R2Filtration, RayDatum, to_multifiltration
+
+if TYPE_CHECKING:
+    from .multifilt import Multifiltration
 
 
 def _is_int(x: Any) -> bool:
@@ -173,6 +175,8 @@ def multifilt_to_doc(mf: Multifiltration) -> dict:
 
 
 def multifilt_from_doc(doc: Any) -> Multifiltration:
+    from .multifilt import Multifiltration
+
     if not isinstance(doc, dict):
         raise ValueError("multifiltration document must be a JSON object")
     n = doc.get("n")

@@ -63,6 +63,9 @@ class Fan:
     def __setattr__(self, *_: object) -> None:
         raise AttributeError("Fan is immutable")
 
+    def __repr__(self) -> str:
+        return f"Fan({self.n})"
+
     @property
     def rays(self) -> range:
         """Ray indices 0..n; ray 0 is u_0 = -(e_1 + ... + e_n)."""

@@ -3,8 +3,9 @@
 A record declares its fields as `__slots__` and sets each once, when
 it is built, with `object.__setattr__`.  `Frozen` makes the rest
 uniform: assignment raises AttributeError, two records are equal when
-they have the same type and equal fields, and equal records hash
-equal.  The interned `Fan` and `Subspace` are not records: each value
+they have the same type and equal fields, equal records hash equal,
+and the repr names the fields: `PrescriptionProblem(n=3, c=(1, 2, 2,
+0))`.  The interned `Fan` and `Subspace` are not records: each value
 exists once, so their equality is identity and their hash object's.
 """
 
@@ -34,3 +35,7 @@ class Frozen:
 
     def __hash__(self) -> int:
         return hash(self._fields(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"

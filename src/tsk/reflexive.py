@@ -9,6 +9,10 @@ and the table of every Chern route, slope stability, the
 discriminant, and the conversion to the full multifiltration
 encoding.
 
+The module imports `multifilt` and `chern` only where the conversion
+and the general route run, so a command reads, checks and judges ray
+data without compiling them.
+
 Derived scalars follow the usual conventions: c_rho = b_rho - a_rho,
 a = sum a_rho, b = sum b_rho, c = sum c_rho, and s_k is the k-th
 elementary symmetric polynomial of the c_rho.
@@ -19,14 +23,15 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from operator import index
-from typing import Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
-from .chern import chern_general
 from .fan import Fan
 from .linalg import FULL, ZERO, Subspace, line2
-from .multifilt import Multifiltration, hull_of_ends, ray_ends
 from .record import Frozen
 from .ring import TruncPoly, linear_product
+
+if TYPE_CHECKING:
+    from .multifilt import Multifiltration
 
 
 class Stability(str, Enum):
@@ -268,13 +273,20 @@ def stability(f: R2Filtration) -> Stability:
     return Stability.STRICTLY_SEMISTABLE if tie else Stability.STABLE
 
 
+def _klyachko(f: R2Filtration) -> TruncPoly:
+    """The general formula on the family of the ray data."""
+    from .chern import chern_general
+
+    return chern_general(to_multifiltration(f))
+
+
 # Every Chern route of reflexive data, in a fixed order.  The general
 # (klyachko) formula covers every sheaf; a closed route raises
-# ValueError outside its hypothesis.  Each entry looks its route up by
-# module-level name when called, so a rebinding of that name is seen.
+# ValueError outside its hypothesis.  Each entry looks the functions it
+# runs up by name when called, so a rebinding of those names is seen.
 CHERN_ROUTES: dict[str, Callable[[R2Filtration], TruncPoly]] = {
     "resolution": lambda f: chern_total(f),
-    "klyachko": lambda f: chern_general(to_multifiltration(f)),
+    "klyachko": _klyachko,
     "symmetric": lambda f: chern_symmetric(f),
 }
 
@@ -326,10 +338,14 @@ def to_multifiltration(f: R2Filtration) -> Multifiltration:
     """The full family E^sigma_m = meet of E^rho(m_rho) over the cone's
     rays, in jump-list encoding: the reflexive hull of the ray
     filtrations, built from each ray's ends (a, b, E^rho(a))."""
+    from .multifilt import hull_of_ends
+
     return hull_of_ends(f.fan, [(r.a, r.b, r.value_at(r.a)) for r in f.rays])
 
 
 def from_multifiltration(mf: Multifiltration) -> R2Filtration:
     """Recover the ray data (a, b, L) from a family's ray filtrations;
     `ray_ends` raises InvalidFamily on lists that are no ray data."""
+    from .multifilt import ray_ends
+
     return R2Filtration(mf.fan, [RayDatum(a, b, v.pair) for a, b, v in ray_ends(mf)])

@@ -15,7 +15,7 @@ from fractions import Fraction
 import pytest
 
 import tsk
-from tsk import chern, cli
+from tsk import chern, cli, multifilt, obstruct, prescribe
 from tsk.documents import (
     SheafDocument,
     canonical_dumps,
@@ -223,7 +223,7 @@ def test_factorize_refuses_a_pair_on_two_fans(capsys, tmp_path, hull_doc):
 
 
 def test_factorize_mismatch_sentinel(capsys, dropped_doc, hull_doc, monkeypatch):
-    monkeypatch.setattr(cli, "recompose", lambda f, steps: f)
+    monkeypatch.setattr(multifilt, "recompose", lambda f, steps: f)
     code, out, _ = run(capsys, "factorize", dropped_doc, hull_doc)
     assert code == 4
     assert payload(out)["error"] == "recomposition mismatch"
@@ -235,7 +235,7 @@ def test_factorize_step_limit(capsys, dropped_doc, hull_doc, monkeypatch):
     monkeypatch.setattr(cli, "MAX_FACTORIZE_STEPS", 1)
     assert run(capsys, "factorize", dropped_doc, hull_doc)[0] == 0
     monkeypatch.setattr(cli, "MAX_FACTORIZE_STEPS", 0)
-    monkeypatch.setattr(cli, "factorize", None)
+    monkeypatch.setattr(multifilt, "factorize", None)
     code, out, err = run(capsys, "factorize", dropped_doc, hull_doc)
     assert (code, out) == (1, "")
     assert err == (
@@ -327,10 +327,10 @@ def test_family_p5_reports_both(capsys):
 
 
 def test_family_p5_reports_an_infeasible_candidate(capsys, monkeypatch):
-    real = cli.family_p5_candidates(1)
+    real = prescribe.family_p5_candidates(1)
     stuck = Infeasible("Negative", 4, Fraction(-3, 2))
     for label, code_expected in (("c=12t", 0), ("c=120t", 2)):
-        monkeypatch.setattr(cli, "family_p5_candidates", lambda t: {**real, label: stuck})
+        monkeypatch.setattr(prescribe, "family_p5_candidates", lambda t: {**real, label: stuck})
         code, out, _ = run(capsys, "family", "--which", "p5", "--t", "1")
         assert code == code_expected
         data = payload(out)
@@ -434,7 +434,7 @@ def test_internal_error_exits_3(capsys, dropped_doc, monkeypatch, error):
     def falsified(_mf):
         raise error("obstruction argument falsified")
 
-    monkeypatch.setattr(cli, "obstruction_verdict", falsified)
+    monkeypatch.setattr(obstruct, "obstruction_verdict", falsified)
     code, out, err = run(capsys, "obstruct", dropped_doc)
     assert code == 3
     assert out == ""

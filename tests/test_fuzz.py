@@ -28,7 +28,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from tsk import cli, documents  # noqa: E402
+from tsk import cli, multifilt  # noqa: E402
 from tsk.documents import dump_document, load_document  # noqa: E402
 
 from oracles import walk_and_all_edges  # noqa: E402
@@ -230,7 +230,7 @@ def _constructor_input(text: str):
     def capture(fan, jumps):
         raise _Handed(fan, jumps)
 
-    with mock.patch.object(documents, "Multifiltration", capture):
+    with mock.patch.object(multifilt, "Multifiltration", capture):
         try:
             load_document(text)
         except _Handed as handed:

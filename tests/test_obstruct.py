@@ -8,7 +8,7 @@ from random import Random
 
 import pytest
 
-from tsk import multifilt, obstruct, reflexive
+from tsk import chern, multifilt, obstruct
 from tsk.chern import chern_general, twist_chern
 from tsk.fan import Fan
 from tsk.linalg import ZERO, Subspace
@@ -262,7 +262,7 @@ def test_q4_builds_no_grid_over_e(monkeypatch):
         return chern_general(mf)
 
     monkeypatch.setattr(obstruct, "chern_general", recording)
-    monkeypatch.setattr(reflexive, "chern_general", recording)
+    monkeypatch.setattr(chern, "chern_general", recording)
     for E in q4_draws(4, 30):
         assert obstruction_verdict(E).case == "Q4"
         assert all(mf != E for mf in seen)
@@ -286,7 +286,7 @@ def test_q4_hull_outside_the_closed_route():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(obstruct, "chern_general", recording)
-        mp.setattr(reflexive, "chern_general", recording)
+        mp.setattr(chern, "chern_general", recording)
         v = obstruction_verdict(E)
     assert seen == [F]
     assert v.case == "Q4" and v.witness == reference_q4_witness(E)

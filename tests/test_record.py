@@ -43,3 +43,20 @@ def test_records_are_frozen_values(name):
         with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
             setattr(record, field, None)
     assert record == again
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_records_have_a_deterministic_repr(name):
+    # The repr is built from the fields, with no address in it.
+    text = repr(RECORDS[name]())
+    assert text == repr(RECORDS[name]())
+    assert name in text and " at 0x" not in text
+
+
+def test_a_record_repr_names_its_fields():
+    assert repr(PrescriptionProblem(3, (1, 2, 2, 0))) == "PrescriptionProblem(n=3, c=(1, 2, 2, 0))"
+    assert repr(RayDatum(-2, 0, (2, 4))) == "RayDatum(a=-2, b=0, line=(1, 2))"
+    assert repr(R2Filtration.b_zero_data(Fan(1), (0, 1))) == (
+        "R2Filtration(fan=Fan(1), rays=(RayDatum(a=0, b=0, line=None),"
+        " RayDatum(a=-1, b=0, line=(1, 1))))"
+    )

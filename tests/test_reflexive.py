@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from tsk import reflexive
+from tsk import chern
 from tsk.fan import Fan
 from tsk.linalg import ZERO, FULL, Subspace
 from tsk.chern import chern_general
@@ -222,7 +222,7 @@ def test_chern_class_takes_the_closed_route_when_it_holds(monkeypatch):
         seen.append(mf)
         return chern_general(mf)
 
-    monkeypatch.setattr(reflexive, "chern_general", recording)
+    monkeypatch.setattr(chern, "chern_general", recording)
     f = b_zero(4, (1, 6, 6, 0, 0))
     assert chern_class(f) == chern_total(f) and seen == []
     rep = b_zero(3, (1, 2, 1, 3), lines=[(1, 0), (1, 0), (1, 1), (1, 2)])

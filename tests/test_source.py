@@ -143,7 +143,7 @@ CALLS = {
     # in obstruction_verdict is Q2's independent c_3.
     "chern_general": {
         "obstruct.py:obstruction_verdict": 1, "cli.py:cmd_chern": 1,
-        "prescribe.py:build_sequence": 1, "reflexive.py:<module>": 1,
+        "prescribe.py:build_sequence": 1, "reflexive.py:_klyachko": 1,
     },
     # A stage's Chern ratio has one form, run_factors' telescoped edge,
     # whose log the solve reads with chern's run_log.
